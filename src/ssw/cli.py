@@ -32,16 +32,26 @@ from .tensor import cone, gray_marked_n, gray_scaled, join_ms, thick_join
 EXIT_OK, EXIT_REFUTED, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
 
-def default_bound() -> int:
-    raw = os.environ.get("SSW_DEFAULT_BOUND", "")
-    try:
-        return int(raw) if raw else 4
-    except ValueError:
-        return 4
-
-
 class CliError(Exception):
     pass
+
+
+def check_bound(value: int, source: str) -> int:
+    if value < 0:
+        raise CliError(f"{source} must be a non-negative integer, got {value}")
+    return value
+
+
+def default_bound() -> int:
+    """The lifting bound when --bound is absent: SSW_DEFAULT_BOUND, else 4."""
+    raw = os.environ.get("SSW_DEFAULT_BOUND", "")
+    if not raw:
+        return 4
+    try:
+        value = int(raw)
+    except ValueError:
+        raise CliError(f"SSW_DEFAULT_BOUND must be a non-negative integer, got {raw!r}") from None
+    return check_bound(value, "SSW_DEFAULT_BOUND")
 
 
 def resolve(spec: str) -> MarkedScaled:
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=int, default=3)
         if bound:
-            p.add_argument("--bound", type=int, default=default_bound())
+            p.add_argument("--bound", type=int, default=None)
 
     p = sub.add_parser("build", help="print a catalog object")
     p.add_argument("object")
@@ -339,6 +349,8 @@ def run_command(argv) -> tuple[int, str]:
     except SystemExit:
         return EXIT_USAGE, "usage error\n"
     try:
+        if hasattr(args, "bound"):
+            args.bound = default_bound() if args.bound is None else check_bound(args.bound, "--bound")
         return args.fn(args)
     except (CliError, SSetError, FileNotFoundError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"

@@ -7,6 +7,7 @@ immutable after construction and every operation is pure.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .ops import (
@@ -86,6 +87,7 @@ class SSet:
         self._act_cache: dict[tuple[EZ, Op], EZ] = {}
         self._simplices: dict[int, tuple[EZ, ...]] = {}
         self._by_faces: dict[int, dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
+        self._plan: SearchPlan | None = None
         if validate:
             self._validate()
 
@@ -174,6 +176,25 @@ class SSet:
             self._by_faces[n] = idx
         return idx
 
+    def search_plan(self) -> "SearchPlan":
+        """The order in which map search assigns images to the cells of self."""
+        plan = self._plan
+        if plan is None:
+            order = tuple(x for level in self.cells for x in level)
+            pos = {x: k for k, x in enumerate(order)}
+            faces = []
+            due: list[list[int]] = [[] for _ in order]
+            for k, x in enumerate(order):
+                fs = tuple(
+                    (pos[f.core], None if is_id(f.op) else f.op) for f in self.faces.get(x, ())
+                )
+                faces.append(fs)
+                if fs:
+                    due[max(p for p, _ in fs)].append(k)
+            plan = SearchPlan(order, tuple(faces), tuple(tuple(d) for d in due))
+            self._plan = plan
+        return plan
+
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
@@ -204,6 +225,20 @@ class SSet:
                     right = self.face(self.face(top, i), j - 1)
                     if left != right:
                         raise SSetError(f"simplicial identity fails at {x!r}: d{i} d{j}")
+
+
+class SearchPlan(NamedTuple):
+    """Cells in search order with their faces, as positions in that order.
+
+    ``order`` lists the nondegenerate cells level by level, in the order of
+    ``cells``.  ``faces[k]`` holds ``(position of the core, op)`` for each face
+    of ``order[k]``, with ``op`` None where the face operator is the identity.
+    ``due[k]`` lists the positions of the cells whose last face is ``order[k]``.
+    """
+
+    order: tuple[str, ...]
+    faces: tuple[tuple[tuple[int, Op | None], ...], ...]
+    due: tuple[tuple[int, ...], ...]
 
 
 # -- maps -------------------------------------------------------------------
@@ -286,16 +321,16 @@ def empty_sset() -> SSet:
     return SSet((), {})
 
 
-def terminal_map(X: SSet) -> SMap:
-    pt = standard_simplex(0)
-    return SMap(X, pt, {x: EZ("0", const_op(n, 0)) for x, n in X.dim_of.items()}, validate=False)
-
-
 # -- standard complexes -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def standard_simplex(n: int, dim_cap: int | None = None) -> SSet:
-    """The n-simplex; nondegenerate cells are vertex subsets of {0..n}."""
+    """The n-simplex; nondegenerate cells are vertex subsets of {0..n}.
+
+    Built and validated once per argument list, then shared: SSets are
+    immutable.
+    """
     if n < 0:
         raise SSetError("n must be >= 0")
     cells = [[] for _ in range(n + 1)]
@@ -657,52 +692,71 @@ def enumerate_maps(
     image_ok: Callable[[str, EZ], bool] | None = None,
     first_only: bool = False,
 ) -> list[SMap]:
-    """All simplicial maps X -> Y extending a partial assignment.
+    """All simplicial maps X -> Y extending a partial assignment, in a fixed order.
 
-    Backtracking over nondegenerate cells in (dimension, position) order;
-    candidate images are constrained by the already-assigned faces and come in
-    the canonical order of Y.simplices, so the output order is deterministic.
+    The maps come in the lexicographic order of their images, with the cells
+    of X taken level by level (``X.search_plan().order``) and the candidates
+    for each cell taken in the order of ``Y.simplices``.  The candidates of a
+    vertex are all vertices of Y, or its pin; those of a cell x of dimension
+    n >= 1 are the n-simplices of Y whose faces are the images of the faces of
+    x, that equal the pin of x if it has one, and that pass ``image_ok(x, c)``.
+    ``image_ok`` must depend on its arguments only.
+
+    The search is forward-checked: as soon as the last face of a cell gets its
+    image, the cell's candidate list is computed and kept until the search
+    reaches the cell, and an empty list cuts the branch.  A cut branch holds
+    no map, and each list is the one the cell would get on reaching it, so
+    forward checking changes neither the maps nor their order.  With
+    ``first_only`` the search stops at the first map.
     """
     partial = partial or {}
-    order = [x for level in X.cells for x in level]
-    found: list[SMap] = []
-    images: dict[str, EZ] = {}
+    order, faces, due = X.search_plan()
+    size = len(order)
+    if size == 0:
+        return [SMap(X, Y, {}, validate=False)]
+    images: list[EZ | None] = [None] * size
+    lists: list[list[EZ]] = [[] for _ in range(size)]
+    cursor = [0] * size
 
-    def act_images(pair: EZ) -> EZ:
-        img = images[pair.core]
-        return EZ(img.core, compose(img.op, pair.op))
-
-    def candidates(x: str, n: int):
+    def fill(j: int, bucket) -> bool:
+        x = order[j]
         pin = partial.get(x)
-        if n == 0:
-            cands = Y.simplices(0) if pin is None else (pin,)
-            for c in cands:
-                if pin is not None and c != pin:
-                    continue
-                yield c
-            return
-        key = tuple(act_images(f) for f in X.faces[x])
-        for c in Y.by_faces(n).get(key, ()):
-            if pin is not None and c != pin:
-                continue
-            yield c
+        lists[j] = [
+            c
+            for c in bucket
+            if (pin is None or c == pin) and (image_ok is None or image_ok(x, c))
+        ]
+        return bool(lists[j])
 
-    def extend(k: int):
-        if k == len(order):
-            found.append(SMap(X, Y, dict(images), validate=False))
-            return not first_only
-        x = order[k]
-        n = X.dim_of[x]
-        for c in candidates(x, n):
-            if image_ok is not None and not image_ok(x, c):
-                continue
-            images[x] = c
-            if not extend(k + 1):
-                return False
-            del images[x]
-        return True
+    def forward(j: int) -> bool:
+        key = tuple(
+            images[p] if op is None else EZ(images[p].core, compose(images[p].op, op))
+            for p, op in faces[j]
+        )
+        return fill(j, Y.by_faces(len(key) - 1).get(key, ()))
 
-    extend(0)
+    for j, x in enumerate(X.level(0)):
+        pin = partial.get(x)
+        if not fill(j, Y.simplices(0) if pin is None else (pin,)):
+            return []
+    found: list[SMap] = []
+    k = 0
+    while k >= 0:
+        i = cursor[k]
+        if i == len(lists[k]):
+            k -= 1
+            continue
+        cursor[k] = i + 1
+        images[k] = lists[k][i]
+        if not all(forward(j) for j in due[k]):
+            continue
+        if k + 1 < size:
+            k += 1
+            cursor[k] = 0
+            continue
+        found.append(SMap(X, Y, dict(zip(order, images)), validate=False))
+        if first_only:
+            break
     return found
 
 
@@ -763,47 +817,53 @@ def isomorphisms(
         ):
             return []
     order = sorted(X.dim_of, key=lambda x: (X.dim_of[x], len(buckets[(X.dim_of[x], sig_x[x])]), x))
+    size = len(order)
     used: set[str] = set()
     out: list[SMap] = []
     images: dict[str, EZ] = {}
+    cursor = [0] * size
 
-    def act_images(pair: EZ) -> EZ:
-        img = images[pair.core]
-        return EZ(img.core, compose(img.op, pair.op))
+    def fits(x: str, n: int, y: str) -> bool:
+        if y in used:
+            return False
+        target = EZ(y, idop(n))
+        for i, f in enumerate(X.faces.get(x, ())):
+            img = images.get(f.core)
+            if img is not None and EZ(img.core, compose(img.op, f.op)) != Y.face(target, i):
+                return False
+        return True
 
-    def extend(k: int):
-        if k == len(order):
+    k = 0
+    while k >= 0:
+        if k == size:
             cand = SMap(X, Y, dict(images), validate=False)
             try:
                 cand._validate()
             except SSetError:
-                return True
-            out.append(cand)
-            return not first_only
+                pass
+            else:
+                out.append(cand)
+                if first_only:
+                    break
+            k -= 1
+            continue
         x = order[k]
         n = X.dim_of[x]
-        for y in buckets[(n, sig_x[x])]:
-            if y in used:
-                continue
-            if n >= 1:
-                target = EZ(y, idop(n))
-                ok = True
-                for i in range(n + 1):
-                    f = X.faces[x][i]
-                    if f.core in images and act_images(f) != Y.face(target, i):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            images[x] = EZ(y, idop(n))
-            used.add(y)
-            if not extend(k + 1):
-                return False
-            used.remove(y)
-            del images[x]
-        return True
-
-    extend(0)
+        if x in images:
+            used.remove(images.pop(x).core)
+        bucket = buckets[(n, sig_x[x])]
+        i = cursor[k]
+        while i < len(bucket) and not fits(x, n, bucket[i]):
+            i += 1
+        if i == len(bucket):
+            k -= 1
+            continue
+        cursor[k] = i + 1
+        used.add(bucket[i])
+        images[x] = EZ(bucket[i], idop(n))
+        k += 1
+        if k < size:
+            cursor[k] = 0
     return out
 
 

@@ -207,21 +207,6 @@ def pull_marking(f: SMap, T: Marked | MarkedScaled) -> frozenset:
     return frozenset(e for e in f.source.level(1) if T.is_marked(f(EZ(e, idop(1)))))
 
 
-def decorated_maps(X: MarkedScaled, Y: MarkedScaled, partial=None, first_only=False) -> list[SMap]:
-    """All maps of marked-scaled simplicial sets X -> Y, in canonical order."""
-    from .core import enumerate_maps
-
-    def image_ok(x, cand):
-        n = X.base.dim_of[x]
-        if n == 1 and x in X.marked and not Y.is_marked(cand):
-            return False
-        if n == 2 and x in X.thin and not Y.is_thin(cand):
-            return False
-        return True
-
-    return enumerate_maps(X.base, Y.base, partial=partial, image_ok=image_ok, first_only=first_only)
-
-
 def pushout_ms(i: SMap, g: SMap, B: MarkedScaled, X: MarkedScaled, A: MarkedScaled | None = None):
     """Decorated pushout: decoration of the result is the union of the images."""
     res = pushout_mono(i, g)

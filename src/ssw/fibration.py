@@ -144,10 +144,6 @@ class GeneratorFamily:
         return iter(self.generators)
 
 
-def _restricted(B: MarkedScaled, incl: SMap) -> MarkedScaled:
-    return restrict_ms(B, incl)
-
-
 def inclusion_generator(name, B: MarkedScaled, keep, top_pins=None, filler_pins=None) -> Generator:
     sub, incl = subcomplex(B.base, keep)
     A = restrict_ms(B, incl)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,9 @@ from ssw.core import (
     standard_simplex,
     subcomplex,
     SMap,
+    SSet,
 )
+from ssw.fibration import q_complex
 from ssw.ops import degeneracy_op, idop
 
 
@@ -268,6 +272,117 @@ def test_enumerate_maps_deterministic():
     a = [m.key() for m in enumerate_maps(standard_simplex(1), standard_simplex(2))]
     b = [m.key() for m in enumerate_maps(standard_simplex(1), standard_simplex(2))]
     assert a == b
+
+
+def brute_force_maps(X, Y, partial=None, image_ok=None):
+    """Keys of all maps X -> Y, by trying every assignment of simplices of Y
+    to the cells of X, cells taken level by level."""
+    partial = partial or {}
+    order = [x for level in X.cells for x in level]
+    out = []
+    for combo in itertools.product(*(Y.simplices(X.dim_of[x]) for x in order)):
+        images = dict(zip(order, combo))
+        if any(images[x] != pin for x, pin in partial.items() if x in images):
+            continue
+        if image_ok is not None and not all(image_ok(x, c) for x, c in images.items()):
+            continue
+        try:
+            out.append(SMap(X, Y, images, validate=True).key())
+        except SSetError:
+            continue
+    return out
+
+
+def map_keys(X, Y, **kwargs):
+    return [m.key() for m in enumerate_maps(X, Y, **kwargs)]
+
+
+def nerve(size, less):
+    """The nerve of the poset on 0..size-1 whose strict order is ``less``."""
+    chains = [c for k in range(1, size + 1) for c in itertools.combinations(range(size), k)
+              if all((a, b) in less for a, b in zip(c, c[1:]))]
+
+    def name(chain):
+        return "".join(str(v) for v in chain)
+
+    cells = [[name(c) for c in chains if len(c) == k + 1] for k in range(size)]
+    faces = {
+        name(c): tuple(EZ(name(c[:i] + c[i + 1:]), idop(len(c) - 2)) for i in range(len(c)))
+        for c in chains
+        if len(c) > 1
+    }
+    return SSet(cells, faces)
+
+
+@st.composite
+def poset_nerves(draw):
+    """Nerves of posets on at most 3 elements, numbered along a linear extension."""
+    size = draw(st.integers(min_value=0, max_value=3))
+    less = {(a, b) for a, b in itertools.combinations(range(size), 2) if draw(st.booleans())}
+    for k in range(size):
+        for a in range(size):
+            for b in range(size):
+                if (a, k) in less and (k, b) in less:
+                    less.add((a, b))
+    return nerve(size, less)
+
+
+ORACLE_PAIRS = [
+    (horn(2, 1), standard_simplex(2)),
+    (boundary(2), standard_simplex(1)),
+    (standard_simplex(1), q_complex()),
+]
+
+
+@pytest.mark.parametrize("X,Y", ORACLE_PAIRS)
+def test_enumerate_maps_matches_brute_force_in_order(X, Y):
+    expected = brute_force_maps(X, Y)
+    assert expected
+    assert map_keys(X, Y) == expected
+    assert map_keys(X, Y, first_only=True) == expected[:1]
+
+
+def test_enumerate_maps_pins_and_image_ok_match_brute_force():
+    X, Y = horn(2, 1), standard_simplex(2)
+    pins = {"1": EZ("1", (0,))}
+
+    def image_ok(x, c):
+        return c != EZ("12", (0, 1))
+
+    expected = brute_force_maps(X, Y, partial=pins, image_ok=image_ok)
+    assert 0 < len(expected) < len(brute_force_maps(X, Y, partial=pins))
+    assert map_keys(X, Y, partial=pins, image_ok=image_ok) == expected
+    assert map_keys(X, Y, partial=pins, image_ok=image_ok, first_only=True) == expected[:1]
+    edge_pin = {"01": EZ("02", (0, 1))}
+    assert map_keys(X, Y, partial=edge_pin) == brute_force_maps(X, Y, partial=edge_pin)
+    assert map_keys(X, Y, partial={"01": EZ("0", (0, 0)), "12": EZ("12", (0, 1))}) == []
+
+
+def test_enumerate_maps_empty_source_and_target():
+    E = empty_sset()
+    assert map_keys(E, standard_simplex(1)) == brute_force_maps(E, standard_simplex(1)) == [()]
+    assert map_keys(standard_simplex(1), E) == brute_force_maps(standard_simplex(1), E) == []
+
+
+@given(poset_nerves(), poset_nerves())
+@settings(max_examples=30, deadline=None)
+def test_enumerate_maps_between_nerves_matches_brute_force(X, Y):
+    assert map_keys(X, Y) == brute_force_maps(X, Y)
+
+
+def test_searches_do_not_recurse_per_cell():
+    d9 = standard_simplex(9)
+    assert len(enumerate_maps(d9, standard_simplex(0))) == 1
+    assert len(isomorphisms(d9, d9, first_only=False)) == 1
+    assert is_isomorphic(d9, d9)
+
+
+def test_isomorphisms_order_and_count_on_a_coproduct():
+    two_edges = coproduct(standard_simplex(1), standard_simplex(1)).sset
+    isos = isomorphisms(two_edges, two_edges, first_only=False)
+    assert len(isos) == 2
+    assert isos[0].images == identity_map(two_edges).images
+    assert isomorphisms(two_edges, two_edges)[0].key() == isos[0].key()
 
 
 def test_maps_into_q_with_endpoint_constraint():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ssw.catalog import catalog, j_truncated
-from ssw.cli import run_command
+from ssw.cli import CliError, run_command
 from ssw.core import EZ, SMap, standard_simplex
 from ssw.decor import MarkedScaled
 from ssw.doc import (
@@ -163,5 +163,32 @@ def test_env_default_bound(monkeypatch):
 
     monkeypatch.setenv("SSW_DEFAULT_BOUND", "5")
     assert default_bound() == 5
-    monkeypatch.setenv("SSW_DEFAULT_BOUND", "junk")
+    monkeypatch.delenv("SSW_DEFAULT_BOUND")
     assert default_bound() == 4
+    monkeypatch.setenv("SSW_DEFAULT_BOUND", "junk")
+    with pytest.raises(CliError):
+        default_bound()
+
+
+def test_cli_rejects_negative_bound():
+    code, out = run_command(["check-bicat", "d2_flat", "--bound", "-1"])
+    assert code == 3
+    assert out.startswith("error:") and "--bound" in out
+
+
+@pytest.mark.parametrize("raw", ["abc", "-2", "2.5"])
+def test_cli_rejects_bad_env_default_bound(monkeypatch, raw):
+    monkeypatch.setenv("SSW_DEFAULT_BOUND", raw)
+    code, out = run_command(["check-bicat", "d2_flat"])
+    assert code == 3
+    assert out.startswith("error:") and "SSW_DEFAULT_BOUND" in out
+    # an explicit --bound does not read the variable, nor does a command without one
+    assert run_command(["check-bicat", "d2_flat", "--bound", "2"])[0] == 1
+    assert run_command(["build", "d1"])[0] == 0
+
+
+def test_cli_env_default_bound_applies(monkeypatch):
+    monkeypatch.setenv("SSW_DEFAULT_BOUND", "1")
+    code, out = run_command(["check-bicat", "d1_sharp", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["bound"] == 1
