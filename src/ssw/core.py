@@ -123,7 +123,8 @@ class SSet:
 
     def act(self, pair: EZ, alpha: Op) -> EZ:
         """Apply a monotone operator alpha: [l] -> [deg(pair)] to a simplex."""
-        key = (pair, tuple(alpha))
+        alpha = tuple(alpha)
+        key = (pair, alpha)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
@@ -215,15 +216,14 @@ class SSet:
                     raise SSetError(f"face of {x!r} has wrong degree: {pair}")
                 if not is_epi(pair.op):
                     raise SSetError(f"face operator of {x!r} not an epi: {pair}")
+        # The loop above checked that the faces are EZ-normal, so fs[j] is face j of x.
         for x, n in self.dim_of.items():
             if n < 2:
                 continue
-            top = EZ(x, idop(n))
+            fs = self.faces[x]
             for j in range(n + 1):
                 for i in range(j):
-                    left = self.face(self.face(top, j), i)
-                    right = self.face(self.face(top, i), j - 1)
-                    if left != right:
+                    if self.face(fs[j], i) != self.face(fs[i], j - 1):
                         raise SSetError(f"simplicial identity fails at {x!r}: d{i} d{j}")
 
 
@@ -402,30 +402,22 @@ class ProductResult(NamedTuple):
     pr2: SMap
 
 
-def _joint_core(pairs: tuple[EZ, ...]) -> tuple[tuple[EZ, ...], Op]:
+@lru_cache(maxsize=None)
+def joint_split(ops: tuple[Op, ...]) -> tuple[Op, Op]:
+    """Split same-length operators at their joint degeneracies, as (section, sigma).
+
+    ``section`` keeps 0 and each t where some operator changes value, and the
+    epi ``sigma`` collapses the rest: each op is compose(compose(op, section), sigma).
+    """
+    m = len(ops[0]) - 1
+    section = (0,) + tuple(t for t in range(1, m + 1) if any(op[t] != op[t - 1] for op in ops))
+    return section, tuple(sum(1 for s in section if s <= t) - 1 for t in range(m + 1))
+
+
+def joint_core(pairs: tuple[EZ, ...]) -> tuple[tuple[EZ, ...], Op]:
     """Split a tuple of same-degree EZ pairs as (jointly nondegenerate cores, epi)."""
-    m = pairs[0].deg
-    keepers = [0]
-    for t in range(1, m + 1):
-        if not all(p.op[t] == p.op[t - 1] for p in pairs):
-            keepers.append(t)
-    sigma = []
-    cur = -1
-    for t in range(m + 1):
-        if t in keepers:
-            cur += 1
-        sigma.append(cur)
-    sigma = tuple(sigma)
-    section = tuple(keepers)
-    cores = tuple(EZ(p.core, compose(p.op, section)) for p in pairs)
-    return cores, sigma
-
-
-def _is_jointly_nondeg(pairs: tuple[EZ, ...]) -> bool:
-    m = pairs[0].deg
-    return not any(
-        all(p.op[t] == p.op[t + 1] for p in pairs) for t in range(m)
-    )
+    section, sigma = joint_split(tuple(p.op for p in pairs))
+    return tuple(EZ(p.core, compose(p.op, section)) for p in pairs), sigma
 
 
 def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
@@ -444,7 +436,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         level = []
         for a in X.simplices(n):
             for b in Y.simplices(n):
-                if _is_jointly_nondeg((a, b)):
+                if len(joint_split((a.op, b.op))[0]) == n + 1:
                     x = f"({ez_str(a)},{ez_str(b)})"
                     index[(a, b)] = x
                     level.append(x)
@@ -458,8 +450,8 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         fs = []
         for i in range(n + 1):
             fa, fb = X.face(a, i), Y.face(b, i)
-            cores, sigma = _joint_core((fa, fb))
-            fs.append(EZ(index[(cores[0], cores[1])], sigma))
+            cores, sigma = joint_core((fa, fb))
+            fs.append(EZ(index[cores], sigma))
         faces[x] = tuple(fs)
     P = SSet(cells, faces, dim_cap=cap)
     pr1 = SMap(P, X, {x: back[x][0] for x in P.dim_of}, validate=False)
@@ -471,6 +463,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
 class MultiProductResult(NamedTuple):
     sset: SSet
     projections: tuple[SMap, ...]
+    index: dict[tuple[EZ, ...], str]  # jointly nondegenerate components -> cell
 
 
 def multi_product(factors: list[SSet], dim_cap: int | None = None) -> MultiProductResult:
@@ -486,22 +479,19 @@ def multi_product(factors: list[SSet], dim_cap: int | None = None) -> MultiProdu
     for x, n in acc.dim_of.items():
         top = EZ(x, idop(n))
         index[tuple(pr(top) for pr in projs)] = x
-    acc.tuple_index = index  # type: ignore[attr-defined]
-    return MultiProductResult(acc, tuple(projs))
+    return MultiProductResult(acc, tuple(projs), index)
 
 
 def product_cell(mp: MultiProductResult, pairs: tuple[EZ, ...]) -> EZ:
     """Locate the simplex of an iterated product with the given components."""
-    cores, sigma = _joint_core(tuple(pairs))
-    x = mp.sset.tuple_index[cores]  # type: ignore[attr-defined]
-    return EZ(x, sigma)
+    cores, sigma = joint_core(tuple(pairs))
+    return EZ(mp.index[cores], sigma)
 
 
 def pair_cell(P: SSet, a: EZ, b: EZ) -> EZ:
     """Locate the simplex of a binary product with the given components."""
-    cores, sigma = _joint_core((a, b))
-    x = P.pair_index[(cores[0], cores[1])]  # type: ignore[attr-defined]
-    return EZ(x, sigma)
+    cores, sigma = joint_core((a, b))
+    return EZ(P.pair_index[cores], sigma)  # type: ignore[attr-defined]
 
 
 def pullback(p: SMap, q: SMap, dim_cap: int | None = None) -> ProductResult:

@@ -18,6 +18,7 @@ from .core import (
     enumerate_maps,
     horn,
     identity_map,
+    joint_core,
     pair_cell,
     product,
     pullback,
@@ -526,16 +527,14 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     if to_y.then(y_to_fy) != e_to_fe.then(fe_to_fy):
         raise SSetError("slice comparison square does not commute")
     pb, pr1, pr2 = pullback(y_to_fy, fe_to_fy, dim_cap=max(cap, sl_y.total.base.dim + sl_fe.total.base.dim))
-    from .core import _joint_core
-
     index: dict[tuple[EZ, EZ], str] = {}
     for c, n in pb.dim_of.items():
         top = EZ(c, idop(n))
         index[(pr1(top), pr2(top))] = c
     images = {}
     for c, n in sl_e.total.base.dim_of.items():
-        cores, sigma = _joint_core((to_y.images[c], e_to_fe.images[c]))
-        hit = index.get((cores[0], cores[1]))
+        cores, sigma = joint_core((to_y.images[c], e_to_fe.images[c]))
+        hit = index.get(cores)
         if hit is None:
             raise SSetError("comparison image missing from the pullback")
         images[c] = EZ(hit, sigma)
@@ -1126,16 +1125,11 @@ def refute_coinitial(
         def pre(n, shapeA=shapeA, shapeB=shapeB):
             (scB, pr1B, pr2B), _ = shapeB.object(n)
             (scA, _, _), _ = shapeA.object(n)
-            from .core import _joint_core
-
             images = {}
             for c, nd in scB.base.dim_of.items():
                 topc = EZ(c, idop(nd))
                 a, k = pr1B(topc), pr2B(topc)
-                hk = h(k)
-                cores, sigma = _joint_core((a, hk))
-                cell = scA.base.pair_index[(cores[0], cores[1])]  # type: ignore[attr-defined]
-                images[c] = EZ(cell, sigma)
+                images[c] = pair_cell(scA.base, a, h(k))
             return SMap(scB.base, scA.base, images)
 
         rmap = precompose_map(A, B, pre)

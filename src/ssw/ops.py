@@ -4,6 +4,10 @@ An operator [m] -> [k] is stored as a value tuple of length m+1: ``op[t]`` is
 the image of ``t``.  Surjective monotone operators are the degeneracy words of
 the Eilenberg-Zilber decomposition; injective monotone operators are iterated
 face maps.
+
+``compose``, ``epi_mono`` and ``face_op`` are memoized like ``surjections`` and
+``injections``: every simplex face, action and product cell goes through them,
+on few distinct arguments.  They take operators as tuples, never lists.
 """
 from __future__ import annotations
 
@@ -32,11 +36,13 @@ def is_epi(op: Op) -> bool:
     return all(op[t + 1] - op[t] <= 1 for t in range(len(op) - 1))
 
 
+@lru_cache(maxsize=None)
 def compose(f: Op, g: Op) -> Op:
     """f after g."""
     return tuple(f[v] for v in g)
 
 
+@lru_cache(maxsize=None)
 def epi_mono(beta: Op) -> tuple[Op, Op]:
     """Factor a monotone beta as delta∘sigma with sigma epi, delta mono."""
     values = sorted(set(beta))
@@ -45,6 +51,7 @@ def epi_mono(beta: Op) -> tuple[Op, Op]:
     return sigma, tuple(values)
 
 
+@lru_cache(maxsize=None)
 def face_op(n: int, i: int) -> Op:
     """delta_i: [n-1] -> [n], skipping i."""
     return tuple(t for t in range(n + 1) if t != i)

@@ -15,6 +15,7 @@ from .core import (
     join_sset,
     multi_product,
     product_cell,
+    simplex_cell,
     standard_simplex,
     subcomplex,
 )
@@ -28,7 +29,7 @@ from .decor import (
     pushout_ms,
     push_marking,
 )
-from .ops import const_op, idop
+from .ops import const_op, epi_mono, idop
 
 
 def flat_ms(n: int) -> MarkedScaled:
@@ -71,11 +72,8 @@ def degenerates_to_point(pair: EZ, base: SSet) -> bool:
 
 def simplex_from_word(word) -> EZ:
     """The simplex of a standard simplex with the given monotone vertex word."""
-    from .core import _name
-    from .ops import epi_mono
-
     sigma, delta = epi_mono(tuple(word))
-    return EZ(_name(delta), sigma)
+    return EZ(simplex_cell(delta), sigma)
 
 
 # -- Gray products ----------------------------------------------------------------
@@ -90,7 +88,7 @@ class GrayResult(NamedTuple):
 def gray_scaled(X: Scaled, Y: Scaled, dim_cap: int | None = None) -> GrayResult:
     """Binary Gray product of scaled simplicial sets."""
     mp = multi_product([X.base, Y.base], dim_cap=dim_cap)
-    P, (pr1, pr2) = mp
+    P, (pr1, pr2) = mp.sset, mp.projections
     thin = set()
     for t in P.level(2):
         top = EZ(t, idop(2))
@@ -131,7 +129,7 @@ def gray_marked_n(factors: list[MarkedScaled], dim_cap: int | None = None) -> Gr
     if len(factors) < 2:
         raise SSetError("Gray product needs at least two factors")
     mp = multi_product([f.base for f in factors], dim_cap=dim_cap)
-    P, projs = mp
+    P, projs = mp.sset, mp.projections
     thin = set()
     for t in P.level(2):
         top = EZ(t, idop(2))

@@ -95,6 +95,67 @@ def test_simplices_enumeration_matches_hom_sets():
             assert len(maps) == len(Y.simplices(n))
 
 
+def test_act_accepts_a_list_operator():
+    X = standard_simplex(2)
+    pair = EZ("012", idop(2))
+    assert X.act(pair, [0, 1]) == X.act(pair, (0, 1)) == EZ("01", (0, 1))
+    assert X.act(EZ("01", (0, 1, 1)), [1, 2]) == EZ("1", (0, 0))
+
+
+# ---------------------------------------------------------------- validation
+
+
+def _vertices_and_edges(edges):
+    """Cells and faces of vertices 0..3 and the named edges "ab" from a to b."""
+    faces = {e: (EZ(e[1], (0,)), EZ(e[0], (0,))) for e in edges}
+    return [["0", "1", "2", "3"], list(edges)], faces
+
+
+def test_validation_rejects_faces_that_disagree_at_a_vertex():
+    cells, faces = _vertices_and_edges(["01", "12", "03"])
+    cells.append(["t"])
+    faces["t"] = (EZ("12", (0, 1)), EZ("03", (0, 1)), EZ("01", (0, 1)))
+    with pytest.raises(SSetError, match="simplicial identity"):
+        SSet(cells, faces)
+
+
+def test_validation_rejects_a_degenerate_face_that_disagrees():
+    cells, faces = _vertices_and_edges(["01", "02"])
+    cells.append(["t"])
+    faces["t"] = (EZ("2", (0, 0)), EZ("02", (0, 1)), EZ("01", (0, 1)))
+    with pytest.raises(SSetError, match="simplicial identity"):
+        SSet(cells, faces)
+    faces["t"] = (EZ("1", (0, 0)), EZ("01", (0, 1)), EZ("01", (0, 1)))
+    assert SSet(cells, faces).counts() == (4, 2, 1)
+
+
+def test_validation_rejects_a_wrong_number_of_faces():
+    cells, faces = _vertices_and_edges(["01"])
+    faces["01"] = (EZ("1", (0,)),)
+    with pytest.raises(SSetError, match="needs 2 faces"):
+        SSet(cells, faces)
+    d2 = standard_simplex(2)
+    faces = dict(d2.faces)
+    faces["012"] = faces["012"] + (EZ("01", (0, 1)),)
+    with pytest.raises(SSetError, match="needs 3 faces"):
+        SSet(d2.cells, faces)
+
+
+def test_validation_rejects_a_non_epi_face_operator():
+    d2 = standard_simplex(2)
+    faces = dict(d2.faces)
+    faces["012"] = (EZ("01", (1, 1)),) + faces["012"][1:]
+    with pytest.raises(SSetError, match="not an epi"):
+        SSet(d2.cells, faces)
+
+
+def test_validation_rejects_cells_above_the_cap():
+    d3 = standard_simplex(3)
+    with pytest.raises(CapError):
+        SSet(d3.cells, d3.faces, dim_cap=2)
+    assert SSet(d3.cells, d3.faces, dim_cap=3) == d3
+
+
 # ---------------------------------------------------------------- products
 
 
@@ -125,6 +186,15 @@ def test_product_cap_guard():
     d2 = standard_simplex(2)
     with pytest.raises(CapError):
         product(d2, d2, dim_cap=3)
+
+
+def test_multi_product_of_one_factor_leaves_the_factor_alone():
+    # standard_simplex is memoized, so an attribute set on it would leak to every caller
+    d1 = standard_simplex(1)
+    attrs = set(vars(d1))
+    mp = multi_product([d1])
+    assert set(vars(d1)) == attrs
+    assert product_cell(mp, (EZ("01", (0, 1)),)) == EZ("01", (0, 1))
 
 
 def test_multi_product_cell_lookup():

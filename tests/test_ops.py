@@ -101,3 +101,65 @@ def test_compose_associative(f, data):
     g = tuple(sorted(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))))
     h = tuple(sorted(data.draw(st.lists(st.integers(0, len(g) - 1), min_size=1, max_size=4))))
     assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+# ---------------------------------------------------------------- memoized kernel
+
+from itertools import combinations_with_replacement
+
+from ssw.core import joint_split
+
+
+def monotone_maps(m, k):
+    """All monotone maps [m] -> [k]."""
+    return list(combinations_with_replacement(range(k + 1), m + 1))
+
+
+SMALL_MAPS = [(m, k, f) for m in range(4) for k in range(4) for f in monotone_maps(m, k)]
+
+
+def test_compose_matches_the_plain_definition():
+    for m, k, g in SMALL_MAPS:
+        for l in range(4):
+            for f in monotone_maps(k, l):
+                assert compose(f, g) == tuple(f[v] for v in g)
+
+
+def test_epi_mono_factors_every_small_map():
+    for m, k, beta in SMALL_MAPS:
+        sigma, delta = epi_mono(beta)
+        assert compose(delta, sigma) == beta
+        assert is_epi(sigma) and len(sigma) == m + 1
+        assert all(delta[t] < delta[t + 1] for t in range(len(delta) - 1))
+        assert delta[-1] <= k
+
+
+def jointly_nondegenerate(ops):
+    return not any(all(op[t] == op[t + 1] for op in ops) for t in range(len(ops[0]) - 1))
+
+
+def check_joint_split(ops):
+    section, sigma = joint_split(ops)
+    assert (len(section) == len(ops[0])) == jointly_nondegenerate(ops)
+    assert section[0] == 0 and all(section[t] < section[t + 1] for t in range(len(section) - 1))
+    assert is_epi(sigma) and sigma[-1] == len(section) - 1
+    cores = tuple(compose(op, section) for op in ops)
+    assert jointly_nondegenerate(cores)
+    assert all(compose(c, sigma) == op for c, op in zip(cores, ops))
+
+
+def test_joint_split_of_every_small_pair():
+    for m, _, a in SMALL_MAPS:
+        for _, _, b in SMALL_MAPS:
+            if len(b) == len(a):
+                check_joint_split((a, b))
+
+
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_joint_split_of_random_operators(count, m, data):
+    ops = tuple(
+        tuple(sorted(data.draw(st.lists(st.integers(0, 4), min_size=m + 1, max_size=m + 1))))
+        for _ in range(count)
+    )
+    check_joint_split(ops)

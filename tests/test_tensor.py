@@ -183,7 +183,7 @@ def variant_oracle(X: MarkedScaled, Y: MarkedScaled):
     from ssw.tensor import gray_thin_predicate
 
     mp = multi_product([X.base, Y.base])
-    P, (pr1, pr2) = mp
+    P, (pr1, pr2) = mp.sset, mp.projections
     minus, gr, plus = set(), set(), set()
     for t in P.level(2):
         top = EZ(t, idop(2))
