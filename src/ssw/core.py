@@ -87,6 +87,7 @@ class SSet:
         self._act_cache: dict[tuple[EZ, Op], EZ] = {}
         self._simplices: dict[int, tuple[EZ, ...]] = {}
         self._by_faces: dict[int, dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
+        self._by_horn: dict[tuple[int, int], dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
         self._plan: SearchPlan | None = None
         if validate:
             self._validate()
@@ -177,6 +178,25 @@ class SSet:
             self._by_faces[n] = idx
         return idx
 
+    def by_horn(self, n: int, i: int) -> dict[tuple[EZ, ...], tuple[EZ, ...]]:
+        """Index of n-simplices by their face tuple with face i left out (n >= 1).
+
+        Derived from ``by_faces(n)`` and kept, like it, for the life of self.
+        A bucket holds the fillers of one horn, grouped by their face i.
+        ``fibration.has_rlp`` looks up the filler of each square of a horn or
+        collapsed horn here (of a boundary in ``by_faces``); the rescaling
+        generators, which have no missing simplex, still go through the
+        backtracking ``find_lift``.
+        """
+        idx = self._by_horn.get((n, i))
+        if idx is None:
+            acc: dict[tuple[EZ, ...], list[EZ]] = {}
+            for key, pairs in self.by_faces(n).items():
+                acc.setdefault(key[:i] + key[i + 1:], []).extend(pairs)
+            idx = {k: tuple(v) for k, v in acc.items()}
+            self._by_horn[(n, i)] = idx
+        return idx
+
     def search_plan(self) -> "SearchPlan":
         """The order in which map search assigns images to the cells of self."""
         plan = self._plan
@@ -250,7 +270,10 @@ class SMap:
     def __init__(self, source: SSet, target: SSet, images, validate: bool = True):
         self.source = source
         self.target = target
-        self.images: dict[str, EZ] = {x: EZ(p[0], tuple(p[1])) for x, p in images.items()}
+        self.images: dict[str, EZ] = {
+            x: p if type(p) is EZ and type(p.op) is tuple else EZ(p[0], tuple(p[1]))
+            for x, p in images.items()
+        }
         if validate:
             self._validate()
 

@@ -8,6 +8,7 @@ unbounded condition was checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     EZ,
@@ -33,7 +34,7 @@ from .decor import (
     pushout_ms,
     restrict_ms,
 )
-from .ops import idop
+from .ops import compose, idop
 from .tensor import (
     cone,
     gray_scaled,
@@ -98,27 +99,34 @@ class LiftingProblem:
 
 
 def find_lift(P: LiftingProblem, validate: bool = False) -> SMap | None:
-    """Exhaustive search for a decorated filler; deterministic first solution."""
+    """Exhaustive search for a decorated filler; deterministic first solution.
+
+    This is the backtracking filler search.  ``has_rlp`` uses it only for the
+    generators that are not a horn or boundary of one simplex (the rescaling
+    generators, such as the Q-marking); the others it decides by index lookups.
+    """
     if validate:
         P.validate()
     pins = dict(P.filler_pins)
     for a in P.A.base.dim_of:
         img = P.left.images[a]
         pins[img.core] = P.top.images[a]
-    Bb, Xb = P.B.base, P.X.base
 
     def image_ok(x, cand):
-        n = Bb.dim_of[x]
-        if P.right(cand) != P.bottom.images[x]:
-            return False
-        if n == 1 and x in P.B.marked and not P.X.is_marked(cand):
-            return False
-        if n == 2 and x in P.B.thin and not P.X.is_thin(cand):
-            return False
-        return True
+        return P.right(cand) == P.bottom.images[x] and _decorated(P.B, P.X, x, cand)
 
-    found = enumerate_maps(Bb, Xb, partial=pins, image_ok=image_ok, first_only=True)
+    found = enumerate_maps(P.B.base, P.X.base, partial=pins, image_ok=image_ok, first_only=True)
     return found[0] if found else None
+
+
+def _decorated(B: MarkedScaled, Z: MarkedScaled, b: str, cand: EZ) -> bool:
+    """Whether cand is marked (thin) in Z wherever the cell b is marked (thin) in B."""
+    n = B.base.dim_of[b]
+    if n == 1 and b in B.marked and not Z.is_marked(cand):
+        return False
+    if n == 2 and b in B.thin and not Z.is_thin(cand):
+        return False
+    return True
 
 
 # -- generators ------------------------------------------------------------------------
@@ -290,60 +298,173 @@ def as_base(S: Scaled) -> MarkedScaled:
     return MarkedScaled(S.base, frozenset(S.base.level(1)), S.thin)
 
 
+def _tops(gen: Generator, X: MarkedScaled) -> list[SMap]:
+    """The decorated maps A -> X that satisfy the generator's top pins, in order."""
+    return enumerate_maps(
+        gen.A.base, X.base, partial=gen.top_pins, image_ok=lambda a, c: _decorated(gen.A, X, a, c)
+    )
+
+
+def _bottom_pins(gen: Generator, p: SMap, top: SMap) -> dict[str, EZ] | None:
+    """What a bottom B -> Y must be on the image of A and on the filler pins,
+    or None when the two disagree."""
+    # anchors on the filler constrain the bottom through p as well
+    bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
+    for a in gen.A.base.dim_of:
+        img = gen.left.images[a]
+        target = p(top.images[a])
+        prev = bpins.get(img.core)
+        if prev is not None and prev != target:
+            return None
+        bpins[img.core] = target
+    return bpins
+
+
 def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
     """All commuting squares for a generator, in deterministic order."""
-    Ab, Bb = gen.A.base, gen.B.base
 
-    def top_ok(a, cand):
-        n = Ab.dim_of[a]
-        if n == 1 and a in gen.A.marked and not X.is_marked(cand):
-            return False
-        if n == 2 and a in gen.A.thin and not X.is_thin(cand):
-            return False
-        return True
+    def bottom_ok(b, cand):
+        return _decorated(gen.B, Y, b, cand)
 
-    tops = enumerate_maps(Ab, X.base, partial=gen.top_pins, image_ok=top_ok)
-    for top in tops:
-        bpins = {}
-        ok = True
-        # anchors on the filler constrain the bottom through p as well
-        for b, pin in gen.filler_pins.items():
-            bpins[b] = p(pin)
-        for a in Ab.dim_of:
-            img = gen.left.images[a]
-            target = p(top.images[a])
-            prev = bpins.get(img.core)
-            if prev is not None and prev != target:
-                ok = False
-                break
-            bpins[img.core] = target
-        if not ok:
+    for top in _tops(gen, X):
+        bpins = _bottom_pins(gen, p, top)
+        if bpins is None:
             continue
-
-        def bottom_ok(b, cand):
-            n = Bb.dim_of[b]
-            if n == 2 and b in gen.B.thin and not Y.is_thin(cand):
-                return False
-            if n == 1 and b in gen.B.marked and not Y.is_marked(cand):
-                return False
-            return True
-
-        for bottom in enumerate_maps(Bb, Y.base, partial=bpins, image_ok=bottom_ok):
+        for bottom in enumerate_maps(gen.B.base, Y.base, partial=bpins, image_ok=bottom_ok):
             yield LiftingProblem(
                 gen.left, p, top, bottom, gen.A, gen.B, X, Y,
                 dict(gen.filler_pins), gen.name,
             )
 
 
+class _HornShape(NamedTuple):
+    """A generator whose B is one simplex t over A, up to one missing face of t."""
+
+    top: str  # t, the one top-dimensional cell of B
+    face: int | None  # i with d_i t the one missing face, or None if only t is missing
+    source: dict[str, str]  # each cell of B in the image of A -> its cell of A
+
+
+def _horn_shape(gen: Generator) -> _HornShape | None:
+    """The horn shape of a generator, or None if only the backtracker can decide it.
+
+    The shape needs B to have exactly one top cell t of dimension n >= 1, and
+    the cells of B outside A to be t alone or t and one nondegenerate face
+    d_i t met once among the faces of t.  That covers the horns, boundaries
+    and collapsed horns of every family here; the rescalings (A = B), the
+    Q-marking among them, have no such shape.
+    """
+    B = gen.B.base
+    n = B.dim
+    if n < 1 or len(B.level(n)) != 1:
+        return None
+    source = {}
+    for a, img in gen.left.images.items():
+        if not img.is_nondeg():
+            return None
+        source[img.core] = a
+    t = B.level(n)[0]
+    missing = [b for b in B.dim_of if b not in source]
+    if missing == [t]:
+        return _HornShape(t, None, source)
+    if len(missing) != 2 or missing[1] != t:
+        return None
+    hits = [i for i, face in enumerate(B.faces[t]) if face.core == missing[0]]
+    if len(hits) != 1 or not B.faces[t][hits[0]].is_nondeg():
+        return None
+    return _HornShape(t, hits[0], source)
+
+
+def _first_unfilled_horn(
+    gen: Generator, shape: _HornShape, p: SMap, X: MarkedScaled, Y: MarkedScaled
+) -> SMap | None:
+    """The bottom of the first square with no filler, decided by index lookups.
+
+    The tops and the order of the squares are those of ``problems_for``.  A
+    square is the top plus the bottom's images of d_i t and t, which come
+    from ``Y.by_faces`` buckets under the filters ``enumerate_maps`` applies.
+    Its fillers are the n-simplices of X in one ``X.by_horn(n, i)`` bucket
+    (``X.by_faces(n)`` if no face is missing) with the right image under p,
+    filler pins and decorations: the filler's missing face is its d_i.
+    """
+    B, Xb, Yb = gen.B.base, X.base, Y.base
+    t, i, source = shape
+    n = B.dim
+    tfaces = B.faces[t]
+    f = None if i is None else tfaces[i].core
+    # find_lift lets the top override a filler pin on a cell of A
+    xpin_t, xpin_f = gen.filler_pins.get(t), gen.filler_pins.get(f)
+    index = Xb.by_faces(n) if i is None else Xb.by_horn(n, i)
+
+    def along(images, face):
+        img = images[face.core]
+        return EZ(img.core, compose(img.op, face.op))
+
+    def ok_filler(sigma):
+        if (xpin_t is not None and sigma != xpin_t) or not _decorated(gen.B, X, t, sigma):
+            return False
+        if f is None:
+            return True
+        # p(d_i sigma) is d_i p(sigma), the bottom on d_i t, once p(sigma) is right
+        face = Xb.face(sigma, i)
+        return (xpin_f is None or face == xpin_f) and _decorated(gen.B, X, f, face)
+
+    for top in _tops(gen, X):
+        bpins = _bottom_pins(gen, p, top)
+        if bpins is None or not all(_decorated(gen.B, Y, b, bpins[b]) for b in source):
+            continue
+
+        def ok_bottom(b, cand):
+            pin = bpins.get(b)
+            return (pin is None or cand == pin) and _decorated(gen.B, Y, b, cand)
+
+        timages = {b: top.images[a] for b, a in source.items()}
+        filled = set()
+        if all(_decorated(gen.B, X, b, img) for b, img in timages.items()):
+            key = tuple(along(timages, face) for j, face in enumerate(tfaces) if j != i)
+            filled = {p(sigma) for sigma in index.get(key, ()) if ok_filler(sigma)}
+        if f is None:
+            fcands = [None]
+        elif B.dim_of[f] == 0:
+            fcands = [c for c in Yb.simplices(0) if ok_bottom(f, c)]
+        else:
+            fkey = tuple(along(bpins, face) for face in B.faces[f])
+            fcands = [c for c in Yb.by_faces(B.dim_of[f]).get(fkey, ()) if ok_bottom(f, c)]
+        for cf in fcands:
+            tkey = tuple(cf if j == i else along(bpins, face) for j, face in enumerate(tfaces))
+            for ct in Yb.by_faces(n).get(tkey, ()):
+                if ok_bottom(t, ct) and ct not in filled:
+                    images = dict(bpins)
+                    if f is not None:
+                        images[f] = cf
+                    images[t] = ct
+                    return SMap(B, Yb, images, validate=False)
+    return None
+
+
 def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, bound: int | None = None) -> Verdict:
-    """Exhaustively test the right lifting property against a family."""
+    """Exhaustively test the right lifting property against a family.
+
+    Generators of horn shape (B one simplex t of dimension n >= 1 over A, up
+    to one missing face d_i t: the horns, boundaries and collapsed horns) are
+    decided by index lookups, ``X.by_horn(n, i)`` or ``X.by_faces(n)``.  The
+    others (rescalings such as the Q-marking, where A = B) go through
+    ``problems_for`` and the backtracking ``find_lift``.  Both visit the
+    squares in the same order, so REFUTED names the same first bottom.
+    """
     for gen in family:
-        for prob in problems_for(gen, p, X, Y):
-            if find_lift(prob) is None:
-                return Verdict(
-                    REFUTED,
-                    f"no filler for {gen.name} with bottom {sorted(prob.bottom.images.items())}",
-                )
+        shape = _horn_shape(gen)
+        if shape is None:
+            bottom = next(
+                (prob.bottom for prob in problems_for(gen, p, X, Y) if find_lift(prob) is None), None
+            )
+        else:
+            bottom = _first_unfilled_horn(gen, shape, p, X, Y)
+        if bottom is not None:
+            return Verdict(
+                REFUTED,
+                f"no filler for {gen.name} with bottom {sorted(bottom.images.items())}",
+            )
     return Verdict(VERIFIED, bound=bound)
 
 
@@ -390,9 +511,6 @@ def is_outer_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict
 
 
 # -- edge classification ----------------------------------------------------------------------
-
-
-CARTESIAN_FLAVORS = ("cartesian", "weak", "strong")
 
 
 def _edge_family(flavor: str, e: EZ, bound: int) -> GeneratorFamily:

@@ -763,16 +763,3 @@ def precompose_map(src: SliceResult, tgt: SliceResult, pre: Callable[[int], SMap
             raise SSetError("precomposition leaves the computed levels")
         images[c] = ez
     return SMap(src.total.base, tgt.total.base, images)
-
-
-def restriction_map(A: SliceResult, B: SliceResult, precompose: Callable[[int], SMap]) -> SMap:
-    """The map A -> B given per-level maps F_B(n) -> F_A(n) to precompose."""
-    images = {}
-    for name, m in A.cell_maps.items():
-        n = A.total.base.dim_of[name]
-        rm = precompose(n).then(m)
-        ez = B.levels[n].get(rm.key())
-        if ez is None:
-            raise SSetError("restriction leaves the computed levels")
-        images[name] = ez
-    return SMap(A.total.base, B.total.base, images)

@@ -35,6 +35,8 @@ from ssw.core import (
 from ssw.fibration import q_complex
 from ssw.ops import degeneracy_op, idop
 
+from posets import poset_nerves
+
 
 # ---------------------------------------------------------------- standard cells
 
@@ -100,6 +102,17 @@ def test_act_accepts_a_list_operator():
     pair = EZ("012", idop(2))
     assert X.act(pair, [0, 1]) == X.act(pair, (0, 1)) == EZ("01", (0, 1))
     assert X.act(EZ("01", (0, 1, 1)), [1, 2]) == EZ("1", (0, 0))
+
+
+def test_smap_normalizes_list_images():
+    d1, d2 = standard_simplex(1), standard_simplex(2)
+    tuples = {"0": EZ("0", (0,)), "1": EZ("2", (0,)), "01": EZ("02", (0, 1))}
+    lists = {"0": ("0", [0]), "1": EZ("2", [0]), "01": ["02", [0, 1]]}
+    f, g = SMap(d1, d2, tuples), SMap(d1, d2, lists)
+    assert f == g and hash(f) == hash(g) and f.key() == g.key()
+    assert all(type(img) is EZ and type(img.op) is tuple for img in g.images.values())
+    # an EZ image with a tuple op is kept as it is
+    assert all(f.images[x] is tuples[x] for x in tuples)
 
 
 # ---------------------------------------------------------------- validation
@@ -365,36 +378,6 @@ def brute_force_maps(X, Y, partial=None, image_ok=None):
 
 def map_keys(X, Y, **kwargs):
     return [m.key() for m in enumerate_maps(X, Y, **kwargs)]
-
-
-def nerve(size, less):
-    """The nerve of the poset on 0..size-1 whose strict order is ``less``."""
-    chains = [c for k in range(1, size + 1) for c in itertools.combinations(range(size), k)
-              if all((a, b) in less for a, b in zip(c, c[1:]))]
-
-    def name(chain):
-        return "".join(str(v) for v in chain)
-
-    cells = [[name(c) for c in chains if len(c) == k + 1] for k in range(size)]
-    faces = {
-        name(c): tuple(EZ(name(c[:i] + c[i + 1:]), idop(len(c) - 2)) for i in range(len(c)))
-        for c in chains
-        if len(c) > 1
-    }
-    return SSet(cells, faces)
-
-
-@st.composite
-def poset_nerves(draw):
-    """Nerves of posets on at most 3 elements, numbered along a linear extension."""
-    size = draw(st.integers(min_value=0, max_value=3))
-    less = {(a, b) for a, b in itertools.combinations(range(size), 2) if draw(st.booleans())}
-    for k in range(size):
-        for a in range(size):
-            for b in range(size):
-                if (a, k) in less and (k, b) in less:
-                    less.add((a, b))
-    return nerve(size, less)
 
 
 ORACLE_PAIRS = [

@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ssw.catalog import j_truncated
 from ssw.core import (
     EZ,
     SMap,
+    boundary_inclusion,
     constant_map,
+    enumerate_maps,
+    horn_inclusion,
     identity_map,
     product,
     standard_simplex,
@@ -14,9 +20,13 @@ from ssw.fibration import (
     REFUTED,
     VERIFIED,
     CertificateStep,
+    Generator,
     LiftingProblem,
     Verdict,
+    GeneratorFamily,
     as_base,
+    boundary_family,
+    cartesian_horn,
     certificate_check,
     check_limit_cone,
     classify_edge,
@@ -28,6 +38,7 @@ from ssw.fibration import (
     has_outer_anodyne_rlp,
     has_rlp,
     inclusion_generator,
+    inner_horn_family,
     is_infty_bicategory,
     is_inner_fibration,
     is_outer_fibration,
@@ -37,17 +48,24 @@ from ssw.fibration import (
     lax_lift_filtration,
     locally_cocartesian_edges,
     outer_anodyne_family,
+    outer_horn_family,
+    problems_for,
     q_complex,
     q_marked_cells,
     refute_coinitial,
     rescale_generator,
+    scaled_anodyne_family,
     scaled_inner_horn,
+    strong_cartesian_horn,
+    weak_cartesian_horn,
     weak_cartesian_via_slice,
     weak_fibration_family,
 )
 from ssw.ops import idop
 from ssw.slices import slice_over_vertex, thick_slice_over_vertex
 from ssw.tensor import flat_ms, join_ms, interval_sharp, point_ms, triangle_thin
+
+from posets import poset_nerves
 
 
 def d1_sharp():
@@ -358,6 +376,156 @@ def test_flat_triangle_not_bicategory():
 def test_point_is_bicategory():
     v = is_infty_bicategory(Scaled(standard_simplex(0)), bound=3)
     assert v.status == VERIFIED
+
+
+# The cause of acceptance criteria 4 and 5: Q with full scaling is not an
+# infinity-bicategory, so the slice projections of q_sharp cannot be outer
+# cartesian.  The evidence is pinned byte for byte.
+SCALED_INNER_HORN_TO_POINT = (
+    "no filler for scaled-inner-horn(2,1) with bottom ["
+    "('0', EZ(core='0', op=(0,))), ('01', EZ(core='0', op=(0, 0))), "
+    "('012', EZ(core='0', op=(0, 0, 0))), ('02', EZ(core='0', op=(0, 0))), "
+    "('1', EZ(core='0', op=(0,))), ('12', EZ(core='0', op=(0, 0))), "
+    "('2', EZ(core='0', op=(0,)))]"
+)
+
+
+def test_q_sharp_is_not_an_infty_bicategory():
+    Q = q_complex()
+    v = is_infty_bicategory(Scaled(Q, frozenset(Q.level(2))), bound=4)
+    assert v == Verdict(REFUTED, SCALED_INNER_HORN_TO_POINT)
+
+
+def test_flat_triangle_refutation_evidence():
+    assert is_infty_bicategory(d2_flat(), bound=2) == Verdict(REFUTED, SCALED_INNER_HORN_TO_POINT)
+
+
+# ---------------------------------------------------------------- horn index vs backtracker
+
+
+def backtracked_rlp(p, X, Y, family, bound):
+    """has_rlp as a plain loop over problems_for and find_lift."""
+    for gen in family:
+        for prob in problems_for(gen, p, X, Y):
+            if find_lift(prob) is None:
+                return Verdict(
+                    REFUTED,
+                    f"no filler for {gen.name} with bottom {sorted(prob.bottom.images.items())}",
+                )
+    return Verdict(VERIFIED, bound=bound)
+
+
+def all_generators(X: MarkedScaled, bound: int):
+    """Every generator of every family constructor, the edge flavors anchored
+    on each edge of X."""
+    for family in (
+        weak_fibration_family(bound),
+        inner_horn_family(bound),
+        outer_horn_family(bound),
+        boundary_family(bound, marked_generator=True, scaled_generator=True),
+        outer_anodyne_family(bound),
+        scaled_anodyne_family(bound),
+    ):
+        yield from family
+    for e in X.base.level(1):
+        for flavor in (cartesian_horn, weak_cartesian_horn, strong_cartesian_horn):
+            for n in range(2, bound + 1):
+                yield flavor(n, EZ(e, (0, 1)))
+
+
+def refuted_by_both(p, X, Y, bound=3) -> set:
+    """Check has_rlp against the backtracker one generator at a time, in
+    status, evidence and bound; return the names of the refuted generators."""
+    refuted = set()
+    for gen in all_generators(X, bound):
+        family = GeneratorFamily(gen.name, [gen])
+        verdict = has_rlp(p, X, Y, family, bound)
+        assert verdict == backtracked_rlp(p, X, Y, family, bound), gen.name
+        if verdict.status == REFUTED:
+            refuted.add(gen.name)
+    return refuted
+
+
+def differential_inputs():
+    for C, vertex in ((d1_sharp(), "1"), (d2_sharp(), "2")):
+        sl = slice_over_vertex(C, vertex, cap=3)
+        for X in (sl.total, sl.scaled.flat_marked()):
+            yield sl.projection, X, as_base(C)
+    Q, J = q_complex(), j_truncated(3)
+    point = as_base(Scaled(standard_simplex(0)))
+    for X in (Scaled(Q, frozenset(Q.level(2))), d2_flat(), Scaled(J, frozenset(J.level(2)))):
+        for Xm in (X.sharp_marked(), X.flat_marked()):
+            yield to_point(X), Xm, point
+
+
+def test_has_rlp_matches_the_backtracker_on_every_generator():
+    refuted = set()
+    for p, X, Y in differential_inputs():
+        refuted |= refuted_by_both(p, X, Y)
+    # a refutation from each indexed shape: horn, boundary, collapsed horn,
+    # a horn with a filler pin, and a horn whose missing face is a vertex
+    assert {
+        "scaled-inner-horn(2,1)",
+        "boundary(1)",
+        "collapsed-initial(3)",
+        "strong-cartesian-horn(2)",
+        "marked-horn(1)",
+    } <= refuted
+
+
+@given(poset_nerves(), poset_nerves(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_has_rlp_matches_the_backtracker_between_nerves(S, T, data):
+    maps = enumerate_maps(S, T)
+    assume(maps)
+    p = data.draw(st.sampled_from(maps))
+
+    def some(cells):
+        return frozenset(data.draw(st.sets(st.sampled_from(cells)))) if cells else frozenset()
+
+    X = MarkedScaled(S, some(S.level(1)), some(S.level(2)))
+    refuted_by_both(p, X, as_base(Scaled(T, some(T.level(2)))))
+
+
+def test_has_rlp_matches_the_backtracker_on_decorated_cells_of_a():
+    """A cell of A that B marks constrains both the bottom and the filler."""
+    d2 = standard_simplex(2)
+    B = MarkedScaled(d2, frozenset({"01"}))
+    # A left flat: the filler, not the top, must carry the marking of 01
+    incl = horn_inclusion(2, 1)
+    flat_top = Generator("flat-top", incl, MarkedScaled(incl.source), B)
+    p, X, Y = to_point(Scaled(d2)), decorate(d2), as_base(Scaled(standard_simplex(0)))
+    family = GeneratorFamily(flat_top.name, [flat_top])
+    v = has_rlp(p, X, Y, family, 2)
+    assert v.status == REFUTED and v == backtracked_rlp(p, X, Y, family, 2)
+    # p does not preserve the marking: squares whose bottom is unmarked on 01
+    # do not exist, and only they lack a filler in the boundary
+    marked = inclusion_generator("marked-horn", B, ["0", "1", "2", "01", "12"])
+    p = boundary_inclusion(2)
+    X, Y = decorate(p.source, SHARP), decorate(d2)
+    family = GeneratorFamily(marked.name, [marked])
+    assert has_rlp(p, X, Y, family, 2) == backtracked_rlp(p, X, Y, family, 2) == Verdict(VERIFIED, bound=2)
+
+
+def test_horn_shaped_generators_skip_the_backtracker(monkeypatch):
+    import ssw.fibration as fibration
+
+    def backtracker(*args, **kwargs):
+        raise AssertionError("backtracker called")
+
+    monkeypatch.setattr(fibration, "problems_for", backtracker)
+    monkeypatch.setattr(fibration, "find_lift", backtracker)
+    Q = q_complex()
+    X = Scaled(Q, frozenset(Q.level(2)))
+    p, Xm, Y = to_point(X), X.sharp_marked(), as_base(Scaled(standard_simplex(0)))
+    gens = list(all_generators(Xm, 3))
+    horns = [g for g in gens if g.A.base != g.B.base and g.B.base.dim >= 1]
+    assert len(horns) == len(gens) - 7  # boundary(0) and the six rescalings
+    for gen in horns:
+        has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen]), 3)
+    rescale = rescale_generator("thin-rescale", MarkedScaled(standard_simplex(2)), triangle_thin())
+    with pytest.raises(AssertionError, match="backtracker called"):
+        has_rlp(p, Xm, Y, GeneratorFamily(rescale.name, [rescale]), 3)
 
 
 # ---------------------------------------------------------------- certificates

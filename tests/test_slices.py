@@ -17,7 +17,6 @@ from ssw.slices import (
     fun_space,
     hom_category,
     hom_triangle,
-    restriction_map,
     slice_construction,
     slice_over_marked_arrow,
     slice_over_vertex,
