@@ -212,23 +212,29 @@ def cmd_check_limit_cone(args) -> tuple[int, str]:
     return _verdict_exit(v), _emit_verdict(v, args.format)
 
 
+def _entry(doc: dict, key: str):
+    """doc[key] of a certificate document; a missing key is a usage error."""
+    if key not in doc:
+        raise CliError(f"certificate document has no {key!r} entry")
+    return doc[key]
+
+
 def cmd_check_certificate(args) -> tuple[int, str]:
     from .fibration import CertificateStep, certificate_check, rescale_generator
     from .core import SMap
 
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = parse(fh.read())
-    start = doc_to_complex(doc["start"])
-    claimed = doc_to_complex(doc["claimed"])
+    start = doc_to_complex(_entry(doc, "start"))
+    claimed = doc_to_complex(_entry(doc, "claimed"))
     steps = []
     for raw in doc.get("steps", []):
         if raw.get("kind") != "rescale":
             raise CliError("only rescale certificate steps are supported in documents")
-        A = doc_to_complex(raw["from"])
-        B = doc_to_complex(raw["to"])
+        A = doc_to_complex(_entry(raw, "from"))
+        B = doc_to_complex(_entry(raw, "to"))
         gen = rescale_generator(raw.get("name", "step"), A, B)
-        cur_base = start.base if not steps else None
-        images = {x: EZ(entry[0], tuple(entry[1])) for x, entry in raw["attach"].items()}
+        images = {x: EZ(entry[0], tuple(entry[1])) for x, entry in _entry(raw, "attach").items()}
         attach = SMap(A.base, start.base, images)
         steps.append(CertificateStep(gen, attach))
     v = certificate_check(start, steps, claimed)
@@ -352,7 +358,7 @@ def run_command(argv) -> tuple[int, str]:
         if hasattr(args, "bound"):
             args.bound = default_bound() if args.bound is None else check_bound(args.bound, "--bound")
         return args.fn(args)
-    except (CliError, SSetError, FileNotFoundError) as exc:
+    except (CliError, SSetError, OSError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
 
 

@@ -60,6 +60,10 @@ def ez_str(pair: EZ) -> str:
     return pair.core + "~" + "".join(str(v) for v in pair.op)
 
 
+def _pair_name(a: EZ, b: EZ) -> str:
+    return f"({ez_str(a)},{ez_str(b)})"
+
+
 def _name(verts: Iterable[object]) -> str:
     parts = [str(v) for v in verts]
     if all(len(p) == 1 for p in parts):
@@ -460,7 +464,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         for a in X.simplices(n):
             for b in Y.simplices(n):
                 if len(joint_split((a.op, b.op))[0]) == n + 1:
-                    x = f"({ez_str(a)},{ez_str(b)})"
+                    x = _pair_name(a, b)
                     index[(a, b)] = x
                     level.append(x)
         cells.append(level)
@@ -479,7 +483,6 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
     P = SSet(cells, faces, dim_cap=cap)
     pr1 = SMap(P, X, {x: back[x][0] for x in P.dim_of}, validate=False)
     pr2 = SMap(P, Y, {x: back[x][1] for x in P.dim_of}, validate=False)
-    P.pair_index = index  # type: ignore[attr-defined]
     return ProductResult(P, pr1, pr2)
 
 
@@ -511,10 +514,22 @@ def product_cell(mp: MultiProductResult, pairs: tuple[EZ, ...]) -> EZ:
     return EZ(mp.index[cores], sigma)
 
 
+def product_map(src: MultiProductResult, tgt: MultiProductResult, maps: tuple[SMap, ...]) -> SMap:
+    """The product of maps, factor i of src -> factor i of tgt, between two products."""
+    images = {
+        x: product_cell(tgt, tuple(f(p) for f, p in zip(maps, comps)))
+        for comps, x in src.index.items()
+    }
+    return SMap(src.sset, tgt.sset, images)
+
+
 def pair_cell(P: SSet, a: EZ, b: EZ) -> EZ:
-    """Locate the simplex of a binary product with the given components."""
+    """Locate the simplex of a binary product P = X x Y with the given components."""
     cores, sigma = joint_core((a, b))
-    return EZ(P.pair_index[cores], sigma)  # type: ignore[attr-defined]
+    name = _pair_name(*cores)
+    if name not in P.dim_of:
+        raise SSetError(f"no cell {name} in the product")
+    return EZ(name, sigma)
 
 
 def pullback(p: SMap, q: SMap, dim_cap: int | None = None) -> ProductResult:
@@ -542,6 +557,7 @@ class JoinResult(NamedTuple):
     sset: SSet
     incl1: SMap
     incl2: SMap
+    mixed: dict[tuple[str, str], str]  # (cell of X, cell of Y) -> their join cell
 
 
 def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
@@ -599,8 +615,17 @@ def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
     J = SSet(cells, faces, dim_cap=cap)
     incl1 = SMap(X, J, {x: EZ(left_name[x], idop(n)) for x, n in X.dim_of.items()}, validate=False)
     incl2 = SMap(Y, J, {y: EZ(right_name[y], idop(n)) for y, n in Y.dim_of.items()}, validate=False)
-    J.join_names = (left_name, right_name, mixed_name)  # type: ignore[attr-defined]
-    return JoinResult(J, incl1, incl2)
+    return JoinResult(J, incl1, incl2, mixed_name)
+
+
+def join_map(src, tgt, f: SMap, g: SMap) -> SMap:
+    """f * g: X * Y -> X' * Y' between two joins, each a JoinResult or a JoinMS."""
+    images = {c.core: tgt.incl1(f.images[x]) for x, c in src.incl1.images.items()}
+    images.update({c.core: tgt.incl2(g.images[y]) for y, c in src.incl2.images.items()})
+    for (x, y), c in src.mixed.items():
+        a, b = f.images[x], g.images[y]
+        images[c] = EZ(tgt.mixed[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
+    return SMap(src.incl1.target, tgt.incl1.target, images)
 
 
 # -- pushouts and coproducts ---------------------------------------------------
@@ -670,7 +695,7 @@ def coproduct(X: SSet, Y: SSet) -> JoinResult:
     P = SSet(cells, faces, dim_cap=max(X.dim_cap, Y.dim_cap))
     i1 = SMap(X, P, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()}, validate=False)
     i2 = SMap(Y, P, {y: EZ(rename[y], idop(n)) for y, n in Y.dim_of.items()}, validate=False)
-    return JoinResult(P, i1, i2)
+    return JoinResult(P, i1, i2, {})
 
 
 # -- opposites -------------------------------------------------------------------

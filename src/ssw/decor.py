@@ -125,18 +125,6 @@ def mark(base: SSet, marking: str = FLAT, marked=()) -> Marked:
     return Marked(base, frozenset() if marking == FLAT else frozenset(base.level(1)))
 
 
-def underlying_scaled(X: MarkedScaled) -> Scaled:
-    return X.scaled()
-
-
-def underlying_marked(X: MarkedScaled) -> Marked:
-    return X.marked_only()
-
-
-def forget_all(X) -> SSet:
-    return X.base
-
-
 def core_thi(X: Scaled) -> tuple[SSet, SMap]:
     """The core: simplices all of whose 2-dimensional faces are thin."""
     keep = []
@@ -171,14 +159,6 @@ def is_scaled_map(f: SMap, S: Scaled | MarkedScaled, T: Scaled | MarkedScaled) -
     return all(T.is_thin(f(EZ(t, idop(2)))) for t in S.thin)
 
 
-def is_marked_map(f: SMap, S: Marked | MarkedScaled, T: Marked | MarkedScaled) -> bool:
-    return all(T.is_marked(f(EZ(e, idop(1)))) for e in S.marked)
-
-
-def is_ms_map(f: SMap, S: MarkedScaled, T: MarkedScaled) -> bool:
-    return is_marked_map(f, S, T) and is_scaled_map(f, S, T)
-
-
 def push_marking(f: SMap, marked) -> frozenset:
     """Image of a marking along a map; images that degenerate are dropped."""
     out = set()
@@ -196,15 +176,6 @@ def push_scaling(f: SMap, thin) -> frozenset:
         if img.is_nondeg():
             out.add(img.core)
     return frozenset(out)
-
-
-def pull_scaling(f: SMap, T: Scaled | MarkedScaled) -> frozenset:
-    """Nondegenerate source triangles whose image is thin."""
-    return frozenset(t for t in f.source.level(2) if T.is_thin(f(EZ(t, idop(2)))))
-
-
-def pull_marking(f: SMap, T: Marked | MarkedScaled) -> frozenset:
-    return frozenset(e for e in f.source.level(1) if T.is_marked(f(EZ(e, idop(1)))))
 
 
 def pushout_ms(i: SMap, g: SMap, B: MarkedScaled, X: MarkedScaled, A: MarkedScaled | None = None):

@@ -604,14 +604,7 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     """Lemma-style criterion: e is weakly p-cartesian iff the comparison map
     from the slice over the marked arrow to the pullback of vertex slices is a
     trivial fibration (tested against boundary and rescaling generators)."""
-    from .slices import (
-        JoinShape,
-        join_k_induced,
-        postcompose_map,
-        precompose_map,
-        slice_construction,
-        slice_over_vertex,
-    )
+    from .slices import postcompose_map, precompose_map, slice_construction, slice_over_vertex
     from .tensor import interval_sharp
 
     def arrow_slice(S: Scaled, arrow: EZ):
@@ -630,13 +623,9 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     sl_fe = arrow_slice(Y, p(e))
     sl_fy = slice_over_vertex(Y, fy, cap)
 
-    def vertex_one_map(src_vertex_shape: JoinShape, tgt_arrow_shape: JoinShape):
-        g = SMap(
-            src_vertex_shape.K.base,
-            tgt_arrow_shape.K.base,
-            {"0": EZ("1", (0,))},
-        )
-        return lambda n: join_k_induced(src_vertex_shape, tgt_arrow_shape, g, n)
+    def vertex_one_map(vertex_shape, arrow_shape):
+        g = SMap(vertex_shape.K.base, arrow_shape.K.base, {"0": EZ("1", (0,))})
+        return lambda n: vertex_shape.k_induced(arrow_shape, g, n)
 
     to_y = precompose_map(sl_e, sl_y, vertex_one_map(sl_y.shape, sl_e.shape))
     fe_to_fy = precompose_map(sl_fe, sl_fy, vertex_one_map(sl_fy.shape, sl_fe.shape))
@@ -821,21 +810,14 @@ def q_complex() -> SSet:
     first = pushout_mono(i02, constant_map(e02, pt, "0"))
     cells_13 = [first.leg_big.images[x].core for x in ("1", "3", "13")]
     sub13, incl13 = subcomplex(first.sset, cells_13)
-    second = pushout_mono(incl13, constant_map(sub13, pt, "0"))
-    Q = second.sset
-    Q.q_legs = (first, second)  # type: ignore[attr-defined]
-    return Q
+    return pushout_mono(incl13, constant_map(sub13, pt, "0")).sset
 
 
 def q_marked_cells(Q: SSet) -> frozenset:
-    """The images of the edges 01 and 03 in Q."""
-    first, second = Q.q_legs  # type: ignore[attr-defined]
-    out = set()
-    for e in ("01", "03"):
-        img = second.leg_big(first.leg_big(EZ(e, (0, 1))))
-        if img.is_nondeg():
-            out.add(img.core)
-    return frozenset(out)
+    """The edges 01 and 03 of the 3-simplex of Q, where they are nondegenerate."""
+    (top,) = Q.level(3)
+    edges = [Q.act(EZ(top, idop(3)), e) for e in ((0, 1), (0, 3))]
+    return frozenset(e.core for e in edges if e.is_nondeg())
 
 
 def outer_anodyne_family(bound: int) -> GeneratorFamily:
@@ -1171,7 +1153,7 @@ def check_limit_cone(
 ) -> Verdict:
     """The local criterion: for every vertex x, restriction from cone sections
     to diagram sections of the slice under x must be an equivalence."""
-    from .slices import CartesianShape, fun_coc_subcat, precompose_map, thick_slice_over_vertex
+    from .slices import fun_coc_subcat, precompose_map, thick_slice_over_vertex
 
     bic = is_infty_bicategory(C, bound)
     if bic.status == REFUTED:
@@ -1193,20 +1175,7 @@ def check_limit_cone(
             good = frozenset(slice_x.total.marked)
         A = fun_coc_subcat(cn.ms, q, slice_x.scaled, g, good, cap)
         B = fun_coc_subcat(K, q, slice_x.scaled, f, good, cap)
-        shapeA, shapeB = A.shape, B.shape
-
-        def pre(n, shapeA=shapeA, shapeB=shapeB):
-            (scB, pr1B, pr2B), _ = shapeB.object(n)
-            (scA, _, _), _ = shapeA.object(n)
-            images = {}
-            for c, nd in scB.base.dim_of.items():
-                topc = EZ(c, idop(nd))
-                a, k = pr1B(topc), pr2B(topc)
-                ik = cn.tj.incl_right(k)
-                images[c] = pair_cell(scA.base, a, ik)
-            return SMap(scB.base, scA.base, images)
-
-        rmap = precompose_map(A, B, pre)
+        rmap = precompose_map(A, B, lambda n: B.shape.k_induced(A.shape, cn.tj.incl_right, n))
         status, evidence, _ = _restriction_verdict(A, B, rmap, cap)
         sat = slice_x.saturated and A.saturated and B.saturated
         unsaturated = unsaturated or not sat
@@ -1238,19 +1207,7 @@ def refute_coinitial(
         A = fun_coc_subcat(L, p, X_scaled, identity_map(L.base), good, cap)
         hbar = h
         B = fun_coc_subcat(K, p, X_scaled, hbar, good, cap)
-        shapeA, shapeB = A.shape, B.shape
-
-        def pre(n, shapeA=shapeA, shapeB=shapeB):
-            (scB, pr1B, pr2B), _ = shapeB.object(n)
-            (scA, _, _), _ = shapeA.object(n)
-            images = {}
-            for c, nd in scB.base.dim_of.items():
-                topc = EZ(c, idop(nd))
-                a, k = pr1B(topc), pr2B(topc)
-                images[c] = pair_cell(scA.base, a, h(k))
-            return SMap(scB.base, scA.base, images)
-
-        rmap = precompose_map(A, B, pre)
+        rmap = precompose_map(A, B, lambda n: B.shape.k_induced(A.shape, h, n))
         compsB = _component_classes(B.total.base)
         compsA = _component_classes(A.total.base)
         hit = {compsB[rmap.images[v].core] for v in A.total.base.level(0)}

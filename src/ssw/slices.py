@@ -9,7 +9,8 @@ whether the last two levels were purely degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .core import (
     EZ,
@@ -17,8 +18,11 @@ from .core import (
     SSet,
     SSetError,
     fiber as fiber_core,
-    pair_cell,
-    product,
+    identity_map,
+    join_map,
+    multi_product,
+    product_map,
+    simplex_cell,
     standard_simplex,
 )
 from .decor import (
@@ -31,15 +35,13 @@ from .decor import (
 )
 from .ops import compose, const_op, degeneracy_op, face_op, idop
 from .tensor import (
-    GrayResult,
-    JoinMS,
-    ThickJoin,
     flat_ms,
     gray_marked_n,
     interval_sharp,
     join_ms,
+    simplex_from_word,
     thick_join,
-    triangle_thin,
+    thick_join_map,
 )
 
 
@@ -64,310 +66,176 @@ class SliceResult:
 # -- representable shapes ---------------------------------------------------------
 
 
-class JoinShape:
+class Level(NamedTuple):
+    """F(n): the scaled object, the pins of its cells in S, and the construction
+    it came from (a join, a thick join, a Gray product or a product)."""
+
+    scaled: Scaled
+    pins: dict[str, EZ]
+    data: object
+
+
+@lru_cache(maxsize=None)
+def delta_map(alpha: tuple[int, ...], n: int) -> SMap:
+    """The map Delta^m -> Delta^n of a monotone alpha: [m] -> [n]; built once, shared."""
+    dm = standard_simplex(len(alpha) - 1)
+    images = {
+        c: simplex_from_word([alpha[int(v)] for v in dm.vertices_of(EZ(c, idop(k)))])
+        for c, k in dm.dim_of.items()
+    }
+    return SMap(dm, standard_simplex(n), images)
+
+
+class Shape:
+    """A representable family: F(n) is the shape applied to flat Delta^n, and
+    F(alpha) is the shape applied to the map Delta^m -> Delta^n.
+
+    A subclass gives ``variant(X)``, the level on a decorated X, and
+    ``reindex(src, tgt, d, k)``, the map between the constructions of two
+    levels made from d on the Delta side and k on the K side; it may
+    override ``build(n)``.  ``first`` says whether Delta is the first of
+    the two factors.  Levels are built once and kept.
+    """
+
+    thin_probe_marking = FLAT  # the marking of the thin Delta^2 in upgrade('thin')
+
+    def __init__(self, K: MarkedScaled, first: bool = True):
+        self.K, self.first = K, first
+        self._levels: dict[int, Level] = {}
+        self._upgrades: dict[str, frozenset] = {}
+
+    def ordered(self, d, k) -> tuple:
+        """(d, k) in factor order; applied to (first, second) it gives (Delta, K)."""
+        return (d, k) if self.first else (k, d)
+
+    def object(self, n: int) -> Level:
+        level = self._levels.get(n)
+        if level is None:
+            level = self._levels[n] = self.build(n)
+        return level
+
+    def build(self, n: int) -> Level:
+        return self.variant(flat_ms(n))
+
+    def induced(self, alpha, m: int, n: int) -> SMap:
+        """F(alpha): F(m) -> F(n) for monotone alpha: [m] -> [n]."""
+        d = delta_map(tuple(alpha), n)
+        return self.reindex(self.object(m).data, self.object(n).data, d, identity_map(self.K.base))
+
+    def k_induced(self, other: "Shape", g: SMap, n: int) -> SMap:
+        """F(n) -> F'(n) induced by g: K -> K', for a shape F' of the same kind on K'."""
+        d = identity_map(standard_simplex(n))
+        return self.reindex(self.object(n).data, other.object(n).data, d, g)
+
+    def upgrade(self, which: str) -> frozenset:
+        """The triangles of F(1) ('marked') or F(2) ('thin') that turn thin when
+        Delta^1 is marked or Delta^2 thin; a simplex of the result is marked or
+        thin when its map sends all of them to thin triangles."""
+        if which not in self._upgrades:
+            if which == "marked":
+                n, probe = 1, interval_sharp()
+            else:
+                n, probe = 2, decorate(standard_simplex(2), self.thin_probe_marking, SHARP)
+            base, variant = self.object(n).scaled, self.variant(probe).scaled
+            if variant.base != base.base:
+                raise SSetError("decorated variant changed the underlying object")
+            self._upgrades[which] = variant.thin - base.thin
+        return self._upgrades[which]
+
+    def project_cell(self, n: int) -> str | None:
+        return None
+
+
+class JoinShape(Shape):
     """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'."""
 
     def __init__(self, K: MarkedScaled, f: SMap, side: str):
         if side not in ("over", "under"):
             raise SSetError("side must be 'over' or 'under'")
-        self.K, self.f, self.side = K, f, side
-        self._cache: dict[int, tuple] = {}
-        self._upgrades: dict[str, frozenset] = {}
+        super().__init__(K, side == "over")
+        self.f = f
 
-    def _variant(self, X: MarkedScaled) -> JoinMS:
-        if self.side == "over":
-            return join_ms(X, self.K, dim_cap=X.base.dim + self.K.base.dim + 1)
-        return join_ms(self.K, X, dim_cap=X.base.dim + self.K.base.dim + 1)
+    def variant(self, X: MarkedScaled) -> Level:
+        jm = join_ms(*self.ordered(X, self.K), dim_cap=X.base.dim + self.K.base.dim + 1)
+        _, k_incl = self.ordered(jm.incl1, jm.incl2)
+        pins = {k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of}
+        return Level(jm.scaled, pins, jm)
 
-    def object(self, n: int):
-        if n not in self._cache:
-            jm = self._variant(flat_ms(n))
-            k_incl = jm.incl2 if self.side == "over" else jm.incl1
-            pins = {
-                k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of
-            }
-            self._cache[n] = (jm, pins)
-        return self._cache[n]
-
-    def scaled_object(self, n: int) -> tuple[Scaled, dict]:
-        jm, pins = self.object(n)
-        return jm.scaled, pins
-
-    def induced(self, alpha, m: int, n: int) -> SMap:
-        """F(alpha): F(m) -> F(n) for monotone alpha: [m] -> [n]."""
-        from .ops import op_join
-        from .tensor import simplex_from_word
-
-        jm_m, _ = self.object(m)
-        jm_n, _ = self.object(n)
-        Jm, Jn = jm_m.scaled.base, jm_n.scaled.base
-        ln, rn, mixn = Jn.join_names  # type: ignore[attr-defined]
-        lm, rm, mixm = Jm.join_names  # type: ignore[attr-defined]
-        mix_back = {v: k for k, v in mixm.items()}
-        left_back = {v: k for k, v in lm.items()}
-        right_back = {v: k for k, v in rm.items()}
-        dm = standard_simplex(m)
-
-        def push_delta(x: str) -> EZ:
-            word = [alpha[int(v)] for v in dm.vertices_of(EZ(x, idop(dm.dim_of[x])))]
-            return simplex_from_word(word)
-
-        images = {}
-        for c, nd in Jm.dim_of.items():
-            if c in mix_back:
-                a, b = mix_back[c]
-                if self.side == "over":
-                    img = push_delta(a)
-                    images[c] = EZ(
-                        mixn[(img.core, b)], op_join(img.op, idop(self.K.base.dim_of[b]), img.op[-1] + 1)
-                    )
-                else:
-                    img = push_delta(b)
-                    ka = self.K.base.dim_of[a]
-                    images[c] = EZ(mixn[(a, img.core)], op_join(idop(ka), img.op, ka + 1))
-            elif c in left_back:
-                x = left_back[c]
-                if self.side == "over":
-                    img = push_delta(x)
-                    images[c] = EZ(ln[img.core], img.op)
-                else:
-                    images[c] = EZ(ln[x], idop(nd))
-            else:
-                x = right_back[c]
-                if self.side == "over":
-                    images[c] = EZ(rn[x], idop(nd))
-                else:
-                    img = push_delta(x)
-                    images[c] = EZ(rn[img.core], img.op)
-        return SMap(Jm, Jn, images)
-
-    def upgrade(self, which: str) -> frozenset:
-        """Extra triangles that must land thin for marked (n=1) or thin (n=2)."""
-        if which not in self._upgrades:
-            X = interval_sharp() if which == "marked" else triangle_thin()
-            variant = self._variant(X)
-            base, _ = self.object(1 if which == "marked" else 2)
-            if variant.scaled.base != base.scaled.base:
-                raise SSetError("decorated variant changed the underlying join")
-            self._upgrades[which] = variant.scaled.thin - base.scaled.thin
-        return self._upgrades[which]
+    def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
+        return join_map(src, tgt, *self.ordered(d, k))
 
     def project_cell(self, n: int) -> str | None:
-        jm, _ = self.object(n)
-        d_incl = jm.incl1 if self.side == "over" else jm.incl2
-        top = "".join(str(i) for i in range(n + 1)) if n <= 9 else ".".join(str(i) for i in range(n + 1))
-        return d_incl.images[top].core
+        jm = self.object(n).data
+        return self.ordered(jm.incl1, jm.incl2)[0].images[simplex_cell(range(n + 1))].core
 
 
-class ThickShape:
+class ThickShape(Shape):
     """F(n) = (flat Delta^n) diamond_var K ('over') or K diamond_var (flat Delta^n)."""
 
     def __init__(self, K: MarkedScaled, f: SMap, variance: str, side: str):
-        self.K, self.f, self.variance, self.side = K, f, variance, side
-        self._cache: dict[int, tuple] = {}
-        self._upgrades: dict[str, frozenset] = {}
+        super().__init__(K, side == "over")
+        self.f, self.variance = f, variance
 
-    def _variant(self, X: MarkedScaled) -> ThickJoin:
+    def variant(self, X: MarkedScaled) -> Level:
         cap = X.base.dim + self.K.base.dim + 1
-        if self.side == "over":
-            return thick_join(self.variance, X, self.K, dim_cap=cap)
-        return thick_join(self.variance, self.K, X, dim_cap=cap)
+        tj = thick_join(self.variance, *self.ordered(X, self.K), dim_cap=cap)
+        _, k_incl = self.ordered(tj.incl_left, tj.incl_right)
+        pins = {k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of}
+        return Level(tj.total, pins, tj)
 
-    def object(self, n: int):
-        if n not in self._cache:
-            tj = self._variant(flat_ms(n))
-            k_incl = tj.incl_right if self.side == "over" else tj.incl_left
-            pins = {}
-            for x in self.K.base.dim_of:
-                img = k_incl.images[x]
-                pins[img.core] = self.f.images[x]
-            self._cache[n] = (tj, pins)
-        return self._cache[n]
-
-    def scaled_object(self, n: int) -> tuple[Scaled, dict]:
-        tj, pins = self.object(n)
-        return tj.total, pins
-
-    def induced(self, alpha, m: int, n: int) -> SMap:
-        from .tensor import simplex_from_word
-
-        tj_m, _ = self.object(m)
-        tj_n, _ = self.object(n)
-        Tm, Tn = tj_m.total.base, tj_n.total.base
-        dm = standard_simplex(m)
-        dn = standard_simplex(n)
-
-        def push_delta(pair: EZ) -> EZ:
-            word = [alpha[int(v)] for v in dm.vertices_of(pair)]
-            return simplex_from_word(word)
-
-        if self.side == "over":
-            d_incl_n, k_incl_n = tj_n.incl_left, tj_n.incl_right
-        else:
-            k_incl_n, d_incl_n = tj_n.incl_left, tj_n.incl_right
-        images = {}
-        for c, nd in Tm.dim_of.items():
-            kind, payload = tj_m.comp[c]
-            if kind == ("L" if self.side == "over" else "R"):
-                img = push_delta(EZ(payload, idop(dm.dim_of[payload])))
-                base_img = d_incl_n.images[img.core]
-                images[c] = EZ(base_img.core, compose(base_img.op, img.op))
-            elif kind in ("L", "R"):
-                images[c] = k_incl_n.images[payload]
-            else:
-                top = EZ(payload, idop(nd))
-                c1 = tj_m.mid.projections[0](top)
-                c2 = tj_m.mid.projections[1](top)
-                c3 = tj_m.mid.projections[2](top)
-                # the Delta factor sits where the X input of the join sits
-                if self.variance == "inn":
-                    comps = [c1, c2, c3]
-                    dpos = 0 if self.side == "over" else 2
-                else:
-                    comps = [c1, c2, c3]
-                    dpos = 2 if self.side == "over" else 0
-                comps[dpos] = push_delta(comps[dpos])
-                from .core import product_cell
-
-                mid_cell = product_cell(tj_n.mid.mp, tuple(comps))
-                images[c] = tj_n.quotient(mid_cell)
-        return SMap(Tm, Tn, images)
-
-    def upgrade(self, which: str) -> frozenset:
-        if which not in self._upgrades:
-            X = interval_sharp() if which == "marked" else triangle_thin()
-            variant = self._variant(X)
-            base, _ = self.object(1 if which == "marked" else 2)
-            if variant.total.base != base.total.base:
-                raise SSetError("decorated variant changed the underlying thick join")
-            self._upgrades[which] = variant.total.thin - base.total.thin
-        return self._upgrades[which]
+    def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
+        return thick_join_map(src, tgt, *self.ordered(d, k))
 
     def project_cell(self, n: int) -> str | None:
-        tj, _ = self.object(n)
-        d_incl = tj.incl_left if self.side == "over" else tj.incl_right
-        top = "".join(str(i) for i in range(n + 1)) if n <= 9 else ".".join(str(i) for i in range(n + 1))
-        return d_incl.images[top].core
+        tj = self.object(n).data
+        return self.ordered(tj.incl_left, tj.incl_right)[0].images[simplex_cell(range(n + 1))].core
 
 
-class GrayShape:
+class GrayShape(Shape):
     """F(n) = (flat Delta^n) (x) K for 'left', K (x) (flat Delta^n) for 'right'."""
 
+    thin_probe_marking = SHARP  # Gray thinness also reads the markings of the factors
+
     def __init__(self, K: MarkedScaled, side: str):
-        self.K, self.side = K, side
-        self._cache: dict[int, tuple] = {}
-        self._upgrades: dict[str, frozenset] = {}
+        super().__init__(K, side == "left")
 
-    def _variant(self, X: MarkedScaled) -> GrayResult:
-        cap = X.base.dim + self.K.base.dim
-        factors = [X, self.K] if self.side == "left" else [self.K, X]
-        return gray_marked_n(factors, dim_cap=cap)
+    def variant(self, X: MarkedScaled) -> Level:
+        g = gray_marked_n(list(self.ordered(X, self.K)), dim_cap=X.base.dim + self.K.base.dim)
+        return Level(g.scaled, {}, g)
 
-    def object(self, n: int):
-        if n not in self._cache:
-            self._cache[n] = (self._variant(flat_ms(n)), {})
-        return self._cache[n]
-
-    def scaled_object(self, n: int) -> tuple[Scaled, dict]:
-        g, pins = self.object(n)
-        return g.scaled, pins
-
-    def _dpos(self) -> int:
-        return 0 if self.side == "left" else 1
-
-    def induced(self, alpha, m: int, n: int) -> SMap:
-        from .core import product_cell
-        from .tensor import simplex_from_word
-
-        g_m, _ = self.object(m)
-        g_n, _ = self.object(n)
-        dm = standard_simplex(m)
-        dpos = self._dpos()
-        images = {}
-        for c, nd in g_m.scaled.base.dim_of.items():
-            top = EZ(c, idop(nd))
-            comps = [pr(top) for pr in g_m.projections]
-            word = [alpha[int(v)] for v in dm.vertices_of(comps[dpos])]
-            comps[dpos] = simplex_from_word(word)
-            images[c] = product_cell(g_n.mp, tuple(comps))
-        return SMap(g_m.scaled.base, g_n.scaled.base, images)
-
-    def upgrade(self, which: str) -> frozenset:
-        if which not in self._upgrades:
-            if which == "marked":
-                X = interval_sharp()
-                base, _ = self.object(1)
-            else:
-                X = decorate(standard_simplex(2), SHARP, SHARP)
-                base, _ = self.object(2)
-            variant = self._variant(X)
-            if variant.scaled.base != base.scaled.base:
-                raise SSetError("decorated variant changed the underlying product")
-            self._upgrades[which] = variant.scaled.thin - base.scaled.thin
-        return self._upgrades[which]
-
-    def project_cell(self, n: int) -> str | None:
-        return None
+    def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
+        return product_map(src.mp, tgt.mp, self.ordered(d, k))
 
 
-class CartesianShape:
+class CartesianShape(Shape):
     """F(n) = (Delta^n with chosen scaling) x underlying(K), cartesian scaling."""
 
     def __init__(self, K: MarkedScaled, delta_scaling: str = FLAT):
-        self.K = K
+        super().__init__(K)
         self.delta_scaling = delta_scaling
-        self._cache: dict[int, tuple] = {}
 
-    def _build(self, n: int, delta_scaling: str):
-        P, pr1, pr2 = product(standard_simplex(n), self.K.base, dim_cap=n + self.K.base.dim)
-        dsc = decorate(standard_simplex(n), FLAT, delta_scaling)
+    def build(self, n: int) -> Level:
+        return self.variant(decorate(standard_simplex(n), FLAT, self.delta_scaling))
+
+    def variant(self, X: MarkedScaled) -> Level:
+        mp = multi_product([X.base, self.K.base], dim_cap=X.base.dim + self.K.base.dim)
+        pr1, pr2 = mp.projections
         thin = set()
-        for t in P.level(2):
+        for t in mp.sset.level(2):
             top = EZ(t, idop(2))
-            if dsc.is_thin(pr1(top)) and self.K.is_thin(pr2(top)):
+            if X.is_thin(pr1(top)) and self.K.is_thin(pr2(top)):
                 thin.add(t)
-        return Scaled(P, frozenset(thin)), pr1, pr2
+        return Level(Scaled(mp.sset, frozenset(thin)), {}, mp)
 
-    def object(self, n: int):
-        if n not in self._cache:
-            sc, pr1, pr2 = self._build(n, self.delta_scaling)
-            self._cache[n] = ((sc, pr1, pr2), {})
-        return self._cache[n]
-
-    def scaled_object(self, n: int) -> tuple[Scaled, dict]:
-        (sc, _, _), pins = self.object(n)
-        return sc, pins
-
-    def induced(self, alpha, m: int, n: int) -> SMap:
-        from .tensor import simplex_from_word
-
-        (sc_m, pr1m, pr2m), _ = self.object(m)
-        (sc_n, _, _), _ = self.object(n)
-        dm = standard_simplex(m)
-        images = {}
-        for c, nd in sc_m.base.dim_of.items():
-            top = EZ(c, idop(nd))
-            a, b = pr1m(top), pr2m(top)
-            word = [alpha[int(v)] for v in dm.vertices_of(a)]
-            images[c] = pair_cell(sc_n.base, simplex_from_word(word), b)
-        return SMap(sc_m.base, sc_n.base, images)
-
-    def upgrade(self, which: str) -> frozenset:
-        if which != "thin":
-            raise SSetError("cartesian functor spaces carry no marking")
-        sharp, _, _ = self._build(2, SHARP)
-        flat_sc, _, _ = self._build(2, self.delta_scaling)
-        return sharp.thin - flat_sc.thin
-
-    def project_cell(self, n: int) -> str | None:
-        return None
+    def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
+        return product_map(src, tgt, (d, k))
 
 
 # -- the level engine ---------------------------------------------------------------
 
 
 def build_representable(
-    shape,
+    shape: Shape,
     S: Scaled,
     cap: int,
     provenance: str,
@@ -379,13 +247,15 @@ def build_representable(
     """Enumerate levels 0..cap of the representable construction for a shape."""
     from .core import enumerate_maps
 
+    if cap < 0:
+        raise SSetError(f"cap must be a non-negative integer, got {cap}")
     levels: list[dict] = []
     all_maps: list[dict] = []
     cells: list[list[str]] = [[] for _ in range(cap + 1)]
     faces: dict[str, tuple] = {}
     cell_maps: dict[str, SMap] = {}
     for n in range(cap + 1):
-        F, pins = shape.scaled_object(n)
+        F, pins, _ = shape.object(n)
 
         def image_ok(x, cand, F=F):
             if F.base.dim_of[x] == 2 and x in F.thin and not S.is_thin(cand):
@@ -536,70 +406,35 @@ def fiber_ms(X: MarkedScaled, p: SMap, vertex: str) -> tuple[MarkedScaled, SMap]
 def hom_category(C: Scaled, x: str, y: str, cap: int) -> SliceResult:
     """The mapping category Hom_C(x, y): maps Delta^n x Delta^1 -> C constant on
     the ends, with the staircase triangles thin."""
-    shape = HomShape(C, x, y)
+    for v in (x, y):
+        if v not in C.base.level(0):
+            raise SSetError(f"no vertex {v!r} in C")
+    shape = HomShape(x, y)
     return build_representable(shape, C, cap, f"hom({x},{y}), cap {cap}", with_scaling=False)
 
 
-class HomShape:
-    def __init__(self, C: Scaled, x: str, y: str):
-        self.C, self.x, self.y = C, x, y
-        self._cache: dict[int, tuple] = {}
+class HomShape(CartesianShape):
+    """F(n) = Delta^n x Delta^1, pinned to x on Delta^n x {0} and to y on
+    Delta^n x {1}.  The triangles (i,0)(i,1)(j,1) are thin, and so is
+    (i,0)(j,0)(j,1) when the edge ij is marked: that marks the edges of Hom."""
 
-    def _word_cell(self, P: SSet, dn: SSet, d1: SSet, words) -> str:
-        from .tensor import simplex_from_word
+    def __init__(self, x: str, y: str):
+        super().__init__(flat_ms(1))
+        self.x, self.y = x, y
 
-        a = simplex_from_word([w[0] for w in words])
-        b = simplex_from_word([w[1] for w in words])
-        cell = pair_cell(P, a, b)
-        if not cell.is_nondeg():
-            raise SSetError("expected a nondegenerate staircase cell")
-        return cell.core
-
-    def object(self, n: int):
-        if n not in self._cache:
-            P, pr1, pr2 = product(standard_simplex(n), standard_simplex(1), dim_cap=n + 1)
-            thin = set()
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    words = [(i, 0), (i, 1), (j, 1)]
-                    if len(set(words)) == 3:
-                        thin.add(self._word_cell(P, None, None, words))
-            pins = {}
-            for c, nd in P.dim_of.items():
-                top = EZ(c, idop(nd))
-                second = pr2(top)
-                if second.core != "01":  # the cell lies in Delta^n x {0 or 1}
-                    target = self.x if second.core == "0" else self.y
-                    pins[c] = EZ(target, const_op(nd, 0))
-            self._cache[n] = ((Scaled(P, frozenset(thin)), pr1, pr2), pins)
-        return self._cache[n]
-
-    def scaled_object(self, n: int):
-        (sc, _, _), pins = self.object(n)
-        return sc, pins
-
-    def induced(self, alpha, m: int, n: int) -> SMap:
-        from .tensor import simplex_from_word
-
-        (sc_m, pr1m, pr2m), _ = self.object(m)
-        (sc_n, _, _), _ = self.object(n)
-        dm = standard_simplex(m)
-        images = {}
-        for c, nd in sc_m.base.dim_of.items():
-            top = EZ(c, idop(nd))
-            a, b = pr1m(top), pr2m(top)
-            word = [alpha[int(v)] for v in dm.vertices_of(a)]
-            images[c] = pair_cell(sc_n.base, simplex_from_word(word), b)
-        return SMap(sc_m.base, sc_n.base, images)
-
-    def upgrade(self, which: str) -> frozenset:
-        if which != "marked":
-            raise SSetError("hom categories carry no scaling")
-        (sc, _, _), _ = self.object(1)
-        return frozenset({self._word_cell(sc.base, None, None, [(0, 0), (1, 0), (1, 1)])})
-
-    def project_cell(self, n: int) -> str | None:
-        return None
+    def variant(self, X: MarkedScaled) -> Level:
+        mp = multi_product([X.base, self.K.base], dim_cap=X.base.dim + 1)
+        pr1, pr2 = mp.projections
+        thin, pins = set(), {}
+        for c, nd in mp.sset.dim_of.items():
+            a, b = pr1(EZ(c, idop(nd))), pr2(EZ(c, idop(nd)))
+            if b.core != "01":  # the cell lies in Delta^n x {0 or 1}
+                pins[c] = EZ(self.x if b.core == "0" else self.y, const_op(nd, 0))
+            elif b.op == (0, 1, 1) and a.op[0] == a.op[1]:
+                thin.add(c)
+            elif b.op == (0, 0, 1) and a.op[1] == a.op[2] and X.is_marked(X.base.act(a, (0, 1))):
+                thin.add(c)
+        return Level(Scaled(mp.sset, frozenset(thin)), pins, mp)
 
 
 def hom_triangle(C: Scaled, x: str, y: str, cap: int) -> tuple[MarkedScaled, SliceResult]:
@@ -644,8 +479,9 @@ def fun_coc_subcat(
         return not pair.is_nondeg() or pair.core in good_edges
 
     def image_ok_extra(n, x, cand):
-        (sc, pr1, pr2), _ = shape.object(n)
-        nd = sc.base.dim_of[x]
+        mp = shape.object(n).data
+        pr1, pr2 = mp.projections
+        nd = mp.sset.dim_of[x]
         top = EZ(x, idop(nd))
         kpair = pr2(top)
         if p(cand) != f(kpair):
@@ -670,9 +506,10 @@ def fun_coc_subcat(
     # marking: pointwise-good transformations
     marked = set()
     if cap >= 1:
-        (sc1, pr1, pr2), _ = shape.object(1)
+        mp = shape.object(1).data
+        pr1, pr2 = mp.projections
         columns = []
-        for c, nd in sc1.base.dim_of.items():
+        for c, nd in mp.sset.dim_of.items():
             if nd != 1:
                 continue
             top = EZ(c, idop(1))
@@ -686,57 +523,6 @@ def fun_coc_subcat(
     return SliceResult(
         total, res.projection, res.provenance, cap, res.saturated, res.cell_maps, res.levels, shape
     )
-
-
-def join_k_induced(src: JoinShape, tgt: JoinShape, g: SMap, n: int) -> SMap:
-    """F_{K_src}(n) -> F_{K_tgt}(n) induced by g: K_src -> K_tgt on the K side.
-
-    Both shapes must have the same side; the Delta part is untouched.
-    """
-    from .ops import op_join
-
-    if src.side != tgt.side:
-        raise SSetError("join shapes must share a side")
-    jm_s, _ = src.object(n)
-    jm_t, _ = tgt.object(n)
-    Js, Jt = jm_s.scaled.base, jm_t.scaled.base
-    ls, rs, mixs = Js.join_names  # type: ignore[attr-defined]
-    lt, rt, mixt = Jt.join_names  # type: ignore[attr-defined]
-    back_l = {v: k for k, v in ls.items()}
-    back_r = {v: k for k, v in rs.items()}
-    back_m = {v: k for k, v in mixs.items()}
-    over = src.side == "over"
-    images = {}
-    for c, nd in Js.dim_of.items():
-        if c in back_l:
-            x = back_l[c]
-            if over:
-                images[c] = EZ(lt[x], idop(nd))
-            else:
-                img = g(EZ(x, idop(nd)))
-                images[c] = EZ(lt[img.core], img.op)
-        elif c in back_r:
-            x = back_r[c]
-            if over:
-                img = g(EZ(x, idop(nd)))
-                images[c] = EZ(rt[img.core], img.op)
-            else:
-                images[c] = EZ(rt[x], idop(nd))
-        else:
-            a, b = back_m[c]
-            if over:
-                da = standard_simplex(n).dim_of.get(a)
-                img = g(EZ(b, idop(src.K.base.dim_of[b])))
-                images[c] = EZ(
-                    mixt[(a, img.core)], op_join(idop(da), img.op, da + 1)
-                )
-            else:
-                img = g(EZ(a, idop(src.K.base.dim_of[a])))
-                db = standard_simplex(n).dim_of.get(b)
-                images[c] = EZ(
-                    mixt[(img.core, b)], op_join(img.op, idop(db), img.op[-1] + 1)
-                )
-    return SMap(Js, Jt, images)
 
 
 def postcompose_map(src: SliceResult, tgt: SliceResult, post: SMap) -> SMap:

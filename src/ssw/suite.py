@@ -293,7 +293,7 @@ def _c9_fiber_isomorphism(cap: int = 2):
                 return c
         raise RuntimeError("vertex not found in the functor space")
 
-    g0 = S.shape.object(0)[0]
+    g0 = S.shape.object(0).data
     proj_k = g0.projections[1]
     f_images = {c: f(proj_k.images[c]) for c in g0.scaled.base.dim_of}
     fv = find_vertex(SMap(g0.scaled.base, C.base, f_images, validate=False))

@@ -12,9 +12,11 @@ from .core import (
     SMap,
     SSet,
     SSetError,
+    identity_map,
     join_sset,
     multi_product,
     product_cell,
+    product_map,
     simplex_cell,
     standard_simplex,
     subcomplex,
@@ -249,24 +251,24 @@ class JoinMS(NamedTuple):
     scaled: Scaled
     incl1: SMap
     incl2: SMap
+    mixed: dict[tuple[str, str], str]  # (cell of X, cell of Y) -> their join cell
 
 
 def join_ms(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> JoinMS:
     """The join of marked-scaled simplicial sets (output is scaled only)."""
-    J, i1, i2 = join_sset(X.base, Y.base, dim_cap=dim_cap)
-    left_name, right_name, mixed_name = J.join_names  # type: ignore[attr-defined]
+    J, i1, i2, mixed = join_sset(X.base, Y.base, dim_cap=dim_cap)
     thin = set()
     for t in X.thin:
-        thin.add(left_name[t])
+        thin.add(i1.images[t].core)
     for t in Y.thin:
-        thin.add(right_name[t])
+        thin.add(i2.images[t].core)
     for e in X.marked:
         for v in Y.base.level(0):
-            thin.add(mixed_name[(e, v)])
+            thin.add(mixed[(e, v)])
     for v in X.base.level(0):
         for e in Y.marked:
-            thin.add(mixed_name[(v, e)])
-    return JoinMS(Scaled(J, frozenset(thin)), i1, i2)
+            thin.add(mixed[(v, e)])
+    return JoinMS(Scaled(J, frozenset(thin)), i1, i2, mixed)
 
 
 # -- thick joins ---------------------------------------------------------------------
@@ -346,8 +348,24 @@ def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | N
     )
 
 
-def thick_join_scaled(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> Scaled:
-    return thick_join(variance, X, Y, dim_cap=dim_cap).total
+def thick_join_map(src: ThickJoin, tgt: ThickJoin, f: SMap, g: SMap) -> SMap:
+    """f and g on the left and right factors, between two thick joins of one variance.
+
+    The middle cells go through the product of f, the identity of the
+    interval and g on the middle Gray products.
+    """
+    ident = identity_map(src.proj_int.target)
+    maps = (f, ident, g) if src.variance == "inn" else (g, ident, f)
+    mid = product_map(src.mid.mp, tgt.mid.mp, maps)
+    images = {}
+    for c, (kind, payload) in src.comp.items():
+        if kind == "L":
+            images[c] = tgt.incl_left(f.images[payload])
+        elif kind == "R":
+            images[c] = tgt.incl_right(g.images[payload])
+        else:
+            images[c] = tgt.quotient(mid.images[payload])
+    return SMap(src.total.base, tgt.total.base, images)
 
 
 # -- cones ------------------------------------------------------------------------------
@@ -437,14 +455,13 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None, chec
     tj = thick_join("out", X, Y, dim_cap=dim_cap)
     jn = join_ms(X, Y, dim_cap=dim_cap)
     J = jn.scaled.base
-    left_name, right_name, mixed_name = J.join_names  # type: ignore[attr-defined]
     images = {}
     for c, n in tj.total.base.dim_of.items():
         kind, payload = tj.comp[c]
         if kind == "L":
-            images[c] = EZ(left_name[payload], idop(n))
+            images[c] = jn.incl1.images[payload]
         elif kind == "R":
-            images[c] = EZ(right_name[payload], idop(n))
+            images[c] = jn.incl2.images[payload]
         else:
             top = EZ(payload, idop(n))
             rho_y, rho_x = tj.proj_right(top), tj.proj_left(top)
@@ -454,7 +471,7 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None, chec
             k = word.index(1)
             a = X.base.act(rho_x, tuple(range(0, k)))
             b = Y.base.act(rho_y, tuple(range(k, n + 1)))
-            images[c] = EZ(mixed_name[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
+            images[c] = EZ(jn.mixed[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
     r = SMap(tj.total.base, J, images)
     if check:
         if not is_scaled_map(r, tj.total, jn.scaled):
@@ -643,7 +660,6 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         xw = [v if v <= p else p for v in word]
         return _mid_from_words(tj, yw, iw, xw)
 
-    left_name, right_name, mixed_name = J.join_names  # type: ignore[attr-defined]
     s_images = {}
     for c, n in J.dim_of.items():
         word = [int(v) for v in _join_vertex_word(J, c, p)]
@@ -704,8 +720,6 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
             pcell = pair_cell(PT, EZ(c, idop(n)), EZ(eps, const_op(n, 0)))
             images[c] = hom(pcell)
         return SMap(total, total, images, validate=False)
-
-    from .core import identity_map
 
     sr = SMap(total, total, {c: s(r(EZ(c, idop(n)))) for c, n in total.dim_of.items()}, validate=False)
     rs = SMap(J, J, {c: r(s(EZ(c, idop(n)))) for c, n in J.dim_of.items()}, validate=False)

@@ -220,6 +220,20 @@ def test_multi_product_cell_lookup():
     assert all(pr(cell) == p for pr, p in zip(mp.projections, pairs))
 
 
+def test_pair_cell_inverts_the_projections_and_rejects_other_complexes():
+    from ssw.core import pair_cell
+
+    P, pr1, pr2 = product(standard_simplex(2), standard_simplex(1))
+    for x, n in P.dim_of.items():
+        top = EZ(x, idop(n))
+        assert pair_cell(P, pr1(top), pr2(top)) == top
+        for i in range(n + 1):
+            s = P.act(top, degeneracy_op(n, i))
+            assert pair_cell(P, pr1(s), pr2(s)) == s
+    with pytest.raises(SSetError):
+        pair_cell(standard_simplex(1), EZ("01", (0, 1)), EZ("0", (0, 0)))
+
+
 # ---------------------------------------------------------------- joins
 
 

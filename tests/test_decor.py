@@ -9,12 +9,9 @@ from ssw.decor import (
     core_thi,
     decorate,
     decorated_isomorphisms,
-    forget_all,
     is_decorated_isomorphic,
     mark,
     scale,
-    underlying_marked,
-    underlying_scaled,
 )
 
 
@@ -98,10 +95,9 @@ def test_core_idempotent():
 def test_underlying_projections():
     d2 = standard_simplex(2)
     X = decorate(d2, SHARP, SHARP)
-    assert underlying_scaled(X).thin == X.thin
-    assert underlying_marked(X).marked == X.marked
-    assert forget_all(X) == d2
-    assert forget_all(decorate(d2, FLAT, FLAT)) == d2
+    assert X.scaled() == Scaled(d2, X.thin)
+    assert X.marked_only().marked == X.marked
+    assert X.marked_only().base == d2
 
 
 def test_flat_into_sharp_is_decorated_mono():

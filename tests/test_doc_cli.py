@@ -192,3 +192,44 @@ def test_cli_env_default_bound_applies(monkeypatch):
     code, out = run_command(["check-bicat", "d1_sharp", "--format", "json"])
     assert code == 0
     assert json.loads(out)["bound"] == 1
+
+
+def test_cli_hom_rejects_unknown_vertices():
+    for argv in (["hom", "d2_sharp", "0", "9"], ["hom", "d2_sharp", "9", "0"]):
+        code, out = run_command(argv)
+        assert code == 3
+        assert out.startswith("error:") and "'9'" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slice", "d2_sharp", "2", "--cap", "-1"],
+        ["check-limit-cone", "d2_sharp", "2", "--cap", "-1"],
+        ["hom", "d2_sharp", "0", "2", "--cap", "-2"],
+    ],
+)
+def test_cli_rejects_negative_cap(argv):
+    code, out = run_command(argv)
+    assert code == 3
+    assert out.startswith("error:") and f"cap must be a non-negative integer, got {argv[-1]}" in out
+
+
+def test_cli_certificate_missing_keys(tmp_path):
+    from ssw.doc import complex_to_doc
+
+    path = tmp_path / "cert.json"
+    path.write_text("{}")
+    code, out = run_command(["check-certificate", str(path)])
+    assert (code, out) == (3, "error: certificate document has no 'start' entry\n")
+    d1 = complex_to_doc(MarkedScaled(standard_simplex(1)))
+    step = {"kind": "rescale", "from": d1, "to": d1}
+    path.write_text(json.dumps({"schema_version": 1, "start": d1, "claimed": d1, "steps": [step]}))
+    code, out = run_command(["check-certificate", str(path)])
+    assert (code, out) == (3, "error: certificate document has no 'attach' entry\n")
+
+
+def test_cli_object_path_is_a_directory(tmp_path):
+    code, out = run_command(["build", f"@{tmp_path}"])
+    assert code == 3
+    assert out.startswith("error:")

@@ -550,11 +550,9 @@ def test_pushout_join_certificate():
     # union of the two sub-join scalings inside Y * B; the left join's mixed
     # cells carry the same compositional names in the full join
     src_thin = set(right.scaled.thin)
-    _, _, mix_left = left.scaled.base.join_names
-    _, _, mix_full = full.scaled.base.join_names
-    back = {v: k for k, v in mix_left.items()}
+    back = {v: k for k, v in left.mixed.items()}
     for t in left.scaled.thin:
-        src_thin.add(mix_full[back[t]])
+        src_thin.add(full.mixed[back[t]])
     # in tetrahedron labels: 01*0 = 012, 01*1 = 013, 1*01 = 123; only 023 missing
     assert src_thin == {"01*0", "01*1", "1*01"}
     assert frozenset(full.scaled.thin) == frozenset(d3.level(2))

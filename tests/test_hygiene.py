@@ -7,7 +7,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ssw"
 
 # Lines that patch an attribute onto an object of another class; the count
 # may only go down.
-MAX_PATCHED_ATTRIBUTE_LINES = 12
+MAX_PATCHED_ATTRIBUTE_LINES = 0
+
+# The one attribute a function may set on an object other than self: the
+# resolved lifting bound on the parsed argparse namespace.
+ALLOWED_FOREIGN_ATTRIBUTES = {"cli.py:run_command:args.bound"}
 
 
 def private_imports(path):
@@ -60,3 +64,38 @@ def test_sset_state_is_declared_in_init():
     assert {name: sorted(self_attributes(m) - declared) for name, m in methods.items()} == {
         name: [] for name in methods
     }
+
+
+def assigned_attributes(target):
+    """The attribute nodes an assignment target binds, through tuples and stars."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for elt in target.elts for a in assigned_attributes(elt)]
+    if isinstance(target, ast.Starred):
+        return assigned_attributes(target.value)
+    return [target] if isinstance(target, ast.Attribute) else []
+
+
+def foreign_attribute_assignments(path):
+    """path:function:object.attribute for each attribute set on anything but self."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for attribute in (a for t in targets for a in assigned_attributes(t)):
+                owner = ast.unparse(attribute.value)
+                if owner != "self":
+                    hits.add(f"{path.name}:{function.name}:{owner}.{attribute.attr}")
+    return hits
+
+
+def test_functions_set_attributes_only_on_self():
+    hits = set().union(*(foreign_attribute_assignments(p) for p in sorted(SRC.glob("*.py"))))
+    assert hits - ALLOWED_FOREIGN_ATTRIBUTES == set()

@@ -87,9 +87,7 @@ def test_slice_marked_edges_cor_slice_criterion():
     S = d2_sharp()
     for v in ("0", "1", "2"):
         sl = slice_over_vertex(S, v, cap=2)
-        shape = sl.shape
-        jm, _ = shape.object(1)
-        _, _, mixed = jm.scaled.base.join_names
+        mixed = sl.shape.object(1).data.mixed
         test_tri = mixed[("01", "0")]
         for e in sl.total.base.level(1):
             m = sl.cell_maps[e]
@@ -438,3 +436,117 @@ def test_slice_adjunction_with_thin_probe():
 
     rhs = len(enumerate_maps(jm.scaled.base, S.base, partial=pins, image_ok=ok))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------- functoriality of the shapes
+
+
+def shapes_on_two_small_K():
+    """Every representable shape, each on two small K (hom: two vertex pairs)."""
+    S = d2_sharp()
+    pt, arrow = point_ms(), interval_sharp()
+    edge = {"0": EZ("0", (0,)), "1": EZ("2", (0,)), "01": EZ("02", (0, 1))}
+    diagrams = [
+        (pt, SMap(pt.base, S.base, {"0": EZ("1", (0,))})),
+        (arrow, SMap(arrow.base, S.base, edge)),
+    ]
+    shapes = []
+    for K, f in diagrams:
+        for side in ("over", "under"):
+            shapes.append((f"join {side} K{K.base.dim}", slice_construction(S, K, f, side, 0).shape))
+            for variance in ("inn", "out"):
+                sl = thick_slice(S, K, f, variance, side, 0)
+                shapes.append((f"thick {variance} {side} K{K.base.dim}", sl.shape))
+        for kind in ("gray_left", "gray_right", "cartesian"):
+            shapes.append((f"{kind} K{K.base.dim}", fun_space(K, S, kind, 0).shape))
+    for x, y in (("0", "2"), ("1", "1")):
+        shapes.append((f"hom {x} {y}", hom_category(S, x, y, 0).shape))
+    return shapes
+
+
+SHAPES = shapes_on_two_small_K()
+
+
+@pytest.mark.parametrize("name,shape", SHAPES, ids=[name for name, _ in SHAPES])
+def test_shape_reindexing_is_functorial(name, shape):
+    """F(id) = id and F(a o b) = F(b) then F(a), over faces and degeneracies, m, n <= 3."""
+    from ssw.core import identity_map
+    from ssw.ops import compose, degeneracy_op, face_op
+
+    for n in range(4):
+        ident = shape.induced(idop(n), n, n)
+        assert ident == identity_map(ident.source), (name, n)
+    gens = [(face_op(n, i), n - 1, n) for n in range(1, 4) for i in range(n + 1)]
+    gens += [(degeneracy_op(n, i), n + 1, n) for n in range(3) for i in range(n + 1)]
+    induced = {(alpha, m, n): shape.induced(alpha, m, n) for alpha, m, n in gens}
+    for b, m, k in gens:
+        for a, k2, n in gens:
+            if k2 == k:
+                expected = induced[(b, m, k)].then(induced[(a, k, n)])
+                assert shape.induced(compose(a, b), m, n) == expected, (name, a, b)
+
+
+def test_maps_of_identities_are_identities():
+    from ssw.core import identity_map, join_map, join_sset, multi_product, product_map
+    from ssw.tensor import join_ms, thick_join, thick_join_map
+
+    d1, d2 = standard_simplex(1), standard_simplex(2)
+    for factors in ([d1, d2], [d2, d1, d1]):
+        mp = multi_product(factors)
+        ids = tuple(identity_map(F) for F in factors)
+        assert product_map(mp, mp, ids) == identity_map(mp.sset)
+    J = join_sset(d1, d2)
+    assert join_map(J, J, identity_map(d1), identity_map(d2)) == identity_map(J.sset)
+    jm = join_ms(interval_sharp(), flat_ms(2))
+    assert join_map(jm, jm, identity_map(d1), identity_map(d2)) == identity_map(jm.scaled.base)
+    for variance in ("inn", "out"):
+        tj = thick_join(variance, interval_sharp(), flat_ms(2))
+        ident = thick_join_map(tj, tj, identity_map(d1), identity_map(d2))
+        assert ident == identity_map(tj.total.base)
+
+
+def test_hom_marks_the_edges_whose_lower_staircase_is_thin():
+    """An edge of Hom_C(x, y) is marked iff its map Delta^1 x Delta^1 -> C sends
+    the triangle (0,0)(1,0)(1,1) to a thin triangle; on Q with every scaling."""
+    import itertools
+
+    from ssw.core import pair_cell
+    from ssw.fibration import q_complex
+    from ssw.tensor import simplex_from_word
+
+    Q = q_complex()
+    lower = (simplex_from_word([0, 1, 1]), simplex_from_word([0, 0, 1]))
+    seen = set()
+    for r in range(len(Q.level(2)) + 1):
+        for thin in itertools.combinations(Q.level(2), r):
+            C = Scaled(Q, frozenset(thin))
+            for x, y in itertools.product(Q.level(0), repeat=2):
+                hom = hom_category(C, x, y, cap=2)
+                for e in hom.total.base.level(1):
+                    m = hom.cell_maps[e]
+                    marked = C.is_thin(m(pair_cell(m.source, *lower)))
+                    assert (e in hom.total.marked) == marked, (thin, x, y, e)
+                    seen.add(marked)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("kind", ["gray_left", "gray_right"])
+def test_gray_functor_space_thin_triangles_follow_the_sharp_triangle(kind):
+    """A triangle of Fun^gr(K, X) is thin iff its map is scaled on the Gray
+    product of K with Delta^2 marked and scaled sharp."""
+    from ssw.decor import is_scaled_map
+    from ssw.tensor import gray_marked_n, sharp_ms
+
+    X = scale(standard_simplex(2))
+    seen = set()
+    for K in (flat_ms(1), interval_sharp()):
+        fun = fun_space(K, X, kind, cap=2)
+        factors = [sharp_ms(2), K] if kind == "gray_left" else [K, sharp_ms(2)]
+        probe = gray_marked_n(factors).scaled
+        for t in fun.total.base.level(2):
+            m = fun.cell_maps[t]
+            assert m.source == probe.base
+            thin = is_scaled_map(m, probe, X)
+            assert (t in fun.total.thin) == thin, (K, t)
+            seen.add(thin)
+    assert seen == {True, False}
