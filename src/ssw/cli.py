@@ -13,7 +13,7 @@ import sys
 
 from .core import EZ, SSetError
 from .decor import MarkedScaled, Scaled
-from .doc import complex_to_doc, doc_to_complex, parse, serialize
+from .doc import complex_to_doc, doc_to_complex, ez_from_doc, parse, serialize
 from .fibration import (
     INCONCLUSIVE,
     REFUTED,
@@ -212,11 +212,17 @@ def cmd_check_limit_cone(args) -> tuple[int, str]:
     return _verdict_exit(v), _emit_verdict(v, args.format)
 
 
-def _entry(doc: dict, key: str):
-    """doc[key] of a certificate document; a missing key is a usage error."""
-    if key not in doc:
+def _entry(doc: dict, key: str, kind: type = dict, default=None):
+    """doc[key] of a certificate document or step, else the default if one is
+    given; a missing key or a value not of the given kind is a usage error."""
+    if not isinstance(doc, dict):
+        raise CliError("a certificate document and its steps must be JSON objects")
+    value = doc.get(key, default)
+    if value is None:
         raise CliError(f"certificate document has no {key!r} entry")
-    return doc[key]
+    if not isinstance(value, kind):
+        raise CliError(f"certificate entry {key!r} must be a {kind.__name__}")
+    return value
 
 
 def cmd_check_certificate(args) -> tuple[int, str]:
@@ -228,13 +234,15 @@ def cmd_check_certificate(args) -> tuple[int, str]:
     start = doc_to_complex(_entry(doc, "start"))
     claimed = doc_to_complex(_entry(doc, "claimed"))
     steps = []
-    for raw in doc.get("steps", []):
-        if raw.get("kind") != "rescale":
+    for raw in _entry(doc, "steps", list, default=[]):
+        if _entry(raw, "kind", str, default="") != "rescale":
             raise CliError("only rescale certificate steps are supported in documents")
         A = doc_to_complex(_entry(raw, "from"))
         B = doc_to_complex(_entry(raw, "to"))
         gen = rescale_generator(raw.get("name", "step"), A, B)
-        images = {x: EZ(entry[0], tuple(entry[1])) for x, entry in _entry(raw, "attach").items()}
+        images = {
+            x: ez_from_doc(e, f"attach image of {x!r}") for x, e in _entry(raw, "attach").items()
+        }
         attach = SMap(A.base, start.base, images)
         steps.append(CertificateStep(gen, attach))
     v = certificate_check(start, steps, claimed)

@@ -15,7 +15,7 @@ from .ops import (
     compose,
     const_op,
     epi_mono,
-    face_op,
+    face_split,
     idop,
     injections,
     is_epi,
@@ -89,6 +89,7 @@ class SSet:
                     raise SSetError(f"duplicate cell id {x!r}")
                 self.dim_of[x] = n
         self._act_cache: dict[tuple[EZ, Op], EZ] = {}
+        self._faces_of: dict[EZ, tuple[EZ, ...]] = {}
         self._simplices: dict[int, tuple[EZ, ...]] = {}
         self._by_faces: dict[int, dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
         self._by_horn: dict[tuple[int, int], dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
@@ -149,8 +150,21 @@ class SSet:
         reduced = tuple(v if v < missing else v - 1 for v in delta)
         return self.act(self.faces[x][missing], reduced)
 
+    def faces_of(self, pair: EZ) -> tuple[EZ, ...]:
+        """The faces d_0..d_n of an n-simplex (none for a vertex), read off the
+        stored faces of its core by ``face_split``; they must be EZ-normal."""
+        out = self._faces_of.get(pair)
+        if out is None:
+            fs = self.faces.get(pair.core, ())
+            out = tuple(
+                EZ(pair.core, op) if j is None else EZ(fs[j].core, compose(fs[j].op, op))
+                for j, op in face_split(pair.op)
+            )
+            self._faces_of[pair] = out
+        return out
+
     def face(self, pair: EZ, i: int) -> EZ:
-        return self.act(pair, face_op(pair.deg, i))
+        return self.faces_of(pair)[i]
 
     def vertices_of(self, pair: EZ) -> tuple[str, ...]:
         return tuple(self.act(pair, (t,)).core for t in range(pair.deg + 1))
@@ -176,8 +190,7 @@ class SSet:
         if idx is None:
             acc: dict[tuple[EZ, ...], list[EZ]] = {}
             for pair in self.simplices(n):
-                key = tuple(self.face(pair, i) for i in range(n + 1))
-                acc.setdefault(key, []).append(pair)
+                acc.setdefault(self.faces_of(pair), []).append(pair)
             idx = {k: tuple(v) for k, v in acc.items()}
             self._by_faces[n] = idx
         return idx
@@ -240,14 +253,15 @@ class SSet:
                     raise SSetError(f"face of {x!r} has wrong degree: {pair}")
                 if not is_epi(pair.op):
                     raise SSetError(f"face operator of {x!r} not an epi: {pair}")
-        # The loop above checked that the faces are EZ-normal, so fs[j] is face j of x.
+        # The loop above checked that the faces are EZ-normal, so fs[j] is face j
+        # of x and faces_of may read the faces of the faces.
         for x, n in self.dim_of.items():
             if n < 2:
                 continue
-            fs = self.faces[x]
+            ffs = [self.faces_of(f) for f in self.faces[x]]
             for j in range(n + 1):
                 for i in range(j):
-                    if self.face(fs[j], i) != self.face(fs[i], j - 1):
+                    if ffs[j][i] != ffs[i][j - 1]:
                         raise SSetError(f"simplicial identity fails at {x!r}: d{i} d{j}")
 
 
@@ -330,9 +344,13 @@ class SMap:
                 raise SSetError(f"image of {x!r} has wrong degree")
             if img.core not in self.target.dim_of:
                 raise SSetError(f"image core {img.core!r} missing in target")
-            for i in range(n + 1):
-                src = self(self.source.faces[x][i]) if n >= 1 else None
-                if src is not None and src != self.target.act(img, face_op(n, i)):
+            if not is_epi(img.op) or img.op[-1] != self.target.dim_of[img.core]:
+                raise SSetError(f"image of {x!r} is not in EZ normal form: {img}")
+            if n == 0:
+                continue
+            img_faces = self.target.faces_of(img)
+            for i, f in enumerate(self.source.faces[x]):
+                if self(f) != img_faces[i]:
                     raise SSetError(f"map does not commute with d{i} at {x!r}")
 
 
@@ -430,6 +448,20 @@ class ProductResult(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def shuffle_partners(sigma: Op, l: int) -> tuple[Op, ...]:
+    """The tau in ``surjections(n, l)`` jointly injective with sigma: [n] ->> [k],
+    in that order; (x, sigma), (y, tau) is then a nondegenerate product cell.
+
+    For nondegenerate x and y these are the (k, l)-shuffles of Eilenberg and
+    Zilber (1953) that pair with sigma.
+    """
+    n = len(sigma) - 1
+    return tuple(
+        tau for tau in surjections(n, l) if len(joint_split((sigma, tau))[0]) == n + 1
+    )
+
+
+@lru_cache(maxsize=None)
 def joint_split(ops: tuple[Op, ...]) -> tuple[Op, Op]:
     """Split same-length operators at their joint degeneracies, as (section, sigma).
 
@@ -461,12 +493,16 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
     index: dict[tuple[EZ, EZ], str] = {}
     for n in range(min(top, cap) + 1):
         level = []
+        # a-major, then b in the order of Y.simplices(n), as a filter of all pairs
         for a in X.simplices(n):
-            for b in Y.simplices(n):
-                if len(joint_split((a.op, b.op))[0]) == n + 1:
-                    x = _pair_name(a, b)
-                    index[(a, b)] = x
-                    level.append(x)
+            for l in range(min(n, Y.dim) + 1):
+                partners = shuffle_partners(a.op, l)
+                for y in Y.cells[l]:
+                    for tau in partners:
+                        b = EZ(y, tau)
+                        x = _pair_name(a, b)
+                        index[(a, b)] = x
+                        level.append(x)
         cells.append(level)
     faces = {}
     back: dict[str, tuple[EZ, EZ]] = {x: k for k, x in index.items()}
@@ -475,8 +511,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         if n == 0:
             continue
         fs = []
-        for i in range(n + 1):
-            fa, fb = X.face(a, i), Y.face(b, i)
+        for fa, fb in zip(X.faces_of(a), Y.faces_of(b)):
             cores, sigma = joint_core((fa, fb))
             fs.append(EZ(index[cores], sigma))
         faces[x] = tuple(fs)

@@ -90,12 +90,6 @@ class Marked:
     def is_marked(self, pair: EZ) -> bool:
         return not pair.is_nondeg() or pair.core in self.marked
 
-    def flat_scaled(self) -> MarkedScaled:
-        return MarkedScaled(self.base, self.marked, frozenset())
-
-    def sharp_scaled(self) -> MarkedScaled:
-        return MarkedScaled(self.base, self.marked, frozenset(self.base.level(2)))
-
     def op(self) -> "Marked":
         from .core import opposite
 

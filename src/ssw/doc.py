@@ -45,6 +45,14 @@ def parse(text: str) -> dict:
     return doc
 
 
+def ez_from_doc(entry, what: str) -> EZ:
+    """A simplex written [core, word] in a document, the word a list of integers."""
+    ok = isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+    if not (ok and isinstance(entry[1], list) and all(type(v) is int for v in entry[1])):
+        raise SSetError(f"{what} must be [core, word]")
+    return EZ(entry[0], tuple(entry[1]))
+
+
 def doc_to_complex(doc: dict) -> MarkedScaled:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SSetError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -58,13 +66,7 @@ def doc_to_complex(doc: dict) -> MarkedScaled:
     cells = [sorted(raw_cells[str(n)]) for n in levels]
     faces = {}
     for x, fs in doc.get("faces", {}).items():
-        pairs = []
-        for entry in fs:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise SSetError(f"face entry of {x!r} must be [core, word]")
-            core, word = entry
-            pairs.append(EZ(core, tuple(word)))
-        faces[x] = tuple(pairs)
+        faces[x] = tuple(ez_from_doc(entry, f"face entry of {x!r}") for entry in fs)
     base = SSet(cells, faces, dim_cap=doc.get("dim_cap", 6))
     marked = doc.get("marked", [])
     thin = doc.get("thin", [])
@@ -92,5 +94,5 @@ def doc_to_map(doc: dict, resolve) -> SMap:
     MarkedScaled complex."""
     src = resolve(doc["source"])
     tgt = resolve(doc["target"])
-    images = {x: EZ(entry[0], tuple(entry[1])) for x, entry in doc["images"].items()}
+    images = {x: ez_from_doc(entry, f"image of {x!r}") for x, entry in doc["images"].items()}
     return SMap(src.base, tgt.base, images)

@@ -17,11 +17,9 @@ from .core import (
     SSetError,
     constant_map,
     enumerate_maps,
-    horn,
     identity_map,
     joint_core,
     pair_cell,
-    product,
     pullback,
     pushout_mono,
     standard_simplex,
@@ -1057,7 +1055,7 @@ def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Ve
     sigma = next(iter(diff))
     rho = pair_cell(P, simplex_from_word([0, 1, 1, 1]), simplex_from_word([0, 0, 1, 2]))
     scaledT = Scaled(P, frozenset(T))
-    faces = [P.face(rho, i) for i in range(4)]
+    faces = P.faces_of(rho)
     if faces[1] != EZ(sigma, idop(2)):
         return Verdict(REFUTED, "the 3-simplex does not recover the missing triangle as d_1")
     for i in (0, 2, 3):
@@ -1069,7 +1067,7 @@ def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Ve
         from .ops import op_reverse
 
         rho_op = EZ(rho.core, op_reverse(rho.op))
-        faces_op = [Pop.face(rho_op, i) for i in range(4)]
+        faces_op = Pop.faces_of(rho_op)
         scaledTop = Scaled(Pop, frozenset(T))
         if faces_op[2] != EZ(sigma, idop(2)):
             return Verdict(REFUTED, "opposite transport does not recover the triangle as d_2")
@@ -1153,8 +1151,9 @@ def check_limit_cone(
 ) -> Verdict:
     """The local criterion: for every vertex x, restriction from cone sections
     to diagram sections of the slice under x must be an equivalence."""
-    from .slices import fun_coc_subcat, precompose_map, thick_slice_over_vertex
+    from .slices import check_cap, fun_coc_subcat, precompose_map, thick_slice_over_vertex
 
+    check_cap(cap)
     bic = is_infty_bicategory(C, bound)
     if bic.status == REFUTED:
         return Verdict(REFUTED, f"ambient is not an infinity-bicategory: {bic.evidence}")

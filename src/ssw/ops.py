@@ -5,9 +5,10 @@ the image of ``t``.  Surjective monotone operators are the degeneracy words of
 the Eilenberg-Zilber decomposition; injective monotone operators are iterated
 face maps.
 
-``compose``, ``epi_mono`` and ``face_op`` are memoized like ``surjections`` and
-``injections``: every simplex face, action and product cell goes through them,
-on few distinct arguments.  They take operators as tuples, never lists.
+``compose``, ``epi_mono``, ``face_op``, ``face_split`` and ``is_epi`` are
+memoized like ``surjections`` and ``injections``: every simplex face, action,
+validation and product cell goes through them, on few distinct arguments.  They
+take operators as tuples, never lists.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ def is_monotone(op: Op) -> bool:
     return all(op[t] <= op[t + 1] for t in range(len(op) - 1))
 
 
+@lru_cache(maxsize=None)
 def is_epi(op: Op) -> bool:
     """Surjective monotone onto [op[-1]]."""
     if not op or op[0] != 0 or not is_monotone(op):
@@ -55,6 +57,27 @@ def epi_mono(beta: Op) -> tuple[Op, Op]:
 def face_op(n: int, i: int) -> Op:
     """delta_i: [n-1] -> [n], skipping i."""
     return tuple(t for t in range(n + 1) if t != i)
+
+
+@lru_cache(maxsize=None)
+def face_split(sigma: Op) -> tuple[tuple[int | None, Op], ...]:
+    """The faces of a degeneracy word sigma: [n] ->> [k] (n >= 1), one per i <= n.
+
+    By the simplicial identities sigma∘delta_i is either still onto [k], given
+    as (None, sigma∘delta_i), or it misses exactly j = sigma[i] and equals
+    delta_j∘tau with tau: [n-1] ->> [k-1], given as (j, tau).  So face i of the
+    simplex (x, sigma) is (x, sigma∘delta_i), or face j of x followed by tau.
+    """
+    if len(sigma) == 1:
+        return ()  # a vertex has no faces
+    out = []
+    for i, j in enumerate(sigma):
+        rest = sigma[:i] + sigma[i + 1:]
+        if j in rest:
+            out.append((None, rest))
+        else:
+            out.append((j, tuple(v if v < j else v - 1 for v in rest)))
+    return tuple(out)
 
 
 def degeneracy_op(n: int, i: int) -> Op:

@@ -146,13 +146,18 @@ class Shape:
         return None
 
 
+def _is_first(side: str, first: str, second: str) -> bool:
+    """Whether side names the first of a shape's two sides; any other is an error."""
+    if side not in (first, second):
+        raise SSetError(f"side must be {first!r} or {second!r}")
+    return side == first
+
+
 class JoinShape(Shape):
     """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'."""
 
     def __init__(self, K: MarkedScaled, f: SMap, side: str):
-        if side not in ("over", "under"):
-            raise SSetError("side must be 'over' or 'under'")
-        super().__init__(K, side == "over")
+        super().__init__(K, _is_first(side, "over", "under"))
         self.f = f
 
     def variant(self, X: MarkedScaled) -> Level:
@@ -173,7 +178,7 @@ class ThickShape(Shape):
     """F(n) = (flat Delta^n) diamond_var K ('over') or K diamond_var (flat Delta^n)."""
 
     def __init__(self, K: MarkedScaled, f: SMap, variance: str, side: str):
-        super().__init__(K, side == "over")
+        super().__init__(K, _is_first(side, "over", "under"))
         self.f, self.variance = f, variance
 
     def variant(self, X: MarkedScaled) -> Level:
@@ -197,7 +202,7 @@ class GrayShape(Shape):
     thin_probe_marking = SHARP  # Gray thinness also reads the markings of the factors
 
     def __init__(self, K: MarkedScaled, side: str):
-        super().__init__(K, side == "left")
+        super().__init__(K, _is_first(side, "left", "right"))
 
     def variant(self, X: MarkedScaled) -> Level:
         g = gray_marked_n(list(self.ordered(X, self.K)), dim_cap=X.base.dim + self.K.base.dim)
@@ -234,6 +239,12 @@ class CartesianShape(Shape):
 # -- the level engine ---------------------------------------------------------------
 
 
+def check_cap(cap: int) -> None:
+    """The level cap of a representable construction must be non-negative."""
+    if cap < 0:
+        raise SSetError(f"cap must be a non-negative integer, got {cap}")
+
+
 def build_representable(
     shape: Shape,
     S: Scaled,
@@ -247,8 +258,7 @@ def build_representable(
     """Enumerate levels 0..cap of the representable construction for a shape."""
     from .core import enumerate_maps
 
-    if cap < 0:
-        raise SSetError(f"cap must be a non-negative integer, got {cap}")
+    check_cap(cap)
     levels: list[dict] = []
     all_maps: list[dict] = []
     cells: list[list[str]] = [[] for _ in range(cap + 1)]

@@ -50,7 +50,6 @@ from .slices import (
     thick_slice_over_vertex,
 )
 from .tensor import (
-    compare_r,
     flat_ms,
     gray_marked_n,
     gray_scaled,
@@ -124,13 +123,13 @@ def _c3_join_comparison():
     checked = 0
     for p in range(3):
         for q in range(3):
-            cmp = compare_r(flat_ms(p), flat_ms(q))  # thin-preservation checked inside
+            data, order = join_eq_witnesses(p, q)
+            cmp = data.cmp  # compare_r at cap 6: thin-preservation checked inside
             J = cmp.join.scaled.base
             for n in range(5):
                 hit = {cmp.r(pair) for pair in cmp.tj.total.base.simplices(n)}
                 if set(J.simplices(n)) - hit:
                     return False, f"comparison not surjective on {n}-simplices at ({p},{q})"
-            data, order = join_eq_witnesses(p, q)
             if {w.sigma for w in order} != set(data.Tprime - data.T):
                 return False, f"witnesses incomplete at ({p},{q})"
             report = join_eq_homotopies(p, q)

@@ -3,6 +3,7 @@ comparison maps and homotopies between the thick and ordinary joins."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -31,7 +32,7 @@ from .decor import (
     pushout_ms,
     push_marking,
 )
-from .ops import const_op, epi_mono, idop
+from .ops import const_op, epi_mono, idop, op_join
 
 
 def flat_ms(n: int) -> MarkedScaled:
@@ -233,7 +234,7 @@ def marked_variants_witness(
     rho = product_cell(
         variants.mp, (_degeneracy_pair(a, X.base, si), _degeneracy_pair(b, Y.base, sj))
     )
-    dfaces = [P.face(rho, i) for i in range(4)]
+    dfaces = P.faces_of(rho)
     face_index = next((i for i in (1, 2) if dfaces[i] == top), None)
     if face_index is None:
         raise SSetError("prescribed 3-simplex does not recover the triangle")
@@ -439,19 +440,12 @@ class CompareR(NamedTuple):
     r: SMap
 
 
-def _interval_word(tj: ThickJoin, pair: EZ) -> list[int]:
-    G = tj.mid.scaled.base
-    return [int(tj.proj_int(G.act(pair, (t,))).core) for t in range(pair.deg + 1)]
-
-
 def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None, check: bool = True) -> CompareR:
     """The canonical map from the outer thick join to the ordinary join.
 
     Built from the partition description: a middle simplex (rho_Y, tau, rho_X)
     goes to the join simplex cut at min(tau^{-1}(1)).
     """
-    from .ops import op_join
-
     tj = thick_join("out", X, Y, dim_cap=dim_cap)
     jn = join_ms(X, Y, dim_cap=dim_cap)
     J = jn.scaled.base
@@ -465,7 +459,7 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None, chec
         else:
             top = EZ(payload, idop(n))
             rho_y, rho_x = tj.proj_right(top), tj.proj_left(top)
-            word = _interval_word(tj, top)
+            word = _word_components(tj, top)[1]
             if 1 not in word or 0 not in word:
                 raise SSetError("middle simplex with constant interval component")
             k = word.index(1)
@@ -559,7 +553,7 @@ def join_eq_witness(data: JoinEqData, cell: str, already: frozenset = frozenset(
         raise SSetError(f"{cell!r} is not in T' - T")
     total = data.cmp.tj.total.base
     eta, face_index = _join_eq_eta(data, cell)
-    dfaces = [total.face(eta, i) for i in range(4)]
+    dfaces = total.faces_of(eta)
     if dfaces[face_index] != EZ(cell, idop(2)):
         raise SSetError(f"witness for {cell!r} does not recover it")
     small = Scaled(total, data.T)
@@ -629,11 +623,9 @@ class HomotopyReport(NamedTuple):
 def _word_components(tj: ThickJoin, pair: EZ):
     """Vertex words of a middle simplex in each Gray factor."""
     G = tj.mid.scaled.base
-
-    def word(proj):
-        return [int(proj(G.act(pair, (t,))).core) for t in range(pair.deg + 1)]
-
-    return word(tj.proj_right), word(tj.proj_int), word(tj.proj_left)
+    verts = [G.act(pair, (t,)) for t in range(pair.deg + 1)]
+    projs = (tj.proj_right, tj.proj_int, tj.proj_left)
+    return tuple(tuple(int(proj(v).core) for v in verts) for proj in projs)
 
 
 def _mid_from_words(tj: ThickJoin, yw, iw, xw) -> EZ:
@@ -653,12 +645,23 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     total = tj.total.base
     J = jn.scaled.base
     TT = Scaled(total, data.Tprime)
+    # The vertex words of each middle cell of the total, and the cell of a word
+    # triple: the homotopies below ask for the same ones many times.
+    words = {
+        c: _word_components(tj, EZ(payload, idop(total.dim_of[c])))
+        for c, (kind, payload) in tj.comp.items()
+        if kind == "M"
+    }
+
+    @lru_cache(maxsize=None)
+    def mid(yw: tuple, iw: tuple, xw: tuple) -> EZ:
+        return _mid_from_words(tj, yw, iw, xw)
 
     def s_image(word) -> EZ:
-        yw = [0 if v <= p else v - p - 1 for v in word]
-        iw = [0 if v <= p else 1 for v in word]
-        xw = [v if v <= p else p for v in word]
-        return _mid_from_words(tj, yw, iw, xw)
+        yw = tuple(0 if v <= p else v - p - 1 for v in word)
+        iw = tuple(0 if v <= p else 1 for v in word)
+        xw = tuple(v if v <= p else p for v in word)
+        return mid(yw, iw, xw)
 
     s_images = {}
     for c, n in J.dim_of.items():
@@ -668,13 +671,12 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
 
     u_images = {}
     for c, n in total.dim_of.items():
-        kind, payload = tj.comp[c]
-        if kind in ("L", "R"):
+        if c not in words:  # a cell of the left or right end
             u_images[c] = EZ(c, idop(n))
         else:
-            yw, iw, xw = _word_components(tj, EZ(payload, idop(n)))
-            yw2 = [0 if e == 0 else v for v, e in zip(yw, iw)]
-            u_images[c] = _mid_from_words(tj, yw2, iw, xw)
+            yw, iw, xw = words[c]
+            yw2 = tuple(0 if e == 0 else v for v, e in zip(yw, iw))
+            u_images[c] = mid(yw2, iw, xw)
     u = SMap(total, total, u_images)
 
     PT, prT, prI = core_product(total, standard_simplex(1), dim_cap=total.dim + 1)
@@ -684,12 +686,10 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         for cell, n in PT.dim_of.items():
             top = EZ(cell, idop(n))
             cpair, wpair = prT(top), prI(top)
-            kind, payload = tj.comp[cpair.core]
-            if kind in ("L", "R"):
+            if cpair.core not in words:  # a cell of the left or right end
                 images[cell] = cpair
                 continue
-            mid_pair = EZ(payload, idop(total.dim_of[cpair.core]))
-            yw0, iw0, xw0 = _word_components(tj, mid_pair)
+            yw0, iw0, xw0 = words[cpair.core]
             yw = [yw0[t] for t in cpair.op]
             iw = [iw0[t] for t in cpair.op]
             xw = [xw0[t] for t in cpair.op]
@@ -708,7 +708,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
                     oy.append(yw[t])
                     oi.append(iw[t])
                     ox.append(xw[t])
-            images[cell] = _mid_from_words(tj, oy, oi, ox)
+            images[cell] = mid(tuple(oy), tuple(oi), tuple(ox))
         return SMap(PT, total, images)
 
     h = homotopy("sr")

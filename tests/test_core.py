@@ -14,6 +14,7 @@ from ssw.core import (
     coproduct,
     empty_sset,
     enumerate_maps,
+    ez_str,
     fiber,
     horn,
     horn_inclusion,
@@ -21,6 +22,7 @@ from ssw.core import (
     is_isomorphic,
     isomorphisms,
     join_sset,
+    joint_core,
     multi_product,
     opposite,
     product,
@@ -33,7 +35,7 @@ from ssw.core import (
     SSet,
 )
 from ssw.fibration import q_complex
-from ssw.ops import degeneracy_op, idop
+from ssw.ops import degeneracy_op, face_op, idop
 
 from posets import poset_nerves
 
@@ -232,6 +234,88 @@ def test_pair_cell_inverts_the_projections_and_rejects_other_complexes():
             assert pair_cell(P, pr1(s), pr2(s)) == s
     with pytest.raises(SSetError):
         pair_cell(standard_simplex(1), EZ("01", (0, 1)), EZ("0", (0, 0)))
+
+
+def _faces_by_act(X, s):
+    """The faces of a simplex one at a time through act, as they were computed before."""
+    return tuple(X.act(s, face_op(s.deg, i)) for i in range(s.deg + 1)) if s.deg else ()
+
+
+def check_faces_of(X, top=4):
+    for n in range(top + 1):
+        for s in X.simplices(n):
+            assert X.faces_of(s) == _faces_by_act(X, s), s
+
+
+def test_faces_of_matches_act_on_the_catalog_and_a_thick_join():
+    from ssw.catalog import catalog
+    from ssw.tensor import flat_ms, thick_join
+
+    for name, X in sorted(catalog().items()):
+        check_faces_of(X.base)
+    check_faces_of(thick_join("out", flat_ms(2), flat_ms(2)).total.base)
+
+
+@given(poset_nerves())
+@settings(max_examples=30, deadline=None)
+def test_faces_of_matches_act_on_nerves(X):
+    check_faces_of(X)
+
+
+def filtered_product(X, Y):
+    """Cells and faces of X x Y by testing every pair of n-simplices, with the
+    faces through act: the product as it was built before shuffle tables."""
+    cells, index = [], {}
+    for n in range(X.dim + Y.dim + 1):
+        level = []
+        for a in X.simplices(n):
+            for b in Y.simplices(n):
+                if len(set(zip(a.op, b.op))) == n + 1:  # jointly nondegenerate
+                    index[(a, b)] = f"({ez_str(a)},{ez_str(b)})"
+                    level.append(index[(a, b)])
+        cells.append(tuple(level))
+    faces = {}
+    for (a, b), x in index.items():
+        if a.deg:
+            split = (joint_core(f) for f in zip(_faces_by_act(X, a), _faces_by_act(Y, b)))
+            faces[x] = tuple(EZ(index[cores], sigma) for cores, sigma in split)
+    return tuple(cells), faces, {x: k for k, x in index.items()}
+
+
+def check_product(X, Y):
+    P, pr1, pr2 = product(X, Y)
+    cells, faces, back = filtered_product(X, Y)
+    assert P.cells == cells and P.faces == faces
+    assert {x: (pr1.images[x], pr2.images[x]) for x in P.dim_of} == back
+
+
+@pytest.mark.parametrize("k,l", [(k, l) for k in range(4) for l in range(4)])
+def test_product_of_simplices_matches_the_filtered_product(k, l):
+    check_product(standard_simplex(k), standard_simplex(l))
+
+
+def test_product_of_horns_and_boundaries_matches_the_filtered_product():
+    for X in (horn(3, 1), boundary(2), q_complex()):
+        for Y in (boundary(3), horn(2, 0), standard_simplex(1)):
+            check_product(X, Y)
+
+
+@given(poset_nerves(), poset_nerves())
+@settings(max_examples=30, deadline=None)
+def test_product_of_nerves_matches_the_filtered_product(X, Y):
+    if X.dim >= 0 and Y.dim >= 0:
+        check_product(X, Y)
+
+
+def test_smap_rejects_images_not_in_ez_normal_form():
+    d0, d1 = standard_simplex(0), standard_simplex(1)
+    with pytest.raises(SSetError, match="EZ normal form"):
+        SMap(d0, d1, {"0": EZ("01", (0,))})
+    vertices = {"0": EZ("0", (0,)), "1": EZ("0", (0,))}
+    for bad in (EZ("01", (0, 0)), EZ("0", (1, 1))):
+        with pytest.raises(SSetError, match="EZ normal form"):
+            SMap(d1, d1, {**vertices, "01": bad})
+    assert SMap(d1, d1, {**vertices, "01": EZ("0", (0, 0))}).images["01"] == EZ("0", (0, 0))
 
 
 # ---------------------------------------------------------------- joins

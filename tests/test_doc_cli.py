@@ -4,7 +4,7 @@ import pytest
 
 from ssw.catalog import catalog, j_truncated
 from ssw.cli import CliError, run_command
-from ssw.core import EZ, SMap, standard_simplex
+from ssw.core import EZ, SMap, SSetError, standard_simplex
 from ssw.decor import MarkedScaled
 from ssw.doc import (
     SCHEMA_VERSION,
@@ -206,6 +206,7 @@ def test_cli_hom_rejects_unknown_vertices():
     [
         ["slice", "d2_sharp", "2", "--cap", "-1"],
         ["check-limit-cone", "d2_sharp", "2", "--cap", "-1"],
+        ["check-limit-cone", "d2_flat", "0", "--cap", "-1"],  # a refuted ambient
         ["hom", "d2_sharp", "0", "2", "--cap", "-2"],
     ],
 )
@@ -227,6 +228,70 @@ def test_cli_certificate_missing_keys(tmp_path):
     path.write_text(json.dumps({"schema_version": 1, "start": d1, "claimed": d1, "steps": [step]}))
     code, out = run_command(["check-certificate", str(path)])
     assert (code, out) == (3, "error: certificate document has no 'attach' entry\n")
+
+
+def _certificate(**changes) -> dict:
+    """A valid one-step certificate on Delta^1 (a rescaling with nothing to add),
+    with the given entries of the document, or else of its step, replaced."""
+    d1 = complex_to_doc(MarkedScaled(standard_simplex(1)))
+    attach = {"0": ["0", [0]], "1": ["1", [0]], "01": ["01", [0, 1]]}
+    step = {"kind": "rescale", "from": d1, "to": d1, "attach": attach}
+    doc = {"schema_version": 1, "start": d1, "claimed": d1, "steps": [step]}
+    for key, value in changes.items():
+        if key in doc:
+            doc[key] = value
+        else:
+            step[key] = value
+    return doc
+
+
+def test_cli_certificate_fixture_is_valid(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_certificate()))
+    assert run_command(["check-certificate", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"start": 1}, "certificate entry 'start' must be a dict"),
+        ({"claimed": [2]}, "certificate entry 'claimed' must be a dict"),
+        ({"steps": [1]}, "a certificate document and its steps must be JSON objects"),
+        ({"steps": {"kind": "rescale"}}, "certificate entry 'steps' must be a list"),
+        ({"attach": ["0", "1"]}, "certificate entry 'attach' must be a dict"),
+        ({"from": "d1"}, "certificate entry 'from' must be a dict"),
+        ({"attach": {"0": 1, "1": ["1", [0]], "01": ["01", [0, 1]]}},
+         "attach image of '0' must be [core, word]"),
+        ({"attach": {"0": ["0", [[0]]], "1": ["1", [0]], "01": ["01", [0, 1]]}},
+         "attach image of '0' must be [core, word]"),
+    ],
+)
+def test_cli_certificate_wrong_types(tmp_path, changes, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_certificate(**changes)))
+    assert run_command(["check-certificate", str(path)]) == (3, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "attach",
+    [
+        {"0": ["01", [0]], "1": ["1", [0]], "01": ["01", [0, 1]]},  # vertex to an edge
+        {"0": ["0", [0]], "1": ["0", [0]], "01": ["01", [0, 0]]},  # edge word not onto its core
+    ],
+)
+def test_cli_certificate_attach_must_be_ez_normal(tmp_path, attach):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_certificate(attach=attach)))
+    code, out = run_command(["check-certificate", str(path)])
+    assert code == 3 and "is not in EZ normal form" in out
+
+
+def test_document_rejects_malformed_face_words():
+    doc = complex_to_doc(MarkedScaled(standard_simplex(2)))
+    for bad in (["0", [[0], 0]], ["0", 5], [0, [0]], ["01", [0, True]]):
+        doc["faces"]["012"][0] = bad
+        with pytest.raises(SSetError, match="face entry of '012' must be"):
+            doc_to_complex(doc)
 
 
 def test_cli_object_path_is_a_directory(tmp_path):

@@ -163,3 +163,40 @@ def test_joint_split_of_random_operators(count, m, data):
         for _ in range(count)
     )
     check_joint_split(ops)
+
+
+def onto(n, k):
+    """All monotone surjections [n] ->> [k], in lexicographic order, by brute force."""
+    return [f for f in monotone_maps(n, k) if set(f) == set(range(k + 1))]
+
+
+def test_face_split_follows_the_simplicial_identities():
+    from ssw.ops import face_split
+
+    assert face_split((0,)) == ()
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for sigma in onto(n, k):
+                split = face_split(sigma)
+                assert len(split) == n + 1
+                for i, (j, tau) in enumerate(split):
+                    rest = compose(sigma, face_op(n, i))
+                    if j is None:  # sigma∘delta_i is still onto [k]
+                        assert tau == rest and set(rest) == set(range(k + 1))
+                    else:  # it misses j and factors as delta_j∘tau
+                        assert j == sigma[i] and j not in rest
+                        assert tau in onto(n - 1, k - 1)
+                        assert compose(face_op(k, j), tau) == rest
+
+
+def test_shuffle_partners_are_the_jointly_injective_surjections():
+    from ssw.core import shuffle_partners
+
+    for n in range(5):
+        for k in range(n + 1):
+            for sigma in onto(n, k):
+                for l in range(n + 2):
+                    expected = [tau for tau in onto(n, l) if len(set(zip(sigma, tau))) == n + 1]
+                    assert list(shuffle_partners(sigma, l)) == expected
+    # the (3, 2)-shuffles: C(5, 3) top cells of Delta^3 x Delta^2
+    assert sum(len(shuffle_partners(s, 2)) for s in onto(5, 3)) == 10

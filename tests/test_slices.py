@@ -3,6 +3,7 @@ import pytest
 from ssw.core import (
     EZ,
     SMap,
+    SSetError,
     empty_sset,
     enumerate_maps,
     is_isomorphic,
@@ -191,6 +192,16 @@ def test_thick_slice_fiber_is_hom():
         hom = hom_category(C, x, y, cap=2)
         assert fib.base.counts() == hom.total.base.counts()
         assert len(fib.marked) == len(hom.total.marked)
+
+
+def test_slices_reject_an_unknown_side():
+    C = d2_sharp()
+    for side in ("left", "Under", ""):
+        with pytest.raises(SSetError, match="side must be 'over' or 'under'"):
+            slice_over_vertex(C, "0", 2, side)
+        for variance in ("inn", "out"):
+            with pytest.raises(SSetError, match="side must be 'over' or 'under'"):
+                thick_slice_over_vertex(C, "0", variance, 2, side)
 
 
 def test_thick_slice_over_empty():

@@ -617,3 +617,23 @@ def test_weighted_cone_interval_fold():
 
     oracle = pushout_mono(plain.tj.incl_right, fold)
     assert w.scaled.base.counts() == oracle.sset.counts()
+
+
+def test_criterion_3_builds_each_comparison_once(monkeypatch):
+    """Two thick joins per (p, q): one for the witnesses and their comparison
+    map, one for the homotopies."""
+    import ssw.tensor
+    from ssw.suite import run_suite
+
+    built = []
+    original = ssw.tensor.thick_join
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ssw.tensor, "thick_join", counting)
+    (result,) = run_suite({3})
+    assert result.ok
+    assert result.detail == "comparison, witnesses and homotopies verified on 9 pairs"
+    assert built == ["out"] * 18
