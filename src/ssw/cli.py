@@ -12,7 +12,7 @@ import os
 import sys
 
 from .core import EZ, SSetError
-from .decor import MarkedScaled, Scaled
+from .decor import MarkedScaled
 from .doc import complex_to_doc, doc_to_complex, ez_from_doc, parse, serialize
 from .fibration import (
     INCONCLUSIVE,
@@ -27,7 +27,7 @@ from .fibration import (
     is_var_cartesian_fibration,
     is_weak_fibration,
 )
-from .tensor import cone, gray_marked_n, gray_scaled, join_ms, thick_join
+from .tensor import cone, gray_marked_n, join_ms, thick_join
 
 EXIT_OK, EXIT_REFUTED, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
@@ -112,11 +112,7 @@ def cmd_gray(args) -> tuple[int, str]:
     xs = [resolve(s) for s in args.objects]
     if args.flat:
         xs = [MarkedScaled(x.base, frozenset(), x.thin) for x in xs]
-    if len(xs) == 2:
-        g = gray_scaled(Scaled(xs[0].base, xs[0].thin), Scaled(xs[1].base, xs[1].thin)) \
-            if args.flat else gray_marked_n(xs)
-    else:
-        g = gray_marked_n(xs)
+    g = gray_marked_n(xs)
     out = MarkedScaled(g.scaled.base, frozenset(), g.scaled.thin)
     summary = (
         f"triangles: {len(g.scaled.base.level(2))}\nthin: {len(g.scaled.thin)}\n"

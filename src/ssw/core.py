@@ -238,6 +238,9 @@ class SSet:
     def _validate(self) -> None:
         if self.dim > self.dim_cap:
             raise CapError(f"nondegenerate cells in dimension {self.dim} > cap {self.dim_cap}")
+        unknown = self.faces.keys() - self.dim_of.keys()
+        if unknown:
+            raise SSetError(f"faces given for unknown cell {min(unknown)!r}")
         for x, n in self.dim_of.items():
             if n == 0:
                 if x in self.faces and self.faces[x]:
@@ -412,30 +415,40 @@ def subcomplex(X: SSet, keep: Iterable[str]) -> tuple[SSet, SMap]:
     return sub, incl
 
 
-def boundary(n: int) -> SSet:
+@lru_cache(maxsize=None)
+def boundary_inclusion(n: int) -> SMap:
+    """The inclusion of the boundary of Delta^n; built once, shared."""
     full = standard_simplex(n)
-    return subcomplex(full, [x for x in full.dim_of if full.dim_of[x] < n])[0]
+    return subcomplex(full, [x for x in full.dim_of if full.dim_of[x] < n])[1]
 
 
-def horn(n: int, i: int) -> SSet:
+def boundary(n: int) -> SSet:
+    return boundary_inclusion(n).source
+
+
+@lru_cache(maxsize=None)
+def horn_inclusion(n: int, i: int) -> SMap:
+    """The inclusion of the horn Lambda^n_i into Delta^n; built once, shared."""
     if not (0 <= i <= n) or n < 1:
         raise SSetError("horn index out of range")
     full = standard_simplex(n)
     opposite_face = _name([v for v in range(n + 1) if v != i])
     keep = [x for x in full.dim_of if full.dim_of[x] < n and x != opposite_face]
-    return subcomplex(full, keep)[0]
+    return subcomplex(full, keep)[1]
 
 
-def horn_inclusion(n: int, i: int) -> SMap:
-    full = standard_simplex(n)
-    h = horn(n, i)
-    return SMap(h, full, {x: EZ(x, idop(h.dim_of[x])) for x in h.dim_of}, validate=False)
+def horn(n: int, i: int) -> SSet:
+    return horn_inclusion(n, i).source
 
 
-def boundary_inclusion(n: int) -> SMap:
-    full = standard_simplex(n)
-    b = boundary(n)
-    return SMap(b, full, {x: EZ(x, idop(b.dim_of[x])) for x in b.dim_of}, validate=False)
+def simplex_map(X: SSet, sigma: EZ) -> SMap:
+    """The map Delta^n -> X with top image sigma, an n-simplex of X: the face
+    of Delta^n on the vertices v_0 < ... < v_k goes to X.act(sigma, (v_0, ..., v_k))."""
+    if sigma.core not in X.dim_of:
+        raise SSetError(f"no cell {sigma.core!r} for a map out of a simplex")
+    n = sigma.deg
+    images = {_name(verts): X.act(sigma, verts) for k in range(n + 1) for verts in injections(k, n)}
+    return SMap(standard_simplex(n), X, images)
 
 
 # -- products and pullbacks ---------------------------------------------------
@@ -713,23 +726,9 @@ def pushout_mono(i: SMap, g: SMap) -> PushoutResult:
 
 
 def coproduct(X: SSet, Y: SSet) -> JoinResult:
-    used = set(X.dim_of)
-    rename = {}
-    for y in Y.dim_of:
-        name = y
-        while name in used:
-            name += "'"
-        used.add(name)
-        rename[y] = name
-    n_levels = max(len(X.cells), len(Y.cells))
-    cells = [list(X.level(n)) + [rename[y] for y in Y.level(n)] for n in range(n_levels)]
-    faces = dict(X.faces)
-    for y, n in Y.dim_of.items():
-        if n >= 1:
-            faces[rename[y]] = tuple(EZ(rename[f.core], f.op) for f in Y.faces[y])
-    P = SSet(cells, faces, dim_cap=max(X.dim_cap, Y.dim_cap))
-    i1 = SMap(X, P, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()}, validate=False)
-    i2 = SMap(Y, P, {y: EZ(rename[y], idop(n)) for y, n in Y.dim_of.items()}, validate=False)
+    """X + Y, the pushout along the empty complex; cells of Y are renamed apart."""
+    E = empty_sset()
+    P, i1, i2 = pushout_mono(SMap(E, Y, {}, validate=False), SMap(E, X, {}, validate=False))
     return JoinResult(P, i1, i2, {})
 
 

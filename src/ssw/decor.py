@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EZ, SMap, SSet, SSetError, isomorphisms, pushout_mono, subcomplex
-from .ops import idop
+from .core import EZ, SMap, SSet, SSetError, isomorphisms, opposite, pushout_mono, subcomplex
+from .ops import idop, injections
 
 
 def _check_decoration(base: SSet, cells, dim: int, what: str) -> frozenset:
@@ -44,8 +44,6 @@ class MarkedScaled:
         return Marked(self.base, self.marked)
 
     def op(self) -> "MarkedScaled":
-        from .core import opposite
-
         return MarkedScaled(opposite(self.base), self.marked, self.thin)
 
 
@@ -72,8 +70,6 @@ class Scaled:
         return MarkedScaled(self.base, frozenset(self.base.level(1)), self.thin)
 
     def op(self) -> "Scaled":
-        from .core import opposite
-
         return Scaled(opposite(self.base), self.thin)
 
 
@@ -91,8 +87,6 @@ class Marked:
         return not pair.is_nondeg() or pair.core in self.marked
 
     def op(self) -> "Marked":
-        from .core import opposite
-
         return Marked(opposite(self.base), self.marked)
 
 
@@ -128,7 +122,7 @@ def core_thi(X: Scaled) -> tuple[SSet, SMap]:
             continue
         top = EZ(x, idop(n))
         ok = True
-        for alpha in _triangle_injections(n):
+        for alpha in injections(2, n):
             if not X.is_thin(X.base.act(top, alpha)):
                 ok = False
                 break
@@ -138,12 +132,6 @@ def core_thi(X: Scaled) -> tuple[SSet, SMap]:
     # faces of kept cells are kept: 2-faces of faces are 2-faces of the cell
     assert closed == keep
     return subcomplex(X.base, keep)
-
-
-def _triangle_injections(n: int):
-    from .ops import injections
-
-    return injections(2, n)
 
 
 # -- decorated maps -----------------------------------------------------------
@@ -172,7 +160,7 @@ def push_scaling(f: SMap, thin) -> frozenset:
     return frozenset(out)
 
 
-def pushout_ms(i: SMap, g: SMap, B: MarkedScaled, X: MarkedScaled, A: MarkedScaled | None = None):
+def pushout_ms(i: SMap, g: SMap, B: MarkedScaled, X: MarkedScaled):
     """Decorated pushout: decoration of the result is the union of the images."""
     res = pushout_mono(i, g)
     marked = push_marking(res.leg_target, X.marked) | push_marking(res.leg_big, B.marked)

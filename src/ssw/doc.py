@@ -53,29 +53,36 @@ def ez_from_doc(entry, what: str) -> EZ:
     return EZ(entry[0], tuple(entry[1]))
 
 
+def _typed(value, kind: type, item: type | None, message: str):
+    """value if it is of the given kind (a bool is not an int) and its items
+    (values, for a dict) are of the item kind; otherwise an SSetError."""
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or isinstance(value, bool) or (
+        item is not None and not all(isinstance(v, item) for v in items)
+    ):
+        raise SSetError(message)
+    return value
+
+
 def doc_to_complex(doc: dict) -> MarkedScaled:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SSetError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    raw_cells = doc.get("cells", {})
+    raw_cells = _typed(doc.get("cells", {}), dict, list, "cells must map levels to lists of cell ids")
     try:
-        levels = sorted(int(k) for k in raw_cells)
+        levels = {int(k): v for k, v in raw_cells.items()}
     except ValueError as exc:
         raise SSetError("cell levels must be integers") from exc
-    if levels and levels != list(range(len(levels))):
+    if sorted(levels) != list(range(len(raw_cells))):
         raise SSetError("cell levels must be contiguous from 0")
-    cells = [sorted(raw_cells[str(n)]) for n in levels]
+    ids = "must be a list of cell ids"
+    cells = [sorted(_typed(levels[n], list, str, f"cells of level {n} {ids}")) for n in range(len(levels))]
     faces = {}
-    for x, fs in doc.get("faces", {}).items():
+    raw_faces = _typed(doc.get("faces", {}), dict, list, "faces must map cells to lists of faces")
+    for x, fs in raw_faces.items():
         faces[x] = tuple(ez_from_doc(entry, f"face entry of {x!r}") for entry in fs)
-    base = SSet(cells, faces, dim_cap=doc.get("dim_cap", 6))
-    marked = doc.get("marked", [])
-    thin = doc.get("thin", [])
-    for e in marked:
-        if base.dim_of.get(e) != 1:
-            raise SSetError(f"marked id {e!r} is not a nondegenerate edge")
-    for t in thin:
-        if base.dim_of.get(t) != 2:
-            raise SSetError(f"thin id {t!r} is not a nondegenerate triangle")
+    base = SSet(cells, faces, dim_cap=_typed(doc.get("dim_cap", 6), int, None, "dim_cap must be an integer"))
+    marked = _typed(doc.get("marked", []), list, str, f"marked {ids}")
+    thin = _typed(doc.get("thin", []), list, str, f"thin {ids}")
     return MarkedScaled(base, frozenset(marked), frozenset(thin))
 
 

@@ -16,23 +16,31 @@ from .core import (
     SSet,
     SSetError,
     constant_map,
+    boundary_inclusion,
     enumerate_maps,
+    horn,
+    horn_inclusion,
     identity_map,
     joint_core,
+    opposite,
+    opposite_map,
     pair_cell,
     pullback,
     pushout_mono,
+    simplex_map,
     standard_simplex,
     subcomplex,
 )
 from .decor import (
+    SHARP,
     MarkedScaled,
     Scaled,
+    decorate,
     is_scaled_map,
     pushout_ms,
     restrict_ms,
 )
-from .ops import compose, idop
+from .ops import compose, idop, op_reverse
 from .tensor import (
     cone,
     gray_scaled,
@@ -96,15 +104,13 @@ class LiftingProblem:
             raise SSetError("lifting square does not commute")
 
 
-def find_lift(P: LiftingProblem, validate: bool = False) -> SMap | None:
+def find_lift(P: LiftingProblem) -> SMap | None:
     """Exhaustive search for a decorated filler; deterministic first solution.
 
     This is the backtracking filler search.  ``has_rlp`` uses it only for the
     generators that are not a horn or boundary of one simplex (the rescaling
     generators, such as the Q-marking); the others it decides by index lookups.
     """
-    if validate:
-        P.validate()
     pins = dict(P.filler_pins)
     for a in P.A.base.dim_of:
         img = P.left.images[a]
@@ -151,10 +157,11 @@ class GeneratorFamily:
         return iter(self.generators)
 
 
-def inclusion_generator(name, B: MarkedScaled, keep, top_pins=None, filler_pins=None) -> Generator:
-    sub, incl = subcomplex(B.base, keep)
-    A = restrict_ms(B, incl)
-    return Generator(name, incl, A, B, dict(top_pins or {}), dict(filler_pins or {}))
+def inclusion_generator(name, B: MarkedScaled, incl: SMap, top_pins=None, filler_pins=None) -> Generator:
+    """The inclusion of a subcomplex of B, with the decorations of B restricted to it."""
+    if incl.target is not B.base and incl.target != B.base:
+        raise SSetError("a generator's inclusion must land in its B")
+    return Generator(name, incl, restrict_ms(B, incl), B, dict(top_pins or {}), dict(filler_pins or {}))
 
 
 def rescale_generator(name, A: MarkedScaled, B: MarkedScaled) -> Generator:
@@ -167,16 +174,10 @@ def _simplex_thin(n: int, tris) -> MarkedScaled:
     return MarkedScaled(standard_simplex(n), frozenset(), frozenset(tris))
 
 
-def _horn_keep(n: int, i: int) -> list:
-    full = standard_simplex(n)
-    opp = "".join(str(v) for v in range(n + 1) if v != i)
-    return [x for x in full.dim_of if full.dim_of[x] < n and x != opp]
-
-
-def scaled_inner_horn(n: int, i: int, extra_thin=()) -> Generator:
+def scaled_inner_horn(n: int, i: int) -> Generator:
     tri = "".join(str(v) for v in (i - 1, i, i + 1))
-    B = _simplex_thin(n, {tri} | set(extra_thin))
-    return inclusion_generator(f"scaled-inner-horn({n},{i})", B, _horn_keep(n, i))
+    B = _simplex_thin(n, {tri})
+    return inclusion_generator(f"scaled-inner-horn({n},{i})", B, horn_inclusion(n, i))
 
 
 def cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
@@ -185,7 +186,7 @@ def cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
     B = _simplex_thin(n, {tri})
     edge = f"{n - 1}{n}"
     pins = {edge: anchor} if anchor is not None else {}
-    return inclusion_generator(f"cartesian-horn({n})", B, _horn_keep(n, n), top_pins=pins)
+    return inclusion_generator(f"cartesian-horn({n})", B, horn_inclusion(n, n), top_pins=pins)
 
 
 def weak_cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
@@ -193,7 +194,7 @@ def weak_cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
     B = _simplex_thin(n, tris)
     edge = f"{n - 1}{n}"
     pins = {edge: anchor} if anchor is not None else {}
-    return inclusion_generator(f"weak-cartesian-horn({n})", B, _horn_keep(n, n), top_pins=pins)
+    return inclusion_generator(f"weak-cartesian-horn({n})", B, horn_inclusion(n, n), top_pins=pins)
 
 
 def strong_cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
@@ -205,7 +206,7 @@ def strong_cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
     pins = {edge: anchor} if (anchor is not None and in_horn) else {}
     fpins = {edge: anchor} if (anchor is not None and not in_horn) else {}
     return inclusion_generator(
-        f"strong-cartesian-horn({n})", B, _horn_keep(n, 0), top_pins=pins, filler_pins=fpins
+        f"strong-cartesian-horn({n})", B, horn_inclusion(n, 0), top_pins=pins, filler_pins=fpins
     )
 
 
@@ -228,9 +229,9 @@ def collapsed_horn_generator(n: int, which: str, thin_tri: str | None, name: str
         if img.is_nondeg():
             thin = frozenset({img.core})
     B = MarkedScaled(Bq, frozenset(), thin)
-    horn_cells = set(_horn_keep(n, horn_vertex))
-    keep = {res.leg_big.images[c].core for c in horn_cells} | {res.leg_target.images["0"].core}
-    return inclusion_generator(name, B, keep)
+    keep = {res.leg_big.images[c].core for c in horn(n, horn_vertex).dim_of}
+    keep.add(res.leg_target.images["0"].core)
+    return inclusion_generator(name, B, subcomplex(Bq, keep)[1])
 
 
 def weak_fibration_family(bound: int) -> GeneratorFamily:
@@ -249,7 +250,7 @@ def inner_horn_family(bound: int) -> GeneratorFamily:
     for n in range(2, bound + 1):
         for i in range(1, n):
             B = _simplex_thin(n, ())
-            gens.append(inclusion_generator(f"inner-horn({n},{i})", B, _horn_keep(n, i)))
+            gens.append(inclusion_generator(f"inner-horn({n},{i})", B, horn_inclusion(n, i)))
     return GeneratorFamily(f"inner-horns(bound {bound})", gens)
 
 
@@ -267,10 +268,8 @@ def boundary_family(bound: int, marked_generator: bool = False, scaled_generator
     rescaling, and optionally the marked-edge rescaling."""
     gens = []
     for n in range(bound + 1):
-        full = standard_simplex(n)
-        B = MarkedScaled(full)
-        keep = [x for x in full.dim_of if full.dim_of[x] < n]
-        gens.append(inclusion_generator(f"boundary({n})", B, keep))
+        B = MarkedScaled(standard_simplex(n))
+        gens.append(inclusion_generator(f"boundary({n})", B, boundary_inclusion(n)))
     if scaled_generator:
         d2 = standard_simplex(2)
         gens.append(
@@ -293,7 +292,7 @@ def boundary_family(bound: int, marked_generator: bool = False, scaled_generator
 
 def as_base(S: Scaled) -> MarkedScaled:
     """The base of a fibration, with marking made vacuous."""
-    return MarkedScaled(S.base, frozenset(S.base.level(1)), S.thin)
+    return S.sharp_marked()
 
 
 def _tops(gen: Generator, X: MarkedScaled) -> list[SMap]:
@@ -482,7 +481,8 @@ def is_weak_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict:
     return has_rlp(p, X.sharp_marked(), as_base(Y), weak_fibration_family(bound), bound)
 
 
-def is_inner_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict:
+def _horn_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int, horns) -> Verdict:
+    """Thin detection, the weak-fibration generators, then the given horn family."""
     detect = detects_thin(p, X, Y)
     if detect.status == REFUTED:
         return detect
@@ -490,22 +490,17 @@ def is_inner_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict
         [
             detect,
             is_weak_fibration(p, X, Y, bound),
-            has_rlp(p, X.sharp_marked(), as_base(Y), inner_horn_family(bound), bound),
+            has_rlp(p, X.sharp_marked(), as_base(Y), horns(bound), bound),
         ]
     )
+
+
+def is_inner_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict:
+    return _horn_fibration(p, X, Y, bound, inner_horn_family)
 
 
 def is_outer_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict:
-    detect = detects_thin(p, X, Y)
-    if detect.status == REFUTED:
-        return detect
-    return combine(
-        [
-            detect,
-            is_weak_fibration(p, X, Y, bound),
-            has_rlp(p, X.sharp_marked(), as_base(Y), outer_horn_family(bound), bound),
-        ]
-    )
+    return _horn_fibration(p, X, Y, bound, outer_horn_family)
 
 
 # -- edge classification ----------------------------------------------------------------------
@@ -532,12 +527,8 @@ def classify_edge(p: SMap, X: Scaled, Y: Scaled, e: EZ, flavor: str, bound: int 
     """
     if flavor.endswith("_co") or flavor == "cocartesian":
         base_flavor = {"cocartesian": "cartesian", "weak_co": "weak", "strong_co": "strong"}[flavor]
-        from .core import opposite_map
-        from .ops import op_reverse
-
-        pop = opposite_map(p)
         eop = EZ(e.core, op_reverse(e.op))
-        return classify_edge(pop, X.op(), Y.op(), eop, base_flavor, bound)
+        return classify_edge(opposite_map(p), X.op(), Y.op(), eop, base_flavor, bound)
     fam = _edge_family(flavor, e, bound)
     return has_rlp(p, X.sharp_marked(), as_base(Y), fam, bound)
 
@@ -554,12 +545,7 @@ def is_var_cartesian_fibration(
 ):
     """The full fibration predicate plus the table of (co)cartesian edges."""
     if co:
-        from .core import opposite_map
-
-        verdict, table = is_var_cartesian_fibration(
-            opposite_map(p), X.op(), Y.op(), variance, False, bound
-        )
-        return verdict, table
+        return is_var_cartesian_fibration(opposite_map(p), X.op(), Y.op(), variance, False, bound)
     fib = is_inner_fibration(p, X, Y, bound) if variance == "inn" else is_outer_fibration(p, X, Y, bound)
     if fib.status == REFUTED:
         return fib, {}
@@ -602,17 +588,11 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     """Lemma-style criterion: e is weakly p-cartesian iff the comparison map
     from the slice over the marked arrow to the pullback of vertex slices is a
     trivial fibration (tested against boundary and rescaling generators)."""
-    from .slices import postcompose_map, precompose_map, slice_construction, slice_over_vertex
+    from .slices import reindex_map, slice_construction, slice_over_vertex
     from .tensor import interval_sharp
 
     def arrow_slice(S: Scaled, arrow: EZ):
-        K = interval_sharp()
-        f = SMap(
-            K.base,
-            S.base,
-            {"0": S.base.act(arrow, (0,)), "1": S.base.act(arrow, (1,)), "01": arrow},
-        )
-        return slice_construction(S, K, f, "over", cap)
+        return slice_construction(S, interval_sharp(), simplex_map(S.base, arrow), "over", cap)
 
     y = X.base.act(e, (1,)).core
     fy = p.images[y].core
@@ -622,13 +602,16 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     sl_fy = slice_over_vertex(Y, fy, cap)
 
     def vertex_one_map(vertex_shape, arrow_shape):
-        g = SMap(vertex_shape.K.base, arrow_shape.K.base, {"0": EZ("1", (0,))})
-        return lambda n: vertex_shape.k_induced(arrow_shape, g, n)
+        g = simplex_map(arrow_shape.K.base, EZ("1", (0,)))
+        return lambda n, m: vertex_shape.k_induced(arrow_shape, g, n).then(m)
 
-    to_y = precompose_map(sl_e, sl_y, vertex_one_map(sl_y.shape, sl_e.shape))
-    fe_to_fy = precompose_map(sl_fe, sl_fy, vertex_one_map(sl_fy.shape, sl_fe.shape))
-    e_to_fe = postcompose_map(sl_e, sl_fe, p)
-    y_to_fy = postcompose_map(sl_y, sl_fy, p)
+    def then_p(n, m):
+        return m.then(p)
+
+    to_y = reindex_map(sl_e, sl_y, vertex_one_map(sl_y.shape, sl_e.shape))
+    fe_to_fy = reindex_map(sl_fe, sl_fy, vertex_one_map(sl_fy.shape, sl_fe.shape))
+    e_to_fe = reindex_map(sl_e, sl_fe, then_p)
+    y_to_fy = reindex_map(sl_y, sl_fy, then_p)
     if to_y.then(y_to_fy) != e_to_fe.then(fe_to_fy):
         raise SSetError("slice comparison square does not commute")
     pb, pr1, pr2 = pullback(y_to_fy, fe_to_fy, dim_cap=max(cap, sl_y.total.base.dim + sl_fe.total.base.dim))
@@ -665,25 +648,16 @@ def _classical_cocartesian(q: SMap, e: EZ, bound: int) -> Verdict:
     for m in range(2, bound + 1):
         B = MarkedScaled(standard_simplex(m))
         gens.append(
-            inclusion_generator(f"initial-horn({m})", B, _horn_keep(m, 0), top_pins={"01": e})
+            inclusion_generator(f"initial-horn({m})", B, horn_inclusion(m, 0), top_pins={"01": e})
         )
     fam = GeneratorFamily(f"classical-cocartesian(bound {bound})", gens)
-    Xm = MarkedScaled(q.source, frozenset(q.source.level(1)), frozenset(q.source.level(2)))
-    Ym = MarkedScaled(q.target, frozenset(q.target.level(1)), frozenset(q.target.level(2)))
-    return has_rlp(q, Xm, Ym, fam, bound)
+    return has_rlp(q, decorate(q.source, SHARP, SHARP), decorate(q.target, SHARP, SHARP), fam, bound)
 
 
 def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict:
     """The three clauses of the fibered condition over a scaled base."""
-    flatX = Scaled(f.source, frozenset(f.source.level(2)))
-    flatS = Scaled(f.target, frozenset(f.target.level(2)))
-    inner = has_rlp(
-        f,
-        MarkedScaled(f.source, frozenset(f.source.level(1)), frozenset(f.source.level(2))),
-        MarkedScaled(f.target, frozenset(f.target.level(1)), frozenset(f.target.level(2))),
-        inner_horn_family(bound),
-        bound,
-    )
+    sharp_source, sharp_target = decorate(f.source, SHARP, SHARP), decorate(f.target, SHARP, SHARP)
+    inner = has_rlp(f, sharp_source, sharp_target, inner_horn_family(bound), bound)
     if inner.status == REFUTED:
         return Verdict(REFUTED, f"clause (i): {inner.evidence}")
     verdicts = [inner]
@@ -691,9 +665,7 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
     # clause (ii): each edge pullback is a cocartesian fibration with the
     # marked edges exactly the cocartesian ones
     for ebar in base.simplices(1):
-        d1 = standard_simplex(1)
-        emap = SMap(d1, base, {"0": base.act(ebar, (0,)), "1": base.act(ebar, (1,)), "01": ebar})
-        P, prX, prD = pullback(f, emap, dim_cap=f.source.dim + 1)
+        P, prX, prD = pullback(f, simplex_map(base, ebar), dim_cap=f.source.dim + 1)
         q = prD
         for x in P.level(0):
             over = q.images[x].core
@@ -735,22 +707,7 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
     # clause (iii): marked edges over the initial edge of a thin triangle are
     # cocartesian in the pullback to the triangle
     for t in S.thin:
-        d2 = standard_simplex(2)
-        tri = EZ(t, idop(2))
-        tmap = SMap(
-            d2,
-            base,
-            {
-                "0": base.act(tri, (0,)),
-                "1": base.act(tri, (1,)),
-                "2": base.act(tri, (2,)),
-                "01": base.act(tri, (0, 1)),
-                "02": base.act(tri, (0, 2)),
-                "12": base.act(tri, (1, 2)),
-                "012": tri,
-            },
-        )
-        P, prX, prD = pullback(f, tmap, dim_cap=f.source.dim + 2)
+        P, prX, prD = pullback(f, simplex_map(base, EZ(t, idop(2))), dim_cap=f.source.dim + 2)
         q = prD
         for cand in P.level(1):
             top = EZ(cand, idop(1))
@@ -772,18 +729,10 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
 
 def locally_cocartesian_edges(f: SMap, S: Scaled, bound: int = 4) -> frozenset:
     """Edges of the source that are cocartesian in the pullback over their image."""
-    base = S.base
     out = set()
     for e in f.source.level(1):
         top = EZ(e, idop(1))
-        ebar = f(top)
-        d1 = standard_simplex(1)
-        if ebar.is_nondeg():
-            emap = SMap(d1, base, {"0": base.act(ebar, (0,)), "1": base.act(ebar, (1,)), "01": ebar})
-        else:
-            v = ebar.core
-            emap = SMap(d1, base, {"0": EZ(v, (0,)), "1": EZ(v, (0,)), "01": EZ(v, (0, 0))})
-        P, prX, prD = pullback(f, emap, dim_cap=f.source.dim + 1)
+        P, prX, prD = pullback(f, simplex_map(S.base, f(top)), dim_cap=f.source.dim + 1)
         lift = None
         for cand in P.level(1):
             ctop = EZ(cand, idop(1))
@@ -828,10 +777,10 @@ def outer_anodyne_family(bound: int) -> GeneratorFamily:
     # (2) marked right horns; at n = 1 this is {1} in (Delta^1)^sharp
     d1 = standard_simplex(1)
     B1 = MarkedScaled(d1, frozenset({"01"}), frozenset())
-    gens.append(inclusion_generator("marked-horn(1)", B1, ["1"]))
+    gens.append(inclusion_generator("marked-horn(1)", B1, subcomplex(d1, ["1"])[1]))
     for n in range(2, bound + 1):
         Bn = MarkedScaled(standard_simplex(n), frozenset({f"{n - 1}{n}"}), frozenset())
-        gens.append(inclusion_generator(f"marked-horn({n})", Bn, _horn_keep(n, n)))
+        gens.append(inclusion_generator(f"marked-horn({n})", Bn, horn_inclusion(n, n)))
     # (3) collapsed initial horns, no scaling
     for n in range(2, bound + 1):
         gens.append(collapsed_horn_generator(n, "initial", None, f"anodyne-outer({n})"))
@@ -968,14 +917,9 @@ def lax_lift_filtration(n: int) -> list:
         tau = pair_cell(P, simplex_from_word(a_word), simplex_from_word(b_word))
         if not tau.is_nondeg() or tau.deg != n + 1:
             raise SSetError("filtration simplex is degenerate")
-        dnp1_full = standard_simplex(n + 1)
-        tau_map = SMap(
-            dnp1_full,
-            P,
-            {c: P.act(tau, tuple(int(v) for v in c)) for c in dnp1_full.dim_of},
-        )
+        tau_map = simplex_map(P, tau)
+        dnp1 = tau_map.source
         tplus = set()
-        dnp1 = dnp1_full
         for t in dnp1.level(2):
             verts = tuple(int(v) for v in t)
             if verts[0] == i and verts[1] == i + 1 and verts[2] > i + 1:
@@ -1029,8 +973,6 @@ def lax_lift_filtration(n: int) -> list:
 def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Verdict:
     """In Delta^1 x Delta^2: the prescribed 3-simplex adds the one missing thin
     triangle of the sharp-scaled Gray product to T."""
-    from .core import opposite
-
     d1 = Scaled(standard_simplex(1))
     d2f = Scaled(standard_simplex(2))
     g = gray_scaled(d1, d2f, dim_cap=3)
@@ -1064,8 +1006,6 @@ def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Ve
     if use_opposite:
         # transport the whole statement through the opposite and recheck
         Pop = opposite(P)
-        from .ops import op_reverse
-
         rho_op = EZ(rho.core, op_reverse(rho.op))
         faces_op = Pop.faces_of(rho_op)
         scaledTop = Scaled(Pop, frozenset(T))
@@ -1130,7 +1070,7 @@ def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str, bool]:
             True,
         )
     Xm = MarkedScaled(A.total.base, A.total.marked, A.total.thin)
-    Ym = MarkedScaled(B.total.base, frozenset(B.total.base.level(1)), frozenset(B.total.base.level(2)))
+    Ym = decorate(B.total.base, SHARP, SHARP)
     fam = boundary_family(cap, marked_generator=True, scaled_generator=False)
     v = has_rlp(rmap, Xm, Ym, fam, cap)
     if v.status == VERIFIED:
@@ -1147,11 +1087,10 @@ def check_limit_cone(
     variance: str,
     cap: int = 3,
     bound: int = 3,
-    edge_table_mode: str = "marked",
 ) -> Verdict:
     """The local criterion: for every vertex x, restriction from cone sections
     to diagram sections of the slice under x must be an equivalence."""
-    from .slices import check_cap, fun_coc_subcat, precompose_map, thick_slice_over_vertex
+    from .slices import check_cap, fun_coc_subcat, reindex_map, thick_slice_over_vertex
 
     check_cap(cap)
     bic = is_infty_bicategory(C, bound)
@@ -1168,13 +1107,10 @@ def check_limit_cone(
     for x in sorted(C.base.level(0)):
         slice_x = thick_slice_over_vertex(C, x, variance, cap, side="under")
         q = slice_x.projection
-        if edge_table_mode == "classified":
-            _, good = is_var_cartesian_fibration(q, slice_x.scaled, C, variance, co=True, bound=bound)
-        else:
-            good = frozenset(slice_x.total.marked)
+        good = frozenset(slice_x.total.marked)
         A = fun_coc_subcat(cn.ms, q, slice_x.scaled, g, good, cap)
         B = fun_coc_subcat(K, q, slice_x.scaled, f, good, cap)
-        rmap = precompose_map(A, B, lambda n: B.shape.k_induced(A.shape, cn.tj.incl_right, n))
+        rmap = reindex_map(A, B, lambda n, m: B.shape.k_induced(A.shape, cn.tj.incl_right, n).then(m))
         status, evidence, _ = _restriction_verdict(A, B, rmap, cap)
         sat = slice_x.saturated and A.saturated and B.saturated
         unsaturated = unsaturated or not sat
@@ -1199,14 +1135,14 @@ def refute_coinitial(
     Each fibration is (p, X_scaled, good_edges) over the underlying scaled set
     of L.  The check can refute, never verify (the definition quantifies over
     all fibrations)."""
-    from .slices import fun_coc_subcat, precompose_map
+    from .slices import fun_coc_subcat, reindex_map
 
     evidence = []
     for idx, (p, X_scaled, good) in enumerate(fibrations):
         A = fun_coc_subcat(L, p, X_scaled, identity_map(L.base), good, cap)
         hbar = h
         B = fun_coc_subcat(K, p, X_scaled, hbar, good, cap)
-        rmap = precompose_map(A, B, lambda n: B.shape.k_induced(A.shape, h, n))
+        rmap = reindex_map(A, B, lambda n, m: B.shape.k_induced(A.shape, h, n).then(m))
         compsB = _component_classes(B.total.base)
         compsA = _component_classes(A.total.base)
         hit = {compsB[rmap.images[v].core] for v in A.total.base.level(0)}

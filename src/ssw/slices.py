@@ -17,12 +17,14 @@ from .core import (
     SMap,
     SSet,
     SSetError,
+    enumerate_maps,
     fiber as fiber_core,
     identity_map,
     join_map,
     multi_product,
     product_map,
     simplex_cell,
+    simplex_map,
     standard_simplex,
 )
 from .decor import (
@@ -31,6 +33,7 @@ from .decor import (
     MarkedScaled,
     Scaled,
     decorate,
+    is_scaled_map,
     restrict_ms,
 )
 from .ops import compose, const_op, degeneracy_op, face_op, idop
@@ -78,12 +81,7 @@ class Level(NamedTuple):
 @lru_cache(maxsize=None)
 def delta_map(alpha: tuple[int, ...], n: int) -> SMap:
     """The map Delta^m -> Delta^n of a monotone alpha: [m] -> [n]; built once, shared."""
-    dm = standard_simplex(len(alpha) - 1)
-    images = {
-        c: simplex_from_word([alpha[int(v)] for v in dm.vertices_of(EZ(c, idop(k)))])
-        for c, k in dm.dim_of.items()
-    }
-    return SMap(dm, standard_simplex(n), images)
+    return simplex_map(standard_simplex(n), simplex_from_word(alpha))
 
 
 class Shape:
@@ -154,46 +152,46 @@ def _is_first(side: str, first: str, second: str) -> bool:
 
 
 class JoinShape(Shape):
-    """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'."""
+    """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'.
+
+    ``join`` builds the construction and its scaled object; the pins and the
+    projection read the ``ends`` of the construction."""
 
     def __init__(self, K: MarkedScaled, f: SMap, side: str):
         super().__init__(K, _is_first(side, "over", "under"))
         self.f = f
 
+    def join(self, first: MarkedScaled, second: MarkedScaled, cap: int):
+        jm = join_ms(first, second, dim_cap=cap)
+        return jm.scaled, jm
+
     def variant(self, X: MarkedScaled) -> Level:
-        jm = join_ms(*self.ordered(X, self.K), dim_cap=X.base.dim + self.K.base.dim + 1)
-        _, k_incl = self.ordered(jm.incl1, jm.incl2)
+        scaled, data = self.join(*self.ordered(X, self.K), X.base.dim + self.K.base.dim + 1)
+        _, k_incl = self.ordered(*data.ends)
         pins = {k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of}
-        return Level(jm.scaled, pins, jm)
+        return Level(scaled, pins, data)
 
     def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
         return join_map(src, tgt, *self.ordered(d, k))
 
     def project_cell(self, n: int) -> str | None:
-        jm = self.object(n).data
-        return self.ordered(jm.incl1, jm.incl2)[0].images[simplex_cell(range(n + 1))].core
+        d_incl, _ = self.ordered(*self.object(n).data.ends)
+        return d_incl.images[simplex_cell(range(n + 1))].core
 
 
-class ThickShape(Shape):
+class ThickShape(JoinShape):
     """F(n) = (flat Delta^n) diamond_var K ('over') or K diamond_var (flat Delta^n)."""
 
     def __init__(self, K: MarkedScaled, f: SMap, variance: str, side: str):
-        super().__init__(K, _is_first(side, "over", "under"))
-        self.f, self.variance = f, variance
+        super().__init__(K, f, side)
+        self.variance = variance
 
-    def variant(self, X: MarkedScaled) -> Level:
-        cap = X.base.dim + self.K.base.dim + 1
-        tj = thick_join(self.variance, *self.ordered(X, self.K), dim_cap=cap)
-        _, k_incl = self.ordered(tj.incl_left, tj.incl_right)
-        pins = {k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of}
-        return Level(tj.total, pins, tj)
+    def join(self, first: MarkedScaled, second: MarkedScaled, cap: int):
+        tj = thick_join(self.variance, first, second, dim_cap=cap)
+        return tj.total, tj
 
     def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
         return thick_join_map(src, tgt, *self.ordered(d, k))
-
-    def project_cell(self, n: int) -> str | None:
-        tj = self.object(n).data
-        return self.ordered(tj.incl_left, tj.incl_right)[0].images[simplex_cell(range(n + 1))].core
 
 
 class GrayShape(Shape):
@@ -251,13 +249,10 @@ def build_representable(
     cap: int,
     provenance: str,
     image_ok_extra: Callable | None = None,
-    keep: Callable | None = None,
     with_marking: bool = True,
     with_scaling: bool = True,
 ) -> SliceResult:
     """Enumerate levels 0..cap of the representable construction for a shape."""
-    from .core import enumerate_maps
-
     check_cap(cap)
     levels: list[dict] = []
     all_maps: list[dict] = []
@@ -275,8 +270,6 @@ def build_representable(
             return True
 
         maps = enumerate_maps(F.base, S.base, partial=pins, image_ok=image_ok)
-        if keep is not None:
-            maps = [m for m in maps if keep(n, m)]
         table: dict = {}
         ez_of: dict = {}
         for m in maps:
@@ -358,42 +351,34 @@ def build_representable(
 # -- public operations -----------------------------------------------------------------
 
 
-def slice_construction(S: Scaled, K: MarkedScaled, f: SMap, side: str, cap: int) -> SliceResult:
-    """The slice S_{/f} (side 'over') or S_{f/} (side 'under')."""
-    from .decor import is_scaled_map
-
+def check_diagram(S: Scaled, K: MarkedScaled, f: SMap) -> None:
+    """A slice diagram f must be a scaled map K -> S."""
     if f.source != K.base or f.target != S.base:
         raise SSetError("slice diagram mismatch")
     if not is_scaled_map(f, K.scaled(), S):
         raise SSetError("slice diagram is not a scaled map")
+
+
+def slice_construction(S: Scaled, K: MarkedScaled, f: SMap, side: str, cap: int) -> SliceResult:
+    """The slice S_{/f} (side 'over') or S_{f/} (side 'under')."""
+    check_diagram(S, K, f)
     shape = JoinShape(K, f, side)
     tag = "/f" if side == "over" else "f/"
     return build_representable(shape, S, cap, f"slice {tag} (ordinary join), cap {cap}")
 
 
 def slice_over_vertex(S: Scaled, vertex: str, cap: int, side: str = "over") -> SliceResult:
-    pt = flat_ms(0)
-    f = SMap(pt.base, S.base, {"0": EZ(vertex, (0,))})
-    return slice_construction(S, pt, f, side, cap)
+    return slice_construction(S, flat_ms(0), simplex_map(S.base, EZ(vertex, (0,))), side, cap)
 
 
 def slice_over_marked_arrow(S: Scaled, edge: str, cap: int) -> SliceResult:
     """The slice over a sharp-marked arrow, X_{/e-sharp}."""
-    K = interval_sharp()
-    d1 = K.base
-    top = EZ(edge, idop(1))
-    f = SMap(
-        d1,
-        S.base,
-        {"0": S.base.face(top, 1), "1": S.base.face(top, 0), "01": top},
-    )
-    return slice_construction(S, K, f, "over", cap)
+    return slice_construction(S, interval_sharp(), simplex_map(S.base, EZ(edge, idop(1))), "over", cap)
 
 
 def thick_slice(S: Scaled, K: MarkedScaled, f: SMap, variance: str, side: str, cap: int) -> SliceResult:
     """The thick slice S^{/f}_var or S^{f/}_var."""
-    if f.source != K.base or f.target != S.base:
-        raise SSetError("slice diagram mismatch")
+    check_diagram(S, K, f)
     shape = ThickShape(K, f, variance, side)
     tag = "/f" if side == "over" else "f/"
     return build_representable(shape, S, cap, f"thick slice {tag} {variance}, cap {cap}")
@@ -402,9 +387,7 @@ def thick_slice(S: Scaled, K: MarkedScaled, f: SMap, variance: str, side: str, c
 def thick_slice_over_vertex(
     S: Scaled, vertex: str, variance: str, cap: int, side: str = "over"
 ) -> SliceResult:
-    pt = flat_ms(0)
-    f = SMap(pt.base, S.base, {"0": EZ(vertex, (0,))})
-    return thick_slice(S, pt, f, variance, side, cap)
+    return thick_slice(S, flat_ms(0), simplex_map(S.base, EZ(vertex, (0,))), variance, side, cap)
 
 
 def fiber_ms(X: MarkedScaled, p: SMap, vertex: str) -> tuple[MarkedScaled, SMap]:
@@ -535,27 +518,14 @@ def fun_coc_subcat(
     )
 
 
-def postcompose_map(src: SliceResult, tgt: SliceResult, post: SMap) -> SMap:
-    """The map of slice-like objects induced by postcomposition with post."""
+def reindex_map(src: SliceResult, tgt: SliceResult, change: Callable[[int, SMap], SMap]) -> SMap:
+    """The map src -> tgt sending the n-simplex m to change(n, m), such as
+    ``pre(n).then(m)`` (precomposition) or ``m.then(post)`` (postcomposition)."""
     images = {}
     for c, m in src.cell_maps.items():
         n = src.total.base.dim_of[c]
-        pm = m.then(post)
-        ez = tgt.levels[n].get(pm.key())
+        ez = tgt.levels[n].get(change(n, m).key())
         if ez is None:
-            raise SSetError("postcomposition leaves the computed levels")
-        images[c] = ez
-    return SMap(src.total.base, tgt.total.base, images)
-
-
-def precompose_map(src: SliceResult, tgt: SliceResult, pre: Callable[[int], SMap]) -> SMap:
-    """The map src -> tgt with n-simplices sent to m o pre(n)."""
-    images = {}
-    for c, m in src.cell_maps.items():
-        n = src.total.base.dim_of[c]
-        rm = pre(n).then(m)
-        ez = tgt.levels[n].get(rm.key())
-        if ez is None:
-            raise SSetError("precomposition leaves the computed levels")
+            raise SSetError("reindexing leaves the computed levels")
         images[c] = ez
     return SMap(src.total.base, tgt.total.base, images)

@@ -10,10 +10,12 @@ from dataclasses import dataclass
 from .core import (
     EZ,
     SMap,
+    constant_map,
     empty_sset,
     identity_map,
     opposite_map,
     product,
+    simplex_map,
     standard_simplex,
 )
 from .decor import (
@@ -39,6 +41,7 @@ from .fibration import (
     is_outer_fibration,
     lax_lift_filtration,
     locally_cocartesian_edges,
+    q_complex,
     weak_cartesian_via_slice,
 )
 from .ops import idop
@@ -50,6 +53,7 @@ from .slices import (
     thick_slice_over_vertex,
 )
 from .tensor import (
+    cone,
     flat_ms,
     gray_marked_n,
     gray_scaled,
@@ -140,8 +144,6 @@ def _c3_join_comparison():
 
 
 def _catalog_slice_bases():
-    from .fibration import q_complex
-
     Q = q_complex()
     return [
         ("d1_sharp", scale(standard_simplex(1), SHARP)),
@@ -226,8 +228,6 @@ def _c7_edge_taxonomy(bound: int = 4):
     pt = Scaled(standard_simplex(0))
     for n in (1, 2):
         C = scale(standard_simplex(n), SHARP)
-        from .core import constant_map
-
         cases.append((f"d{n}_sharp->pt", constant_map(C.base, pt.base, "0"), C, pt))
     for n, x in ((1, "1"), (2, "2")):
         C = scale(standard_simplex(n), SHARP)
@@ -281,7 +281,7 @@ def _c9_fiber_isomorphism(cap: int = 2):
     C = scale(standard_simplex(2), SHARP)
     K = flat_ms(1)
     # the diagram f: the edge 12 of the sharp triangle
-    f = SMap(K.base, C.base, {"0": EZ("1", (0,)), "1": EZ("2", (0,)), "01": EZ("12", (0, 1))})
+    f = simplex_map(C.base, EZ("12", (0, 1)))
     # left side: fibers over constant diagrams of the outer thick slice of the
     # Gray functor space at f
     S = fun_space(K, C, "gray_left", cap=cap + 1)
@@ -328,8 +328,6 @@ def _c9_fiber_isomorphism(cap: int = 2):
 
 
 def _empty_cone(C: Scaled, vertex: str):
-    from .tensor import cone
-
     K = MarkedScaled(empty_sset())
     cn = cone("inn", "left", K)
     g = SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))})

@@ -16,8 +16,9 @@ from .core import (
     identity_map,
     join_sset,
     multi_product,
+    pair_cell,
+    product,
     product_cell,
-    product_map,
     simplex_cell,
     standard_simplex,
     subcomplex,
@@ -32,7 +33,7 @@ from .decor import (
     pushout_ms,
     push_marking,
 )
-from .ops import const_op, epi_mono, idop, op_join
+from .ops import const_op, degeneracy_op, epi_mono, idop, op_join
 
 
 def flat_ms(n: int) -> MarkedScaled:
@@ -89,18 +90,9 @@ class GrayResult(NamedTuple):
 
 
 def gray_scaled(X: Scaled, Y: Scaled, dim_cap: int | None = None) -> GrayResult:
-    """Binary Gray product of scaled simplicial sets."""
-    mp = multi_product([X.base, Y.base], dim_cap=dim_cap)
-    P, (pr1, pr2) = mp.sset, mp.projections
-    thin = set()
-    for t in P.level(2):
-        top = EZ(t, idop(2))
-        a, b = pr1(top), pr2(top)
-        if not (X.is_thin(a) and Y.is_thin(b)):
-            continue
-        if degenerates_along(X.base, a, 1) or degenerates_along(Y.base, b, 0):
-            thin.add(t)
-    return GrayResult(Scaled(P, frozenset(thin)), (pr1, pr2), mp)
+    """Binary Gray product of scaled simplicial sets: the flat-marked case of
+    ``gray_marked_n``."""
+    return gray_marked_n([X.flat_marked(), Y.flat_marked()], dim_cap=dim_cap)
 
 
 def gray_thin_predicate(factors: list[MarkedScaled], comps: tuple[EZ, ...]) -> bool:
@@ -189,12 +181,6 @@ class Witness3:
         return all(b for i, b in enumerate(self.faces_thin) if i != self.face_index)
 
 
-def _degeneracy_pair(pair: EZ, base: SSet, i: int) -> EZ:
-    from .ops import degeneracy_op
-
-    return base.act(pair, degeneracy_op(2, i))
-
-
 def marked_variants_witness(
     variants: VariantScalings, X: MarkedScaled, Y: MarkedScaled, cell: str, which: str
 ) -> Witness3:
@@ -232,7 +218,7 @@ def marked_variants_witness(
     else:
         raise SSetError("which must be 'plus' or 'gr'")
     rho = product_cell(
-        variants.mp, (_degeneracy_pair(a, X.base, si), _degeneracy_pair(b, Y.base, sj))
+        variants.mp, (X.base.act(a, degeneracy_op(2, si)), Y.base.act(b, degeneracy_op(2, sj)))
     )
     dfaces = P.faces_of(rho)
     face_index = next((i for i in (1, 2) if dfaces[i] == top), None)
@@ -253,6 +239,10 @@ class JoinMS(NamedTuple):
     incl1: SMap
     incl2: SMap
     mixed: dict[tuple[str, str], str]  # (cell of X, cell of Y) -> their join cell
+
+    @property
+    def ends(self) -> tuple[SMap, SMap]:
+        return self.incl1, self.incl2
 
 
 def join_ms(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> JoinMS:
@@ -296,6 +286,10 @@ class ThickJoin:
     proj_left: SMap  # middle -> left factor base
     proj_int: SMap
     proj_right: SMap  # middle -> right factor base
+
+    @property
+    def ends(self) -> tuple[SMap, SMap]:
+        return self.incl_left, self.incl_right
 
 
 def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> ThickJoin:
@@ -352,12 +346,11 @@ def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | N
 def thick_join_map(src: ThickJoin, tgt: ThickJoin, f: SMap, g: SMap) -> SMap:
     """f and g on the left and right factors, between two thick joins of one variance.
 
-    The middle cells go through the product of f, the identity of the
-    interval and g on the middle Gray products.
+    A middle cell of the total goes to the quotient of the target's middle
+    cell whose components are f, the interval identity and g of its own.
     """
     ident = identity_map(src.proj_int.target)
     maps = (f, ident, g) if src.variance == "inn" else (g, ident, f)
-    mid = product_map(src.mid.mp, tgt.mid.mp, maps)
     images = {}
     for c, (kind, payload) in src.comp.items():
         if kind == "L":
@@ -365,7 +358,9 @@ def thick_join_map(src: ThickJoin, tgt: ThickJoin, f: SMap, g: SMap) -> SMap:
         elif kind == "R":
             images[c] = tgt.incl_right(g.images[payload])
         else:
-            images[c] = tgt.quotient(mid.images[payload])
+            top = EZ(payload, idop(src.mid.mp.sset.dim_of[payload]))
+            comps = tuple(h(pr(top)) for h, pr in zip(maps, src.mid.projections))
+            images[c] = tgt.quotient(product_cell(tgt.mid.mp, comps))
     return SMap(src.total.base, tgt.total.base, images)
 
 
@@ -440,7 +435,7 @@ class CompareR(NamedTuple):
     r: SMap
 
 
-def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None, check: bool = True) -> CompareR:
+def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> CompareR:
     """The canonical map from the outer thick join to the ordinary join.
 
     Built from the partition description: a middle simplex (rho_Y, tau, rho_X)
@@ -467,21 +462,20 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None, chec
             b = Y.base.act(rho_y, tuple(range(k, n + 1)))
             images[c] = EZ(jn.mixed[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
     r = SMap(tj.total.base, J, images)
-    if check:
-        if not is_scaled_map(r, tj.total, jn.scaled):
-            raise SSetError("comparison map is not thin-preserving")
-        for n in range(J.dim + 1):
-            hit = {r(pair) for pair in tj.total.base.simplices(n)}
-            if set(J.simplices(n)) - hit:
-                raise SSetError(f"comparison map not surjective on {n}-simplices")
-        thin_hit = set()
-        for t in tj.total.thin:
-            img = r(EZ(t, idop(2)))
-            if img.is_nondeg():
-                thin_hit.add(img.core)
-        missing = jn.scaled.thin - thin_hit
-        if missing:
-            raise SSetError(f"comparison map not surjective on thin triangles: {missing}")
+    if not is_scaled_map(r, tj.total, jn.scaled):
+        raise SSetError("comparison map is not thin-preserving")
+    for n in range(J.dim + 1):
+        hit = {r(pair) for pair in tj.total.base.simplices(n)}
+        if set(J.simplices(n)) - hit:
+            raise SSetError(f"comparison map not surjective on {n}-simplices")
+    thin_hit = set()
+    for t in tj.total.thin:
+        img = r(EZ(t, idop(2)))
+        if img.is_nondeg():
+            thin_hit.add(img.core)
+    missing = jn.scaled.thin - thin_hit
+    if missing:
+        raise SSetError(f"comparison map not surjective on thin triangles: {missing}")
     return CompareR(tj, jn, r)
 
 
@@ -636,8 +630,6 @@ def _mid_from_words(tj: ThickJoin, yw, iw, xw) -> EZ:
 def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     """The retraction s, the map u and the homotopies h and k of the
     comparison between the thick and ordinary joins, with all checks."""
-    from .core import pair_cell, product as core_product
-
     if p > 3 or q > 3:
         raise SSetError("join_eq_homotopies is size-guarded to p, q <= 3")
     data = join_eq_data(p, q)
@@ -679,7 +671,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
             u_images[c] = mid(yw2, iw, xw)
     u = SMap(total, total, u_images)
 
-    PT, prT, prI = core_product(total, standard_simplex(1), dim_cap=total.dim + 1)
+    PT, prT, prI = product(total, standard_simplex(1), dim_cap=total.dim + 1)
 
     def homotopy(endpoint1: str) -> SMap:
         images = {}

@@ -29,6 +29,8 @@ from ssw.core import (
     product_cell,
     pullback,
     pushout_mono,
+    simplex_cell,
+    simplex_map,
     standard_simplex,
     subcomplex,
     SMap,
@@ -260,6 +262,33 @@ def test_faces_of_matches_act_on_the_catalog_and_a_thick_join():
 @settings(max_examples=30, deadline=None)
 def test_faces_of_matches_act_on_nerves(X):
     check_faces_of(X)
+
+
+def check_simplex_maps(X):
+    """simplex_map(X, sigma) is a map Delta^n -> X with top image sigma and
+    vertex images the vertices of sigma, for every simplex of degree <= 3."""
+    for n in range(4):
+        for sigma in X.simplices(n):
+            f = simplex_map(X, sigma)
+            f._validate()
+            assert f.source is standard_simplex(n) and f.target is X
+            assert f(EZ(simplex_cell(range(n + 1)), idop(n))) == sigma
+            assert tuple(f.images[str(v)].core for v in range(n + 1)) == X.vertices_of(sigma)
+
+
+def test_simplex_map_on_the_catalog():
+    from ssw.catalog import catalog
+
+    for name, X in sorted(catalog().items()):
+        check_simplex_maps(X.base)
+    with pytest.raises(SSetError, match="no cell 'x'"):
+        simplex_map(standard_simplex(1), EZ("x", (0,)))
+
+
+@given(poset_nerves())
+@settings(max_examples=30, deadline=None)
+def test_simplex_map_on_nerves(X):
+    check_simplex_maps(X)
 
 
 def filtered_product(X, Y):

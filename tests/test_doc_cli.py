@@ -41,7 +41,10 @@ def test_document_rejects_marked_triangle():
     d2 = standard_simplex(2)
     doc = complex_to_doc(MarkedScaled(d2))
     doc["marked"] = ["012"]
-    with pytest.raises(Exception):
+    with pytest.raises(SSetError, match="marked cell '012' is not a nondegenerate 1-simplex"):
+        doc_to_complex(doc)
+    doc["marked"], doc["thin"] = [], ["01"]
+    with pytest.raises(SSetError, match="thin cell '01' is not a nondegenerate 2-simplex"):
         doc_to_complex(doc)
 
 
@@ -292,6 +295,34 @@ def test_document_rejects_malformed_face_words():
         doc["faces"]["012"][0] = bad
         with pytest.raises(SSetError, match="face entry of '012' must be"):
             doc_to_complex(doc)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"cells": {"0": 5}}, "cells must map levels to lists of cell ids"),
+        ({"cells": [["0"]]}, "cells must map levels to lists of cell ids"),
+        ({"faces": {"e": 5}}, "faces must map cells to lists of faces"),
+        ({"faces": [["e"]]}, "faces must map cells to lists of faces"),
+        ({"marked": 5}, "marked must be a list of cell ids"),
+        ({"thin": [["x"]]}, "thin must be a list of cell ids"),
+        ({"dim_cap": "x"}, "dim_cap must be an integer"),
+    ],
+)
+def test_cli_build_rejects_wrong_typed_documents(tmp_path, changes, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **changes}))
+    assert run_command(["build", f"@{path}"]) == (3, f"error: {message}\n")
+
+
+def test_cli_build_rejects_faces_of_unknown_cells(tmp_path):
+    path = tmp_path / "f.json"
+    doc = {"schema_version": SCHEMA_VERSION, "cells": {"0": ["a"]}, "faces": {"e": [["a", [0]]] * 2}}
+    path.write_text(json.dumps(doc))
+    for fmt in ("table", "json"):
+        assert run_command(["build", f"@{path}", "--format", fmt]) == (
+            3, "error: faces given for unknown cell 'e'\n"
+        )
 
 
 def test_cli_object_path_is_a_directory(tmp_path):

@@ -6,6 +6,7 @@ from ssw.catalog import j_truncated
 from ssw.core import (
     EZ,
     SMap,
+    SSetError,
     boundary_inclusion,
     constant_map,
     enumerate_maps,
@@ -487,6 +488,13 @@ def test_has_rlp_matches_the_backtracker_between_nerves(S, T, data):
     refuted_by_both(p, X, as_base(Scaled(T, some(T.level(2)))))
 
 
+def test_inclusion_generator_needs_an_inclusion_into_b():
+    B = MarkedScaled(standard_simplex(3))
+    with pytest.raises(SSetError, match="must land in its B"):
+        inclusion_generator("misplaced", B, horn_inclusion(2, 1))
+    assert inclusion_generator("horn", B, horn_inclusion(3, 1)).A.base is horn_inclusion(3, 1).source
+
+
 def test_has_rlp_matches_the_backtracker_on_decorated_cells_of_a():
     """A cell of A that B marks constrains both the bottom and the filler."""
     d2 = standard_simplex(2)
@@ -500,7 +508,7 @@ def test_has_rlp_matches_the_backtracker_on_decorated_cells_of_a():
     assert v.status == REFUTED and v == backtracked_rlp(p, X, Y, family, 2)
     # p does not preserve the marking: squares whose bottom is unmarked on 01
     # do not exist, and only they lack a filler in the boundary
-    marked = inclusion_generator("marked-horn", B, ["0", "1", "2", "01", "12"])
+    marked = inclusion_generator("marked-horn", B, horn_inclusion(2, 1))
     p = boundary_inclusion(2)
     X, Y = decorate(p.source, SHARP), decorate(d2)
     family = GeneratorFamily(marked.name, [marked])

@@ -6,6 +6,7 @@ from ssw.core import (
     SSetError,
     empty_sset,
     enumerate_maps,
+    identity_map,
     is_isomorphic,
     standard_simplex,
 )
@@ -202,6 +203,19 @@ def test_slices_reject_an_unknown_side():
         for variance in ("inn", "out"):
             with pytest.raises(SSetError, match="side must be 'over' or 'under'"):
                 thick_slice_over_vertex(C, "0", variance, 2, side)
+
+
+def test_slices_reject_a_diagram_that_is_not_scaled():
+    """K = Delta^2 with 012 thin, S = flat Delta^2, f = id: f does not send the
+    thin triangle to a thin one, so neither slice of S over f exists."""
+    d2 = standard_simplex(2)
+    K, S, f = MarkedScaled(d2, frozenset(), frozenset({"012"})), Scaled(d2), identity_map(d2)
+    with pytest.raises(SSetError, match="slice diagram is not a scaled map"):
+        slice_construction(S, K, f, "over", 2)
+    for variance in ("inn", "out"):
+        for side in ("over", "under"):
+            with pytest.raises(SSetError, match="slice diagram is not a scaled map"):
+                thick_slice(S, K, f, variance, side, 2)
 
 
 def test_thick_slice_over_empty():

@@ -91,6 +91,32 @@ def test_gray_op_duality():
         assert scaled_isomorphic(lhs, rhs)
 
 
+def reference_gray_thin(X, Y, a, b):
+    """The binary scaled Gray rule, stated on its own: a triangle (a, b) of
+    X x Y is thin iff a and b are thin, and a degenerates along 1 or b along 0."""
+    if not (X.is_thin(a) and Y.is_thin(b)):
+        return False
+    return degenerates_along(X.base, a, 1) or degenerates_along(Y.base, b, 0)
+
+
+def test_gray_of_flat_markings_follows_the_binary_rule():
+    from ssw.catalog import catalog
+
+    entries = sorted(catalog().items())
+    for (_, X), (_, Y) in iproduct(entries, entries):
+        if X.base.dim + Y.base.dim > 5:
+            continue
+        Xs, Ys = X.scaled(), Y.scaled()
+        g = gray_marked_n([Xs.flat_marked(), Ys.flat_marked()])
+        pr1, pr2 = g.projections
+        expected = {
+            t
+            for t in g.scaled.base.level(2)
+            if reference_gray_thin(Xs, Ys, pr1(EZ(t, idop(2))), pr2(EZ(t, idop(2))))
+        }
+        assert g.scaled.thin == expected
+
+
 # ------------------------------------------------------------------ n-ary marked Gray
 
 
