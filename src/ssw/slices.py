@@ -4,12 +4,15 @@ Everything here is computed by the same engine: a construction is presented by
 a family of representing objects F(0), F(1), ... with reindexing maps, and the
 resulting object has n-simplices the scaled maps F(n) -> S extending the given
 pins.  Levels are enumerated exactly up to a cap; the saturation flag records
-whether the last two levels were purely degenerate.
+whether the last two levels were purely degenerate.  The levels F(n), the
+reindexing maps F(alpha) and the upgrades of a shape do not depend on S, on
+the diagram or on the cap, so they are built once per process and shared by
+every shape with the same parameters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -84,6 +87,12 @@ def delta_map(alpha: tuple[int, ...], n: int) -> SMap:
     return simplex_map(standard_simplex(n), simplex_from_word(alpha))
 
 
+# Levels, reindexing maps and upgrades of every shape built in this process, one
+# table per (class, K, first, params): K is compared by content, so two equal K
+# share one table.
+_SHARED: dict[tuple, dict] = {}
+
+
 class Shape:
     """A representable family: F(n) is the shape applied to flat Delta^n, and
     F(alpha) is the shape applied to the map Delta^m -> Delta^n.
@@ -92,32 +101,48 @@ class Shape:
     ``reindex(src, tgt, d, k)``, the map between the constructions of two
     levels made from d on the Delta side and k on the K side; it may
     override ``build(n)``.  ``first`` says whether Delta is the first of
-    the two factors.  Levels are built once and kept.
+    the two factors; ``params()`` gives the other parameters the levels
+    depend on.  Levels, reindexing maps and upgrades are built once per
+    process and shared by every shape of the same class, K, first and params.
     """
 
     thin_probe_marking = FLAT  # the marking of the thin Delta^2 in upgrade('thin')
 
     def __init__(self, K: MarkedScaled, first: bool = True):
         self.K, self.first = K, first
-        self._levels: dict[int, Level] = {}
-        self._upgrades: dict[str, frozenset] = {}
+
+    def params(self) -> tuple:
+        return ()
+
+    @cached_property
+    def _table(self) -> dict:
+        """This shape's table in the process-wide memo."""
+        return _SHARED.setdefault((type(self), self.K, self.first, self.params()), {})
+
+    def _memo(self, key: tuple, make: Callable, *args):
+        """The shared value under key, made by make(*args) the first time."""
+        value = self._table.get(key)
+        if value is None:
+            value = self._table[key] = make(*args)
+        return value
 
     def ordered(self, d, k) -> tuple:
         """(d, k) in factor order; applied to (first, second) it gives (Delta, K)."""
         return (d, k) if self.first else (k, d)
 
     def object(self, n: int) -> Level:
-        level = self._levels.get(n)
-        if level is None:
-            level = self._levels[n] = self.build(n)
-        return level
+        return self._memo(("level", n), self.build, n)
 
     def build(self, n: int) -> Level:
         return self.variant(flat_ms(n))
 
     def induced(self, alpha, m: int, n: int) -> SMap:
         """F(alpha): F(m) -> F(n) for monotone alpha: [m] -> [n]."""
-        d = delta_map(tuple(alpha), n)
+        alpha = tuple(alpha)
+        return self._memo(("induced", alpha, m, n), self._induced, alpha, m, n)
+
+    def _induced(self, alpha: tuple, m: int, n: int) -> SMap:
+        d = delta_map(alpha, n)
         return self.reindex(self.object(m).data, self.object(n).data, d, identity_map(self.K.base))
 
     def k_induced(self, other: "Shape", g: SMap, n: int) -> SMap:
@@ -129,16 +154,17 @@ class Shape:
         """The triangles of F(1) ('marked') or F(2) ('thin') that turn thin when
         Delta^1 is marked or Delta^2 thin; a simplex of the result is marked or
         thin when its map sends all of them to thin triangles."""
-        if which not in self._upgrades:
-            if which == "marked":
-                n, probe = 1, interval_sharp()
-            else:
-                n, probe = 2, decorate(standard_simplex(2), self.thin_probe_marking, SHARP)
-            base, variant = self.object(n).scaled, self.variant(probe).scaled
-            if variant.base != base.base:
-                raise SSetError("decorated variant changed the underlying object")
-            self._upgrades[which] = variant.thin - base.thin
-        return self._upgrades[which]
+        return self._memo(("upgrade", which), self._upgrade, which)
+
+    def _upgrade(self, which: str) -> frozenset:
+        if which == "marked":
+            n, probe = 1, interval_sharp()
+        else:
+            n, probe = 2, decorate(standard_simplex(2), self.thin_probe_marking, SHARP)
+        base, variant = self.object(n).scaled, self.variant(probe).scaled
+        if variant.base != base.base:
+            raise SSetError("decorated variant changed the underlying object")
+        return variant.thin - base.thin
 
     def project_cell(self, n: int) -> str | None:
         return None
@@ -155,7 +181,8 @@ class JoinShape(Shape):
     """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'.
 
     ``join`` builds the construction and its scaled object; the pins and the
-    projection read the ``ends`` of the construction."""
+    projection read the ``ends`` of the construction.  The pins are the only
+    part of a level that depends on f, so they are read per shape."""
 
     def __init__(self, K: MarkedScaled, f: SMap, side: str):
         super().__init__(K, _is_first(side, "over", "under"))
@@ -165,11 +192,16 @@ class JoinShape(Shape):
         jm = join_ms(first, second, dim_cap=cap)
         return jm.scaled, jm
 
+    def object(self, n: int) -> Level:
+        """The shared F(n) with the pins of this shape's diagram f."""
+        level = super().object(n)
+        _, k_incl = self.ordered(*level.data.ends)
+        pins = {k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of}
+        return level._replace(pins=pins)
+
     def variant(self, X: MarkedScaled) -> Level:
         scaled, data = self.join(*self.ordered(X, self.K), X.base.dim + self.K.base.dim + 1)
-        _, k_incl = self.ordered(*data.ends)
-        pins = {k_incl.images[x].core: self.f.images[x] for x in self.K.base.dim_of}
-        return Level(scaled, pins, data)
+        return Level(scaled, {}, data)
 
     def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
         return join_map(src, tgt, *self.ordered(d, k))
@@ -185,6 +217,9 @@ class ThickShape(JoinShape):
     def __init__(self, K: MarkedScaled, f: SMap, variance: str, side: str):
         super().__init__(K, f, side)
         self.variance = variance
+
+    def params(self) -> tuple:
+        return (self.variance,)
 
     def join(self, first: MarkedScaled, second: MarkedScaled, cap: int):
         tj = thick_join(self.variance, first, second, dim_cap=cap)
@@ -216,6 +251,9 @@ class CartesianShape(Shape):
     def __init__(self, K: MarkedScaled, delta_scaling: str = FLAT):
         super().__init__(K)
         self.delta_scaling = delta_scaling
+
+    def params(self) -> tuple:
+        return (self.delta_scaling,)
 
     def build(self, n: int) -> Level:
         return self.variant(decorate(standard_simplex(n), FLAT, self.delta_scaling))
@@ -414,6 +452,9 @@ class HomShape(CartesianShape):
     def __init__(self, x: str, y: str):
         super().__init__(flat_ms(1))
         self.x, self.y = x, y
+
+    def params(self) -> tuple:
+        return (self.delta_scaling, self.x, self.y)
 
     def variant(self, X: MarkedScaled) -> Level:
         mp = multi_product([X.base, self.K.base], dim_cap=X.base.dim + 1)

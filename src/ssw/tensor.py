@@ -498,8 +498,10 @@ class JoinEqWitness:
     strict: bool  # all side faces already in T (not just previously added)
 
 
+@lru_cache(maxsize=1)
 def join_eq_data(p: int, q: int) -> JoinEqData:
-    """T and T' on Delta^p outer-join Delta^q, with the comparison map."""
+    """T and T' on Delta^p outer-join Delta^q, with the comparison map; the last
+    pair is kept, so its witnesses and its homotopies share one comparison."""
     cap = max(DIM_CAP, p + q + 2)
     cmp = compare_r(flat_ms(p), flat_ms(q), dim_cap=cap)
     total = cmp.tj.total

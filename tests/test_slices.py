@@ -575,3 +575,169 @@ def test_gray_functor_space_thin_triangles_follow_the_sharp_triangle(kind):
             assert (t in fun.total.thin) == thin, (K, t)
             seen.add(thin)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------- the shared level memo
+
+
+def marked_interval(prefix="m"):
+    """A marked interval on cells prefix0, prefix1, prefix01, built anew on each call."""
+    from ssw.core import SSet
+
+    v0, v1, e = prefix + "0", prefix + "1", prefix + "01"
+    base = SSet([[v0, v1], [e]], {e: (EZ(v1, (0,)), EZ(v0, (0,)))})
+    return MarkedScaled(base, frozenset({e}))
+
+
+def interval_diagram(K, S, a, b):
+    """The diagram K -> S of the edge ab, for K a marked_interval."""
+    (v0, v1), (e,) = K.base.cells
+    images = {v0: EZ(a, (0,)), v1: EZ(b, (0,)), e: EZ(a + b, idop(1))}
+    return SMap(K.base, S.base, images)
+
+
+def memo_shapes(K):
+    """One shape of each class and parameter value on K (hom: its own K)."""
+    from ssw.slices import CartesianShape, GrayShape, HomShape, JoinShape, ThickShape
+
+    f = interval_diagram(K, d2_sharp(), "0", "2")
+    shapes = {}
+    for side in ("over", "under"):
+        shapes[f"join {side}"] = JoinShape(K, f, side)
+        for variance in ("inn", "out"):
+            shapes[f"thick {variance} {side}"] = ThickShape(K, f, variance, side)
+    for side in ("left", "right"):
+        shapes[f"gray {side}"] = GrayShape(K, side)
+    for scaling in (FLAT, SHARP):
+        shapes[f"cartesian {scaling}"] = CartesianShape(K, scaling)
+    for x, y in (("0", "2"), ("0", "1"), ("1", "2")):
+        shapes[f"hom {x} {y}"] = HomShape(x, y)
+    return shapes
+
+
+def memo_generators():
+    from ssw.ops import degeneracy_op, face_op
+
+    gens = [(face_op(n, i), n - 1, n) for n in (1, 2) for i in range(n + 1)]
+    return gens + [(degeneracy_op(n, i), n + 1, n) for n in (0, 1) for i in range(n + 1)]
+
+
+def test_equal_K_share_levels_maps_and_upgrades(monkeypatch):
+    """Two content-equal but distinct K give the same F(n), F(alpha) and
+    upgrades, and the second shape builds no construction."""
+    import ssw.slices
+
+    # cell names no other test uses, so the first shapes build everything
+    first, second = marked_interval("fresh"), marked_interval("fresh")
+    assert first == second and first is not second
+    built = []
+
+    def counting(name, original):
+        def build(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+
+        return build
+
+    constructions = ("join_ms", "thick_join", "multi_product", "gray_marked_n")
+    for name in constructions:
+        monkeypatch.setattr(ssw.slices, name, counting(name, getattr(ssw.slices, name)))
+    old, new = memo_shapes(first), memo_shapes(second)
+    for shape in old.values():
+        for n in range(3):
+            shape.object(n)
+        for alpha, m, n in memo_generators():
+            shape.induced(alpha, m, n)
+        for which in ("marked", "thin"):
+            shape.upgrade(which)
+    assert set(built) == set(constructions)
+    built.clear()
+    for name, shape in new.items():
+        was = old[name]
+        for n in range(3):
+            assert shape.object(n).scaled is was.object(n).scaled, (name, n)
+            assert shape.object(n).data is was.object(n).data, (name, n)
+        for alpha, m, n in memo_generators():
+            assert shape.induced(alpha, m, n) is was.induced(alpha, m, n), (name, alpha)
+        for which in ("marked", "thin"):
+            assert shape.upgrade(which) is was.upgrade(which), (name, which)
+    assert built == []
+
+
+def level_content(shape, n):
+    level = shape.object(n)
+    base = level.scaled.base
+    return (base.cells, base.faces, level.scaled.thin, level.pins, shape.project_cell(n))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ("join over", "join under"),
+        ("thick inn over", "thick out over"),
+        ("thick out over", "thick out under"),
+        ("gray left", "gray right"),
+        ("cartesian flat", "cartesian sharp"),
+        ("hom 0 2", "hom 0 1"),
+        ("hom 0 2", "hom 1 2"),
+    ],
+)
+def test_each_key_parameter_gives_its_own_levels(a, b):
+    """Shapes that differ in one parameter (side, variance, delta scaling,
+    Gray side, x or y) keep separate levels, and the levels differ."""
+    shapes = memo_shapes(marked_interval())
+    one, other = shapes[a], shapes[b]
+    for n in range(3):
+        assert one.object(n).data is not other.object(n).data, n
+    assert any(level_content(one, n) != level_content(other, n) for n in range(3))
+
+
+def test_diagrams_on_one_K_keep_their_own_pins():
+    """Two diagrams f on one K share F(n) but not its pins, and their slices
+    have the cells over their own diagrams."""
+    from ssw.slices import JoinShape, ThickShape
+
+    S = d2_sharp()
+    K = marked_interval()
+    f, g = interval_diagram(K, S, "0", "1"), interval_diagram(K, S, "1", "2")
+    for make in (lambda d: JoinShape(K, d, "over"), lambda d: ThickShape(K, d, "out", "under")):
+        for n in range(3):
+            level_f, level_g = make(f).object(n), make(g).object(n)
+            assert level_f.data is level_g.data
+            assert level_f.pins.keys() == level_g.pins.keys()
+            assert sorted(level_f.pins.values()) == sorted(f.images.values())
+            assert sorted(level_g.pins.values()) == sorted(g.images.values())
+    # oracle: the vertices of the slice over the edge ab are the triangles vab
+    for d, below in ((f, ["0"]), (g, ["0", "1"])):
+        sl = slice_construction(S, K, d, "over", 2)
+        assert sorted(sl.projection(EZ(v, (0,))).core for v in sl.total.base.level(0)) == below
+        for c, m in sl.cell_maps.items():
+            pins = sl.shape.object(sl.total.base.dim_of[c]).pins
+            assert {x: m.images[x] for x in pins} == pins
+
+
+def test_warm_builds_match_fresh_processes():
+    """Slices, thick slices, homs and functor spaces built in this process
+    after others have filled the memo, in two orders, equal the same builds
+    in two fresh interpreters, one per order."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from slice_fingerprints import fingerprints
+
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    fresh = {}
+    for order in ("forward", "reversed"):
+        out = subprocess.run(
+            [sys.executable, str(tests / "slice_fingerprints.py"), order],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        fresh[order] = dict(line.split("\t") for line in out.splitlines())
+    assert fresh["forward"] == fresh["reversed"]
+    assert len(fresh["forward"]) == 14
+    for order in ("forward", "reversed", "forward"):
+        assert fingerprints(order) == fresh["forward"], order

@@ -646,11 +646,12 @@ def test_weighted_cone_interval_fold():
 
 
 def test_criterion_3_builds_each_comparison_once(monkeypatch):
-    """Two thick joins per (p, q): one for the witnesses and their comparison
-    map, one for the homotopies."""
+    """One thick join per (p, q): the witnesses, the comparison map and the
+    homotopies of a pair share one ``join_eq_data``."""
     import ssw.tensor
     from ssw.suite import run_suite
 
+    ssw.tensor.join_eq_data.cache_clear()
     built = []
     original = ssw.tensor.thick_join
 
@@ -662,4 +663,4 @@ def test_criterion_3_builds_each_comparison_once(monkeypatch):
     (result,) = run_suite({3})
     assert result.ok
     assert result.detail == "comparison, witnesses and homotopies verified on 9 pairs"
-    assert built == ["out"] * 18
+    assert built == ["out"] * 9
