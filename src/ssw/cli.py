@@ -67,10 +67,13 @@ def resolve(spec: str) -> MarkedScaled:
     return entries[spec]
 
 
-def _emit_complex(ms: MarkedScaled, fmt: str, name: str | None = None) -> str:
+def _emit_complex(ms: MarkedScaled, fmt: str, name: str | None = None, header: dict | None = None) -> str:
+    """The complex as a document or a table; the header's entries become keys
+    of the document or "key: value" lines above the table."""
+    header = header or {}
     if fmt == "json":
-        return serialize(complex_to_doc(ms, name))
-    lines = []
+        return serialize({**complex_to_doc(ms, name), **header})
+    lines = [f"{key}: {value}" for key, value in header.items()]
     if name:
         lines.append(f"name: {name}")
     lines.append(f"counts: {ms.base.counts()}")
@@ -85,11 +88,13 @@ def _verdict_exit(v: Verdict) -> int:
     return {VERIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE}[v.status]
 
 
-def _emit_verdict(v: Verdict, fmt: str) -> str:
+def _verdict_doc(v: Verdict, **extra) -> dict:
+    return {"status": v.status, "bound": v.bound, "evidence": v.evidence, **extra}
+
+
+def _emit_verdict(v: Verdict, fmt: str, **extra) -> str:
     if fmt == "json":
-        return json.dumps(
-            {"status": v.status, "bound": v.bound, "evidence": v.evidence}, sort_keys=True
-        ) + "\n"
+        return json.dumps(_verdict_doc(v, **extra), sort_keys=True) + "\n"
     return v.render() + "\n"
 
 
@@ -114,9 +119,9 @@ def cmd_gray(args) -> tuple[int, str]:
         xs = [MarkedScaled(x.base, frozenset(), x.thin) for x in xs]
     g = gray_marked_n(xs)
     out = MarkedScaled(g.scaled.base, frozenset(), g.scaled.thin)
-    summary = (
-        f"triangles: {len(g.scaled.base.level(2))}\nthin: {len(g.scaled.thin)}\n"
-    )
+    summary = f"triangles: {len(g.scaled.base.level(2))}\nthin: {len(g.scaled.thin)}\n"
+    if args.format == "json":
+        summary = ""
     return EXIT_OK, summary + _emit_complex(out, args.format)
 
 
@@ -142,9 +147,8 @@ def cmd_cone(args) -> tuple[int, str]:
 
 def cmd_slice(args) -> tuple[int, str]:
     sl, _ = _slice_for(args)
-    out = sl.total
-    text = f"provenance: {sl.provenance}\nsaturated: {sl.saturated}\n"
-    return EXIT_OK, text + _emit_complex(out, args.format)
+    header = {"provenance": sl.provenance, "saturated": sl.saturated}
+    return EXIT_OK, _emit_complex(sl.total, args.format, header=header)
 
 
 def cmd_hom(args) -> tuple[int, str]:
@@ -152,19 +156,20 @@ def cmd_hom(args) -> tuple[int, str]:
 
     C = resolve(args.object).scaled()
     hom = hom_category(C, args.source, args.target, cap=args.cap)
-    text = f"provenance: {hom.provenance}\nsaturated: {hom.saturated}\n"
-    return EXIT_OK, text + _emit_complex(hom.total, args.format)
+    header = {"provenance": hom.provenance, "saturated": hom.saturated}
+    return EXIT_OK, _emit_complex(hom.total, args.format, header=header)
 
 
 def cmd_classify_edges(args) -> tuple[int, str]:
     sl, S = _slice_for(args)
-    lines = []
-    worst = EXIT_OK
-    for e in sorted(sl.total.base.level(1)):
-        v = classify_edge(sl.projection, sl.scaled, S, EZ(e, (0, 1)), args.flavor, args.bound)
-        worst = max(worst, _verdict_exit(v))
-        lines.append(f"{e}: {v.render()}")
-    return worst, "\n".join(lines) + "\n"
+    verdicts = {
+        e: classify_edge(sl.projection, sl.scaled, S, EZ(e, (0, 1)), args.flavor, args.bound)
+        for e in sorted(sl.total.base.level(1))
+    }
+    worst = max((_verdict_exit(v) for v in verdicts.values()), default=EXIT_OK)
+    if args.format == "json":
+        return worst, json.dumps({e: _verdict_doc(v) for e, v in verdicts.items()}, sort_keys=True) + "\n"
+    return worst, "\n".join(f"{e}: {v.render()}" for e, v in verdicts.items()) + "\n"
 
 
 def cmd_check_fibration(args) -> tuple[int, str]:
@@ -179,9 +184,10 @@ def cmd_check_fibration(args) -> tuple[int, str]:
     elif args.kind in ("outer-cartesian", "inner-cartesian"):
         variance = "out" if args.kind.startswith("outer") else "inn"
         v, table = is_var_cartesian_fibration(p, sl.scaled, S, variance, False, args.bound)
-        text = _emit_verdict(v, args.format)
-        if v.status == VERIFIED:
-            text += f"cartesian edges: {' '.join(sorted(table)) or '-'}\n"
+        edges = sorted(table) if v.status == VERIFIED else None
+        text = _emit_verdict(v, args.format, cartesian_edges=edges)
+        if edges is not None and args.format == "table":
+            text += f"cartesian edges: {' '.join(edges) or '-'}\n"
         return _verdict_exit(v), text
     else:
         raise CliError(f"unknown fibration kind {args.kind!r}")
@@ -246,8 +252,12 @@ def cmd_check_certificate(args) -> tuple[int, str]:
 
 
 def cmd_suite(args) -> tuple[int, str]:
-    from .suite import run_suite
+    from .suite import CRITERIA, run_suite
 
+    known = [number for number, _, _ in CRITERIA]
+    unknown = sorted(set(args.only or ()) - set(known))
+    if unknown:
+        raise CliError(f"unknown criterion {unknown[0]} (criteria are {known[0]} to {known[-1]})")
     numbers = set(args.only) if args.only else None
     results = run_suite(numbers)
     lines = [r.line() for r in results]
@@ -346,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the acceptance suite")
     p.add_argument("--only", type=int, nargs="*", help="criterion numbers")
-    common(p)
     p.set_defaults(fn=cmd_suite)
 
     return ap

@@ -8,6 +8,7 @@ unbounded condition was checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -27,6 +28,7 @@ from .core import (
     pair_cell,
     pullback,
     pushout_mono,
+    simplex_cell,
     simplex_map,
     standard_simplex,
     subcomplex,
@@ -136,7 +138,7 @@ def _decorated(B: MarkedScaled, Z: MarkedScaled, b: str, cand: EZ) -> bool:
 # -- generators ------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Generator:
     """A decorated mono with optional anchoring data for the top map."""
 
@@ -148,10 +150,10 @@ class Generator:
     filler_pins: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorFamily:
     name: str
-    generators: list
+    generators: tuple
 
     def __iter__(self):
         return iter(self.generators)
@@ -164,127 +166,115 @@ def inclusion_generator(name, B: MarkedScaled, incl: SMap, top_pins=None, filler
     return Generator(name, incl, restrict_ms(B, incl), B, dict(top_pins or {}), dict(filler_pins or {}))
 
 
+def _cells(vertex_tuples) -> frozenset:
+    """The cells of a standard simplex on the given vertex tuples."""
+    return frozenset(simplex_cell(verts) for verts in vertex_tuples)
+
+
+def simplex_generator(name, incl: SMap, marked=(), thin=(), top_pins=None, filler_pins=None) -> Generator:
+    """The inclusion of a subcomplex of the simplex B = incl.target, with B
+    marked and scaled on the edges and triangles given as vertex tuples; the
+    pins are keyed by vertex tuples too."""
+    B = MarkedScaled(incl.target, _cells(marked), _cells(thin))
+
+    def named(pins):
+        return {simplex_cell(verts): pin for verts, pin in (pins or {}).items()}
+
+    return inclusion_generator(name, B, incl, named(top_pins), named(filler_pins))
+
+
 def rescale_generator(name, A: MarkedScaled, B: MarkedScaled) -> Generator:
     if A.base != B.base:
         raise SSetError("rescaling generators keep the underlying complex")
     return Generator(name, identity_map(A.base), A, B)
 
 
-def _simplex_thin(n: int, tris) -> MarkedScaled:
-    return MarkedScaled(standard_simplex(n), frozenset(), frozenset(tris))
+def _thin_triangle(name: str) -> Generator:
+    """The rescaling of the flat 2-simplex to the thin one."""
+    d2 = standard_simplex(2)
+    return rescale_generator(name, MarkedScaled(d2), MarkedScaled(d2, thin=_cells([(0, 1, 2)])))
 
 
 def scaled_inner_horn(n: int, i: int) -> Generator:
-    tri = "".join(str(v) for v in (i - 1, i, i + 1))
-    B = _simplex_thin(n, {tri})
-    return inclusion_generator(f"scaled-inner-horn({n},{i})", B, horn_inclusion(n, i))
+    return simplex_generator(f"scaled-inner-horn({n},{i})", horn_inclusion(n, i), thin=[(i - 1, i, i + 1)])
 
 
-def cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
-    """(Lambda^n_n, {0,n-1,n}) in (Delta^n, {0,n-1,n}), anchored at the last edge."""
-    tri = f"0{n - 1}{n}"
-    B = _simplex_thin(n, {tri})
-    edge = f"{n - 1}{n}"
-    pins = {edge: anchor} if anchor is not None else {}
-    return inclusion_generator(f"cartesian-horn({n})", B, horn_inclusion(n, n), top_pins=pins)
+def edge_horn(flavor: str, n: int, anchor: EZ | None = None) -> Generator:
+    """The n-dimensional horn of a cartesian-edge flavor, anchored at the last
+    edge {n-1, n}: (Lambda^n_n, {0,n-1,n}) in (Delta^n, {0,n-1,n}) for
+    "cartesian", the same with every {a,n-1,n} thin for "weak", and
+    (Lambda^n_0)_flat in Delta^n_flat for "strong"; for n = 2 the strong
+    edge is outside the horn, so the anchor pins the filler."""
+    pins = {} if anchor is None else {(n - 1, n): anchor}
+    if flavor == "cartesian":
+        return simplex_generator(f"cartesian-horn({n})", horn_inclusion(n, n), thin=[(0, n - 1, n)], top_pins=pins)
+    if flavor == "weak":
+        thin = [(a, n - 1, n) for a in range(n - 1)]
+        return simplex_generator(f"weak-cartesian-horn({n})", horn_inclusion(n, n), thin=thin, top_pins=pins)
+    if flavor == "strong":
+        top_pins, filler_pins = (pins, None) if n >= 3 else (None, pins)
+        return simplex_generator(
+            f"strong-cartesian-horn({n})", horn_inclusion(n, 0), top_pins=top_pins, filler_pins=filler_pins
+        )
+    raise SSetError(f"unknown flavor {flavor!r}")
 
 
-def weak_cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
-    tris = {f"{a}{n - 1}{n}" for a in range(n - 1)}
-    B = _simplex_thin(n, tris)
-    edge = f"{n - 1}{n}"
-    pins = {edge: anchor} if anchor is not None else {}
-    return inclusion_generator(f"weak-cartesian-horn({n})", B, horn_inclusion(n, n), top_pins=pins)
-
-
-def strong_cartesian_horn(n: int, anchor: EZ | None = None) -> Generator:
-    """(Lambda^n_0)_flat in Delta^n_flat anchored at the last edge; for n = 2
-    the edge is outside the horn, so the anchor constrains the filler."""
-    B = _simplex_thin(n, ())
-    edge = f"{n - 1}{n}"
-    in_horn = n >= 3
-    pins = {edge: anchor} if (anchor is not None and in_horn) else {}
-    fpins = {edge: anchor} if (anchor is not None and not in_horn) else {}
-    return inclusion_generator(
-        f"strong-cartesian-horn({n})", B, horn_inclusion(n, 0), top_pins=pins, filler_pins=fpins
-    )
-
-
-def collapsed_horn_generator(n: int, which: str, thin_tri: str | None, name: str) -> Generator:
-    """Lambda^n_e u_(edge) Delta^0 in Delta^n u_(edge) Delta^0, with an optional
-    scaling put on the image of a named triangle.  which is 'initial' (collapse
-    {0,1}, horn at 0) or 'final' (collapse {n-1,n}, horn at n)."""
+def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generator:
+    """Lambda^n_e u_(edge) Delta^0 in Delta^n u_(edge) Delta^0, scaled on the
+    images of the given triangles.  The edge is {0,1} (the horn at 0) or
+    {n-1,n} (the horn at n); edge and triangles are vertex tuples."""
     full = standard_simplex(n)
-    if which == "initial":
-        edge_cells, horn_vertex = ["0", "1", "01"], 0
-    else:
-        edge_cells, horn_vertex = [str(n - 1), str(n), f"{n - 1}{n}"], n
-    edge_sub, edge_incl = subcomplex(full, edge_cells)
-    pt = standard_simplex(0)
-    res = pushout_mono(edge_incl, constant_map(edge_sub, pt, "0"))
+    edge_sub, edge_incl = subcomplex(full, [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
+    res = pushout_mono(edge_incl, constant_map(edge_sub, standard_simplex(0), "0"))
     Bq = res.sset
-    thin = frozenset()
-    if thin_tri is not None:
-        img = res.leg_big.images[thin_tri]
-        if img.is_nondeg():
-            thin = frozenset({img.core})
-    B = MarkedScaled(Bq, frozenset(), thin)
-    keep = {res.leg_big.images[c].core for c in horn(n, horn_vertex).dim_of}
+    images = [res.leg_big.images[t] for t in _cells(thin)]
+    B = MarkedScaled(Bq, frozenset(), frozenset(img.core for img in images if img.is_nondeg()))
+    keep = {res.leg_big.images[c].core for c in horn(n, 0 if 0 in edge else n).dim_of}
     keep.add(res.leg_target.images["0"].core)
     return inclusion_generator(name, B, subcomplex(Bq, keep)[1])
 
 
+def _scaled_inner_horns(bound: int) -> tuple:
+    return tuple(scaled_inner_horn(n, i) for n in range(2, bound + 1) for i in range(1, n))
+
+
+@lru_cache(maxsize=None)
 def weak_fibration_family(bound: int) -> GeneratorFamily:
-    gens = []
+    gens = list(_scaled_inner_horns(bound))
     for n in range(2, bound + 1):
-        for i in range(1, n):
-            gens.append(scaled_inner_horn(n, i))
-    for n in range(2, bound + 1):
-        gens.append(collapsed_horn_generator(n, "initial", f"01{n}" if n >= 2 else None, f"collapsed-initial({n})"))
-        gens.append(collapsed_horn_generator(n, "final", f"0{n - 1}{n}", f"collapsed-final({n})"))
-    return GeneratorFamily(f"weak-fibration(bound {bound})", gens)
+        gens.append(collapsed_horn_generator(f"collapsed-initial({n})", n, (0, 1), [(0, 1, n)]))
+        gens.append(collapsed_horn_generator(f"collapsed-final({n})", n, (n - 1, n), [(0, n - 1, n)]))
+    return GeneratorFamily(f"weak-fibration(bound {bound})", tuple(gens))
 
 
+@lru_cache(maxsize=None)
 def inner_horn_family(bound: int) -> GeneratorFamily:
-    gens = []
-    for n in range(2, bound + 1):
-        for i in range(1, n):
-            B = _simplex_thin(n, ())
-            gens.append(inclusion_generator(f"inner-horn({n},{i})", B, horn_inclusion(n, i)))
+    inner = [(n, i) for n in range(2, bound + 1) for i in range(1, n)]
+    gens = tuple(simplex_generator(f"inner-horn({n},{i})", horn_inclusion(n, i)) for n, i in inner)
     return GeneratorFamily(f"inner-horns(bound {bound})", gens)
 
 
+@lru_cache(maxsize=None)
 def outer_horn_family(bound: int) -> GeneratorFamily:
     """The collapsed outer horns of the underlying-simplicial outer condition."""
     gens = []
     for n in range(2, bound + 1):
-        gens.append(collapsed_horn_generator(n, "initial", None, f"outer-initial({n})"))
-        gens.append(collapsed_horn_generator(n, "final", None, f"outer-final({n})"))
-    return GeneratorFamily(f"outer-horns(bound {bound})", gens)
+        gens.append(collapsed_horn_generator(f"outer-initial({n})", n, (0, 1)))
+        gens.append(collapsed_horn_generator(f"outer-final({n})", n, (n - 1, n)))
+    return GeneratorFamily(f"outer-horns(bound {bound})", tuple(gens))
 
 
+@lru_cache(maxsize=None)
 def boundary_family(bound: int, marked_generator: bool = False, scaled_generator: bool = True) -> GeneratorFamily:
     """Trivial-fibration generators: flat boundary inclusions, the thin-triangle
     rescaling, and optionally the marked-edge rescaling."""
-    gens = []
-    for n in range(bound + 1):
-        B = MarkedScaled(standard_simplex(n))
-        gens.append(inclusion_generator(f"boundary({n})", B, boundary_inclusion(n)))
+    gens = [simplex_generator(f"boundary({n})", boundary_inclusion(n)) for n in range(bound + 1)]
     if scaled_generator:
-        d2 = standard_simplex(2)
-        gens.append(
-            rescale_generator(
-                "thin-detection", MarkedScaled(d2), MarkedScaled(d2, frozenset(), frozenset({"012"}))
-            )
-        )
+        gens.append(_thin_triangle("thin-detection"))
     if marked_generator:
         d1 = standard_simplex(1)
-        gens.append(
-            rescale_generator(
-                "marked-detection", MarkedScaled(d1), MarkedScaled(d1, frozenset({"01"}), frozenset())
-            )
-        )
-    return GeneratorFamily(f"boundaries(bound {bound})", gens)
+        gens.append(rescale_generator("marked-detection", MarkedScaled(d1), MarkedScaled(d1, _cells([(0, 1)]))))
+    return GeneratorFamily(f"boundaries(bound {bound})", tuple(gens))
 
 
 # -- the RLP engine ---------------------------------------------------------------------
@@ -507,16 +497,7 @@ def is_outer_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict
 
 
 def _edge_family(flavor: str, e: EZ, bound: int) -> GeneratorFamily:
-    gens = []
-    for n in range(2, bound + 1):
-        if flavor == "cartesian":
-            gens.append(cartesian_horn(n, e))
-        elif flavor == "weak":
-            gens.append(weak_cartesian_horn(n, e))
-        elif flavor == "strong":
-            gens.append(strong_cartesian_horn(n, e))
-        else:
-            raise SSetError(f"unknown flavor {flavor!r}")
+    gens = tuple(edge_horn(flavor, n, e) for n in range(2, bound + 1))
     return GeneratorFamily(f"{flavor}-edge(bound {bound})", gens)
 
 
@@ -644,14 +625,18 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
 
 def _classical_cocartesian(q: SMap, e: EZ, bound: int) -> Verdict:
     """Classical quasicategory test: initial-edge left-horn fillers for e."""
-    gens = []
-    for m in range(2, bound + 1):
-        B = MarkedScaled(standard_simplex(m))
-        gens.append(
-            inclusion_generator(f"initial-horn({m})", B, horn_inclusion(m, 0), top_pins={"01": e})
-        )
+    pins = {(0, 1): e}
+    gens = tuple(simplex_generator(f"initial-horn({m})", horn_inclusion(m, 0), top_pins=pins) for m in range(2, bound + 1))
     fam = GeneratorFamily(f"classical-cocartesian(bound {bound})", gens)
     return has_rlp(q, decorate(q.source, SHARP, SHARP), decorate(q.target, SHARP, SHARP), fam, bound)
+
+
+def _pulled_back(f: SMap, base: SSet, sigma: EZ, bound: int) -> tuple:
+    """The pullback P of f along the simplex sigma of the base, its projections
+    to X and to the simplex, and the classical cocartesian verdict of an edge
+    of P, computed once per edge."""
+    P, prX, q = pullback(f, simplex_map(base, sigma), dim_cap=f.source.dim + sigma.deg)
+    return P, prX, q, lru_cache(maxsize=None)(lambda e: _classical_cocartesian(q, e, bound))
 
 
 def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict:
@@ -662,63 +647,45 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
         return Verdict(REFUTED, f"clause (i): {inner.evidence}")
     verdicts = [inner]
     base = S.base
+
+    def marked(upstairs):
+        return not upstairs.is_nondeg() or upstairs.core in X.marked
+
     # clause (ii): each edge pullback is a cocartesian fibration with the
     # marked edges exactly the cocartesian ones
     for ebar in base.simplices(1):
-        P, prX, prD = pullback(f, simplex_map(base, ebar), dim_cap=f.source.dim + 1)
-        q = prD
+        P, prX, q, cocartesian = _pulled_back(f, base, ebar, bound)
+        edges = [top for top in (EZ(cand, idop(1)) for cand in P.level(1)) if q(top).is_nondeg()]
         for x in P.level(0):
-            over = q.images[x].core
-            if over == "1":
+            if q.images[x].core == "1":
                 continue
             # a cocartesian lift of 01 starting at x must exist among marked edges
-            found = None
-            for cand in P.level(1):
-                top = EZ(cand, idop(1))
-                if P.face(top, 1) != EZ(x, (0,)):
-                    continue
-                if not q(top).is_nondeg():
-                    continue
-                upstairs = prX(top)
-                if not (not upstairs.is_nondeg() or upstairs.core in X.marked):
-                    continue
-                v = _classical_cocartesian(q, top, bound)
-                if v.status == VERIFIED:
-                    found = cand
-                    break
-            if found is None:
-                return Verdict(
-                    REFUTED,
-                    f"clause (ii): no marked cocartesian lift of {ebar} at {x!r}",
-                )
+            if not any(
+                P.face(top, 1) == EZ(x, (0,))
+                and marked(prX(top))
+                and cocartesian(top).status == VERIFIED
+                for top in edges
+            ):
+                return Verdict(REFUTED, f"clause (ii): no marked cocartesian lift of {ebar} at {x!r}")
         # marked edges over ebar must be cocartesian, unmarked must not be
-        for cand in P.level(1):
-            top = EZ(cand, idop(1))
-            if not q(top).is_nondeg():
-                continue
+        for top in edges:
             upstairs = prX(top)
-            marked = not upstairs.is_nondeg() or upstairs.core in X.marked
-            v = _classical_cocartesian(q, top, bound)
-            if marked and v.status == REFUTED:
+            v = cocartesian(top)
+            if marked(upstairs) and v.status == REFUTED:
                 return Verdict(REFUTED, f"clause (ii): marked edge {upstairs} over {ebar} is not cocartesian: {v.evidence}")
-            if not marked and v.status == VERIFIED:
+            if not marked(upstairs) and v.status == VERIFIED:
                 return Verdict(REFUTED, f"clause (ii): unmarked edge {upstairs} over {ebar} is cocartesian up to bound {bound}")
         verdicts.append(Verdict(VERIFIED, bound=bound))
     # clause (iii): marked edges over the initial edge of a thin triangle are
     # cocartesian in the pullback to the triangle
     for t in S.thin:
-        P, prX, prD = pullback(f, simplex_map(base, EZ(t, idop(2))), dim_cap=f.source.dim + 2)
-        q = prD
+        P, prX, q, cocartesian = _pulled_back(f, base, EZ(t, idop(2)), bound)
         for cand in P.level(1):
             top = EZ(cand, idop(1))
             if q(top) != EZ("01", (0, 1)):
                 continue
             upstairs = prX(top)
-            marked = not upstairs.is_nondeg() or upstairs.core in X.marked
-            if not marked:
-                continue
-            v = _classical_cocartesian(q, top, bound)
-            if v.status == REFUTED:
+            if marked(upstairs) and cocartesian(top).status == REFUTED:
                 return Verdict(
                     REFUTED,
                     f"clause (iii): marked edge {upstairs} over {t!r} not cocartesian in the triangle pullback",
@@ -730,18 +697,22 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
 def locally_cocartesian_edges(f: SMap, S: Scaled, bound: int = 4) -> frozenset:
     """Edges of the source that are cocartesian in the pullback over their image."""
     out = set()
+    pullbacks = {}
     for e in f.source.level(1):
         top = EZ(e, idop(1))
-        P, prX, prD = pullback(f, simplex_map(S.base, f(top)), dim_cap=f.source.dim + 1)
+        image = f(top)
+        if image not in pullbacks:
+            pullbacks[image] = _pulled_back(f, S.base, image, bound)
+        P, prX, q, cocartesian = pullbacks[image]
         lift = None
         for cand in P.level(1):
             ctop = EZ(cand, idop(1))
-            if prX(ctop) == top and prD(ctop) == EZ("01", (0, 1)):
+            if prX(ctop) == top and q(ctop) == EZ("01", (0, 1)):
                 lift = ctop
                 break
         if lift is None:
             raise SSetError("edge missing from its own pullback")
-        if _classical_cocartesian(prD, lift, bound).status == VERIFIED:
+        if cocartesian(lift).status == VERIFIED:
             out.add(e)
     return frozenset(out)
 
@@ -749,6 +720,7 @@ def locally_cocartesian_edges(f: SMap, S: Scaled, bound: int = 4) -> frozenset:
 # -- outer cartesian anodyne generators ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def q_complex() -> SSet:
     """Q = Delta^0 u_{02} Delta^3 u_{13} Delta^0."""
     d3 = standard_simplex(3)
@@ -767,30 +739,19 @@ def q_marked_cells(Q: SSet) -> frozenset:
     return frozenset(e.core for e in edges if e.is_nondeg())
 
 
+@lru_cache(maxsize=None)
 def outer_anodyne_family(bound: int) -> GeneratorFamily:
     """The six generating families of outer cartesian anodyne maps."""
-    gens = []
     # (1) scaled inner horns
-    for n in range(2, bound + 1):
-        for i in range(1, n):
-            gens.append(scaled_inner_horn(n, i))
+    gens = list(_scaled_inner_horns(bound))
     # (2) marked right horns; at n = 1 this is {1} in (Delta^1)^sharp
-    d1 = standard_simplex(1)
-    B1 = MarkedScaled(d1, frozenset({"01"}), frozenset())
-    gens.append(inclusion_generator("marked-horn(1)", B1, subcomplex(d1, ["1"])[1]))
-    for n in range(2, bound + 1):
-        Bn = MarkedScaled(standard_simplex(n), frozenset({f"{n - 1}{n}"}), frozenset())
-        gens.append(inclusion_generator(f"marked-horn({n})", Bn, horn_inclusion(n, n)))
+    for n in range(1, max(bound, 1) + 1):
+        gens.append(simplex_generator(f"marked-horn({n})", horn_inclusion(n, n), marked=[(n - 1, n)]))
     # (3) collapsed initial horns, no scaling
     for n in range(2, bound + 1):
-        gens.append(collapsed_horn_generator(n, "initial", None, f"anodyne-outer({n})"))
+        gens.append(collapsed_horn_generator(f"anodyne-outer({n})", n, (0, 1)))
     # (4) thin-triangle rescaling over a thin base triangle
-    d2 = standard_simplex(2)
-    gens.append(
-        rescale_generator(
-            "thin-rescale", MarkedScaled(d2), MarkedScaled(d2, frozenset(), frozenset({"012"}))
-        )
-    )
+    gens.append(_thin_triangle("thin-rescale"))
     # (5) the Q-marking extension
     Q = q_complex()
     qthin = frozenset(Q.level(2))
@@ -800,14 +761,15 @@ def outer_anodyne_family(bound: int) -> GeneratorFamily:
         )
     )
     # (6) composite marking on a thin triangle
+    d2 = standard_simplex(2)
     gens.append(
         rescale_generator(
             "composite-marking",
-            MarkedScaled(d2, frozenset({"01", "12"}), frozenset({"012"})),
-            MarkedScaled(d2, frozenset({"01", "02", "12"}), frozenset({"012"})),
+            MarkedScaled(d2, _cells([(0, 1), (1, 2)]), _cells([(0, 1, 2)])),
+            MarkedScaled(d2, _cells([(0, 1), (0, 2), (1, 2)]), _cells([(0, 1, 2)])),
         )
     )
-    return GeneratorFamily(f"outer-cartesian-anodyne(bound {bound})", gens)
+    return GeneratorFamily(f"outer-cartesian-anodyne(bound {bound})", tuple(gens))
 
 
 def has_outer_anodyne_rlp(p: SMap, X: MarkedScaled, Y: Scaled, bound: int = 4) -> Verdict:
@@ -818,27 +780,23 @@ def has_outer_anodyne_rlp(p: SMap, X: MarkedScaled, Y: Scaled, bound: int = 4) -
 # -- infinity-bicategories ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def scaled_anodyne_family(bound: int) -> GeneratorFamily:
     """The generating scaled anodyne maps: inner horns, the Delta^4 scaling
     saturation (exact), and the collapsed initial horns with their scaling."""
-    gens = []
-    for n in range(2, bound + 1):
-        for i in range(1, n):
-            gens.append(scaled_inner_horn(n, i))
+    gens = list(_scaled_inner_horns(bound))
     d4 = standard_simplex(4)
-    T = frozenset({"024", "123", "013", "134", "012"})
+    T = _cells([(0, 2, 4), (1, 2, 3), (0, 1, 3), (1, 3, 4), (0, 1, 2)])
     gens.append(
         rescale_generator(
             "saturation-4",
             MarkedScaled(d4, frozenset(), T),
-            MarkedScaled(d4, frozenset(), T | {"034", "014"}),
+            MarkedScaled(d4, frozenset(), T | _cells([(0, 3, 4), (0, 1, 4)])),
         )
     )
     for n in range(3, bound + 1):
-        gens.append(
-            collapsed_horn_generator(n, "initial", f"01{n}", f"scaled-outer({n})")
-        )
-    return GeneratorFamily(f"scaled-anodyne(bound {bound})", gens)
+        gens.append(collapsed_horn_generator(f"scaled-outer({n})", n, (0, 1), [(0, 1, n)]))
+    return GeneratorFamily(f"scaled-anodyne(bound {bound})", tuple(gens))
 
 
 def is_infty_bicategory(X: Scaled, bound: int = 4) -> Verdict:
@@ -1020,14 +978,6 @@ def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Ve
 # -- limit cones and coinitiality -------------------------------------------------------------
 
 
-@dataclass
-class RestrictionReport:
-    vertex: str
-    status: str
-    evidence: str
-    saturated: bool
-
-
 def _component_classes(base: SSet) -> dict[str, int]:
     parent = {v: v for v in base.level(0)}
 
@@ -1045,7 +995,7 @@ def _component_classes(base: SSet) -> dict[str, int]:
     return {v: find(v) for v in base.level(0)}
 
 
-def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str, bool]:
+def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str]:
     """Classify a restriction map: iso / trivial fibration / refuted / unclear."""
     iso = True
     for n in range(cap + 1):
@@ -1059,25 +1009,21 @@ def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str, bool]:
             iso = False
             break
     if iso:
-        return VERIFIED, "restriction is an isomorphism at cap", True
+        return VERIFIED, "restriction is an isomorphism at cap"
     comps = _component_classes(B.total.base)
     hit = {comps[rmap.images[v].core] for v in A.total.base.level(0)}
     missing = [v for v in B.total.base.level(0) if comps[v] not in hit]
     if missing:
-        return (
-            REFUTED,
-            f"target vertex {missing[0]!r} lies in a component not hit by the restriction",
-            True,
-        )
+        return REFUTED, f"target vertex {missing[0]!r} lies in a component not hit by the restriction"
     Xm = MarkedScaled(A.total.base, A.total.marked, A.total.thin)
     Ym = decorate(B.total.base, SHARP, SHARP)
     fam = boundary_family(cap, marked_generator=True, scaled_generator=False)
     v = has_rlp(rmap, Xm, Ym, fam, cap)
     if v.status == VERIFIED:
-        return VERIFIED, "restriction is a trivial fibration at cap", True
+        return VERIFIED, "restriction is a trivial fibration at cap"
     # an RLP failure refutes only for genuine inclusions K into the cone,
     # where the restriction is a categorical fibration
-    return REFUTED, f"restriction fails a boundary filler: {v.evidence}", True
+    return REFUTED, f"restriction fails a boundary filler: {v.evidence}"
 
 
 def check_limit_cone(
@@ -1102,7 +1048,7 @@ def check_limit_cone(
     if not is_scaled_map(g, cn.ms.scaled(), C):
         raise SSetError("cone diagram is not a scaled map")
     f = cn.tj.incl_right.then(g)
-    reports = []
+    statuses = []
     unsaturated = False
     for x in sorted(C.base.level(0)):
         slice_x = thick_slice_over_vertex(C, x, variance, cap, side="under")
@@ -1111,15 +1057,13 @@ def check_limit_cone(
         A = fun_coc_subcat(cn.ms, q, slice_x.scaled, g, good, cap)
         B = fun_coc_subcat(K, q, slice_x.scaled, f, good, cap)
         rmap = reindex_map(A, B, lambda n, m: B.shape.k_induced(A.shape, cn.tj.incl_right, n).then(m))
-        status, evidence, _ = _restriction_verdict(A, B, rmap, cap)
-        sat = slice_x.saturated and A.saturated and B.saturated
-        unsaturated = unsaturated or not sat
-        reports.append(RestrictionReport(x, status, evidence, sat))
+        status, evidence = _restriction_verdict(A, B, rmap, cap)
+        unsaturated = unsaturated or not (slice_x.saturated and A.saturated and B.saturated)
+        statuses.append(f"{x}: {status}")
         if status == REFUTED:
             return Verdict(REFUTED, f"at vertex {x!r}: {evidence}")
     if unsaturated:
-        detail = "; ".join(f"{r.vertex}: {r.status}" for r in reports)
-        return Verdict(INCONCLUSIVE, f"cap {cap} not saturated ({detail})")
+        return Verdict(INCONCLUSIVE, f"cap {cap} not saturated ({'; '.join(statuses)})")
     return Verdict(VERIFIED, bound=cap)
 
 
@@ -1140,8 +1084,7 @@ def refute_coinitial(
     evidence = []
     for idx, (p, X_scaled, good) in enumerate(fibrations):
         A = fun_coc_subcat(L, p, X_scaled, identity_map(L.base), good, cap)
-        hbar = h
-        B = fun_coc_subcat(K, p, X_scaled, hbar, good, cap)
+        B = fun_coc_subcat(K, p, X_scaled, h, good, cap)
         rmap = reindex_map(A, B, lambda n, m: B.shape.k_induced(A.shape, h, n).then(m))
         compsB = _component_classes(B.total.base)
         compsA = _component_classes(A.total.base)

@@ -106,6 +106,66 @@ def test_cli_json_format():
     assert payload["bound"] == 2
 
 
+# Every command that offers --format, with small arguments.
+JSON_COMMANDS = [
+    ["build", "q"],
+    ["gray", "--flat", "d1", "d1"],
+    ["join", "d1", "d0"],
+    ["thick-join", "out", "d1", "d0"],
+    ["cone", "inn", "left", "d1"],
+    ["slice", "d2_sharp", "2", "--cap", "3"],
+    ["hom", "d2_sharp", "0", "2", "--cap", "2"],
+    ["classify-edges", "d1_sharp", "1", "--bound", "2", "--cap", "2"],
+    ["check-fibration", "--kind", "outer-cartesian", "d1_sharp", "1", "--bound", "2", "--cap", "2"],
+    ["check-fibration", "--kind", "weak", "d1_sharp", "1", "--bound", "2", "--cap", "2"],
+    ["check-bicat", "d2_flat", "--bound", "2"],
+    ["check-limit-cone", "d1_sharp", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_json_output_is_one_json_value(argv):
+    table_code, _ = run_command(argv)
+    code, out = run_command(argv + ["--format", "json"])
+    assert code == table_code
+    json.loads(out)
+
+
+def test_cli_json_complex_documents_carry_their_header():
+    for argv in (["slice", "d2_sharp", "2", "--cap", "3"], ["hom", "d2_sharp", "0", "2", "--cap", "2"]):
+        _, table = run_command(argv)
+        _, out = run_command(argv + ["--format", "json"])
+        doc = json.loads(out)
+        assert table.startswith(f"provenance: {doc['provenance']}\nsaturated: {doc['saturated']}\n")
+        assert f"counts: {doc_to_complex(doc).base.counts()}\n" in table
+    _, table = run_command(["gray", "--flat", "d1", "d1"])
+    _, out = run_command(["gray", "--flat", "d1", "d1", "--format", "json"])
+    assert table.startswith("triangles: 2\nthin: 1\n")
+    assert f"counts: {doc_to_complex(json.loads(out)).base.counts()}\n" in table
+
+
+def test_cli_classify_edges_json_maps_each_edge_to_its_verdict():
+    argv = ["classify-edges", "d2_sharp", "2", "--flavor", "weak", "--bound", "3"]
+    _, table = run_command(argv)
+    code, out = run_command(argv + ["--format", "json"])
+    verdicts = json.loads(out)
+    assert code == 0 and sorted(verdicts) == ["s1.0", "s1.1", "s1.2"]
+    assert all(v == {"status": "VERIFIED", "bound": 3, "evidence": ""} for v in verdicts.values())
+    assert table == "".join(f"{e}: VERIFIED up to dimension 3\n" for e in sorted(verdicts))
+
+
+def test_cli_classify_edges_from_bound_ten():
+    argv = ["classify-edges", "d1_sharp", "1", "--bound", "10", "--cap", "1"]
+    assert run_command(argv) == (0, "s1.0: VERIFIED up to dimension 10\n")
+
+
+def test_cli_suite_offers_no_format_and_rejects_unknown_criteria():
+    assert run_command(["suite", "--only", "1", "--format", "json"])[0] == 3
+    for number in ("0", "12", "99"):
+        code, out = run_command(["suite", "--only", "1", number])
+        assert code == 3 and out.startswith(f"error: unknown criterion {number}"), out
+
+
 def test_cli_classify_edges():
     code, out = run_command(["classify-edges", "d1_sharp", "1", "--bound", "2", "--cap", "2"])
     assert code == 0

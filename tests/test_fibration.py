@@ -27,13 +27,13 @@ from ssw.fibration import (
     GeneratorFamily,
     as_base,
     boundary_family,
-    cartesian_horn,
     certificate_check,
     check_limit_cone,
     classify_edge,
     cocar_witness_check,
     combine,
     detects_thin,
+    edge_horn,
     edge_table,
     find_lift,
     has_outer_anodyne_rlp,
@@ -57,8 +57,6 @@ from ssw.fibration import (
     rescale_generator,
     scaled_anodyne_family,
     scaled_inner_horn,
-    strong_cartesian_horn,
-    weak_cartesian_horn,
     weak_cartesian_via_slice,
     weak_fibration_family,
 )
@@ -429,9 +427,9 @@ def all_generators(X: MarkedScaled, bound: int):
     ):
         yield from family
     for e in X.base.level(1):
-        for flavor in (cartesian_horn, weak_cartesian_horn, strong_cartesian_horn):
+        for flavor in ("cartesian", "weak", "strong"):
             for n in range(2, bound + 1):
-                yield flavor(n, EZ(e, (0, 1)))
+                yield edge_horn(flavor, n, EZ(e, (0, 1)))
 
 
 def refuted_by_both(p, X, Y, bound=3) -> set:
@@ -826,3 +824,143 @@ def test_limit_cone_never_verified_when_unsaturated():
     v = check_limit_cone(C, K, g, "inn", cap=2, bound=2)
     assert v.status == INCONCLUSIVE
     assert "not saturated" in v.evidence
+
+
+# ---------------------------------------------------------------- generator constructors and shared families
+
+# sha256 of every generating family at bounds 0-5 and of the edge horns at
+# n = 2..5, from tests/generator_fingerprints.py, taken on the hand-written
+# constructors that simplex_generator and edge_horn replaced.
+GENERATOR_FINGERPRINTS = {
+    "weak-fibration 0": "d202761b52ad1e700b538e4da32da9aa130b4492fab05169fa08a36d960d5976",
+    "inner-horns 0": "a465675d4308fce1383b485051e2d4da75d0452ffc566aa359e66aab86a1f12d",
+    "outer-horns 0": "8269ee61bc9009fa2a954865bc8d49fdab32933e0fc1c65d9803a4b3699078ed",
+    "boundaries 0": "da9539afb87f9cffc5ab7ddee5a28acd2cb5d5b3b9cbc94a78bf55dcf934a287",
+    "boundaries marked 0": "98392770bab84d5bd214796faf73d745757e8c4142484b9bad7da8e963e7832b",
+    "boundaries both 0": "7b4e1339c252bdad329fc67592ae24abc65da4e49f59ae4b30703e2a21077e5f",
+    "outer-cartesian-anodyne 0": "c931119b9db3235ebbc7e5fc997a300f638f17fa43ba3f78423a4401e1bcbac5",
+    "scaled-anodyne 0": "0d837cc9cf1f11c7b32c4dae42ff6e988c1fd560691710588381e086e3df47ca",
+    "weak-fibration 1": "0c1b7c4adf4a3a05e9861bd7b849b45f018d9e61416959de836e26fa740e8612",
+    "inner-horns 1": "aab165a32082ebc44094fc870ab0fcabac270df5805c81c089a5fa88ed1e62ee",
+    "outer-horns 1": "71ff363b5bedb7d23ce20ec68ea6e1c84600a2c455207cbae2f798f07a8f90fe",
+    "boundaries 1": "edc38c5a716bec93f817428c2913a1cbea7ab0361ada33abc0600a83b1ab72f9",
+    "boundaries marked 1": "543da09c280539a0600a6143d3924462ffc955427f5bc4df215612cfe6768819",
+    "boundaries both 1": "be6a96150ef10cfb804d0b41d54d9f218e29f8348234592bbd0761c6ce7eab9c",
+    "outer-cartesian-anodyne 1": "b88c0a47f8aab09190dbd31c09abbab7d3bb23fac3730b70a2209f54f79eecd6",
+    "scaled-anodyne 1": "25e05bb19e5cfb568ac611dda63ee536394aa56d88f0250aa107218df9a35826",
+    "weak-fibration 2": "c41d3aa335acc9259382c063251b8af0d1fe1fd43e48e7eed9ff67309e131604",
+    "inner-horns 2": "a3fe7005e77aa01442e9c0361b0c93522243eafaa84a899403f4302c3d1b650a",
+    "outer-horns 2": "ed8449e391406d0f4ca233073617c4544cbd5e9f07f41a642061b56aa49189dc",
+    "boundaries 2": "8c682b7f851c8ae1f49e7c05928504890e6cb80a73d160e5188907bd956ff269",
+    "boundaries marked 2": "5cde45918962992c1ad704d5c1b48de220198de09664e54ead4435527788af9a",
+    "boundaries both 2": "db5256af90cbc1db6cb89c0c0a28a495b21565a4cec2f60c4bc628d5eb09f29f",
+    "outer-cartesian-anodyne 2": "a1643d2967ad8f5658430d3464f9d4452bd285e6b5362c2556f8b33b7f704636",
+    "scaled-anodyne 2": "0cd1e2ac6be55dbbd9d73c27edfdb5b9c47451582db3544b634c160563774f6b",
+    "weak-fibration 3": "3e5dba8100c3158a8ff016ceb7cf67ec96f54e4b41923928484c3dae6a591639",
+    "inner-horns 3": "b3b99d6b6f6ced0bf19212c7a856df68bf877dc00231c87ecbe7a68e3e7d3984",
+    "outer-horns 3": "ae917666c47bbdaa8d26ffb7e20e602d0f447a31688c9727ca822654494e4536",
+    "boundaries 3": "9f29a811659ba8366dad833bbd8e749936ef584e148516d5da9d0615de48ad50",
+    "boundaries marked 3": "5c7ad707134f80a7e5a57e944ff7314f687e9e3c028ac61a85f6c1d69dcfc0d5",
+    "boundaries both 3": "1a3a0ab232a94fea4d9c415fa5de5249f1dc310ff42e8f4e0d37150439fb622d",
+    "outer-cartesian-anodyne 3": "96e89ac4e7e0f5b14dcd4c0e3d57f49dab540f8865e45ded43252b9fff53680d",
+    "scaled-anodyne 3": "453114e0bc8af88ec829c2131171b56bf52c9a6d5228a7518b110cd349204de2",
+    "weak-fibration 4": "93347a886f67cede1c680a07b798bf258a6010b7d02feabca25840b6d3a3365b",
+    "inner-horns 4": "bd172208ae20b4a0aa18bb3aa71407aff4288073c8a07cb00cc3940801a06a2e",
+    "outer-horns 4": "28b70d91e266d22ebd6b27aca084feef5a0a6e9367fdbb35392362677129ed1d",
+    "boundaries 4": "6c9f7e057b6a513745f227dba38245879b7f8449543b52f1201da8fc413c859c",
+    "boundaries marked 4": "b8c229844fb177533a6438ed3176d4d31cff6e41fe7806d658e4a9220b7ce41c",
+    "boundaries both 4": "24ea8199c791dbf05a7ff4a7c79d865433c3515b66d9ef03e2ddd90b2eb4cd66",
+    "outer-cartesian-anodyne 4": "ce56a3789970b0843af128e8c3c91c06316599cac9c7adf6c41120d17b53afa4",
+    "scaled-anodyne 4": "9c608492c00c4b6f20a8878e81fd0765140326989dfefd2234eeed67a9838cd2",
+    "weak-fibration 5": "13b4adfa6c056cac9a65a3fb9dc0bdaf9f04d4bf62569b012f668967701ad0d2",
+    "inner-horns 5": "11e26b3fef5d63693128a1058679388910b01906082881e127af010fc944e750",
+    "outer-horns 5": "dcde9ebeadd64e07041985577091ac1a6c901faf91a9ed0b7f01ebf3be463ab3",
+    "boundaries 5": "79700d4529da5d6bc5cd41fb5624c9c8c630008a489adcd8c4168766eb5bf1d2",
+    "boundaries marked 5": "f9d5ab7ac86fcc9998a05d3b95230f762310ce9c89f4b0b27669710fc62bdb77",
+    "boundaries both 5": "f7939dda1a24e110138566fd9b3acedc06e14c494075ab06491a93f72fd694c3",
+    "outer-cartesian-anodyne 5": "2c7e7747acba4a24732eb3bdeebd0b4f4741f7d0f55ae62593bdc87527dfa70a",
+    "scaled-anodyne 5": "757ea0f12f559f0fc3c1b6a4387432fa9128048e45c621ba280d942d549445e1",
+    "cartesian-edge 2": "b4932e6347d603ca629090f5c38b2154d1738b41f5eedfbeeb5bc7fd6e8e23fc",
+    "cartesian-edge 3": "1cf4b5542608ac7538694e25286cdb42ed472e0f257474e3a4b952a628be9886",
+    "cartesian-edge 4": "2b843c9107bbd1ad19e5fb6b1f28f9c37586d98414139174920eafcfe708a2a3",
+    "cartesian-edge 5": "588264ad38fc54409d14ea816ae2bcb3268ac7890eaa261cb35f7e23ca3bb132",
+    "weak-edge 2": "15a7c5582612355c59bfe48490178fb8fcfe97ceb7645530d59ca875e9252d53",
+    "weak-edge 3": "62aaca563655a8a0c71a1895d9a8797685dd940861e48e3d1e4f185f63441369",
+    "weak-edge 4": "fa4035788ad4218517dfba6dfe56dcf752d86bdb724a8bd5e23e732c93e7aef5",
+    "weak-edge 5": "4009bb7262d8821749fd91645e0d66ed9651d79608139c533dd24cbbcb734a5e",
+    "strong-edge 2": "0152bc98359db1071a1109ce7f8a5589ec46aa3abd340cf600f6a080833b960f",
+    "strong-edge 3": "3b1fd200ff25ca97f4c8f382352f22e2a1439b9160651d564dacf115513aa5f3",
+    "strong-edge 4": "2093661a96da227731b8cbad12fd4bebd6df2e4c6aecaf5163215810478a6f3f",
+    "strong-edge 5": "57a4474656c9887d79e2e8d9ab6073dd5b52b545eee49ad8ff81b9e3a509120b",
+}
+
+
+def test_generators_match_their_pinned_fingerprints():
+    from generator_fingerprints import fingerprints
+
+    assert fingerprints() == GENERATOR_FINGERPRINTS
+
+
+def test_generators_name_cells_of_simplices_from_dimension_ten():
+    assert edge_horn("cartesian", 10).B.thin == {"0.9.10"}
+    assert is_infty_bicategory(scale(standard_simplex(0)), 10) == Verdict(VERIFIED, bound=10)
+
+
+def counting(monkeypatch, name):
+    """Replace ssw.fibration.<name> by a wrapper that records its arguments."""
+    import ssw.fibration as fibration
+
+    calls = []
+    inner = getattr(fibration, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fibration, name, wrapper)
+    return calls
+
+
+def test_families_that_depend_only_on_their_bound_are_built_once(monkeypatch):
+    assert weak_fibration_family(3) is weak_fibration_family(3)
+    assert isinstance(weak_fibration_family(3).generators, tuple)
+    p, X, Y = to_point(d2_sharp()), d2_sharp(), Scaled(standard_simplex(0))
+    first = is_weak_fibration(p, X, Y, 3)
+    built = counting(monkeypatch, "collapsed_horn_generator")
+    assert is_weak_fibration(p, X, Y, 3) == first
+    assert built == []
+
+
+def test_edge_families_are_built_per_call(monkeypatch):
+    import ssw.fibration as fibration
+
+    built = counting(monkeypatch, "edge_horn")
+    e = EZ("01", (0, 1))
+    first, second = fibration._edge_family("weak", e, 3), fibration._edge_family("weak", e, 3)
+    assert first is not second and first == second
+    assert len(built) == 4
+
+
+def criterion_6_fibrations():
+    """The three fibrations of criterion 6, with their base."""
+    d1 = standard_simplex(1)
+    C = scale(d1, SHARP)
+    under = thick_slice_over_vertex(C, "0", "inn", cap=3, side="under")
+    return [(identity_map(d1), Scaled(d1)), (product(d1, d1).pr2, Scaled(d1)), (under.projection, C)]
+
+
+def test_fibered_checks_decide_each_pullback_edge_once(monkeypatch):
+    decided = counting(monkeypatch, "_classical_cocartesian")
+    for p, S in criterion_6_fibrations():
+        X = MarkedScaled(p.source, locally_cocartesian_edges(p, S, bound=3), frozenset())
+        assert is_P_fibered(p, X, S, bound=3).status == VERIFIED
+    keys = [(id(q), e) for q, e, _ in decided]
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_locally_cocartesian_edges_pulls_back_once_per_image_edge(monkeypatch):
+    for p, S in criterion_6_fibrations():
+        pulled = counting(monkeypatch, "pullback")
+        locally_cocartesian_edges(p, S, bound=3)
+        images = {p(EZ(e, idop(1))) for e in p.source.level(1)}
+        assert len(pulled) == len(images)

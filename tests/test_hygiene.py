@@ -101,9 +101,10 @@ def test_functions_set_attributes_only_on_self():
     assert hits - ALLOWED_FOREIGN_ATTRIBUTES == set()
 
 
-# The ROADMAP baseline for the lines of src/ssw/*.py; lines added for speed
-# are paid back by deleting others.
-MAX_SOURCE_LINES = 4904
+# A ratchet on the lines of src/ssw/*.py, lowered as code is deleted (the
+# ROADMAP baseline is 4,904); lines added for speed are paid back by deleting
+# others.
+MAX_SOURCE_LINES = 4784
 
 
 def annotation_names(tree):
