@@ -15,7 +15,7 @@ from .core import (
     pushout_mono,
     standard_simplex,
 )
-from .decor import Marked, MarkedScaled, Scaled, core_thi, decorate, mark, scale
+from .decor import MarkedScaled, Scaled, core_thi, decorate, scale
 from .fibration import Verdict
 from .tensor import cone, gray_marked_n, gray_scaled, join_ms, thick_join
 
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EZ",
     "CapError",
-    "Marked",
     "MarkedScaled",
     "SMap",
     "SSet",
@@ -40,7 +39,6 @@ __all__ = [
     "horn",
     "join_ms",
     "join_sset",
-    "mark",
     "opposite",
     "product",
     "pushout_mono",

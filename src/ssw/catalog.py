@@ -93,11 +93,3 @@ def catalog(check_goldens: bool = True) -> dict:
             ):
                 raise SSetError(f"golden for {name!r} disagrees with the construction")
     return entries
-
-
-def write_goldens() -> None:
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, ms in _entries().items():
-        path = os.path.join(GOLDEN_DIR, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize(complex_to_doc(ms, name)))

@@ -21,6 +21,7 @@ from .fibration import (
     Verdict,
     check_limit_cone,
     classify_edge,
+    empty_cone,
     is_infty_bicategory,
     is_inner_fibration,
     is_outer_fibration,
@@ -201,15 +202,8 @@ def cmd_check_bicat(args) -> tuple[int, str]:
 
 
 def cmd_check_limit_cone(args) -> tuple[int, str]:
-    from .core import empty_sset
-    from .core import SMap
-
     C = resolve(args.object).scaled()
-    K = MarkedScaled(empty_sset())
-    cn = cone(args.variance, "left", K)
-    if args.vertex not in C.base.level(0):
-        raise CliError(f"no vertex {args.vertex!r}")
-    g = SMap(cn.ms.base, C.base, {cn.star: EZ(args.vertex, (0,))})
+    K, g = empty_cone(C, args.vertex, args.variance)
     v = check_limit_cone(C, K, g, args.variance, cap=args.cap, bound=args.bound)
     return _verdict_exit(v), _emit_verdict(v, args.format)
 

@@ -36,6 +36,15 @@ class CapError(SSetError):
     """A construction produced nondegenerate cells above the dimension cap."""
 
 
+def check_mode(name: str, value: str, *allowed: str) -> str:
+    """A mode string, returned if it is one of the allowed values; any other
+    value is an SSetError such as "side must be 'over' or 'under'"."""
+    if value not in allowed:
+        names = [repr(a) for a in allowed]
+        raise SSetError(f"{name} must be {', '.join(names[:-1])} or {names[-1]}")
+    return value
+
+
 class EZ(NamedTuple):
     """A simplex in EZ normal form: a degeneracy word applied to a core cell."""
 
@@ -48,10 +57,6 @@ class EZ(NamedTuple):
 
     def is_nondeg(self) -> bool:
         return is_id(self.op)
-
-
-def ez(core: str, op: Op) -> EZ:
-    return EZ(core, tuple(op))
 
 
 def ez_str(pair: EZ) -> str:
@@ -373,10 +378,10 @@ def empty_sset() -> SSet:
 
 
 @lru_cache(maxsize=None)
-def standard_simplex(n: int, dim_cap: int | None = None) -> SSet:
+def standard_simplex(n: int) -> SSet:
     """The n-simplex; nondegenerate cells are vertex subsets of {0..n}.
 
-    Built and validated once per argument list, then shared: SSets are
+    Built and validated once per n, then shared: SSets are
     immutable.
     """
     if n < 0:
@@ -391,7 +396,7 @@ def standard_simplex(n: int, dim_cap: int | None = None) -> SSet:
                 faces[x] = tuple(
                     EZ(_name(verts[:i] + verts[i + 1:]), idop(k - 1)) for i in range(k + 1)
                 )
-    return SSet(cells, faces, dim_cap=max(DIM_CAP, n) if dim_cap is None else dim_cap)
+    return SSet(cells, faces, dim_cap=max(DIM_CAP, n))
 
 
 def simplex_cell(verts: Iterable[int]) -> str:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EZ, SMap, SSet, SSetError, isomorphisms, opposite, pushout_mono, subcomplex
+from .core import EZ, SMap, SSet, SSetError, check_mode, isomorphisms, opposite, pushout_mono, subcomplex
 from .ops import idop, injections
 
 
@@ -40,9 +40,6 @@ class MarkedScaled:
     def scaled(self) -> "Scaled":
         return Scaled(self.base, self.thin)
 
-    def marked_only(self) -> "Marked":
-        return Marked(self.base, self.marked)
-
     def op(self) -> "MarkedScaled":
         return MarkedScaled(opposite(self.base), self.marked, self.thin)
 
@@ -60,9 +57,6 @@ class Scaled:
     def is_thin(self, pair: EZ) -> bool:
         return not pair.is_nondeg() or pair.core in self.thin
 
-    def with_marking(self, marked) -> MarkedScaled:
-        return MarkedScaled(self.base, frozenset(marked), self.thin)
-
     def flat_marked(self) -> MarkedScaled:
         return MarkedScaled(self.base, frozenset(), self.thin)
 
@@ -73,44 +67,19 @@ class Scaled:
         return Scaled(opposite(self.base), self.thin)
 
 
-@dataclass(frozen=True)
-class Marked:
-    """A marked simplicial set (X, E_X)."""
-
-    base: SSet
-    marked: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "marked", _check_decoration(self.base, self.marked, 1, "marked"))
-
-    def is_marked(self, pair: EZ) -> bool:
-        return not pair.is_nondeg() or pair.core in self.marked
-
-    def op(self) -> "Marked":
-        return Marked(opposite(self.base), self.marked)
-
-
 FLAT, SHARP = "flat", "sharp"
 
 
 def decorate(base: SSet, marking: str = FLAT, scaling: str = FLAT) -> MarkedScaled:
     """Build X with flat/sharp marking and scaling (covers all six decorators)."""
-    marked = frozenset() if marking == FLAT else frozenset(base.level(1))
-    thin = frozenset() if scaling == FLAT else frozenset(base.level(2))
+    marked = frozenset() if check_mode("marking", marking, FLAT, SHARP) == FLAT else frozenset(base.level(1))
+    thin = frozenset() if check_mode("scaling", scaling, FLAT, SHARP) == FLAT else frozenset(base.level(2))
     return MarkedScaled(base, marked, thin)
 
 
-def scale(base: SSet, scaling: str = FLAT, thin=()) -> Scaled:
-    """X_flat or X_sharp, or an explicit scaling."""
-    if thin:
-        return Scaled(base, frozenset(thin))
-    return Scaled(base, frozenset() if scaling == FLAT else frozenset(base.level(2)))
-
-
-def mark(base: SSet, marking: str = FLAT, marked=()) -> Marked:
-    if marked:
-        return Marked(base, frozenset(marked))
-    return Marked(base, frozenset() if marking == FLAT else frozenset(base.level(1)))
+def scale(base: SSet, scaling: str = FLAT) -> Scaled:
+    """X_flat or X_sharp."""
+    return decorate(base, FLAT, scaling).scaled()
 
 
 def core_thi(X: Scaled) -> tuple[SSet, SMap]:
@@ -141,20 +110,20 @@ def is_scaled_map(f: SMap, S: Scaled | MarkedScaled, T: Scaled | MarkedScaled) -
     return all(T.is_thin(f(EZ(t, idop(2)))) for t in S.thin)
 
 
-def push_marking(f: SMap, marked) -> frozenset:
-    """Image of a marking along a map; images that degenerate are dropped."""
-    out = set()
-    for e in marked:
-        img = f(EZ(e, idop(1)))
-        if img.is_nondeg():
-            out.add(img.core)
-    return frozenset(out)
+def check_scaled_map(f: SMap, K: Scaled | MarkedScaled, S: Scaled | MarkedScaled, what: str) -> None:
+    """f must be a scaled map K -> S; ``what`` names f in the error."""
+    if f.source != K.base or f.target != S.base:
+        raise SSetError(f"{what} mismatch")
+    if not is_scaled_map(f, K, S):
+        raise SSetError(f"{what} is not a scaled map")
 
 
-def push_scaling(f: SMap, thin) -> frozenset:
+def push_cells(f: SMap, cells) -> frozenset:
+    """Images of nondegenerate cells along a map, each at its own dimension
+    (a marking or a scaling); images that degenerate are dropped."""
     out = set()
-    for t in thin:
-        img = f(EZ(t, idop(2)))
+    for x in cells:
+        img = f.images[x]
         if img.is_nondeg():
             out.add(img.core)
     return frozenset(out)
@@ -163,8 +132,8 @@ def push_scaling(f: SMap, thin) -> frozenset:
 def pushout_ms(i: SMap, g: SMap, B: MarkedScaled, X: MarkedScaled):
     """Decorated pushout: decoration of the result is the union of the images."""
     res = pushout_mono(i, g)
-    marked = push_marking(res.leg_target, X.marked) | push_marking(res.leg_big, B.marked)
-    thin = push_scaling(res.leg_target, X.thin) | push_scaling(res.leg_big, B.thin)
+    marked = push_cells(res.leg_target, X.marked) | push_cells(res.leg_big, B.marked)
+    thin = push_cells(res.leg_target, X.thin) | push_cells(res.leg_big, B.thin)
     return MarkedScaled(res.sset, marked, thin), res.leg_target, res.leg_big
 
 

@@ -16,13 +16,14 @@ from .core import (
     SMap,
     SSet,
     SSetError,
+    check_mode,
     constant_map,
     boundary_inclusion,
+    empty_sset,
     enumerate_maps,
     horn,
     horn_inclusion,
     identity_map,
-    joint_core,
     opposite,
     opposite_map,
     pair_cell,
@@ -37,8 +38,9 @@ from .decor import (
     SHARP,
     MarkedScaled,
     Scaled,
+    check_scaled_map,
     decorate,
-    is_scaled_map,
+    push_cells,
     pushout_ms,
     restrict_ms,
 )
@@ -206,17 +208,15 @@ def edge_horn(flavor: str, n: int, anchor: EZ | None = None) -> Generator:
     (Lambda^n_0)_flat in Delta^n_flat for "strong"; for n = 2 the strong
     edge is outside the horn, so the anchor pins the filler."""
     pins = {} if anchor is None else {(n - 1, n): anchor}
-    if flavor == "cartesian":
+    if check_mode("flavor", flavor, "cartesian", "weak", "strong") == "cartesian":
         return simplex_generator(f"cartesian-horn({n})", horn_inclusion(n, n), thin=[(0, n - 1, n)], top_pins=pins)
     if flavor == "weak":
         thin = [(a, n - 1, n) for a in range(n - 1)]
         return simplex_generator(f"weak-cartesian-horn({n})", horn_inclusion(n, n), thin=thin, top_pins=pins)
-    if flavor == "strong":
-        top_pins, filler_pins = (pins, None) if n >= 3 else (None, pins)
-        return simplex_generator(
-            f"strong-cartesian-horn({n})", horn_inclusion(n, 0), top_pins=top_pins, filler_pins=filler_pins
-        )
-    raise SSetError(f"unknown flavor {flavor!r}")
+    top_pins, filler_pins = (pins, None) if n >= 3 else (None, pins)
+    return simplex_generator(
+        f"strong-cartesian-horn({n})", horn_inclusion(n, 0), top_pins=top_pins, filler_pins=filler_pins
+    )
 
 
 def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generator:
@@ -227,8 +227,7 @@ def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generat
     edge_sub, edge_incl = subcomplex(full, [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
     res = pushout_mono(edge_incl, constant_map(edge_sub, standard_simplex(0), "0"))
     Bq = res.sset
-    images = [res.leg_big.images[t] for t in _cells(thin)]
-    B = MarkedScaled(Bq, frozenset(), frozenset(img.core for img in images if img.is_nondeg()))
+    B = MarkedScaled(Bq, frozenset(), push_cells(res.leg_big, _cells(thin)))
     keep = {res.leg_big.images[c].core for c in horn(n, 0 if 0 in edge else n).dim_of}
     keep.add(res.leg_target.images["0"].core)
     return inclusion_generator(name, B, subcomplex(Bq, keep)[1])
@@ -501,15 +500,18 @@ def _edge_family(flavor: str, e: EZ, bound: int) -> GeneratorFamily:
     return GeneratorFamily(f"{flavor}-edge(bound {bound})", gens)
 
 
+# The cocartesian flavors, each with the cartesian flavor of the opposite map.
+_CO_FLAVORS = {"cocartesian": "cartesian", "weak_co": "weak", "strong_co": "strong"}
+
+
 def classify_edge(p: SMap, X: Scaled, Y: Scaled, e: EZ, flavor: str, bound: int = 4) -> Verdict:
     """Run the lifting family of a cartesian-edge flavor anchored at e.
 
     Cocartesian flavors are checked through the opposite map.
     """
-    if flavor.endswith("_co") or flavor == "cocartesian":
-        base_flavor = {"cocartesian": "cartesian", "weak_co": "weak", "strong_co": "strong"}[flavor]
+    if check_mode("flavor", flavor, "cartesian", "weak", "strong", *_CO_FLAVORS) in _CO_FLAVORS:
         eop = EZ(e.core, op_reverse(e.op))
-        return classify_edge(opposite_map(p), X.op(), Y.op(), eop, base_flavor, bound)
+        return classify_edge(opposite_map(p), X.op(), Y.op(), eop, _CO_FLAVORS[flavor], bound)
     fam = _edge_family(flavor, e, bound)
     return has_rlp(p, X.sharp_marked(), as_base(Y), fam, bound)
 
@@ -527,7 +529,10 @@ def is_var_cartesian_fibration(
     """The full fibration predicate plus the table of (co)cartesian edges."""
     if co:
         return is_var_cartesian_fibration(opposite_map(p), X.op(), Y.op(), variance, False, bound)
-    fib = is_inner_fibration(p, X, Y, bound) if variance == "inn" else is_outer_fibration(p, X, Y, bound)
+    if check_mode("variance", variance, "inn", "out") == "inn":
+        fib = is_inner_fibration(p, X, Y, bound)
+    else:
+        fib = is_outer_fibration(p, X, Y, bound)
     if fib.status == REFUTED:
         return fib, {}
     table = edge_table(p, X, Y, "cartesian", bound)
@@ -596,17 +601,8 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     if to_y.then(y_to_fy) != e_to_fe.then(fe_to_fy):
         raise SSetError("slice comparison square does not commute")
     pb, pr1, pr2 = pullback(y_to_fy, fe_to_fy, dim_cap=max(cap, sl_y.total.base.dim + sl_fe.total.base.dim))
-    index: dict[tuple[EZ, EZ], str] = {}
-    for c, n in pb.dim_of.items():
-        top = EZ(c, idop(n))
-        index[(pr1(top), pr2(top))] = c
-    images = {}
-    for c, n in sl_e.total.base.dim_of.items():
-        cores, sigma = joint_core((to_y.images[c], e_to_fe.images[c]))
-        hit = index.get(cores)
-        if hit is None:
-            raise SSetError("comparison image missing from the pullback")
-        images[c] = EZ(hit, sigma)
+    # the pullback is a subcomplex of the product, so its cells keep their product names
+    images = {c: pair_cell(pb, to_y.images[c], e_to_fe.images[c]) for c in sl_e.total.base.dim_of}
     cmpmap = SMap(sl_e.total.base, pb, images)
     Xside = MarkedScaled(sl_e.total.base, frozenset(sl_e.total.base.level(1)), sl_e.total.thin)
     pb_thin = set()
@@ -647,10 +643,6 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
         return Verdict(REFUTED, f"clause (i): {inner.evidence}")
     verdicts = [inner]
     base = S.base
-
-    def marked(upstairs):
-        return not upstairs.is_nondeg() or upstairs.core in X.marked
-
     # clause (ii): each edge pullback is a cocartesian fibration with the
     # marked edges exactly the cocartesian ones
     for ebar in base.simplices(1):
@@ -662,7 +654,7 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
             # a cocartesian lift of 01 starting at x must exist among marked edges
             if not any(
                 P.face(top, 1) == EZ(x, (0,))
-                and marked(prX(top))
+                and X.is_marked(prX(top))
                 and cocartesian(top).status == VERIFIED
                 for top in edges
             ):
@@ -671,9 +663,9 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
         for top in edges:
             upstairs = prX(top)
             v = cocartesian(top)
-            if marked(upstairs) and v.status == REFUTED:
+            if X.is_marked(upstairs) and v.status == REFUTED:
                 return Verdict(REFUTED, f"clause (ii): marked edge {upstairs} over {ebar} is not cocartesian: {v.evidence}")
-            if not marked(upstairs) and v.status == VERIFIED:
+            if not X.is_marked(upstairs) and v.status == VERIFIED:
                 return Verdict(REFUTED, f"clause (ii): unmarked edge {upstairs} over {ebar} is cocartesian up to bound {bound}")
         verdicts.append(Verdict(VERIFIED, bound=bound))
     # clause (iii): marked edges over the initial edge of a thin triangle are
@@ -685,7 +677,7 @@ def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict
             if q(top) != EZ("01", (0, 1)):
                 continue
             upstairs = prX(top)
-            if marked(upstairs) and cocartesian(top).status == REFUTED:
+            if X.is_marked(upstairs) and cocartesian(top).status == REFUTED:
                 return Verdict(
                     REFUTED,
                     f"clause (iii): marked edge {upstairs} over {t!r} not cocartesian in the triangle pullback",
@@ -1026,6 +1018,16 @@ def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str]:
     return REFUTED, f"restriction fails a boundary filler: {v.evidence}"
 
 
+def empty_cone(C: Scaled, vertex: str, variance: str) -> tuple[MarkedScaled, SMap]:
+    """The empty diagram K and the cone on it with its point at a vertex of C,
+    as ``check_limit_cone`` takes them."""
+    if vertex not in C.base.level(0):
+        raise SSetError(f"no vertex {vertex!r}")
+    K = MarkedScaled(empty_sset())
+    cn = cone(variance, "left", K)
+    return K, SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))})
+
+
 def check_limit_cone(
     C: Scaled,
     K: MarkedScaled,
@@ -1043,10 +1045,7 @@ def check_limit_cone(
     if bic.status == REFUTED:
         return Verdict(REFUTED, f"ambient is not an infinity-bicategory: {bic.evidence}")
     cn = cone(variance, "left", K)
-    if g.source != cn.ms.base or g.target != C.base:
-        raise SSetError("cone diagram mismatch")
-    if not is_scaled_map(g, cn.ms.scaled(), C):
-        raise SSetError("cone diagram is not a scaled map")
+    check_scaled_map(g, cn.ms, C, "cone diagram")
     f = cn.tj.incl_right.then(g)
     statuses = []
     unsaturated = False

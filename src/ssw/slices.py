@@ -20,6 +20,7 @@ from .core import (
     SMap,
     SSet,
     SSetError,
+    check_mode,
     enumerate_maps,
     fiber as fiber_core,
     identity_map,
@@ -35,8 +36,8 @@ from .decor import (
     SHARP,
     MarkedScaled,
     Scaled,
+    check_scaled_map,
     decorate,
-    is_scaled_map,
     restrict_ms,
 )
 from .ops import compose, const_op, degeneracy_op, face_op, idop
@@ -157,7 +158,7 @@ class Shape:
         return self._memo(("upgrade", which), self._upgrade, which)
 
     def _upgrade(self, which: str) -> frozenset:
-        if which == "marked":
+        if check_mode("which", which, "marked", "thin") == "marked":
             n, probe = 1, interval_sharp()
         else:
             n, probe = 2, decorate(standard_simplex(2), self.thin_probe_marking, SHARP)
@@ -170,13 +171,6 @@ class Shape:
         return None
 
 
-def _is_first(side: str, first: str, second: str) -> bool:
-    """Whether side names the first of a shape's two sides; any other is an error."""
-    if side not in (first, second):
-        raise SSetError(f"side must be {first!r} or {second!r}")
-    return side == first
-
-
 class JoinShape(Shape):
     """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'.
 
@@ -185,7 +179,7 @@ class JoinShape(Shape):
     part of a level that depends on f, so they are read per shape."""
 
     def __init__(self, K: MarkedScaled, f: SMap, side: str):
-        super().__init__(K, _is_first(side, "over", "under"))
+        super().__init__(K, check_mode("side", side, "over", "under") == "over")
         self.f = f
 
     def join(self, first: MarkedScaled, second: MarkedScaled, cap: int):
@@ -235,7 +229,7 @@ class GrayShape(Shape):
     thin_probe_marking = SHARP  # Gray thinness also reads the markings of the factors
 
     def __init__(self, K: MarkedScaled, side: str):
-        super().__init__(K, _is_first(side, "left", "right"))
+        super().__init__(K, check_mode("side", side, "left", "right") == "left")
 
     def variant(self, X: MarkedScaled) -> Level:
         g = gray_marked_n(list(self.ordered(X, self.K)), dim_cap=X.base.dim + self.K.base.dim)
@@ -389,17 +383,9 @@ def build_representable(
 # -- public operations -----------------------------------------------------------------
 
 
-def check_diagram(S: Scaled, K: MarkedScaled, f: SMap) -> None:
-    """A slice diagram f must be a scaled map K -> S."""
-    if f.source != K.base or f.target != S.base:
-        raise SSetError("slice diagram mismatch")
-    if not is_scaled_map(f, K.scaled(), S):
-        raise SSetError("slice diagram is not a scaled map")
-
-
 def slice_construction(S: Scaled, K: MarkedScaled, f: SMap, side: str, cap: int) -> SliceResult:
     """The slice S_{/f} (side 'over') or S_{f/} (side 'under')."""
-    check_diagram(S, K, f)
+    check_scaled_map(f, K, S, "slice diagram")
     shape = JoinShape(K, f, side)
     tag = "/f" if side == "over" else "f/"
     return build_representable(shape, S, cap, f"slice {tag} (ordinary join), cap {cap}")
@@ -416,7 +402,7 @@ def slice_over_marked_arrow(S: Scaled, edge: str, cap: int) -> SliceResult:
 
 def thick_slice(S: Scaled, K: MarkedScaled, f: SMap, variance: str, side: str, cap: int) -> SliceResult:
     """The thick slice S^{/f}_var or S^{f/}_var."""
-    check_diagram(S, K, f)
+    check_scaled_map(f, K, S, "slice diagram")
     shape = ThickShape(K, f, variance, side)
     tag = "/f" if side == "over" else "f/"
     return build_representable(shape, S, cap, f"thick slice {tag} {variance}, cap {cap}")
@@ -480,14 +466,10 @@ def hom_triangle(C: Scaled, x: str, y: str, cap: int) -> tuple[MarkedScaled, Sli
 
 def fun_space(K: MarkedScaled, X: Scaled, product_kind: str, cap: int) -> SliceResult:
     """The functor space with Gray (left/right) or cartesian levels."""
-    if product_kind == "gray_left":
-        shape = GrayShape(K, "left")
-    elif product_kind == "gray_right":
-        shape = GrayShape(K, "right")
-    elif product_kind == "cartesian":
+    if check_mode("product_kind", product_kind, "cartesian", "gray_left", "gray_right") == "cartesian":
         shape = CartesianShape(K)
     else:
-        raise SSetError("product_kind must be cartesian, gray_left or gray_right")
+        shape = GrayShape(K, product_kind.removeprefix("gray_"))
     return build_representable(
         shape, X, cap, f"fun[{product_kind}], cap {cap}", with_marking=False
     )

@@ -11,7 +11,6 @@ from .core import (
     EZ,
     SMap,
     constant_map,
-    empty_sset,
     identity_map,
     opposite_map,
     product,
@@ -34,6 +33,7 @@ from .fibration import (
     check_limit_cone,
     classify_edge,
     cocar_witness_check,
+    empty_cone,
     has_outer_anodyne_rlp,
     is_P_fibered,
     is_var_cartesian_fibration,
@@ -53,7 +53,6 @@ from .slices import (
     thick_slice_over_vertex,
 )
 from .tensor import (
-    cone,
     flat_ms,
     gray_marked_n,
     gray_scaled,
@@ -327,22 +326,15 @@ def _c9_fiber_isomorphism(cap: int = 2):
     return True, f"sides isomorphic at cap {cap} over every object ({'; '.join(summaries)})"
 
 
-def _empty_cone(C: Scaled, vertex: str):
-    K = MarkedScaled(empty_sset())
-    cn = cone("inn", "left", K)
-    g = SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))})
-    return K, g
-
-
 def _c10_limits(cap: int = 4):
     for n in (1, 2):
         C = scale(standard_simplex(n), SHARP)
-        K, g = _empty_cone(C, str(n))
+        K, g = empty_cone(C, str(n), "inn")
         v = check_limit_cone(C, K, g, "inn", cap=cap, bound=3)
         if v.status != VERIFIED:
             return False, f"final vertex of d{n}_sharp not verified: {v.render()}"
     C = scale(standard_simplex(1), SHARP)
-    K, g = _empty_cone(C, "0")
+    K, g = empty_cone(C, "0", "inn")
     v = check_limit_cone(C, K, g, "inn", cap=cap, bound=3)
     if v.status != REFUTED:
         return False, "vertex 0 of the interval was not refuted"
@@ -350,7 +342,7 @@ def _c10_limits(cap: int = 4):
 
     J3 = j_truncated(3)
     CJ = Scaled(J3, frozenset(J3.level(2)))
-    K, g = _empty_cone(CJ, "1")
+    K, g = empty_cone(CJ, "1", "inn")
     v = check_limit_cone(CJ, K, g, "inn", cap=2, bound=2)
     if v.status != INCONCLUSIVE:
         return False, f"truncated input did not come out inconclusive: {v.render()}"

@@ -13,6 +13,7 @@ from .core import (
     SMap,
     SSet,
     SSetError,
+    check_mode,
     identity_map,
     join_sset,
     multi_product,
@@ -28,10 +29,11 @@ from .decor import (
     SHARP,
     MarkedScaled,
     Scaled,
+    check_scaled_map,
     decorate,
     is_scaled_map,
+    push_cells,
     pushout_ms,
-    push_marking,
 )
 from .ops import const_op, degeneracy_op, epi_mono, idop, op_join
 
@@ -46,10 +48,6 @@ def sharp_ms(n: int) -> MarkedScaled:
 
 def point_ms() -> MarkedScaled:
     return flat_ms(0)
-
-
-def interval_flat() -> MarkedScaled:
-    return flat_ms(1)
 
 
 def interval_sharp() -> MarkedScaled:
@@ -142,9 +140,9 @@ class VariantScalings(NamedTuple):
     mp: MultiProductResult
 
 
-def gray_variant_scalings(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> VariantScalings:
+def gray_variant_scalings(X: MarkedScaled, Y: MarkedScaled) -> VariantScalings:
     """The chain T_minus <= T_gr <= T_plus on the product of X and Y."""
-    gr = gray_marked_n([X, Y], dim_cap=dim_cap)
+    gr = gray_marked_n([X, Y])
     P = gr.scaled.base
     pr1, pr2 = gr.projections
     minus, plus = set(), set()
@@ -185,6 +183,7 @@ def marked_variants_witness(
     variants: VariantScalings, X: MarkedScaled, Y: MarkedScaled, cell: str, which: str
 ) -> Witness3:
     """The prescribed 3-simplex for a triangle in T_plus - T_gr or T_gr - T_minus."""
+    check_mode("which", which, "plus", "gr")
     P = variants.gr.base
     pr1, pr2 = variants.projections
     top = EZ(cell, idop(2))
@@ -201,7 +200,7 @@ def marked_variants_witness(
             si, sj = 2, 1
         else:
             raise SSetError("no prescribed witness case applies")
-    elif which == "gr":
+    else:
         if cell in variants.minus.thin or cell not in variants.gr.thin:
             raise SSetError("triangle is not in T_gr - T_minus")
         smaller = variants.minus
@@ -215,8 +214,6 @@ def marked_variants_witness(
             si, sj = 0, 1
         else:
             raise SSetError("no prescribed witness case applies")
-    else:
-        raise SSetError("which must be 'plus' or 'gr'")
     rho = product_cell(
         variants.mp, (X.base.act(a, degeneracy_op(2, si)), Y.base.act(b, degeneracy_op(2, sj)))
     )
@@ -275,8 +272,6 @@ class ThickJoin:
     """
 
     variance: str
-    left: MarkedScaled
-    right: MarkedScaled
     total: Scaled
     incl_left: SMap
     incl_right: SMap
@@ -294,10 +289,8 @@ class ThickJoin:
 
 def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> ThickJoin:
     """The inner or outer thick join, computed as two literal pushouts."""
-    if variance not in ("inn", "out"):
-        raise SSetError("variance must be 'inn' or 'out'")
-    interval = interval_flat()
-    if variance == "inn":
+    interval = flat_ms(1)
+    if check_mode("variance", variance, "inn", "out") == "inn":
         factors = [X, interval, Y]
         mid = gray_marked_n(factors, dim_cap=dim_cap)
         pX, pI, pY = mid.projections
@@ -339,7 +332,7 @@ def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | N
     if set(comp) != set(total.base.dim_of):
         raise SSetError("thick join bookkeeping failed")
     return ThickJoin(
-        variance, X, Y, total, incl_left, incl_right, quotient, mid, comp, pX, pI, pY
+        variance, total, incl_left, incl_right, quotient, mid, comp, pX, pI, pY
     )
 
 
@@ -373,20 +366,18 @@ class ConeResult(NamedTuple):
     star: str  # the cone point in the total
 
 
-def cone(variance: str, side: str, K: MarkedScaled, dim_cap: int | None = None) -> ConeResult:
+def cone(variance: str, side: str, K: MarkedScaled) -> ConeResult:
     """The cone on K: a thick join with a point, edges through the point marked."""
     pt = point_ms()
-    if side == "left":
-        tj = thick_join(variance, pt, K, dim_cap=dim_cap)
+    if check_mode("side", side, "left", "right") == "left":
+        tj = thick_join(variance, pt, K)
         star = tj.incl_left.images["0"].core
         k_incl = tj.incl_right
-    elif side == "right":
-        tj = thick_join(variance, K, pt, dim_cap=dim_cap)
+    else:
+        tj = thick_join(variance, K, pt)
         star = tj.incl_right.images["0"].core
         k_incl = tj.incl_left
-    else:
-        raise SSetError("side must be 'left' or 'right'")
-    marked = set(push_marking(k_incl, K.marked))
+    marked = set(push_cells(k_incl, K.marked))
     total = tj.total
     for e in total.base.level(1):
         if star in total.base.vertices_of(EZ(e, idop(1))):
@@ -407,18 +398,14 @@ def weighted_cone(
     tilde: MarkedScaled,
     base: Scaled,
     side: str = "left",
-    dim_cap: int | None = None,
 ) -> WeightedCone:
     """The p-weighted cone: glue the cone on the marked total space along p."""
-    if p.source != tilde.base or p.target != base.base:
-        raise SSetError("weight data mismatch")
-    if not is_scaled_map(p, tilde.scaled(), base):
-        raise SSetError("weight projection is not a scaled map")
-    if side == "left":
-        tj = thick_join(variance, point_ms(), tilde, dim_cap=dim_cap)
+    check_scaled_map(p, tilde, base, "weight projection")
+    if check_mode("side", side, "left", "right") == "left":
+        tj = thick_join(variance, point_ms(), tilde)
         tilde_incl = tj.incl_right
     else:
-        tj = thick_join(variance, tilde, point_ms(), dim_cap=dim_cap)
+        tj = thick_join(variance, tilde, point_ms())
         tilde_incl = tj.incl_left
     cone_ms = MarkedScaled(tj.total.base, frozenset(), tj.total.thin)
     base_ms = MarkedScaled(base.base, frozenset(), base.thin)
@@ -468,12 +455,7 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> C
         hit = {r(pair) for pair in tj.total.base.simplices(n)}
         if set(J.simplices(n)) - hit:
             raise SSetError(f"comparison map not surjective on {n}-simplices")
-    thin_hit = set()
-    for t in tj.total.thin:
-        img = r(EZ(t, idop(2)))
-        if img.is_nondeg():
-            thin_hit.add(img.core)
-    missing = jn.scaled.thin - thin_hit
+    missing = jn.scaled.thin - push_cells(r, tj.total.thin)
     if missing:
         raise SSetError(f"comparison map not surjective on thin triangles: {missing}")
     return CompareR(tj, jn, r)

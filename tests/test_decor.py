@@ -10,7 +10,6 @@ from ssw.decor import (
     decorate,
     decorated_isomorphisms,
     is_decorated_isomorphic,
-    mark,
     scale,
 )
 
@@ -23,6 +22,19 @@ def test_decorators_flat_sharp():
     assert scale(d2, FLAT).thin == frozenset()
     full = decorate(d2, SHARP, SHARP)
     assert full.marked == {"01", "02", "12"} and full.thin == {"012"}
+
+
+def test_decorate_rejects_an_unknown_mode():
+    d1 = standard_simplex(1)
+    with pytest.raises(SSetError, match="marking must be 'flat' or 'sharp'"):
+        decorate(d1, "bogus", "bogus")
+    with pytest.raises(SSetError, match="scaling must be 'flat' or 'sharp'"):
+        decorate(d1, SHARP, "bogus")
+
+
+def test_scale_rejects_an_unknown_mode():
+    with pytest.raises(SSetError, match="scaling must be 'flat' or 'sharp'"):
+        scale(standard_simplex(2), "Sharp")
 
 
 def test_degenerate_implicitly_decorated():
@@ -96,8 +108,6 @@ def test_underlying_projections():
     d2 = standard_simplex(2)
     X = decorate(d2, SHARP, SHARP)
     assert X.scaled() == Scaled(d2, X.thin)
-    assert X.marked_only().marked == X.marked
-    assert X.marked_only().base == d2
 
 
 def test_flat_into_sharp_is_decorated_mono():

@@ -131,6 +131,21 @@ def test_cli_json_output_is_one_json_value(argv):
     json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["d1_sharp", "1", "--variance", "out"], (0, "VERIFIED up to dimension 3\n")),
+        (
+            ["d1_sharp", "0"],
+            (1, "REFUTED: at vertex '1': target vertex 's0.0' lies in a component not hit by the restriction\n"),
+        ),
+        (["d2_sharp", "9"], (3, "error: no vertex '9'\n")),
+    ],
+)
+def test_cli_check_limit_cone_on_the_empty_diagram(argv, expected):
+    assert run_command(["check-limit-cone"] + argv) == expected
+
+
 def test_cli_json_complex_documents_carry_their_header():
     for argv in (["slice", "d2_sharp", "2", "--cap", "3"], ["hom", "d2_sharp", "0", "2", "--cap", "2"]):
         _, table = run_command(argv)

@@ -35,6 +35,7 @@ from ssw.fibration import (
     detects_thin,
     edge_horn,
     edge_table,
+    empty_cone,
     find_lift,
     has_outer_anodyne_rlp,
     has_rlp,
@@ -62,7 +63,7 @@ from ssw.fibration import (
 )
 from ssw.ops import idop
 from ssw.slices import slice_over_vertex, thick_slice_over_vertex
-from ssw.tensor import flat_ms, join_ms, interval_sharp, point_ms, triangle_thin
+from ssw.tensor import cone, flat_ms, join_ms, interval_sharp, point_ms, triangle_thin
 
 from posets import poset_nerves
 
@@ -255,6 +256,22 @@ def test_classify_edge_op_duality():
         lhs = classify_edge(p, sl.scaled, C, EZ(e, (0, 1)), "cartesian", bound=3)
         rhs = classify_edge(pop, sl.scaled.op(), C.op(), EZ(e, (0, 1)), "cocartesian", bound=3)
         assert lhs.status == rhs.status
+
+
+def test_classify_edge_rejects_an_unknown_flavor():
+    C = d1_sharp()
+    p, e = identity_map(C.base), EZ("01", (0, 1))
+    for flavor in ("foo_co", "bogus"):
+        # at bound 1 no family has a generator, so nothing else looks at the flavor
+        with pytest.raises(SSetError, match="flavor must be 'cartesian', 'weak', 'strong', "):
+            classify_edge(p, C, C, e, flavor, bound=1)
+
+
+def test_var_cartesian_fibration_rejects_an_unknown_variance():
+    C = d1_sharp()
+    for co in (False, True):
+        with pytest.raises(SSetError, match="variance must be 'inn' or 'out'"):
+            is_var_cartesian_fibration(identity_map(C.base), C, C, "bogus", co=co, bound=2)
 
 
 def test_weak_cartesian_via_slice_agrees():
@@ -612,26 +629,16 @@ def test_cocar_witness():
 # ---------------------------------------------------------------- limit cones
 
 
-def empty_cone_at(C: Scaled, vertex: str):
-    from ssw.core import empty_sset
-    from ssw.tensor import cone
-
-    K = MarkedScaled(empty_sset())
-    cn = cone("inn", "left", K)
-    g = SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))})
-    return K, g
-
-
 def test_final_vertex_of_interval():
     C = d1_sharp()
-    K, g = empty_cone_at(C, "1")
+    K, g = empty_cone(C, "1", "inn")
     v = check_limit_cone(C, K, g, "inn", cap=3, bound=3)
     assert v.status == VERIFIED
 
 
 def test_nonfinal_vertex_refuted():
     C = d1_sharp()
-    K, g = empty_cone_at(C, "0")
+    K, g = empty_cone(C, "0", "inn")
     v = check_limit_cone(C, K, g, "inn", cap=3, bound=3)
     assert v.status == REFUTED
 
@@ -641,7 +648,7 @@ def test_truncated_input_inconclusive():
     from ssw.catalog import j_truncated
 
     C = Scaled(j_truncated(3), frozenset(j_truncated(3).level(2)))
-    K, g = empty_cone_at(C, "1")
+    K, g = empty_cone(C, "1", "inn")
     v = check_limit_cone(C, K, g, "inn", cap=2, bound=2)
     assert v.status == INCONCLUSIVE
 
@@ -816,11 +823,26 @@ def test_rlp_closed_under_retract():
     assert v_fat.status == v_thin.status == VERIFIED
 
 
+def test_limit_cone_rejects_a_diagram_that_is_not_scaled():
+    """The cone on flat Delta^1 has a thin triangle; a map onto flat Delta^2 that
+    hits 012 with it is not a scaled map.  At bound 1 flat Delta^2 is not
+    refuted as an ambient, so the diagram check is reached."""
+    C = Scaled(standard_simplex(2))
+    K = MarkedScaled(standard_simplex(1))
+    cn = cone("inn", "left", K)
+    g = next(
+        m for m in enumerate_maps(cn.ms.base, C.base)
+        if any(m(EZ(t, (0, 1, 2))).is_nondeg() for t in cn.ms.thin)
+    )
+    with pytest.raises(SSetError, match="cone diagram is not a scaled map"):
+        check_limit_cone(C, K, g, "inn", cap=1, bound=1)
+
+
 def test_limit_cone_never_verified_when_unsaturated():
     """With a cap too small to reach saturation, the checker must not claim
     VERIFIED even at a genuine final vertex."""
     C = d2_sharp()
-    K, g = empty_cone_at(C, "2")
+    K, g = empty_cone(C, "2", "inn")
     v = check_limit_cone(C, K, g, "inn", cap=2, bound=2)
     assert v.status == INCONCLUSIVE
     assert "not saturated" in v.evidence

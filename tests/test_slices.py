@@ -347,6 +347,17 @@ def test_fun_space_point_is_identity():
         assert len(fs.total.thin) == len(X.thin)
 
 
+def test_fun_space_rejects_an_unknown_product_kind():
+    with pytest.raises(SSetError, match="product_kind must be 'cartesian', 'gray_left' or 'gray_right'"):
+        fun_space(flat_ms(1), d1_sharp(), "gray", cap=1)
+
+
+def test_shape_upgrade_rejects_an_unknown_decoration():
+    shape = fun_space(flat_ms(1), d1_sharp(), "cartesian", cap=1).shape
+    with pytest.raises(SSetError, match="which must be 'marked' or 'thin'"):
+        shape.upgrade("scaled")
+
+
 def test_fun_space_interval_into_interval():
     """Fun(flat Delta^1, sharp Delta^1): nerve of monotone maps square."""
     fs = fun_space(flat_ms(1), d1_sharp(), "cartesian", cap=2)

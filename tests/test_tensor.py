@@ -489,6 +489,21 @@ def test_weighted_cone_fold():
     assert w.scaled.base.counts() == (2, 2)
 
 
+def test_weighted_cone_checks_its_arguments():
+    pt = point_ms()
+    p = SMap(pt.base, pt.base, {"0": EZ("0", (0,))})
+    with pytest.raises(SSetError, match="side must be 'left' or 'right'"):
+        weighted_cone("inn", p, pt, pt.scaled(), side="middle")
+    with pytest.raises(SSetError, match="weight projection mismatch"):
+        weighted_cone("inn", p, flat_ms(1), pt.scaled())
+    from ssw.core import identity_map
+
+    d2 = standard_simplex(2)
+    thin = MarkedScaled(d2, frozenset(), frozenset({"012"}))
+    with pytest.raises(SSetError, match="weight projection is not a scaled map"):
+        weighted_cone("inn", identity_map(d2), thin, Scaled(d2))
+
+
 # ------------------------------------------------------------------ compare_r
 
 
