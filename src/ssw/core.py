@@ -65,8 +65,9 @@ def ez_str(pair: EZ) -> str:
     return pair.core + "~" + "".join(str(v) for v in pair.op)
 
 
-def _pair_name(a: EZ, b: EZ) -> str:
-    return f"({ez_str(a)},{ez_str(b)})"
+def _ez(p) -> EZ:
+    """p as an EZ with a tuple op, p itself when it already is one."""
+    return p if type(p) is EZ and type(p.op) is tuple else EZ(p[0], tuple(p[1]))
 
 
 def _name(verts: Iterable[object]) -> str:
@@ -84,7 +85,8 @@ class SSet:
         while self.cells and not self.cells[-1]:
             self.cells = self.cells[:-1]
         self.faces: dict[str, tuple[EZ, ...]] = {
-            x: tuple(EZ(p[0], tuple(p[1])) for p in fs) for x, fs in faces.items()
+            x: fs if type(fs) is tuple and all(_ez(p) is p for p in fs) else tuple(map(_ez, fs))
+            for x, fs in faces.items()
         }
         self.dim_cap = dim_cap
         self.dim_of: dict[str, int] = {}
@@ -157,10 +159,13 @@ class SSet:
 
     def faces_of(self, pair: EZ) -> tuple[EZ, ...]:
         """The faces d_0..d_n of an n-simplex (none for a vertex), read off the
-        stored faces of its core by ``face_split``; they must be EZ-normal."""
+        stored faces of its core by ``face_split``; they must be EZ-normal.
+        A nondegenerate simplex gets the stored tuple ``faces[core]`` itself."""
+        fs = self.faces.get(pair.core, ())
+        if pair.op == idop(len(fs) - 1):
+            return fs
         out = self._faces_of.get(pair)
         if out is None:
-            fs = self.faces.get(pair.core, ())
             out = tuple(
                 EZ(pair.core, op) if j is None else EZ(fs[j].core, compose(fs[j].op, op))
                 for j, op in face_split(pair.op)
@@ -296,15 +301,16 @@ class SMap:
     def __init__(self, source: SSet, target: SSet, images, validate: bool = True):
         self.source = source
         self.target = target
-        self.images: dict[str, EZ] = {
-            x: p if type(p) is EZ and type(p.op) is tuple else EZ(p[0], tuple(p[1]))
-            for x, p in images.items()
-        }
+        self.images: dict[str, EZ] = {x: _ez(p) for x, p in images.items()}
         if validate:
             self._validate()
 
     def __call__(self, pair: EZ) -> EZ:
+        """The image img∘op of pair = (core, op); the stored image img itself
+        when op is the identity of its degree."""
         img = self.images[pair.core]
+        if pair.op == idop(len(img.op) - 1):
+            return img
         return EZ(img.core, compose(img.op, pair.op))
 
     def __eq__(self, other) -> bool:
@@ -344,6 +350,9 @@ class SMap:
         return True
 
     def _validate(self) -> None:
+        unknown = self.images.keys() - self.source.dim_of.keys()
+        if unknown:
+            raise SSetError(f"image given for unknown cell {min(unknown)!r}")
         for x, n in self.source.dim_of.items():
             img = self.images.get(x)
             if img is None:
@@ -509,34 +518,40 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         raise CapError(f"product reaches dimension {top} > cap {cap}")
     cells: list[list[str]] = []
     index: dict[tuple[EZ, EZ], str] = {}
-    for n in range(min(top, cap) + 1):
+    img1, img2 = {}, {}  # the images of pr1 and pr2
+    names: dict[EZ, str] = {}  # ez_str of each b, formatted once
+    for n in range(top + 1):
         level = []
-        # a-major, then b in the order of Y.simplices(n), as a filter of all pairs
+        # a-major, then b in the order of Y.simplices(n), as a filter of all pairs;
+        # (x, sigma) has shuffle partners (y, tau) only if dim y >= n - dim x
         for a in X.simplices(n):
-            for l in range(min(n, Y.dim) + 1):
+            k = a.op[-1]
+            if k + Y.dim < n:
+                continue
+            name_a = ez_str(a)
+            for l in range(n - k, min(n, Y.dim) + 1):
                 partners = shuffle_partners(a.op, l)
                 for y in Y.cells[l]:
                     for tau in partners:
                         b = EZ(y, tau)
-                        x = _pair_name(a, b)
+                        x = f"({name_a},{names.get(b) or names.setdefault(b, ez_str(b))})"
                         index[(a, b)] = x
                         level.append(x)
+                        img1[x], img2[x] = a, b
         cells.append(level)
     faces = {}
-    back: dict[str, tuple[EZ, EZ]] = {x: k for k, x in index.items()}
     for (a, b), x in index.items():
         n = a.deg
         if n == 0:
             continue
         fs = []
-        for fa, fb in zip(X.faces_of(a), Y.faces_of(b)):
-            cores, sigma = joint_core((fa, fb))
+        for f in zip(X.faces_of(a), Y.faces_of(b)):
+            # a face that is a nondegenerate pair is its own joint core
+            cores, sigma = (f, idop(n - 1)) if f in index else joint_core(f)
             fs.append(EZ(index[cores], sigma))
         faces[x] = tuple(fs)
     P = SSet(cells, faces, dim_cap=cap)
-    pr1 = SMap(P, X, {x: back[x][0] for x in P.dim_of}, validate=False)
-    pr2 = SMap(P, Y, {x: back[x][1] for x in P.dim_of}, validate=False)
-    return ProductResult(P, pr1, pr2)
+    return ProductResult(P, SMap(P, X, img1, validate=False), SMap(P, Y, img2, validate=False))
 
 
 class MultiProductResult(NamedTuple):
@@ -579,7 +594,7 @@ def product_map(src: MultiProductResult, tgt: MultiProductResult, maps: tuple[SM
 def pair_cell(P: SSet, a: EZ, b: EZ) -> EZ:
     """Locate the simplex of a binary product P = X x Y with the given components."""
     cores, sigma = joint_core((a, b))
-    name = _pair_name(*cores)
+    name = f"({ez_str(cores[0])},{ez_str(cores[1])})"
     if name not in P.dim_of:
         raise SSetError(f"no cell {name} in the product")
     return EZ(name, sigma)
@@ -595,11 +610,7 @@ def pullback(p: SMap, q: SMap, dim_cap: int | None = None) -> ProductResult:
 
 def fiber(p: SMap, vertex: str) -> tuple[SSet, SMap]:
     """The subcomplex of the source lying over a vertex of the target."""
-    keep = [
-        x
-        for x, n in p.source.dim_of.items()
-        if p.images[x] == EZ(vertex, const_op(n, 0))
-    ]
+    keep = [x for x, n in p.source.dim_of.items() if p.images[x] == EZ(vertex, const_op(n, 0))]
     return subcomplex(p.source, keep)
 
 
@@ -651,20 +662,12 @@ def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
         if Y.dim_of[y] >= 1:
             faces[right_name[y]] = tuple(join_pair(None, f) for f in Y.faces[y])
     for (x, y), name in mixed_name.items():
+        # faces 0..i drop a vertex of x (all of x if it is a vertex), the rest one of y
         i, j = X.dim_of[x], Y.dim_of[y]
-        fs = []
-        for k in range(i + j + 2):
-            if k <= i:
-                if i == 0:
-                    fs.append(join_pair(None, EZ(y, idop(j))))
-                else:
-                    fs.append(join_pair(X.faces[x][k], EZ(y, idop(j))))
-            else:
-                if j == 0:
-                    fs.append(join_pair(EZ(x, idop(i)), None))
-                else:
-                    fs.append(join_pair(EZ(x, idop(i)), Y.faces[y][k - i - 1]))
-        faces[name] = tuple(fs)
+        top_x, top_y = EZ(x, idop(i)), EZ(y, idop(j))
+        faces[name] = tuple(join_pair(f, top_y) for f in (X.faces[x] if i else (None,))) + tuple(
+            join_pair(top_x, f) for f in (Y.faces[y] if j else (None,))
+        )
     J = SSet(cells, faces, dim_cap=cap)
     incl1 = SMap(X, J, {x: EZ(left_name[x], idop(n)) for x, n in X.dim_of.items()}, validate=False)
     incl2 = SMap(Y, J, {y: EZ(right_name[y], idop(n)) for y, n in Y.dim_of.items()}, validate=False)

@@ -5,9 +5,11 @@ the image of ``t``.  Surjective monotone operators are the degeneracy words of
 the Eilenberg-Zilber decomposition; injective monotone operators are iterated
 face maps.
 
-``compose``, ``epi_mono``, ``face_op``, ``face_split`` and ``is_epi`` are
-memoized like ``surjections`` and ``injections``: every simplex face, action,
-validation and product cell goes through them, on few distinct arguments.  They
+``idop``, ``compose``, ``epi_mono``, ``face_op``, ``face_split`` and ``is_epi``
+are memoized like ``surjections`` and ``injections``: the faces of degenerate
+simplices, actions, validation and product cells go through them, on few
+distinct arguments.  The faces and images of a nondegenerate simplex are read
+off the stored ones without them (``SSet.faces_of``, ``SMap.__call__``).  They
 take operators as tuples, never lists.
 """
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations
 Op = tuple  # tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def idop(m: int) -> Op:
     return tuple(range(m + 1))
 

@@ -302,10 +302,7 @@ def build_representable(
             return True
 
         maps = enumerate_maps(F.base, S.base, partial=pins, image_ok=image_ok)
-        table: dict = {}
-        ez_of: dict = {}
-        for m in maps:
-            table[m.key()] = m
+        table = {m.key(): m for m in maps}
         deg_assign: dict = {}
         if n >= 1:
             sigma_maps = [shape.induced(degeneracy_op(n - 1, i), n, n - 1) for i in range(n)]
@@ -320,11 +317,8 @@ def build_representable(
                         deg_assign[k2] = EZ(
                             prev_ez.core, compose(prev_ez.op, degeneracy_op(n - 1, i))
                         )
-        fresh = []
-        for key in table:
-            if key not in deg_assign:
-                fresh.append(key)
-        for idx, key in enumerate(sorted(fresh)):
+        fresh = sorted(key for key in table if key not in deg_assign)
+        for idx, key in enumerate(fresh):
             name = f"s{n}.{idx}"
             cells[n].append(name)
             cell_maps[name] = table[key]
@@ -344,20 +338,15 @@ def build_representable(
                     fs.append(ez)
                 faces[name] = tuple(fs)
     total_base = SSet(cells, faces, dim_cap=cap)
-    marked = set()
-    if with_marking and cap >= 1:
-        extra = shape.upgrade("marked")
-        for name in cells[1]:
-            m = cell_maps[name]
-            if all(S.is_thin(m(EZ(t, idop(2)))) for t in extra):
-                marked.add(name)
-    thin = set()
-    if with_scaling and cap >= 2:
-        extra = shape.upgrade("thin")
-        for name in cells[2]:
-            m = cell_maps[name]
-            if all(S.is_thin(m(EZ(t, idop(2)))) for t in extra):
-                thin.add(name)
+
+    def upgraded(kind: str, n: int) -> frozenset:
+        """The n-cells whose maps send the extra thin triangles of the shape's
+        ``kind`` upgrade to thin triangles of S."""
+        extra = [EZ(t, idop(2)) for t in shape.upgrade(kind)]
+        return frozenset(x for x in cells[n] if all(S.is_thin(cell_maps[x](t)) for t in extra))
+
+    marked = upgraded("marked", 1) if with_marking and cap >= 1 else frozenset()
+    thin = upgraded("thin", 2) if with_scaling and cap >= 2 else frozenset()
     projection = None
     pc_cells = shape.project_cell(0)
     if pc_cells is not None:
@@ -369,7 +358,7 @@ def build_representable(
         projection = SMap(total_base, S.base, images)
     saturated = cap >= 1 and not cells[cap] and not cells[cap - 1]
     return SliceResult(
-        MarkedScaled(total_base, frozenset(marked), frozenset(thin)),
+        MarkedScaled(total_base, marked, thin),
         projection,
         provenance,
         cap,

@@ -119,6 +119,21 @@ def test_smap_normalizes_list_images():
     assert all(f.images[x] is tuples[x] for x in tuples)
 
 
+def test_smap_rejects_images_of_unknown_cells():
+    d0, d1 = standard_simplex(0), standard_simplex(1)
+    with pytest.raises(SSetError, match="image given for unknown cell 'junk'"):
+        SMap(d0, d1, {"0": EZ("0", (0,)), "junk": EZ("1", (0,))})
+    assert SMap(d0, d1, {"0": EZ("0", (0,))}).images == {"0": EZ("0", (0,))}
+
+
+def test_sset_keeps_face_tuples_that_are_already_ez():
+    X = standard_simplex(2)
+    Y = SSet(X.cells, X.faces)
+    assert all(Y.faces[x] is X.faces[x] for x in X.faces)
+    Z = SSet(X.cells, {x: [list(f) for f in fs] for x, fs in X.faces.items()})
+    assert Z == X and all(type(f.op) is tuple for fs in Z.faces.values() for f in fs)
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -244,9 +259,39 @@ def _faces_by_act(X, s):
 
 
 def check_faces_of(X, top=4):
+    """faces_of against act on every simplex of degree <= top; a nondegenerate
+    simplex gets its stored face tuple itself."""
     for n in range(top + 1):
         for s in X.simplices(n):
             assert X.faces_of(s) == _faces_by_act(X, s), s
+            if n and s.is_nondeg():
+                assert X.faces_of(s) is X.faces[s.core]
+
+
+def check_smap_call(f, top=4):
+    """f(pair) against img∘op on every simplex of the source of degree <= top
+    and on every pair (x, op) with op: [m] -> [dim x] monotone but not an epi
+    (not EZ-normal), m <= top."""
+    X = f.source
+    pairs = [s for n in range(top + 1) for s in X.simplices(n)]
+    pairs += [
+        EZ(x, op)
+        for x, k in X.dim_of.items()
+        for m in range(top + 1)
+        for op in itertools.combinations_with_replacement(range(k + 1), m + 1)
+        if op[0] != 0 or op[-1] != k or any(b - a > 1 for a, b in zip(op, op[1:]))
+    ]
+    for pair in pairs:
+        img = f.images[pair.core]
+        assert f(pair) == EZ(img.core, tuple(img.op[v] for v in pair.op)), pair
+
+
+def check_maps_out_of(X):
+    """SMap.__call__ through the identity of X and the projection X x Delta^1 -> X,
+    whose images are mostly degenerate."""
+    check_smap_call(identity_map(X))
+    if 0 <= X.dim <= 4:
+        check_smap_call(product(X, standard_simplex(1)).pr1)
 
 
 def test_faces_of_matches_act_on_the_catalog_and_a_thick_join():
@@ -262,6 +307,21 @@ def test_faces_of_matches_act_on_the_catalog_and_a_thick_join():
 @settings(max_examples=30, deadline=None)
 def test_faces_of_matches_act_on_nerves(X):
     check_faces_of(X)
+
+
+def test_smap_call_matches_composition_on_the_catalog_and_a_thick_join():
+    from ssw.catalog import catalog
+    from ssw.tensor import flat_ms, thick_join
+
+    for name, X in sorted(catalog().items()):
+        check_maps_out_of(X.base)
+    check_smap_call(identity_map(thick_join("out", flat_ms(2), flat_ms(2)).total.base))
+
+
+@given(poset_nerves())
+@settings(max_examples=30, deadline=None)
+def test_smap_call_matches_composition_on_nerves(X):
+    check_maps_out_of(X)
 
 
 def check_simplex_maps(X):
@@ -334,6 +394,34 @@ def test_product_of_horns_and_boundaries_matches_the_filtered_product():
 def test_product_of_nerves_matches_the_filtered_product(X, Y):
     if X.dim >= 0 and Y.dim >= 0:
         check_product(X, Y)
+
+
+def test_product_matches_the_filtered_product_where_few_simplices_have_partners():
+    # an (x, sigma) of degree n with dim x + dim Y < n has no shuffle partner
+    from ssw.tensor import flat_ms, thick_join
+
+    d0, d1 = standard_simplex(0), standard_simplex(1)
+    total = thick_join("out", flat_ms(1), flat_ms(2)).total.base
+    for X, Y in ((standard_simplex(5), d0), (standard_simplex(4), d1), (horn(3, 1), d1), (total, d1)):
+        check_product(X, Y)
+
+
+def test_product_splits_only_the_faces_that_are_degenerate_pairs(monkeypatch):
+    import ssw.core
+
+    calls = []
+
+    def counting_joint_core(pairs):
+        calls.append(pairs)
+        return joint_core(pairs)
+
+    monkeypatch.setattr(ssw.core, "joint_core", counting_joint_core)
+    for X, Y in ((q_complex(), standard_simplex(1)), (standard_simplex(1), q_complex())):
+        calls.clear()
+        P = product(X, Y).sset
+        degenerate = [f for fs in P.faces.values() for f in fs if not f.is_nondeg()]
+        assert len(calls) == len(degenerate) > 0
+        assert all(len(set(zip(a.op, b.op))) < len(a.op) for a, b in calls)
 
 
 def test_smap_rejects_images_not_in_ez_normal_form():

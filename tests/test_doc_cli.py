@@ -364,6 +364,14 @@ def test_cli_certificate_attach_must_be_ez_normal(tmp_path, attach):
     assert code == 3 and "is not in EZ normal form" in out
 
 
+def test_cli_certificate_attach_must_name_only_cells_of_the_source(tmp_path):
+    attach = {"0": ["0", [0]], "1": ["1", [0]], "01": ["01", [0, 1]], "junk": ["1", [0]]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_certificate(attach=attach)))
+    code, out = run_command(["check-certificate", str(path)])
+    assert (code, out) == (3, "error: image given for unknown cell 'junk'\n")
+
+
 def test_document_rejects_malformed_face_words():
     doc = complex_to_doc(MarkedScaled(standard_simplex(2)))
     for bad in (["0", [[0], 0]], ["0", 5], [0, [0]], ["01", [0, True]]):
