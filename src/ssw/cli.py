@@ -161,10 +161,18 @@ def cmd_hom(args) -> tuple[int, str]:
     return EXIT_OK, _emit_complex(hom.total, args.format, header=header)
 
 
+def _on_slice(v: Verdict, sl, args) -> Verdict:
+    """A refutation on a slice the cap cut before saturation, with the bound
+    above the cap, may rest only on the cells the cap left out: INCONCLUSIVE."""
+    if v.status != REFUTED or sl.saturated or args.bound <= args.cap:
+        return v
+    return Verdict(INCONCLUSIVE, f"slice not saturated at cap {args.cap} < bound {args.bound}: {v.evidence}")
+
+
 def cmd_classify_edges(args) -> tuple[int, str]:
     sl, S = _slice_for(args)
     verdicts = {
-        e: classify_edge(sl.projection, sl.scaled, S, EZ(e, (0, 1)), args.flavor, args.bound)
+        e: _on_slice(classify_edge(sl.projection, sl.scaled, S, EZ(e, (0, 1)), args.flavor, args.bound), sl, args)
         for e in sorted(sl.total.base.level(1))
     }
     worst = max((_verdict_exit(v) for v in verdicts.values()), default=EXIT_OK)
@@ -185,6 +193,7 @@ def cmd_check_fibration(args) -> tuple[int, str]:
     elif args.kind in ("outer-cartesian", "inner-cartesian"):
         variance = "out" if args.kind.startswith("outer") else "inn"
         v, table = is_var_cartesian_fibration(p, sl.scaled, S, variance, False, args.bound)
+        v = _on_slice(v, sl, args)
         edges = sorted(table) if v.status == VERIFIED else None
         text = _emit_verdict(v, args.format, cartesian_edges=edges)
         if edges is not None and args.format == "table":
@@ -192,6 +201,7 @@ def cmd_check_fibration(args) -> tuple[int, str]:
         return _verdict_exit(v), text
     else:
         raise CliError(f"unknown fibration kind {args.kind!r}")
+    v = _on_slice(v, sl, args)
     return _verdict_exit(v), _emit_verdict(v, args.format)
 
 

@@ -98,8 +98,7 @@ class SSet:
         self._act_cache: dict[tuple[EZ, Op], EZ] = {}
         self._faces_of: dict[EZ, tuple[EZ, ...]] = {}
         self._simplices: dict[int, tuple[EZ, ...]] = {}
-        self._by_faces: dict[int, dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
-        self._by_horn: dict[tuple[int, int], dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
+        self._by_faces: dict[tuple[int, tuple | None], dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
         self._plan: SearchPlan | None = None
         if validate:
             self._validate()
@@ -194,34 +193,24 @@ class SSet:
             self._simplices[n] = out
         return out
 
-    def by_faces(self, n: int) -> dict[tuple[EZ, ...], tuple[EZ, ...]]:
-        """Index of n-simplices by their full face tuple (n >= 1)."""
-        idx = self._by_faces.get(n)
+    def by_faces(self, n: int, keep: tuple[int, ...] | None = None) -> dict[tuple[EZ, ...], tuple[EZ, ...]]:
+        """Index of n-simplices by their faces at the ascending positions
+        ``keep``, all n + 1 of them if None; each bucket is in the order of
+        ``simplices(n)``.
+
+        Kept for the life of self.  ``enumerate_maps`` reads the full index;
+        ``fibration.has_rlp`` lists the tops of a horn one facet at a time from
+        the faces already fixed, and finds its fillers with face i left out.
+        """
+        keep = None if keep is None or len(keep) == n + 1 else tuple(keep)
+        idx = self._by_faces.get((n, keep))
         if idx is None:
             acc: dict[tuple[EZ, ...], list[EZ]] = {}
             for pair in self.simplices(n):
-                acc.setdefault(self.faces_of(pair), []).append(pair)
+                fs = self.faces_of(pair)
+                acc.setdefault(fs if keep is None else tuple(fs[j] for j in keep), []).append(pair)
             idx = {k: tuple(v) for k, v in acc.items()}
-            self._by_faces[n] = idx
-        return idx
-
-    def by_horn(self, n: int, i: int) -> dict[tuple[EZ, ...], tuple[EZ, ...]]:
-        """Index of n-simplices by their face tuple with face i left out (n >= 1).
-
-        Derived from ``by_faces(n)`` and kept, like it, for the life of self.
-        A bucket holds the fillers of one horn, grouped by their face i.
-        ``fibration.has_rlp`` looks up the filler of each square of a horn or
-        collapsed horn here (of a boundary in ``by_faces``); the rescaling
-        generators, which have no missing simplex, still go through the
-        backtracking ``find_lift``.
-        """
-        idx = self._by_horn.get((n, i))
-        if idx is None:
-            acc: dict[tuple[EZ, ...], list[EZ]] = {}
-            for key, pairs in self.by_faces(n).items():
-                acc.setdefault(key[:i] + key[i + 1:], []).extend(pairs)
-            idx = {k: tuple(v) for k, v in acc.items()}
-            self._by_horn[(n, i)] = idx
+            self._by_faces[(n, keep)] = idx
         return idx
 
     def search_plan(self) -> "SearchPlan":

@@ -44,7 +44,7 @@ from .decor import (
     pushout_ms,
     restrict_ms,
 )
-from .ops import compose, idop, op_reverse
+from .ops import Op, idop, injections, op_reverse
 from .tensor import (
     cone,
     gray_scaled,
@@ -284,148 +284,195 @@ def as_base(S: Scaled) -> MarkedScaled:
     return S.sharp_marked()
 
 
-def _tops(gen: Generator, X: MarkedScaled) -> list[SMap]:
-    """The decorated maps A -> X that satisfy the generator's top pins, in order."""
-    return enumerate_maps(
-        gen.A.base, X.base, partial=gen.top_pins, image_ok=lambda a, c: _decorated(gen.A, X, a, c)
-    )
-
-
-def _bottom_pins(gen: Generator, p: SMap, top: SMap) -> dict[str, EZ] | None:
-    """What a bottom B -> Y must be on the image of A and on the filler pins,
-    or None when the two disagree."""
-    # anchors on the filler constrain the bottom through p as well
-    bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
-    for a in gen.A.base.dim_of:
-        img = gen.left.images[a]
-        target = p(top.images[a])
-        prev = bpins.get(img.core)
-        if prev is not None and prev != target:
-            return None
-        bpins[img.core] = target
-    return bpins
-
-
 def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
-    """All commuting squares for a generator, in deterministic order."""
-
-    def bottom_ok(b, cand):
-        return _decorated(gen.B, Y, b, cand)
-
-    for top in _tops(gen, X):
-        bpins = _bottom_pins(gen, p, top)
-        if bpins is None:
-            continue
-        for bottom in enumerate_maps(gen.B.base, Y.base, partial=bpins, image_ok=bottom_ok):
-            yield LiftingProblem(
-                gen.left, p, top, bottom, gen.A, gen.B, X, Y,
-                dict(gen.filler_pins), gen.name,
-            )
+    """All commuting squares for a generator, in deterministic order: each
+    decorated top A -> X that meets the top pins, with each decorated bottom
+    B -> Y that is p of the top on A and p of the filler pins on theirs."""
+    tops = enumerate_maps(gen.A.base, X.base, partial=gen.top_pins, image_ok=lambda a, c: _decorated(gen.A, X, a, c))
+    for top in tops:
+        bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
+        if any(bpins.setdefault(img.core, p(top.images[a])) != p(top.images[a]) for a, img in gen.left.images.items()):
+            continue  # the top and a filler pin disagree under p
+        bottoms = enumerate_maps(gen.B.base, Y.base, partial=bpins, image_ok=lambda b, c: _decorated(gen.B, Y, b, c))
+        for bottom in bottoms:
+            yield LiftingProblem(gen.left, p, top, bottom, gen.A, gen.B, X, Y, dict(gen.filler_pins), gen.name)
 
 
 class _HornShape(NamedTuple):
-    """A generator whose B is one simplex t over A, up to one missing face of t."""
+    """A generator whose B is the image of one simplex q: Delta^n -> B, with A
+    the image of the horn Lambda^n_i (of the boundary if i is None)."""
 
-    top: str  # t, the one top-dimensional cell of B
-    face: int | None  # i with d_i t the one missing face, or None if only t is missing
-    source: dict[str, str]  # each cell of B in the image of A -> its cell of A
+    top: str  # t = q(Delta^n), the one top cell of B
+    face: int | None  # i, with d_i t the one cell of B outside A besides t
+    facets: tuple[int, ...]  # the j != i; a top is the tuple of its images y_j of the facets d_j
+    route: dict[str, tuple[int, Op]]  # cell a of A -> (k, op) with top(a) = y_facets[k] after op
+    equal: tuple  # (route, a, sigma) for each other cell of the horn that q sends to a after sigma
 
 
-def _horn_shape(gen: Generator) -> _HornShape | None:
-    """The horn shape of a generator, or None if only the backtracker can decide it.
+@lru_cache(maxsize=None)
+def _horn_shape(left: SMap) -> _HornShape | None:
+    """The horn shape of a generator's A -> B, or None if only the backtracker
+    can decide it; worked out once per map.
 
-    The shape needs B to have exactly one top cell t of dimension n >= 1, and
-    the cells of B outside A to be t alone or t and one nondegenerate face
-    d_i t met once among the faces of t.  That covers the horns, boundaries
-    and collapsed horns of every family here; the rescalings (A = B), the
-    Q-marking among them, have no such shape.
+    B must have one top cell t, of dimension n >= 1, with every cell of B a
+    face of t, and the cells of B outside A must be t alone or t and one
+    nondegenerate face d_i t met once among the faces of t.  Then q =
+    ``simplex_map(B, t)`` pulls A back to Lambda^n_i (or the boundary), and a
+    map A -> X is a tuple (y_j)_{j != i} of (n-1)-simplices of X with
+    d_j y_k = d_{k-1} y_j for j < k (Goerss-Jardine I.3) that meets the
+    equalities q forces: for a collapsed horn, vertices 0 and 1 go to one v
+    and the edge 01 to s_0 v.  The horns, boundaries and collapsed horns of
+    every family have a shape; the rescalings (A = B) have none.
     """
-    B = gen.B.base
+    B = left.target
     n = B.dim
     if n < 1 or len(B.level(n)) != 1:
         return None
     source = {}
-    for a, img in gen.left.images.items():
+    for a, img in left.images.items():
         if not img.is_nondeg():
             return None
         source[img.core] = a
     t = B.level(n)[0]
     missing = [b for b in B.dim_of if b not in source]
-    if missing == [t]:
-        return _HornShape(t, None, source)
-    if len(missing) != 2 or missing[1] != t:
-        return None
-    hits = [i for i, face in enumerate(B.faces[t]) if face.core == missing[0]]
-    if len(hits) != 1 or not B.faces[t][hits[0]].is_nondeg():
-        return None
-    return _HornShape(t, hits[0], source)
+    i = None
+    if missing != [t]:
+        if len(missing) != 2 or missing[1] != t:
+            return None
+        hits = [j for j, face in enumerate(B.faces[t]) if face.core == missing[0]]
+        if len(hits) != 1 or not B.faces[t][hits[0]].is_nondeg():
+            return None
+        i = hits[0]
+    facets = tuple(j for j in range(n + 1) if j != i)
+    route, equal, images = {}, [], {tuple(range(n + 1)): EZ(t, idop(n))}
+    for verts in (v for k in reversed(range(n)) for v in injections(k, n)):
+        # q on a face is face w of q on that face plus its least missing vertex w
+        w = next(w for w in range(n + 1) if w not in verts)
+        img = images[verts] = B.face(images[verts[:w] + (w,) + verts[w:]], w)
+        if len(verts) == n and i is not None and i not in verts:
+            continue  # d_i, outside the horn
+        # read the cell off the first facet that contains it
+        k = next(k for k, j in enumerate(facets) if j not in verts)
+        r = (k, tuple(v - (v > facets[k]) for v in verts))
+        a = source[img.core]
+        if img.is_nondeg() and a not in route:
+            route[a] = r
+        else:
+            equal.append((r, a, img.op))
+    if len(route) != len(source):
+        return None  # a cell of A off the simplex t
+    return _HornShape(t, i, facets, route, tuple(equal))
 
 
 def _first_unfilled_horn(
     gen: Generator, shape: _HornShape, p: SMap, X: MarkedScaled, Y: MarkedScaled
 ) -> SMap | None:
-    """The bottom of the first square with no filler, decided by index lookups.
+    """The bottom of the first square with no filler, decided on facet tuples.
 
-    The tops and the order of the squares are those of ``problems_for``.  A
-    square is the top plus the bottom's images of d_i t and t, which come
-    from ``Y.by_faces`` buckets under the filters ``enumerate_maps`` applies.
-    Its fillers are the n-simplices of X in one ``X.by_horn(n, i)`` bucket
-    (``X.by_faces(n)`` if no face is missing) with the right image under p,
-    filler pins and decorations: the filler's missing face is its d_i.
+    Each facet y_k of a top comes from the ``X.by_faces(n - 1, keep)`` bucket
+    of its faces d_j y_k = d_{k-1} y_j fixed so far; pins, decorations and
+    equalities on cells of A are read through their routes once their facet
+    is chosen.  A square adds the bottom's images of d_i t and t, from
+    ``Y.by_faces`` buckets keyed on p of the facets; its fillers are in the
+    tuple's own ``X.by_faces(n, facets)`` bucket.  The filters are those
+    ``enumerate_maps`` and ``find_lift`` apply.  Of the tops that fail, the
+    first in the order of ``problems_for`` has the least rank key, the
+    positions of its images in ``X.simplices`` over ``A.search_plan().order``;
+    only its bottom is built as an SMap.
     """
     B, Xb, Yb = gen.B.base, X.base, Y.base
-    t, i, source = shape
+    t, i, facets, route, equal = shape
     n = B.dim
-    tfaces = B.faces[t]
-    f = None if i is None else tfaces[i].core
+    f = None if i is None else B.faces[t][i].core
+    source = {a: img.core for a, img in gen.left.images.items()}
+    bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
     # find_lift lets the top override a filler pin on a cell of A
     xpin_t, xpin_f = gen.filler_pins.get(t), gen.filler_pins.get(f)
-    index = Xb.by_faces(n) if i is None else Xb.by_horn(n, i)
+    # the cells of A that a filler pin or a decoration of B constrains
+    held = [(a, b) for a, b in source.items() if b in bpins or b in gen.B.marked or b in gen.B.thin]
 
-    def along(images, face):
-        img = images[face.core]
-        return EZ(img.core, compose(img.op, face.op))
+    def at(a, ys):
+        k, op = route[a]
+        return Xb.act(ys[k], op)
+
+    # the cells of A with a top pin or decoration, and the equalities, by their last facet
+    cells, equalities = [[] for _ in facets], [[] for _ in facets]
+    for a in sorted(set(gen.top_pins) | gen.A.marked | gen.A.thin):
+        cells[route[a][0]].append(a)
+    for r, a, sigma in equal:
+        equalities[max(r[0], route[a][0])].append((r, a, sigma))
+    # a vertex has no faces, so for n = 1 no facet constrains another
+    index = [Xb.by_faces(n - 1, facets[:k] if n > 1 else ()) for k in range(len(facets))]
+
+    def ok_top(a, c):
+        return gen.top_pins.get(a, c) == c and _decorated(gen.A, X, a, c)
+
+    def tops(ys):
+        k = len(ys)
+        if k == len(facets):
+            yield tuple(ys)
+            return
+        key = tuple(Xb.face(y, facets[k] - 1) for y in ys) if n > 1 else ()
+        for y in index[k].get(key, ()):
+            ys.append(y)
+            if all(ok_top(a, at(a, ys)) for a in cells[k]) and all(
+                Xb.act(ys[r[0]], r[1]) == Xb.act(at(a, ys), sigma) for r, a, sigma in equalities[k]
+            ):
+                yield from tops(ys)
+            ys.pop()
 
     def ok_filler(sigma):
-        if (xpin_t is not None and sigma != xpin_t) or not _decorated(gen.B, X, t, sigma):
-            return False
-        if f is None:
-            return True
         # p(d_i sigma) is d_i p(sigma), the bottom on d_i t, once p(sigma) is right
-        face = Xb.face(sigma, i)
-        return (xpin_f is None or face == xpin_f) and _decorated(gen.B, X, f, face)
+        face = None if f is None else Xb.face(sigma, i)
+        return xpin_t in (None, sigma) and _decorated(gen.B, X, t, sigma) and (
+            f is None or (xpin_f in (None, face) and _decorated(gen.B, X, f, face))
+        )
 
-    for top in _tops(gen, X):
-        bpins = _bottom_pins(gen, p, top)
-        if bpins is None or not all(_decorated(gen.B, Y, b, bpins[b]) for b in source):
-            continue
+    def ok_bottom(b, cand):
+        return bpins.get(b, cand) == cand and _decorated(gen.B, Y, b, cand)
 
-        def ok_bottom(b, cand):
-            pin = bpins.get(b)
-            return (pin is None or cand == pin) and _decorated(gen.B, Y, b, cand)
-
-        timages = {b: top.images[a] for b, a in source.items()}
-        filled = set()
-        if all(_decorated(gen.B, X, b, img) for b, img in timages.items()):
-            key = tuple(along(timages, face) for j, face in enumerate(tfaces) if j != i)
-            filled = {p(sigma) for sigma in index.get(key, ()) if ok_filler(sigma)}
+    def unfilled(ys, filled):
+        """The first (p(d_i t), p(t)) of the squares on a top with no filler."""
+        pys = [p(y) for y in ys]
         if f is None:
             fcands = [None]
-        elif B.dim_of[f] == 0:
+        elif n == 1:
             fcands = [c for c in Yb.simplices(0) if ok_bottom(f, c)]
         else:
-            fkey = tuple(along(bpins, face) for face in B.faces[f])
-            fcands = [c for c in Yb.by_faces(B.dim_of[f]).get(fkey, ()) if ok_bottom(f, c)]
+            # face k of d_i t is face i - 1 of d_k t (k < i) or face i of d_(k+1) t
+            fkey = tuple(Yb.face(py, i - 1 if k < i else i) for k, py in enumerate(pys))
+            fcands = [c for c in Yb.by_faces(n - 1).get(fkey, ()) if ok_bottom(f, c)]
         for cf in fcands:
-            tkey = tuple(cf if j == i else along(bpins, face) for j, face in enumerate(tfaces))
+            tkey = tuple(pys) if f is None else (*pys[:i], cf, *pys[i:])
             for ct in Yb.by_faces(n).get(tkey, ()):
                 if ok_bottom(t, ct) and ct not in filled:
-                    images = dict(bpins)
-                    if f is not None:
-                        images[f] = cf
-                    images[t] = ct
-                    return SMap(B, Yb, images, validate=False)
-    return None
+                    return cf, ct
+        return None
+
+    positions: dict[EZ, int] = {}
+
+    def rank(ys):
+        if not positions:
+            positions.update((s, k) for d in range(n) for k, s in enumerate(Xb.simplices(d)))
+        return tuple(positions[at(a, ys)] for a in gen.A.base.search_plan().order)
+
+    fillers, failed = Xb.by_faces(n, facets), []
+    for ys in tops([]):
+        if not all(ok_bottom(b, p(at(a, ys))) for a, b in held):
+            continue
+        filled = set()
+        if all(_decorated(gen.B, X, b, at(a, ys)) for a, b in held):
+            filled = {p(sigma) for sigma in fillers.get(ys, ()) if ok_filler(sigma)}
+        bottom = unfilled(ys, filled)
+        if bottom is not None:
+            failed.append((rank(ys), ys, bottom))
+    if not failed:
+        return None
+    _, ys, (cf, ct) = min(failed)  # the rank keys of distinct tops differ
+    images = {**bpins, **{b: p(at(a, ys)) for a, b in source.items()}, t: ct}
+    if f is not None:
+        images[f] = cf
+    return SMap(B, Yb, images, validate=False)
 
 
 def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, bound: int | None = None) -> Verdict:
@@ -433,13 +480,14 @@ def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, 
 
     Generators of horn shape (B one simplex t of dimension n >= 1 over A, up
     to one missing face d_i t: the horns, boundaries and collapsed horns) are
-    decided by index lookups, ``X.by_horn(n, i)`` or ``X.by_faces(n)``.  The
-    others (rescalings such as the Q-marking, where A = B) go through
-    ``problems_for`` and the backtracking ``find_lift``.  Both visit the
-    squares in the same order, so REFUTED names the same first bottom.
+    decided on facet tuples by ``_first_unfilled_horn``, with no map search.
+    The others (rescalings such as the Q-marking, where A = B) go through
+    ``problems_for`` and the backtracking ``find_lift``.  Both report the
+    first square without a filler in the order of ``problems_for``, so
+    REFUTED names the same bottom.
     """
     for gen in family:
-        shape = _horn_shape(gen)
+        shape = _horn_shape(gen.left)
         if shape is None:
             bottom = next(
                 (prob.bottom for prob in problems_for(gen, p, X, Y) if find_lift(prob) is None), None
@@ -849,18 +897,8 @@ def lax_lift_filtration(n: int) -> list:
     P = g.scaled.base
     pr1, pr2 = g.projections
     top_dn = "".join(str(i) for i in range(n + 1))
-
-    def x0_cells():
-        keep = set()
-        for c, nd in P.dim_of.items():
-            topc = EZ(c, idop(nd))
-            a, b = pr1(topc), pr2(topc)
-            if b.core != top_dn or a.core == "1":
-                keep.add(c)
-        return keep
-
-    stages = [x0_cells()]
-    steps = []
+    x0 = {c for c, nd in P.dim_of.items() if pr2(EZ(c, idop(nd))).core != top_dn or pr1(EZ(c, idop(nd))).core == "1"}
+    stages, steps = [x0], []
     for i in range(n + 1):
         a_word = [0] * (i + 1) + [1] * (n + 1 - i)
         b_word = list(range(i + 1)) + list(range(i, n + 1))
@@ -869,45 +907,23 @@ def lax_lift_filtration(n: int) -> list:
             raise SSetError("filtration simplex is degenerate")
         tau_map = simplex_map(P, tau)
         dnp1 = tau_map.source
-        tplus = set()
-        for t in dnp1.level(2):
-            verts = tuple(int(v) for v in t)
-            if verts[0] == i and verts[1] == i + 1 and verts[2] > i + 1:
-                tplus.add(t)
+        tplus = [t for t in dnp1.level(2) if int(t[0]) == i and int(t[1]) == i + 1 and int(t[2]) > i + 1]
         prev = stages[-1]
-        new = set()
-        for c in dnp1.dim_of:
-            img = tau_map.images[c]
-            if img.is_nondeg() and img.core not in prev:
-                new.add(img.core)
+        new = {img.core for img in tau_map.images.values() if img.is_nondeg() and img.core not in prev}
         horn_vertex = i + 1
         opp = "".join(str(v) for v in range(n + 2) if v != horn_vertex)
-        expected_new = {tau_map.images[opp].core, tau.core}
-        pushout_ok = new == expected_new
-        # the preimage of the previous stage must be exactly the horn
-        for c in dnp1.dim_of:
-            in_prev = tau_map.images[c].core in prev or not tau_map.images[c].is_nondeg()
-            in_horn = c != opp and c != "".join(str(v) for v in range(n + 2))
-            if in_prev != in_horn:
-                pushout_ok = False
-        # scaling: images of T+ are thin; new thin cells are exactly those images
+        # the new cells are tau and its face opposite the horn vertex, and the
+        # preimage of the previous stage is exactly the horn
+        pushout_ok = new == {tau_map.images[opp].core, tau.core} and all(
+            (img.core in prev or not img.is_nondeg()) == (c not in (opp, dnp1.level(n + 1)[0]))
+            for c, img in tau_map.images.items()
+        )
+        # scaling: images of T+ are thin, and the new thin cells are exactly
+        # those images, none at the last step (a flat horn)
         thin_prev = {t for t in g.scaled.thin if t in prev}
         thin_next = {t for t in g.scaled.thin if t in prev | new}
-        images_tplus = set()
-        scaling_ok = True
-        for t in tplus:
-            img = tau_map(EZ(t, idop(2)))
-            if img.is_nondeg():
-                if img.core not in g.scaled.thin:
-                    scaling_ok = False
-                images_tplus.add(img.core)
-        if i < n:
-            if thin_next != thin_prev | images_tplus:
-                scaling_ok = False
-        else:
-            # last step: flat horn, no new thin cells
-            if thin_next != thin_prev:
-                scaling_ok = False
+        images_tplus = {img.core for img in (tau_map(EZ(t, idop(2))) for t in tplus) if img.is_nondeg()}
+        scaling_ok = images_tplus <= g.scaled.thin and thin_next == thin_prev | (images_tplus if i < n else set())
         steps.append(FiltrationStep(i, horn_vertex, tuple(sorted(new)), pushout_ok, scaling_ok))
         stages.append(prev | new)
     if stages[-1] != set(P.dim_of):
@@ -989,18 +1005,11 @@ def _component_classes(base: SSet) -> dict[str, int]:
 
 def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str]:
     """Classify a restriction map: iso / trivial fibration / refuted / unclear."""
-    iso = True
-    for n in range(cap + 1):
-        a_cells = [c for c in A.total.base.dim_of if A.total.base.dim_of[c] == n]
-        b_cells = [c for c in B.total.base.dim_of if B.total.base.dim_of[c] == n]
-        images = {rmap.images[c] for c in a_cells}
-        if len(images) != len(a_cells) or len(a_cells) != len(b_cells):
-            iso = False
-            break
-        if any(not rmap.images[c].is_nondeg() for c in a_cells):
-            iso = False
-            break
-    if iso:
+    levels = [(A.total.base.level(n), B.total.base.level(n)) for n in range(cap + 1)]
+    if all(
+        len({rmap.images[c] for c in a}) == len(a) == len(b) and all(rmap.images[c].is_nondeg() for c in a)
+        for a, b in levels
+    ):
         return VERIFIED, "restriction is an isomorphism at cap"
     comps = _component_classes(B.total.base)
     hit = {comps[rmap.images[v].core] for v in A.total.base.level(0)}
@@ -1094,19 +1103,9 @@ def refute_coinitial(
                 REFUTED,
                 f"fibration {idx}: a component of the restricted sections is not reached",
             )
-        induced = {}
-        injective = True
-        for v in A.total.base.level(0):
-            src = compsA[v]
-            tgt = compsB[rmap.images[v].core]
-            if induced.setdefault(src, tgt) != tgt:
-                injective = False
-        if len(set(induced.values())) != len(induced):
-            injective = False
-        if not injective:
-            return Verdict(
-                REFUTED,
-                f"fibration {idx}: restriction is not injective on components",
-            )
+        # the map induced on components must be well defined and injective
+        pairs = {(compsA[v], compsB[rmap.images[v].core]) for v in A.total.base.level(0)}
+        if not len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs}):
+            return Verdict(REFUTED, f"fibration {idx}: restriction is not injective on components")
         evidence.append(f"fibration {idx}: components match ({len(all_b)})")
     return Verdict(INCONCLUSIVE, "; ".join(evidence) if evidence else "no fibrations supplied")

@@ -275,6 +275,11 @@ def check_cap(cap: int) -> None:
         raise SSetError(f"cap must be a non-negative integer, got {cap}")
 
 
+def _key_after(ind: SMap, m: SMap) -> tuple:
+    """The key of ``ind.then(m)``, without building that map."""
+    return tuple(sorted((x, m(p)) for x, p in ind.images.items()))
+
+
 def build_representable(
     shape: Shape,
     S: Scaled,
@@ -309,8 +314,7 @@ def build_representable(
             for key, m_prev in all_maps[n - 1].items():
                 prev_ez = levels[n - 1][key]
                 for i, ind in enumerate(sigma_maps):
-                    sm = ind.then(m_prev)
-                    k2 = sm.key()
+                    k2 = _key_after(ind, m_prev)
                     if k2 not in table:
                         raise SSetError("degenerate map missed by level enumeration")
                     if k2 not in deg_assign:
@@ -331,8 +335,7 @@ def build_representable(
                 m = cell_maps[name]
                 fs = []
                 for ind in delta_maps:
-                    fm = ind.then(m)
-                    ez = levels[n - 1].get(fm.key())
+                    ez = levels[n - 1].get(_key_after(ind, m))
                     if ez is None:
                         raise SSetError("face of a representable simplex is missing")
                     fs.append(ez)

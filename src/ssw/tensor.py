@@ -95,24 +95,15 @@ def gray_scaled(X: Scaled, Y: Scaled, dim_cap: int | None = None) -> GrayResult:
 
 def gray_thin_predicate(factors: list[MarkedScaled], comps: tuple[EZ, ...]) -> bool:
     """Thinness in the n-ary Gray product of marked-scaled simplicial sets."""
-    n = len(factors)
     if not all(f.is_thin(c) for f, c in zip(factors, comps)):
         return False
+    n = len(factors)
     for j in range(n):
-        if not all(not comps[i].is_nondeg() for i in range(n) if i != j):
-            continue
-        ok = True
-        for i in range(n):
-            if i == j:
-                continue
-            if i > j:
-                edge = factors[i].base.act(comps[i], (0, 1))
-            else:
-                edge = factors[i].base.act(comps[i], (1, 2))
-            if not factors[i].is_marked(edge):
-                ok = False
-                break
-        if ok:
+        others = [i for i in range(n) if i != j]
+        # every other factor i degenerates the triangle, with its edge 01 (i > j) or 12 (i < j) marked
+        if all(not comps[i].is_nondeg() for i in others) and all(
+            factors[i].is_marked(factors[i].base.act(comps[i], (0, 1) if i > j else (1, 2))) for i in others
+        ):
             return True
     return False
 

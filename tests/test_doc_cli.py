@@ -174,6 +174,18 @@ def test_cli_classify_edges_from_bound_ten():
     assert run_command(argv) == (0, "s1.0: VERIFIED up to dimension 10\n")
 
 
+def test_cli_refutation_on_a_truncated_slice_is_inconclusive():
+    """At cap 1 the slice of d2_sharp over 2 lacks its 2-cell, so the scaled
+    2-horn has no filler there; at cap 2 the cell is back and the check passes."""
+    evidence = "slice not saturated at cap 1 < bound 2: no filler for "
+    code, out = run_command(["check-fibration", "--kind", "outer", "d2_sharp", "2", "--cap", "1", "--bound", "2"])
+    assert code == 2 and out.startswith(f"INCONCLUSIVE: {evidence}scaled-inner-horn(2,1) with bottom")
+    code, out = run_command(["classify-edges", "d2_sharp", "2", "--cap", "1", "--bound", "2"])
+    assert code == 2 and out.splitlines()[2].startswith(f"s1.2: INCONCLUSIVE: {evidence}cartesian-horn(2)")
+    argv = ["check-fibration", "--kind", "outer", "d2_sharp", "2", "--cap", "2", "--bound", "2"]
+    assert run_command(argv) == (0, "VERIFIED up to dimension 2\n")
+
+
 def test_cli_suite_offers_no_format_and_rejects_unknown_criteria():
     assert run_command(["suite", "--only", "1", "--format", "json"])[0] == 3
     for number in ("0", "12", "99"):

@@ -489,6 +489,21 @@ def test_has_rlp_matches_the_backtracker_on_every_generator():
     } <= refuted
 
 
+def test_has_rlp_reports_the_first_failing_top_in_search_order():
+    """On Delta^4 with 034 and 123 not thin, over the sharp Delta^4, two tops
+    of the scaled 2-horn fail with different bottoms.  The facet tuples reach
+    the horn 12, 23 first, but the map search lists 03, 34 first (vertices
+    0, 3, 4 before 1, 2, 3), so that bottom is the one reported."""
+    d4 = standard_simplex(4)
+    X = Scaled(d4, frozenset(d4.level(2)) - {"034", "123"}).sharp_marked()
+    p, Y = identity_map(d4), as_base(scale(d4, SHARP))
+    for family in (scaled_anodyne_family(4), weak_fibration_family(4)):
+        v = has_rlp(p, X, Y, family, 4)
+        assert v == backtracked_rlp(p, X, Y, family, 4)
+        assert "('012', EZ(core='034', op=(0, 1, 2)))" in v.evidence
+    assert refuted_by_both(p, X, Y, 4) >= {"scaled-inner-horn(2,1)", "cartesian-horn(2)"}
+
+
 @given(poset_nerves(), poset_nerves(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_has_rlp_matches_the_backtracker_between_nerves(S, T, data):
@@ -538,12 +553,14 @@ def test_horn_shaped_generators_skip_the_backtracker(monkeypatch):
 
     monkeypatch.setattr(fibration, "problems_for", backtracker)
     monkeypatch.setattr(fibration, "find_lift", backtracker)
+    monkeypatch.setattr(fibration, "enumerate_maps", backtracker)
     Q = q_complex()
     X = Scaled(Q, frozenset(Q.level(2)))
     p, Xm, Y = to_point(X), X.sharp_marked(), as_base(Scaled(standard_simplex(0)))
     gens = list(all_generators(Xm, 3))
     horns = [g for g in gens if g.A.base != g.B.base and g.B.base.dim >= 1]
     assert len(horns) == len(gens) - 7  # boundary(0) and the six rescalings
+    assert all(fibration._horn_shape(gen.left) is not None for gen in horns)
     for gen in horns:
         has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen]), 3)
     rescale = rescale_generator("thin-rescale", MarkedScaled(standard_simplex(2)), triangle_thin())
