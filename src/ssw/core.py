@@ -19,7 +19,6 @@ from .ops import (
     idop,
     injections,
     is_epi,
-    is_id,
     op_join,
     op_reverse,
     surjections,
@@ -56,7 +55,7 @@ class EZ(NamedTuple):
         return len(self.op) - 1
 
     def is_nondeg(self) -> bool:
-        return is_id(self.op)
+        return self.op == idop(len(self.op) - 1)
 
 
 def ez_str(pair: EZ) -> str:
@@ -85,7 +84,7 @@ class SSet:
         while self.cells and not self.cells[-1]:
             self.cells = self.cells[:-1]
         self.faces: dict[str, tuple[EZ, ...]] = {
-            x: fs if type(fs) is tuple and all(_ez(p) is p for p in fs) else tuple(map(_ez, fs))
+            x: fs if type(fs) is tuple and all(type(p) is EZ and type(p.op) is tuple for p in fs) else tuple(map(_ez, fs))
             for x, fs in faces.items()
         }
         self.dim_cap = dim_cap
@@ -223,7 +222,7 @@ class SSet:
             due: list[list[int]] = [[] for _ in order]
             for k, x in enumerate(order):
                 fs = tuple(
-                    (pos[f.core], None if is_id(f.op) else f.op) for f in self.faces.get(x, ())
+                    (pos[f.core], None if f.is_nondeg() else f.op) for f in self.faces.get(x, ())
                 )
                 faces.append(fs)
                 if fs:
@@ -290,7 +289,9 @@ class SMap:
     def __init__(self, source: SSet, target: SSet, images, validate: bool = True):
         self.source = source
         self.target = target
-        self.images: dict[str, EZ] = {x: _ez(p) for x, p in images.items()}
+        # images from a map, a product or a search are EZ with tuple ops already: copy them as they are
+        ez = all(type(p) is EZ and type(p.op) is tuple for p in images.values())
+        self.images: dict[str, EZ] = dict(images) if ez else {x: _ez(p) for x, p in images.items()}
         if validate:
             self._validate()
 
@@ -358,6 +359,18 @@ class SMap:
             for i, f in enumerate(self.source.faces[x]):
                 if self(f) != img_faces[i]:
                     raise SSetError(f"map does not commute with d{i} at {x!r}")
+
+
+def first_missed_dim(f: SMap) -> int | None:
+    """The least n such that f misses an n-simplex of its target, None if f is onto.
+
+    f(x, sigma) = f(x)sigma has the core of f(x); and if f(x) = (y, tau) with
+    tau delta = id, f hits each (y, rho) as f(x, delta rho).  So f hits exactly
+    the simplices on the cores of its images, and n is the least dimension of a
+    cell of the target that is no image's core.
+    """
+    hit = {img.core for img in f.images.values()}
+    return min((n for y, n in f.target.dim_of.items() if y not in hit), default=None)
 
 
 def identity_map(X: SSet) -> SMap:
@@ -511,22 +524,21 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
     names: dict[EZ, str] = {}  # ez_str of each b, formatted once
     for n in range(top + 1):
         level = []
-        # a-major, then b in the order of Y.simplices(n), as a filter of all pairs;
-        # (x, sigma) has shuffle partners (y, tau) only if dim y >= n - dim x
-        for a in X.simplices(n):
-            k = a.op[-1]
-            if k + Y.dim < n:
-                continue
-            name_a = ez_str(a)
-            for l in range(n - k, min(n, Y.dim) + 1):
-                partners = shuffle_partners(a.op, l)
-                for y in Y.cells[l]:
-                    for tau in partners:
-                        b = EZ(y, tau)
-                        x = f"({name_a},{names.get(b) or names.setdefault(b, ez_str(b))})"
-                        index[(a, b)] = x
-                        level.append(x)
-                        img1[x], img2[x] = a, b
+        # a-major in the order of X.simplices(n), then b in that of Y.simplices(n),
+        # as a filter of all pairs; (x, sigma) has shuffle partners (y, tau) only
+        # if dim y >= n - dim x
+        for k in range(max(0, n - Y.dim), min(n, X.dim) + 1):
+            for a in (EZ(c, sigma) for c in X.cells[k] for sigma in surjections(n, k)):
+                name_a = ez_str(a)
+                for l in range(n - k, min(n, Y.dim) + 1):
+                    partners = shuffle_partners(a.op, l)
+                    for y in Y.cells[l]:
+                        for tau in partners:
+                            b = EZ(y, tau)
+                            x = f"({name_a},{names.get(b) or names.setdefault(b, ez_str(b))})"
+                            index[(a, b)] = x
+                            level.append(x)
+                            img1[x], img2[x] = a, b
         cells.append(level)
     faces = {}
     for (a, b), x in index.items():

@@ -11,6 +11,7 @@ from .core import (
     EZ,
     SMap,
     constant_map,
+    first_missed_dim,
     identity_map,
     opposite_map,
     product,
@@ -127,12 +128,10 @@ def _c3_join_comparison():
     for p in range(3):
         for q in range(3):
             data, order = join_eq_witnesses(p, q)
-            cmp = data.cmp  # compare_r at cap 6: thin-preservation checked inside
-            J = cmp.join.scaled.base
-            for n in range(5):
-                hit = {cmp.r(pair) for pair in cmp.tj.total.base.simplices(n)}
-                if set(J.simplices(n)) - hit:
-                    return False, f"comparison not surjective on {n}-simplices at ({p},{q})"
+            # compare_r at cap 6 has checked thin-preservation and surjectivity
+            n = first_missed_dim(data.cmp.r)
+            if n is not None:
+                return False, f"comparison not surjective on {n}-simplices at ({p},{q})"
             if {w.sigma for w in order} != set(data.Tprime - data.T):
                 return False, f"witnesses incomplete at ({p},{q})"
             report = join_eq_homotopies(p, q)

@@ -14,10 +14,12 @@ from .core import (
     SSet,
     SSetError,
     check_mode,
+    coproduct,
+    first_missed_dim,
     identity_map,
     join_sset,
+    joint_split,
     multi_product,
-    pair_cell,
     product,
     product_cell,
     simplex_cell,
@@ -255,7 +257,8 @@ def join_ms(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> Joi
 
 @dataclass
 class ThickJoin:
-    """A thick join with its pushout provenance.
+    """A thick join with its pushout provenance: one pushout of the Gray
+    product along both of its ends.
 
     ``comp`` classifies every nondegenerate cell of the total as coming from
     the left end, the right end, or the middle Gray product (with the middle
@@ -279,37 +282,33 @@ class ThickJoin:
 
 
 def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> ThickJoin:
-    """The inner or outer thick join, computed as two literal pushouts."""
+    """The inner or outer thick join: one pushout of the Gray product
+    X x Delta^1 x Y (Y x Delta^1 x X for ``out``) along both of its ends into
+    Y + X, the cells over interval vertex 0 going to X and those over 1 to Y."""
     interval = flat_ms(1)
     if check_mode("variance", variance, "inn", "out") == "inn":
-        factors = [X, interval, Y]
-        mid = gray_marked_n(factors, dim_cap=dim_cap)
+        mid = gray_marked_n([X, interval, Y], dim_cap=dim_cap)
         pX, pI, pY = mid.projections
     else:
-        factors = [Y, interval, X]
-        mid = gray_marked_n(factors, dim_cap=dim_cap)
+        mid = gray_marked_n([Y, interval, X], dim_cap=dim_cap)
         pY, pI, pX = mid.projections
     G = mid.scaled.base
-
-    def end_cells(vertex: str):
-        return [c for c in G.dim_of if pI.images[c].core == vertex]
-
-    end0, incl0 = subcomplex(G, end_cells("0"))
-    g0 = incl0.then(pX)
-    G_ms = mid.scaled.flat_marked()
-    X_sc = MarkedScaled(X.base, frozenset(), X.thin)
-    P1_ms, leg_X1, leg_G1 = pushout_ms(incl0, g0, G_ms, X_sc)
-
-    end1, incl1 = subcomplex(G, end_cells("1"))
-    i2 = incl1.then(leg_G1)
-    g1 = incl1.then(pY)
-    Y_sc = MarkedScaled(Y.base, frozenset(), Y.thin)
-    P2_ms, leg_Y2, leg_P2 = pushout_ms(i2, g1, P1_ms, Y_sc)
-
-    total = Scaled(P2_ms.base, P2_ms.thin)
-    incl_left = leg_X1.then(leg_P2)
-    incl_right = leg_Y2
-    quotient = leg_G1.then(leg_P2)
+    ends, incl = subcomplex(G, [c for c in G.dim_of if pI.images[c].core != "01"])
+    YX = coproduct(Y.base, X.base)
+    to_ends = SMap(
+        ends,
+        YX.sset,
+        {
+            c: YX.incl2(pX.images[c]) if pI.images[c].core == "0" else YX.incl1(pY.images[c])
+            for c in ends.dim_of
+        },
+        validate=False,
+    )
+    YX_ms = MarkedScaled(YX.sset, frozenset(), push_cells(YX.incl1, Y.thin) | push_cells(YX.incl2, X.thin))
+    total_ms, leg_ends, quotient = pushout_ms(incl, to_ends, mid.scaled.flat_marked(), YX_ms)
+    total = Scaled(total_ms.base, total_ms.thin)
+    incl_left = YX.incl2.then(leg_ends)
+    incl_right = YX.incl1.then(leg_ends)
 
     comp: dict = {}
     for x in X.base.dim_of:
@@ -432,7 +431,7 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> C
         else:
             top = EZ(payload, idop(n))
             rho_y, rho_x = tj.proj_right(top), tj.proj_left(top)
-            word = _word_components(tj, top)[1]
+            word = _word(tj.proj_int(top))
             if 1 not in word or 0 not in word:
                 raise SSetError("middle simplex with constant interval component")
             k = word.index(1)
@@ -442,10 +441,9 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> C
     r = SMap(tj.total.base, J, images)
     if not is_scaled_map(r, tj.total, jn.scaled):
         raise SSetError("comparison map is not thin-preserving")
-    for n in range(J.dim + 1):
-        hit = {r(pair) for pair in tj.total.base.simplices(n)}
-        if set(J.simplices(n)) - hit:
-            raise SSetError(f"comparison map not surjective on {n}-simplices")
+    n = first_missed_dim(r)
+    if n is not None:
+        raise SSetError(f"comparison map not surjective on {n}-simplices")
     missing = jn.scaled.thin - push_cells(r, tj.total.thin)
     if missing:
         raise SSetError(f"comparison map not surjective on thin triangles: {missing}")
@@ -589,17 +587,15 @@ class HomotopyReport(NamedTuple):
         )
 
 
+def _word(pair: EZ) -> tuple[int, ...]:
+    """The vertex word of a simplex of a standard simplex of dimension at most 9,
+    whose cell names spell their vertices digit by digit."""
+    return tuple(int(pair.core[v]) for v in pair.op)
+
+
 def _word_components(tj: ThickJoin, pair: EZ):
     """Vertex words of a middle simplex in each Gray factor."""
-    G = tj.mid.scaled.base
-    verts = [G.act(pair, (t,)) for t in range(pair.deg + 1)]
-    projs = (tj.proj_right, tj.proj_int, tj.proj_left)
-    return tuple(tuple(int(proj(v).core) for v in verts) for proj in projs)
-
-
-def _mid_from_words(tj: ThickJoin, yw, iw, xw) -> EZ:
-    comps = (simplex_from_word(yw), simplex_from_word(iw), simplex_from_word(xw))
-    return tj.quotient(product_cell(tj.mid.mp, comps))
+    return tuple(_word(proj(pair)) for proj in (tj.proj_right, tj.proj_int, tj.proj_left))
 
 
 def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
@@ -612,17 +608,17 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     total = tj.total.base
     J = jn.scaled.base
     TT = Scaled(total, data.Tprime)
-    # The vertex words of each middle cell of the total, and the cell of a word
-    # triple: the homotopies below ask for the same ones many times.
-    words = {
-        c: _word_components(tj, EZ(payload, idop(total.dim_of[c])))
-        for c, (kind, payload) in tj.comp.items()
-        if kind == "M"
-    }
+    # The vertex words of each cell of G and of each middle cell of the total: a
+    # simplex of G is one word triple, nondegenerate where no two neighbouring
+    # letters agree in all three words.
+    word_of = {m: _word_components(tj, EZ(m, idop(n))) for m, n in tj.mid.scaled.base.dim_of.items()}
+    cell_of = {w: m for m, w in word_of.items()}
+    words = {c: word_of[payload] for c, (kind, payload) in tj.comp.items() if kind == "M"}
 
     @lru_cache(maxsize=None)
     def mid(yw: tuple, iw: tuple, xw: tuple) -> EZ:
-        return _mid_from_words(tj, yw, iw, xw)
+        section, sigma = joint_split((yw, iw, xw))
+        return tj.quotient(EZ(cell_of[tuple(tuple(w[t] for t in section) for w in (yw, iw, xw))], sigma))
 
     def s_image(word) -> EZ:
         yw = tuple(0 if v <= p else v - p - 1 for v in word)
@@ -647,45 +643,26 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     u = SMap(total, total, u_images)
 
     PT, prT, prI = product(total, standard_simplex(1), dim_cap=total.dim + 1)
-
-    def homotopy(endpoint1: str) -> SMap:
-        images = {}
-        for cell, n in PT.dim_of.items():
-            top = EZ(cell, idop(n))
-            cpair, wpair = prT(top), prI(top)
-            if cpair.core not in words:  # a cell of the left or right end
-                images[cell] = cpair
-                continue
-            yw0, iw0, xw0 = words[cpair.core]
-            yw = [yw0[t] for t in cpair.op]
-            iw = [iw0[t] for t in cpair.op]
-            xw = [xw0[t] for t in cpair.op]
-            tw = [int(v) for v in prI.target.vertices_of(wpair)]
-            oy, oi, ox = [], [], []
-            for t in range(n + 1):
-                if tw[t] == 0:  # the map u
-                    oy.append(0 if iw[t] == 0 else yw[t])
-                    oi.append(iw[t])
-                    ox.append(xw[t])
-                elif endpoint1 == "sr":  # s after r
-                    oy.append(0 if iw[t] == 0 else yw[t])
-                    oi.append(iw[t])
-                    ox.append(xw[t] if iw[t] == 0 else p)
-                else:  # identity
-                    oy.append(yw[t])
-                    oi.append(iw[t])
-                    ox.append(xw[t])
-            images[cell] = mid(tuple(oy), tuple(oi), tuple(ox))
-        return SMap(PT, total, images)
-
-    h = homotopy("sr")
-    k = homotopy("id")
+    # h and k are u at time 0; at time 1, h is s after r and k the identity
+    h_images, k_images = {}, {}
+    for cell in PT.dim_of:
+        cpair = prT.images[cell]
+        if cpair.core not in words:  # a cell of the left or right end
+            h_images[cell] = k_images[cell] = cpair
+            continue
+        yw, iw, xw = (tuple(w[t] for t in cpair.op) for w in words[cpair.core])
+        tw = _word(prI.images[cell])
+        uy = tuple(0 if i == 0 else y for y, i in zip(yw, iw))
+        h_images[cell] = mid(uy, iw, tuple(x if t == 0 or i == 0 else p for x, i, t in zip(xw, iw, tw)))
+        k_images[cell] = mid(tuple(y if t == 1 else v for y, v, t in zip(yw, uy, tw)), iw, xw)
+    h = SMap(PT, total, h_images)
+    k = SMap(PT, total, k_images)
+    prism = {(prT.images[x], prI.images[x]): x for x in PT.dim_of}
 
     def restrict(hom: SMap, eps: str) -> SMap:
         images = {}
         for c, n in total.dim_of.items():
-            pcell = pair_cell(PT, EZ(c, idop(n)), EZ(eps, const_op(n, 0)))
-            images[c] = hom(pcell)
+            images[c] = hom.images[prism[(EZ(c, idop(n)), EZ(eps, const_op(n, 0)))]]
         return SMap(total, total, images, validate=False)
 
     sr = SMap(total, total, {c: s(r(EZ(c, idop(n)))) for c, n in total.dim_of.items()}, validate=False)
@@ -700,15 +677,14 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
 
     def constant_on_vertices(hom: SMap) -> bool:
         for v in total.level(0):
-            edge = pair_cell(PT, EZ(v, (0, 0)), EZ("01", (0, 1)))
-            if hom(edge).is_nondeg():
+            if hom.images[prism[(EZ(v, (0, 0)), EZ("01", (0, 1)))]].is_nondeg():
                 return False
         return True
 
     h_constant = constant_on_vertices(h)
     k_constant = constant_on_vertices(k)
 
-    prod_thin = frozenset(t for t in PT.level(2) if TT.is_thin(prT(EZ(t, idop(2)))))
+    prod_thin = frozenset(t for t in PT.level(2) if TT.is_thin(prT.images[t]))
     PT_scaled = Scaled(PT, prod_thin)
     scaled_ok = (
         is_scaled_map(h, PT_scaled, TT)

@@ -107,7 +107,7 @@ def test_functions_set_attributes_only_on_self():
 # A ratchet on the lines of src/ssw/*.py, lowered as code is deleted (the
 # ROADMAP baseline is 4,904); lines added for speed are paid back by deleting
 # others.
-MAX_SOURCE_LINES = 4684
+MAX_SOURCE_LINES = 4671
 
 
 def annotation_names(tree):

@@ -2,7 +2,18 @@ from itertools import product as iproduct
 
 import pytest
 
-from ssw.core import EZ, SMap, SSetError, is_isomorphic, standard_simplex
+from ssw.core import (
+    EZ,
+    SMap,
+    SSetError,
+    boundary_inclusion,
+    constant_map,
+    coproduct,
+    first_missed_dim,
+    is_isomorphic,
+    standard_simplex,
+    subcomplex,
+)
 from ssw.decor import (
     FLAT,
     SHARP,
@@ -10,6 +21,7 @@ from ssw.decor import (
     Scaled,
     decorate,
     is_decorated_isomorphic,
+    pushout_ms,
     scale,
     scaled_isomorphic,
 )
@@ -23,6 +35,7 @@ from ssw.tensor import (
     gray_scaled,
     gray_variant_scalings,
     interval_sharp,
+    JoinMS,
     join_eq_data,
     join_eq_homotopies,
     join_eq_witness,
@@ -413,6 +426,56 @@ def test_thick_join_op_duality():
         assert scaled_isomorphic(lhs_o, rhs_o)
 
 
+def two_pushout_thick_join(variance, X, Y):
+    """The thick join as two literal pushouts: the Gray product glued to X along
+    its end over interval vertex 0, then to Y along its end over vertex 1.
+    Returns the total, both inclusions, the quotient and the provenance."""
+    factors = [X, flat_ms(1), Y] if variance == "inn" else [Y, flat_ms(1), X]
+    mid = gray_marked_n(factors)
+    pX, pI, pY = mid.projections if variance == "inn" else mid.projections[::-1]
+    G = mid.scaled.base
+
+    def end(vertex):
+        return subcomplex(G, [c for c in G.dim_of if pI.images[c].core == vertex])[1]
+
+    incl0, incl1 = end("0"), end("1")
+    X_sc = MarkedScaled(X.base, frozenset(), X.thin)
+    P1, leg_X1, leg_G1 = pushout_ms(incl0, incl0.then(pX), mid.scaled.flat_marked(), X_sc)
+    Y_sc = MarkedScaled(Y.base, frozenset(), Y.thin)
+    P2, leg_Y2, leg_P2 = pushout_ms(incl1.then(leg_G1), incl1.then(pY), P1, Y_sc)
+    incl_left, quotient = leg_X1.then(leg_P2), leg_G1.then(leg_P2)
+    comp = {incl_left.images[x].core: ("L", x) for x in X.base.dim_of}
+    comp.update({leg_Y2.images[y].core: ("R", y) for y in Y.base.dim_of})
+    for m in G.dim_of:
+        img = quotient.images[m]
+        if img.is_nondeg() and img.core not in comp:
+            comp[img.core] = ("M", m)
+    return P2, incl_left, leg_Y2, quotient, comp
+
+
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        (point_ms(), point_ms()),
+        (flat_ms(1), point_ms()),
+        (interval_sharp(), flat_ms(2)),
+        (flat_ms(2), flat_ms(2)),
+        (sharp_ms(2), flat_ms(1)),
+    ],
+)
+@pytest.mark.parametrize("variance", ["inn", "out"])
+def test_thick_join_is_the_two_literal_pushouts(variance, X, Y):
+    tj = thick_join(variance, X, Y)
+    P2, incl_left, incl_right, quotient, comp = two_pushout_thick_join(variance, X, Y)
+    assert tj.total.base.cells == P2.base.cells
+    assert tj.total.base.faces == P2.base.faces
+    assert tj.total.thin == P2.thin and not P2.marked
+    assert tj.incl_left.images == incl_left.images
+    assert tj.incl_right.images == incl_right.images
+    assert tj.quotient.images == quotient.images
+    assert list(tj.comp.items()) == list(comp.items())
+
+
 def test_thick_join_end_inclusions():
     tj = thick_join("out", flat_ms(1), flat_ms(1))
     assert tj.incl_left.is_mono() and tj.incl_right.is_mono()
@@ -536,6 +599,14 @@ def test_compare_r_checks_pass_up_to_2():
             assert cmp.r.source is cmp.tj.total.base
 
 
+def test_compare_r_on_vertices_not_named_by_integers():
+    """Only the interval component's word is read, so any vertex names do."""
+    two = MarkedScaled(coproduct(standard_simplex(1), standard_simplex(0)).sset)  # vertices 0, 1, 0'
+    cmp = compare_r(two, point_ms())
+    assert cmp.tj.total.base.counts() == (4, 5, 2)
+    assert cmp.join.scaled.base.counts() == (4, 4, 1)
+
+
 def test_compare_r_compatible_with_end_inclusions():
     for p, q in [(1, 1), (2, 1)]:
         cmp = compare_r(flat_ms(p), flat_ms(q))
@@ -543,6 +614,45 @@ def test_compare_r_compatible_with_end_inclusions():
         assert left == cmp.join.incl1
         right = cmp.tj.incl_right.then(cmp.r)
         assert right == cmp.join.incl2
+
+
+def all_simplices_missed_dim(f: SMap):
+    """The least n such that some n-simplex of the target is not f of an
+    n-simplex of the source, checked over every simplex; None if f is onto."""
+    for n in range(f.target.dim + 1):
+        if set(f.target.simplices(n)) - {f(x) for x in f.source.simplices(n)}:
+            return n
+    return None
+
+
+def test_first_missed_dim_matches_the_all_simplices_check():
+    maps = [compare_r(flat_ms(p), flat_ms(q)).r for p in range(3) for q in range(3)]
+    assert all(first_missed_dim(r) is None for r in maps)
+    missing_one = [
+        (boundary_inclusion(2), 2),  # misses the triangle 012 only
+        (boundary_inclusion(3), 3),
+        (constant_map(standard_simplex(1), standard_simplex(1), "0"), 0),  # misses the vertex 1
+    ]
+    for f, n in missing_one:
+        assert first_missed_dim(f) == n
+    for f in maps + [f for f, _ in missing_one]:
+        assert first_missed_dim(f) == all_simplices_missed_dim(f)
+
+
+def test_compare_r_rejects_a_comparison_that_misses_a_cell(monkeypatch):
+    """A join padded with an isolated vertex, which r cannot reach."""
+    import ssw.tensor
+
+    def padded(X, Y, dim_cap=None):
+        jn = join_ms(X, Y, dim_cap=dim_cap)
+        plus = coproduct(jn.scaled.base, standard_simplex(0))
+        return JoinMS(
+            Scaled(plus.sset, jn.scaled.thin), jn.incl1.then(plus.incl1), jn.incl2.then(plus.incl1), jn.mixed
+        )
+
+    monkeypatch.setattr(ssw.tensor, "join_ms", padded)
+    with pytest.raises(SSetError, match="comparison map not surjective on 0-simplices"):
+        compare_r(flat_ms(1), point_ms())
 
 
 # ------------------------------------------------------------------ join_eq
