@@ -219,13 +219,18 @@ def edge_horn(flavor: str, n: int, anchor: EZ | None = None) -> Generator:
     )
 
 
+def _collapse(X: SSet, cells):
+    """The pushout gluing the subcomplex of X on the given cells (an edge with
+    its ends) to a point."""
+    sub, incl = subcomplex(X, cells)
+    return pushout_mono(incl, constant_map(sub, standard_simplex(0), "0"))
+
+
 def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generator:
     """Lambda^n_e u_(edge) Delta^0 in Delta^n u_(edge) Delta^0, scaled on the
     images of the given triangles.  The edge is {0,1} (the horn at 0) or
     {n-1,n} (the horn at n); edge and triangles are vertex tuples."""
-    full = standard_simplex(n)
-    edge_sub, edge_incl = subcomplex(full, [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
-    res = pushout_mono(edge_incl, constant_map(edge_sub, standard_simplex(0), "0"))
+    res = _collapse(standard_simplex(n), [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
     Bq = res.sset
     B = MarkedScaled(Bq, frozenset(), push_cells(res.leg_big, _cells(thin)))
     keep = {res.leg_big.images[c].core for c in horn(n, 0 if 0 in edge else n).dim_of}
@@ -622,30 +627,20 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     """Lemma-style criterion: e is weakly p-cartesian iff the comparison map
     from the slice over the marked arrow to the pullback of vertex slices is a
     trivial fibration (tested against boundary and rescaling generators)."""
-    from .slices import reindex_map, slice_construction, slice_over_vertex
-    from .tensor import interval_sharp
-
-    def arrow_slice(S: Scaled, arrow: EZ):
-        return slice_construction(S, interval_sharp(), simplex_map(S.base, arrow), "over", cap)
+    # imported here so that start-up (import ssw, the catalog, the CLI) does not load slices
+    from .slices import reindex_map, slice_over_marked_arrow, slice_over_vertex
 
     y = X.base.act(e, (1,)).core
     fy = p.images[y].core
-    sl_e = arrow_slice(X, e)
+    sl_e = slice_over_marked_arrow(X, e, cap)
     sl_y = slice_over_vertex(X, y, cap)
-    sl_fe = arrow_slice(Y, p(e))
+    sl_fe = slice_over_marked_arrow(Y, p(e), cap)
     sl_fy = slice_over_vertex(Y, fy, cap)
-
-    def vertex_one_map(vertex_shape, arrow_shape):
-        g = simplex_map(arrow_shape.K.base, EZ("1", (0,)))
-        return lambda n, m: vertex_shape.k_induced(arrow_shape, g, n).then(m)
-
-    def then_p(n, m):
-        return m.then(p)
-
-    to_y = reindex_map(sl_e, sl_y, vertex_one_map(sl_y.shape, sl_e.shape))
-    fe_to_fy = reindex_map(sl_fe, sl_fy, vertex_one_map(sl_fy.shape, sl_fe.shape))
-    e_to_fe = reindex_map(sl_e, sl_fe, then_p)
-    y_to_fy = reindex_map(sl_y, sl_fy, then_p)
+    one = simplex_map(sl_e.shape.K.base, EZ("1", (0,)))  # the vertex 1 of the arrow
+    to_y = reindex_map(sl_e, sl_y, g=one)
+    fe_to_fy = reindex_map(sl_fe, sl_fy, g=one)
+    e_to_fe = reindex_map(sl_e, sl_fe, p=p)
+    y_to_fy = reindex_map(sl_y, sl_fy, p=p)
     if to_y.then(y_to_fy) != e_to_fe.then(fe_to_fy):
         raise SSetError("slice comparison square does not commute")
     pb, pr1, pr2 = pullback(y_to_fy, fe_to_fy, dim_cap=max(cap, sl_y.total.base.dim + sl_fe.total.base.dim))
@@ -763,13 +758,8 @@ def locally_cocartesian_edges(f: SMap, S: Scaled, bound: int = 4) -> frozenset:
 @lru_cache(maxsize=None)
 def q_complex() -> SSet:
     """Q = Delta^0 u_{02} Delta^3 u_{13} Delta^0."""
-    d3 = standard_simplex(3)
-    pt = standard_simplex(0)
-    e02, i02 = subcomplex(d3, ["0", "2", "02"])
-    first = pushout_mono(i02, constant_map(e02, pt, "0"))
-    cells_13 = [first.leg_big.images[x].core for x in ("1", "3", "13")]
-    sub13, incl13 = subcomplex(first.sset, cells_13)
-    return pushout_mono(incl13, constant_map(sub13, pt, "0")).sset
+    first = _collapse(standard_simplex(3), ["0", "2", "02"])
+    return _collapse(first.sset, [first.leg_big.images[x].core for x in ("1", "3", "13")]).sset
 
 
 def q_marked_cells(Q: SSet) -> frozenset:
@@ -1047,6 +1037,7 @@ def check_limit_cone(
 ) -> Verdict:
     """The local criterion: for every vertex x, restriction from cone sections
     to diagram sections of the slice under x must be an equivalence."""
+    # imported here so that start-up (import ssw, the catalog, the CLI) does not load slices
     from .slices import check_cap, fun_coc_subcat, reindex_map, thick_slice_over_vertex
 
     check_cap(cap)
@@ -1064,7 +1055,7 @@ def check_limit_cone(
         good = frozenset(slice_x.total.marked)
         A = fun_coc_subcat(cn.ms, q, slice_x.scaled, g, good, cap)
         B = fun_coc_subcat(K, q, slice_x.scaled, f, good, cap)
-        rmap = reindex_map(A, B, lambda n, m: B.shape.k_induced(A.shape, cn.tj.incl_right, n).then(m))
+        rmap = reindex_map(A, B, g=cn.tj.incl_right)
         status, evidence = _restriction_verdict(A, B, rmap, cap)
         unsaturated = unsaturated or not (slice_x.saturated and A.saturated and B.saturated)
         statuses.append(f"{x}: {status}")
@@ -1087,13 +1078,14 @@ def refute_coinitial(
     Each fibration is (p, X_scaled, good_edges) over the underlying scaled set
     of L.  The check can refute, never verify (the definition quantifies over
     all fibrations)."""
+    # imported here so that start-up (import ssw, the catalog, the CLI) does not load slices
     from .slices import fun_coc_subcat, reindex_map
 
     evidence = []
     for idx, (p, X_scaled, good) in enumerate(fibrations):
         A = fun_coc_subcat(L, p, X_scaled, identity_map(L.base), good, cap)
         B = fun_coc_subcat(K, p, X_scaled, h, good, cap)
-        rmap = reindex_map(A, B, lambda n, m: B.shape.k_induced(A.shape, h, n).then(m))
+        rmap = reindex_map(A, B, g=h)
         compsB = _component_classes(B.total.base)
         compsA = _component_classes(A.total.base)
         hit = {compsB[rmap.images[v].core] for v in A.total.base.level(0)}

@@ -25,10 +25,6 @@ def idop(m: int) -> Op:
     return tuple(range(m + 1))
 
 
-def is_id(op: Op) -> bool:
-    return all(v == t for t, v in enumerate(op))
-
-
 def is_monotone(op: Op) -> bool:
     return all(op[t] <= op[t + 1] for t in range(len(op) - 1))
 

@@ -105,9 +105,15 @@ class Shape:
     the two factors; ``params()`` gives the other parameters the levels
     depend on.  Levels, reindexing maps and upgrades are built once per
     process and shared by every shape of the same class, K, first and params.
+
+    ``has_marking`` and ``has_scaling`` say whether the result carries a
+    marking and a scaling; ``image_ok`` filters the images of the level maps
+    and ``is_marked`` decides the marked edges.
     """
 
     thin_probe_marking = FLAT  # the marking of the thin Delta^2 in upgrade('thin')
+    has_marking = True
+    has_scaling = True
 
     def __init__(self, K: MarkedScaled, first: bool = True):
         self.K, self.first = K, first
@@ -170,6 +176,16 @@ class Shape:
     def project_cell(self, n: int) -> str | None:
         return None
 
+    def image_ok(self, n: int, x: str, cand: EZ) -> bool:
+        """Whether the cell x of F(n) may go to cand; the engine itself checks
+        that thin triangles of F(n) go to thin ones."""
+        return True
+
+    def is_marked(self, m: SMap, S: Scaled) -> bool:
+        """Whether the edge m: F(1) -> S is marked: m sends the triangles of the
+        'marked' upgrade to thin triangles of S."""
+        return all(S.is_thin(m(EZ(t, idop(2)))) for t in self.upgrade("marked"))
+
 
 class JoinShape(Shape):
     """F(n) = (flat Delta^n) * K for side 'over', K * (flat Delta^n) for 'under'.
@@ -227,6 +243,7 @@ class GrayShape(Shape):
     """F(n) = (flat Delta^n) (x) K for 'left', K (x) (flat Delta^n) for 'right'."""
 
     thin_probe_marking = SHARP  # Gray thinness also reads the markings of the factors
+    has_marking = False
 
     def __init__(self, K: MarkedScaled, side: str):
         super().__init__(K, check_mode("side", side, "left", "right") == "left")
@@ -241,6 +258,8 @@ class GrayShape(Shape):
 
 class CartesianShape(Shape):
     """F(n) = (Delta^n with chosen scaling) x underlying(K), cartesian scaling."""
+
+    has_marking = False
 
     def __init__(self, K: MarkedScaled, delta_scaling: str = FLAT):
         super().__init__(K)
@@ -280,16 +299,9 @@ def _key_after(ind: SMap, m: SMap) -> tuple:
     return tuple(sorted((x, m(p)) for x, p in ind.images.items()))
 
 
-def build_representable(
-    shape: Shape,
-    S: Scaled,
-    cap: int,
-    provenance: str,
-    image_ok_extra: Callable | None = None,
-    with_marking: bool = True,
-    with_scaling: bool = True,
-) -> SliceResult:
-    """Enumerate levels 0..cap of the representable construction for a shape."""
+def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> SliceResult:
+    """Enumerate levels 0..cap of the representable construction for a shape;
+    the shape says which decorations the result carries and filters the maps."""
     check_cap(cap)
     levels: list[dict] = []
     all_maps: list[dict] = []
@@ -302,9 +314,7 @@ def build_representable(
         def image_ok(x, cand, F=F):
             if F.base.dim_of[x] == 2 and x in F.thin and not S.is_thin(cand):
                 return False
-            if image_ok_extra is not None and not image_ok_extra(n, x, cand):
-                return False
-            return True
+            return shape.image_ok(n, x, cand)
 
         maps = enumerate_maps(F.base, S.base, partial=pins, image_ok=image_ok)
         table = {m.key(): m for m in maps}
@@ -341,15 +351,13 @@ def build_representable(
                     fs.append(ez)
                 faces[name] = tuple(fs)
     total_base = SSet(cells, faces, dim_cap=cap)
-
-    def upgraded(kind: str, n: int) -> frozenset:
-        """The n-cells whose maps send the extra thin triangles of the shape's
-        ``kind`` upgrade to thin triangles of S."""
-        extra = [EZ(t, idop(2)) for t in shape.upgrade(kind)]
-        return frozenset(x for x in cells[n] if all(S.is_thin(cell_maps[x](t)) for t in extra))
-
-    marked = upgraded("marked", 1) if with_marking and cap >= 1 else frozenset()
-    thin = upgraded("thin", 2) if with_scaling and cap >= 2 else frozenset()
+    marked = thin = frozenset()
+    if shape.has_marking and cap >= 1:
+        marked = frozenset(x for x in cells[1] if shape.is_marked(cell_maps[x], S))
+    if shape.has_scaling and cap >= 2:
+        # a triangle is thin when its map sends the 'thin' upgrade to thin triangles
+        extra = [EZ(t, idop(2)) for t in shape.upgrade("thin")]
+        thin = frozenset(x for x in cells[2] if all(S.is_thin(cell_maps[x](t)) for t in extra))
     projection = None
     pc_cells = shape.project_cell(0)
     if pc_cells is not None:
@@ -387,9 +395,9 @@ def slice_over_vertex(S: Scaled, vertex: str, cap: int, side: str = "over") -> S
     return slice_construction(S, flat_ms(0), simplex_map(S.base, EZ(vertex, (0,))), side, cap)
 
 
-def slice_over_marked_arrow(S: Scaled, edge: str, cap: int) -> SliceResult:
-    """The slice over a sharp-marked arrow, X_{/e-sharp}."""
-    return slice_construction(S, interval_sharp(), simplex_map(S.base, EZ(edge, idop(1))), "over", cap)
+def slice_over_marked_arrow(S: Scaled, arrow: EZ, cap: int) -> SliceResult:
+    """The slice over a sharp-marked arrow, X_{/e-sharp}, for a 1-simplex e of S."""
+    return slice_construction(S, interval_sharp(), simplex_map(S.base, arrow), "over", cap)
 
 
 def thick_slice(S: Scaled, K: MarkedScaled, f: SMap, variance: str, side: str, cap: int) -> SliceResult:
@@ -418,14 +426,15 @@ def hom_category(C: Scaled, x: str, y: str, cap: int) -> SliceResult:
     for v in (x, y):
         if v not in C.base.level(0):
             raise SSetError(f"no vertex {v!r} in C")
-    shape = HomShape(x, y)
-    return build_representable(shape, C, cap, f"hom({x},{y}), cap {cap}", with_scaling=False)
+    return build_representable(HomShape(x, y), C, cap, f"hom({x},{y}), cap {cap}")
 
 
 class HomShape(CartesianShape):
     """F(n) = Delta^n x Delta^1, pinned to x on Delta^n x {0} and to y on
     Delta^n x {1}.  The triangles (i,0)(i,1)(j,1) are thin, and so is
     (i,0)(j,0)(j,1) when the edge ij is marked: that marks the edges of Hom."""
+
+    has_marking, has_scaling = True, False
 
     def __init__(self, x: str, y: str):
         super().__init__(flat_ms(1))
@@ -462,9 +471,45 @@ def fun_space(K: MarkedScaled, X: Scaled, product_kind: str, cap: int) -> SliceR
         shape = CartesianShape(K)
     else:
         shape = GrayShape(K, product_kind.removeprefix("gray_"))
-    return build_representable(
-        shape, X, cap, f"fun[{product_kind}], cap {cap}", with_marking=False
-    )
+    return build_representable(shape, X, cap, f"fun[{product_kind}], cap {cap}")
+
+
+class CocartesianSectionsShape(CartesianShape):
+    """Levels Delta^n-sharp x K over the diagram f: a map lies over f through p,
+    and sends each marked K-edge at a vertex of Delta^n into the good edges.
+    An edge is marked when its component at every vertex of K is good."""
+
+    has_marking, has_scaling = True, False
+
+    def __init__(self, K: MarkedScaled, p: SMap, f: SMap, good_edges: frozenset):
+        super().__init__(K, delta_scaling=SHARP)
+        self.p, self.f, self.good_edges = p, f, good_edges
+
+    def good(self, pair: EZ) -> bool:
+        return not pair.is_nondeg() or pair.core in self.good_edges
+
+    def image_ok(self, n: int, x: str, cand: EZ) -> bool:
+        mp = self.object(n).data
+        pr1, pr2 = mp.projections
+        nd = mp.sset.dim_of[x]
+        top = EZ(x, idop(nd))
+        kpair = pr2(top)
+        if self.p(cand) != self.f(kpair):
+            return False
+        if nd == 1 and standard_simplex(n).dim_of[pr1(top).core] == 0:
+            return not (kpair.is_nondeg() and kpair.core in self.K.marked) or self.good(cand)
+        return True
+
+    @cached_property
+    def columns(self) -> list[EZ]:
+        """The edges of F(1) = Delta^1 x K over the edge of Delta^1 and a vertex of K."""
+        mp = self.object(1).data
+        pr1, pr2 = mp.projections
+        tops = [EZ(c, idop(1)) for c in mp.sset.level(1)]
+        return [top for top in tops if pr1(top).is_nondeg() and not pr2(top).is_nondeg()]
+
+    def is_marked(self, m: SMap, S: Scaled) -> bool:
+        return all(self.good(m(top)) for top in self.columns)
 
 
 def fun_coc_subcat(
@@ -481,65 +526,22 @@ def fun_coc_subcat(
     Marked edges of the result are the transformations whose components at
     every vertex of K lie in the given edge set (pointwise-(co)cartesian ones).
     """
-    shape = CartesianShape(K, delta_scaling=SHARP)
-
-    def in_good(pair: EZ) -> bool:
-        return not pair.is_nondeg() or pair.core in good_edges
-
-    def image_ok_extra(n, x, cand):
-        mp = shape.object(n).data
-        pr1, pr2 = mp.projections
-        nd = mp.sset.dim_of[x]
-        top = EZ(x, idop(nd))
-        kpair = pr2(top)
-        if p(cand) != f(kpair):
-            return False
-        if nd == 1:
-            apair = pr1(top)
-            delta_const = standard_simplex(n).dim_of[apair.core] == 0
-            if delta_const and kpair.is_nondeg() and kpair.core in K.marked:
-                if not in_good(cand):
-                    return False
-        return True
-
-    res = build_representable(
-        shape,
-        X_scaled,
-        cap,
-        f"fun-coc subcat, cap {cap}",
-        image_ok_extra=image_ok_extra,
-        with_marking=False,
-        with_scaling=False,
-    )
-    # marking: pointwise-good transformations
-    marked = set()
-    if cap >= 1:
-        mp = shape.object(1).data
-        pr1, pr2 = mp.projections
-        columns = []
-        for c, nd in mp.sset.dim_of.items():
-            if nd != 1:
-                continue
-            top = EZ(c, idop(1))
-            if pr1(top).is_nondeg() and not pr2(top).is_nondeg():
-                columns.append(c)
-        for name in res.total.base.level(1):
-            m = res.cell_maps[name]
-            if all(in_good(m(EZ(c, idop(1)))) for c in columns):
-                marked.add(name)
-    total = MarkedScaled(res.total.base, frozenset(marked), res.total.thin)
-    return SliceResult(
-        total, res.projection, res.provenance, cap, res.saturated, res.cell_maps, res.levels, shape
-    )
+    shape = CocartesianSectionsShape(K, p, f, good_edges)
+    return build_representable(shape, X_scaled, cap, f"fun-coc subcat, cap {cap}")
 
 
-def reindex_map(src: SliceResult, tgt: SliceResult, change: Callable[[int, SMap], SMap]) -> SMap:
-    """The map src -> tgt sending the n-simplex m to change(n, m), such as
-    ``pre(n).then(m)`` (precomposition) or ``m.then(post)`` (postcomposition)."""
+def reindex_map(src: SliceResult, tgt: SliceResult, g: SMap | None = None, p: SMap | None = None) -> SMap:
+    """The map src -> tgt sending the n-simplex m to p . m . F(g), where F(g)
+    is the map of levels induced by g: K_tgt -> K_src; a missing g or p is
+    the identity.  Keys are read off the images, without building the maps."""
+    induced = None if g is None else [tgt.shape.k_induced(src.shape, g, n) for n in range(src.cap + 1)]
     images = {}
     for c, m in src.cell_maps.items():
         n = src.total.base.dim_of[c]
-        ez = tgt.levels[n].get(change(n, m).key())
+        pairs = m.images.items() if induced is None else [(x, m(y)) for x, y in induced[n].images.items()]
+        if p is not None:
+            pairs = [(x, p(y)) for x, y in pairs]
+        ez = tgt.levels[n].get(tuple(sorted(pairs)))
         if ez is None:
             raise SSetError("reindexing leaves the computed levels")
         images[c] = ez

@@ -6,7 +6,6 @@ from ssw.ops import (
     idop,
     injections,
     is_epi,
-    is_id,
     is_monotone,
     op_join,
     op_reverse,
@@ -16,7 +15,6 @@ from ssw.ops import (
 
 def test_identity_and_composition():
     assert idop(3) == (0, 1, 2, 3)
-    assert is_id(idop(5))
     f = (0, 1, 1, 2)
     g = (0, 2, 3)
     assert compose(f, g) == (0, 1, 2)

@@ -8,6 +8,7 @@ from ssw.core import (
     enumerate_maps,
     identity_map,
     is_isomorphic,
+    simplex_map,
     standard_simplex,
 )
 from ssw.decor import FLAT, SHARP, MarkedScaled, Scaled, decorate, scale
@@ -19,6 +20,7 @@ from ssw.slices import (
     fun_space,
     hom_category,
     hom_triangle,
+    reindex_map,
     slice_construction,
     slice_over_marked_arrow,
     slice_over_vertex,
@@ -148,7 +150,7 @@ def test_slice_faces_commute_with_projection():
 
 def test_slice_over_marked_arrow_of_interval():
     S = d1_sharp()
-    sl = slice_over_marked_arrow(S, "01", cap=2)
+    sl = slice_over_marked_arrow(S, EZ("01", (0, 1)), cap=2)
     # oracle: vertices = thin triangles over e with free apex = 2-simplices of
     # Delta^1 restricting to 01 on {1,2} (all thin since S is sharp-scaled)
     d1 = S.base
@@ -752,3 +754,125 @@ def test_warm_builds_match_fresh_processes():
     assert len(fresh["forward"]) == 14
     for order in ("forward", "reversed", "forward"):
         assert fingerprints(order) == fresh["forward"], order
+
+
+# ---------------------------------------------------------------- pinned fingerprints and reindexing
+
+# sha256 of the 14 constructions of tests/slice_fingerprints.py, of criterion
+# 10's cone sections and restriction maps at cap 4, of the product sections
+# (the only ones here whose good-edge filter and marking drop something) and
+# of criterion 9's right sides, taken before shapes carried their own
+# decorations and filters and before reindex_map took maps instead of closures.
+PINNED_FINGERPRINTS = {
+    "slice d2/2": "78e9d23ab2e3cc9e246f277cac8e261b8c3a7f7294652288801cbe3af736b3cd",
+    "slice d3/3": "541b4b25707836b561128153128582e5b42132a820a00dceacd69f6d0355db54",
+    "slice d3/1": "d5a3d0677ffcdc81c3e8a46e42f64fa87b5b98d5eb315ad52780414a716e1e71",
+    "coslice d2 0/": "380219acb5c0b7d066ccc20ef7dbca2a97cea324aac7e1eba289ae1cfb5c3953",
+    "slice d2/12": "8fab2bf97682ac6cd74abe16208a73ae285c4f21790babe90522f54d05f375ff",
+    "slice d3/02": "1046208556e1d7554b400b5852eb230f09eb2577c14ba0eef4743264dd810219",
+    "thick inn d2/2": "03bc970010c82c82095ecb1278d214827e5812e9e165282b8b31eb31915ada28",
+    "thick inn d3/1": "702c7d62870a02406168380ec30c8c8e99d5f966ae02a801c691e6fe23ab9aaa",
+    "thick out d2 01/": "5626c89c6fb7e16a52acc8ebb38c2f64d6962433ea6e665b243985dd06675c3e",
+    "hom d2 0 2": "3300ce54ac45b063e31d6c8dcdd9f3eb0ba4fdab2ea40f5a9664a79e019d67ea",
+    "hom d3 0 2": "3300ce54ac45b063e31d6c8dcdd9f3eb0ba4fdab2ea40f5a9664a79e019d67ea",
+    "fun gray_left": "1ee5996e079c81aad690bc5d88d4b01a6cb72fc344d1030425ee57f7beeb7136",
+    "fun gray_right": "ebfe7b63c94197697670fd1badb5962ea469d93dc55134ba3648b98cd67a7823",
+    "fun cartesian": "9805bc9807ac54fd65b24e26592f8ce5515ed92feb8f06277f5fab5eeca1c2a8",
+    "cone d1_sharp at 1, vertex 0: A": "e878d1df6fedc23adf04b9935aa996b91377f4b87ef8956a77980564f30bed55",
+    "cone d1_sharp at 1, vertex 0: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d1_sharp at 1, vertex 0: r": "139c4511a0218f508dce2fb909e26b63ec4b5c7c6ce248f2a682df61f1a5e9dd",
+    "cone d1_sharp at 1, vertex 1: A": "aa5851b7a076cdf7ea20de3cd8a5d7b896c29d1ebad3d6de872f0e88706225c2",
+    "cone d1_sharp at 1, vertex 1: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d1_sharp at 1, vertex 1: r": "139c4511a0218f508dce2fb909e26b63ec4b5c7c6ce248f2a682df61f1a5e9dd",
+    "cone d2_sharp at 2, vertex 0: A": "67e57511b21f1f8b49e588351373571bb5556012311efd84880a63d04f04b27d",
+    "cone d2_sharp at 2, vertex 0: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d2_sharp at 2, vertex 0: r": "139c4511a0218f508dce2fb909e26b63ec4b5c7c6ce248f2a682df61f1a5e9dd",
+    "cone d2_sharp at 2, vertex 1: A": "e878d1df6fedc23adf04b9935aa996b91377f4b87ef8956a77980564f30bed55",
+    "cone d2_sharp at 2, vertex 1: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d2_sharp at 2, vertex 1: r": "139c4511a0218f508dce2fb909e26b63ec4b5c7c6ce248f2a682df61f1a5e9dd",
+    "cone d2_sharp at 2, vertex 2: A": "aa5851b7a076cdf7ea20de3cd8a5d7b896c29d1ebad3d6de872f0e88706225c2",
+    "cone d2_sharp at 2, vertex 2: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d2_sharp at 2, vertex 2: r": "139c4511a0218f508dce2fb909e26b63ec4b5c7c6ce248f2a682df61f1a5e9dd",
+    "cone d1_sharp at 0, vertex 0: A": "aa5851b7a076cdf7ea20de3cd8a5d7b896c29d1ebad3d6de872f0e88706225c2",
+    "cone d1_sharp at 0, vertex 0: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d1_sharp at 0, vertex 0: r": "139c4511a0218f508dce2fb909e26b63ec4b5c7c6ce248f2a682df61f1a5e9dd",
+    "cone d1_sharp at 0, vertex 1: A": "a5cbd7e9b29a87e42f0b78712f52c01c7ee1a499e7b9e3f9ad93a5767ac06f10",
+    "cone d1_sharp at 0, vertex 1: B": "a87778927bb0838a33abf6f7554d5e13a5c2d328f37495038c90b06a643800d5",
+    "cone d1_sharp at 0, vertex 1: r": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "criterion 9 right side at 0": "efdf2f52c358d2e1614c84a23b99d8689eab46906fae82a4439e1977d0f38054",
+    "criterion 9 right side at 1": "eedc5f7103093d0788bf52337c18602e3effd7ea00b19df7d0e613888da84f15",
+    "product sections: A": "9bd062e6ebac9d45d7c466c150f606668150c3dd22f824e380a01edd8c3f7eab",
+    "product sections: B": "345f2df1682ca2b9c69be5726fe808ad6a9923cc158efe67a811cb3bf0ba9480",
+    "product sections: r": "b013180e0c5b8b461552a425ee755c7927c8a60627be5091ad7a19832a159e40",
+    "criterion 9 right side at 2": "82b038d7cc141c4c4035f6573738c036e27d17b570e51c02a321b51a79c7e72c",
+}
+
+
+def test_constructions_match_their_pinned_fingerprints():
+    from slice_fingerprints import cone_fingerprints, fingerprints
+
+    assert fingerprints() | cone_fingerprints() == PINNED_FINGERPRINTS
+
+
+def reindex_by_closure(src, tgt, change):
+    """reindex_map defined by a closure: the n-simplex m goes to the cell of
+    tgt with the key of change(n, m), a map built per cell."""
+    images = {}
+    for c, m in src.cell_maps.items():
+        n = src.total.base.dim_of[c]
+        images[c] = tgt.levels[n][change(n, m).key()]
+    return SMap(src.total.base, tgt.total.base, images)
+
+
+def assert_same_reindexing(src, tgt, g=None, p=None):
+    if g is not None:
+        expected = reindex_by_closure(src, tgt, lambda n, m: tgt.shape.k_induced(src.shape, g, n).then(m))
+    else:
+        expected = reindex_by_closure(src, tgt, lambda n, m: m.then(p))
+    assert reindex_map(src, tgt, g=g, p=p) == expected
+
+
+def test_reindex_map_agrees_with_closures_on_criterion_7():
+    """The four maps of the slice criterion, for every edge of the sharp
+    interval and triangle over a point and of their slices over the last
+    vertex, as criterion 7 checks them."""
+    from ssw.core import constant_map
+
+    pt = standard_simplex(0)
+    one = simplex_map(interval_sharp().base, EZ("1", (0,)))
+    cases = []
+    for n in (1, 2):
+        C = scale(standard_simplex(n), SHARP)
+        sl = slice_over_vertex(C, str(n), cap=3)
+        cases += [(constant_map(C.base, pt, "0"), C, Scaled(pt)), (sl.projection, sl.scaled, C)]
+    for p, X, Y in cases:
+        for e in sorted(X.base.level(1)):
+            e = EZ(e, (0, 1))
+            y = X.base.act(e, (1,)).core
+            sl_e, sl_y = slice_over_marked_arrow(X, e, 2), slice_over_vertex(X, y, 2)
+            sl_fe, sl_fy = slice_over_marked_arrow(Y, p(e), 2), slice_over_vertex(Y, p.images[y].core, 2)
+            assert_same_reindexing(sl_e, sl_y, g=one)
+            assert_same_reindexing(sl_fe, sl_fy, g=one)
+            assert_same_reindexing(sl_e, sl_fe, p=p)
+            assert_same_reindexing(sl_y, sl_fy, p=p)
+
+
+def test_reindex_map_agrees_with_closures_on_restrictions():
+    """Criterion 10's restrictions, and evaluation at 1 from the sections of
+    the product fibration Delta^1 x Delta^1 -> Delta^1 to those over the
+    vertex 1, with the interval marked and without (then the sections are
+    all functors Delta^1 -> Delta^1)."""
+    from slice_fingerprints import cone_restrictions, product_sections
+
+    from ssw.core import product, subcomplex
+
+    for _, A, B, incl in [*cone_restrictions(), ("product sections", *product_sections())]:
+        assert_same_reindexing(A, B, g=incl)
+    d1 = standard_simplex(1)
+    P, pr1, _ = product(d1, d1)
+    sub, incl = subcomplex(d1, ["1"])
+    good = frozenset(P.level(1))
+    A = fun_coc_subcat(MarkedScaled(d1), pr1, scale(P, SHARP), identity_map(d1), good, 2)
+    B = fun_coc_subcat(MarkedScaled(sub), pr1, scale(P, SHARP), incl, good, 2)
+    assert (A.total.base.counts(), B.total.base.counts()) == ((3, 3, 1), (2, 1))
+    assert_same_reindexing(A, B, g=incl)
