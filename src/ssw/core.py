@@ -70,10 +70,13 @@ def _ez(p) -> EZ:
 
 
 def _name(verts: Iterable[object]) -> str:
+    """Vertices run together ("012") or joined by dots ("9.10"); a lone vertex
+    whose digits increase ends in a dot ("12.", since "12" is the edge 1 < 2)."""
     parts = [str(v) for v in verts]
     if all(len(p) == 1 for p in parts):
         return "".join(parts)
-    return ".".join(parts)
+    name = ".".join(parts)
+    return name + "." if len(parts) == 1 and all(a < b for a, b in zip(name, name[1:])) else name
 
 
 class SSet:
@@ -94,6 +97,8 @@ class SSet:
                 if x in self.dim_of:
                     raise SSetError(f"duplicate cell id {x!r}")
                 self.dim_of[x] = n
+        if self.dim > dim_cap:
+            raise CapError(f"nondegenerate cells in dimension {self.dim} > cap {dim_cap}")
         self._act_cache: dict[tuple[EZ, Op], EZ] = {}
         self._faces_of: dict[EZ, tuple[EZ, ...]] = {}
         self._simplices: dict[int, tuple[EZ, ...]] = {}
@@ -234,8 +239,6 @@ class SSet:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        if self.dim > self.dim_cap:
-            raise CapError(f"nondegenerate cells in dimension {self.dim} > cap {self.dim_cap}")
         unknown = self.faces.keys() - self.dim_of.keys()
         if unknown:
             raise SSetError(f"faces given for unknown cell {min(unknown)!r}")
@@ -378,11 +381,13 @@ def identity_map(X: SSet) -> SMap:
 
 
 def constant_map(X: SSet, Y: SSet, vertex: str) -> SMap:
-    return SMap(X, Y, {x: EZ(vertex, const_op(n, 0)) for x, n in X.dim_of.items()})
+    if vertex not in Y.level(0):
+        raise SSetError(f"image core {vertex!r} {'is not a vertex of' if vertex in Y.dim_of else 'missing in'} target")
+    return SMap(X, Y, {x: EZ(vertex, const_op(n, 0)) for x, n in X.dim_of.items()}, validate=False)
 
 
 def empty_sset() -> SSet:
-    return SSet((), {})
+    return SSet((), {}, validate=False)
 
 
 # -- standard complexes -------------------------------------------------------
@@ -391,23 +396,18 @@ def empty_sset() -> SSet:
 @lru_cache(maxsize=None)
 def standard_simplex(n: int) -> SSet:
     """The n-simplex; nondegenerate cells are vertex subsets of {0..n}.
-
-    Built and validated once per n, then shared: SSets are
-    immutable.
-    """
+    Built once per n, then shared: SSets are immutable."""
     if n < 0:
         raise SSetError("n must be >= 0")
     cells = [[] for _ in range(n + 1)]
-    faces = {}
+    faces, names = {}, {}
     for k in range(n + 1):
         for verts in injections(k, n):
-            x = _name(verts)
+            x = names[verts] = _name(verts)
             cells[k].append(x)
             if k >= 1:
-                faces[x] = tuple(
-                    EZ(_name(verts[:i] + verts[i + 1:]), idop(k - 1)) for i in range(k + 1)
-                )
-    return SSet(cells, faces, dim_cap=max(DIM_CAP, n))
+                faces[x] = tuple(EZ(names[verts[:i] + verts[i + 1:]], idop(k - 1)) for i in range(k + 1))
+    return SSet(cells, faces, dim_cap=max(DIM_CAP, n), validate=False)
 
 
 def simplex_cell(verts: Iterable[int]) -> str:
@@ -426,7 +426,7 @@ def subcomplex(X: SSet, keep: Iterable[str]) -> tuple[SSet, SMap]:
                 raise SSetError(f"cell set not face-closed at {x!r}")
     cells = [[x for x in level if x in keep] for level in X.cells]
     faces = {x: X.faces[x] for x in keep if X.dim_of[x] >= 1}
-    sub = SSet(cells, faces, dim_cap=X.dim_cap)
+    sub = SSet(cells, faces, dim_cap=X.dim_cap, validate=False)
     incl = SMap(sub, X, {x: EZ(x, idop(X.dim_of[x])) for x in keep}, validate=False)
     return sub, incl
 
@@ -462,9 +462,11 @@ def simplex_map(X: SSet, sigma: EZ) -> SMap:
     of Delta^n on the vertices v_0 < ... < v_k goes to X.act(sigma, (v_0, ..., v_k))."""
     if sigma.core not in X.dim_of:
         raise SSetError(f"no cell {sigma.core!r} for a map out of a simplex")
+    if not is_epi(sigma.op) or sigma.op[-1] != X.dim_of[sigma.core]:
+        raise SSetError(f"simplex {sigma} is not in EZ normal form")
     n = sigma.deg
     images = {_name(verts): X.act(sigma, verts) for k in range(n + 1) for verts in injections(k, n)}
-    return SMap(standard_simplex(n), X, images)
+    return SMap(standard_simplex(n), X, images, validate=False)
 
 
 # -- products and pullbacks ---------------------------------------------------
@@ -514,7 +516,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
     top = X.dim + Y.dim
     if X.dim < 0 or Y.dim < 0:
         E = empty_sset()
-        return ProductResult(E, SMap(E, X, {}), SMap(E, Y, {}))
+        return ProductResult(E, SMap(E, X, {}, validate=False), SMap(E, Y, {}, validate=False))
     if top > cap:
         # shuffles of top cells are always jointly nondegenerate
         raise CapError(f"product reaches dimension {top} > cap {cap}")
@@ -551,7 +553,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
             cores, sigma = (f, idop(n - 1)) if f in index else joint_core(f)
             fs.append(EZ(index[cores], sigma))
         faces[x] = tuple(fs)
-    P = SSet(cells, faces, dim_cap=cap)
+    P = SSet(cells, faces, dim_cap=cap, validate=False)
     return ProductResult(P, SMap(P, X, img1, validate=False), SMap(P, Y, img2, validate=False))
 
 
@@ -589,7 +591,7 @@ def product_map(src: MultiProductResult, tgt: MultiProductResult, maps: tuple[SM
         x: product_cell(tgt, tuple(f(p) for f, p in zip(maps, comps)))
         for comps, x in src.index.items()
     }
-    return SMap(src.sset, tgt.sset, images)
+    return SMap(src.sset, tgt.sset, images, validate=False)
 
 
 def pair_cell(P: SSet, a: EZ, b: EZ) -> EZ:
@@ -631,8 +633,7 @@ def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
     top = X.dim + Y.dim + 1 if (X.dim >= 0 and Y.dim >= 0) else max(X.dim, Y.dim)
     if top > cap:
         raise CapError(f"join reaches dimension {top} > cap {cap}")
-    n_levels = top + 1
-    cells: list[list[str]] = [[] for _ in range(n_levels)]
+    cells: list[list[str]] = [[] for _ in range(top + 1)]
     left_name = {x: f"{x}*" for x in X.dim_of}
     right_name = {y: f"*{y}" for y in Y.dim_of}
     mixed_name: dict[tuple[str, str], str] = {}
@@ -669,7 +670,7 @@ def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
         faces[name] = tuple(join_pair(f, top_y) for f in (X.faces[x] if i else (None,))) + tuple(
             join_pair(top_x, f) for f in (Y.faces[y] if j else (None,))
         )
-    J = SSet(cells, faces, dim_cap=cap)
+    J = SSet(cells, faces, dim_cap=cap, validate=False)
     incl1 = SMap(X, J, {x: EZ(left_name[x], idop(n)) for x, n in X.dim_of.items()}, validate=False)
     incl2 = SMap(Y, J, {y: EZ(right_name[y], idop(n)) for y, n in Y.dim_of.items()}, validate=False)
     return JoinResult(J, incl1, incl2, mixed_name)
@@ -682,7 +683,7 @@ def join_map(src, tgt, f: SMap, g: SMap) -> SMap:
     for (x, y), c in src.mixed.items():
         a, b = f.images[x], g.images[y]
         images[c] = EZ(tgt.mixed[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
-    return SMap(src.incl1.target, tgt.incl1.target, images)
+    return SMap(src.incl1.target, tgt.incl1.target, images, validate=False)
 
 
 # -- pushouts and coproducts ---------------------------------------------------
@@ -728,9 +729,9 @@ def pushout_mono(i: SMap, g: SMap) -> PushoutResult:
         if b in in_A or n == 0:
             continue
         faces[rename[b]] = tuple(push_b(f) for f in B.faces[b])
-    P = SSet(cells, faces, dim_cap=max(X.dim_cap, B.dim_cap))
+    P = SSet(cells, faces, dim_cap=max(X.dim_cap, B.dim_cap), validate=False)
     leg_target = SMap(X, P, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()}, validate=False)
-    leg_big = SMap(B, P, {b: push_b(EZ(b, idop(n))) for b, n in B.dim_of.items()})
+    leg_big = SMap(B, P, {b: push_b(EZ(b, idop(n))) for b, n in B.dim_of.items()}, validate=False)
     return PushoutResult(P, leg_target, leg_big)
 
 
@@ -751,7 +752,7 @@ def opposite(X: SSet) -> SSet:
         if n >= 1:
             fs = X.faces[x]
             faces[x] = tuple(EZ(fs[n - i].core, op_reverse(fs[n - i].op)) for i in range(n + 1))
-    return SSet(X.cells, faces, dim_cap=X.dim_cap)
+    return SSet(X.cells, faces, dim_cap=X.dim_cap, validate=False)
 
 
 def opposite_map(f: SMap) -> SMap:

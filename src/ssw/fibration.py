@@ -646,7 +646,7 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     pb, pr1, pr2 = pullback(y_to_fy, fe_to_fy, dim_cap=max(cap, sl_y.total.base.dim + sl_fe.total.base.dim))
     # the pullback is a subcomplex of the product, so its cells keep their product names
     images = {c: pair_cell(pb, to_y.images[c], e_to_fe.images[c]) for c in sl_e.total.base.dim_of}
-    cmpmap = SMap(sl_e.total.base, pb, images)
+    cmpmap = SMap(sl_e.total.base, pb, images, validate=False)
     Xside = MarkedScaled(sl_e.total.base, frozenset(sl_e.total.base.level(1)), sl_e.total.thin)
     pb_thin = set()
     for t in pb.level(2):
@@ -831,7 +831,7 @@ def scaled_anodyne_family(bound: int) -> GeneratorFamily:
 
 def is_infty_bicategory(X: Scaled, bound: int = 4) -> Verdict:
     pt = standard_simplex(0)
-    p = constant_map(X.base, pt, "0") if X.base.dim >= 0 else SMap(X.base, pt, {})
+    p = constant_map(X.base, pt, "0")
     Y = Scaled(pt, frozenset())
     return has_rlp(p, X.sharp_marked(), as_base(Y), scaled_anodyne_family(bound), bound)
 
@@ -1024,7 +1024,7 @@ def empty_cone(C: Scaled, vertex: str, variance: str) -> tuple[MarkedScaled, SMa
         raise SSetError(f"no vertex {vertex!r}")
     K = MarkedScaled(empty_sset())
     cn = cone(variance, "left", K)
-    return K, SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))})
+    return K, SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))}, validate=False)
 
 
 def check_limit_cone(

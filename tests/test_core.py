@@ -183,9 +183,32 @@ def test_validation_rejects_a_non_epi_face_operator():
 
 def test_validation_rejects_cells_above_the_cap():
     d3 = standard_simplex(3)
-    with pytest.raises(CapError):
-        SSet(d3.cells, d3.faces, dim_cap=2)
+    for validate in (True, False):  # the cap holds for trusted builds too
+        with pytest.raises(CapError, match="nondegenerate cells in dimension 3 > cap 2"):
+            SSet(d3.cells, d3.faces, dim_cap=2, validate=validate)
     assert SSet(d3.cells, d3.faces, dim_cap=3) == d3
+
+
+def test_constant_map_needs_a_vertex_of_its_target():
+    d1 = standard_simplex(1)
+    with pytest.raises(SSetError, match="image core 'nope' missing in target"):
+        constant_map(d1, d1, "nope")
+    with pytest.raises(SSetError, match="image core '01' is not a vertex of target"):
+        constant_map(d1, d1, "01")
+    assert constant_map(d1, d1, "1").images == {"0": EZ("1", (0,)), "1": EZ("1", (0,)), "01": EZ("1", (0, 0))}
+
+
+def test_simplex_names_stay_distinct_from_dimension_twelve():
+    """A lone vertex whose digits increase ends in a dot: "12" is the edge 1 < 2.
+    Below dimension 12 no vertex name needs one, so those names are unchanged."""
+    d12 = standard_simplex(12)
+    d12._validate()
+    assert len(d12.dim_of) == 2**13 - 1
+    assert d12.level(0)[9:] == ("9", "10", "11", "12.")
+    assert d12.faces["12"] == (EZ("2", (0,)), EZ("1", (0,)))
+    assert d12.faces["1.12"] == (EZ("12.", (0,)), EZ("1", (0,)))
+    assert simplex_cell([12]) == "12." and simplex_cell([2, 1]) == "12" and simplex_cell([10]) == "10"
+    assert standard_simplex(11).level(0)[9:] == ("9", "10", "11")
 
 
 # ---------------------------------------------------------------- products
@@ -343,6 +366,9 @@ def test_simplex_map_on_the_catalog():
         check_simplex_maps(X.base)
     with pytest.raises(SSetError, match="no cell 'x'"):
         simplex_map(standard_simplex(1), EZ("x", (0,)))
+    for sigma in (EZ("01", (0,)), EZ("01", (0, 0)), EZ("0", (0, 1))):  # a vertex of an edge, or not onto
+        with pytest.raises(SSetError, match="not in EZ normal form"):
+            simplex_map(standard_simplex(1), sigma)
 
 
 @given(poset_nerves())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -424,3 +428,43 @@ def test_cli_object_path_is_a_directory(tmp_path):
     code, out = run_command(["build", f"@{tmp_path}"])
     assert code == 3
     assert out.startswith("error:")
+
+
+# ---------------------------------------------------------------- trust boundary
+
+
+def _d2_document(**changes) -> dict:
+    return {**complex_to_doc(MarkedScaled(standard_simplex(2))), **changes}
+
+
+def test_cli_object_whose_faces_break_a_simplicial_identity_exits_3(tmp_path):
+    doc = _d2_document()
+    top = doc["faces"]["012"]
+    doc["faces"]["012"] = [top[1], top[0], top[2]]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["gray", f"@{path}", "d1"]) == (3, "error: simplicial identity fails at '012': d0 d2\n")
+
+
+def test_cli_object_above_its_dim_cap_exits_3(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_d2_document(dim_cap=1)))
+    assert run_command(["build", f"@{path}"]) == (3, "error: nondegenerate cells in dimension 2 > cap 1\n")
+
+
+def test_cli_valid_object_flows_through_the_trusted_constructors(tmp_path):
+    path = tmp_path / "d1.json"
+    path.write_text(serialize(complex_to_doc(catalog()["d1"])))
+    for argv in (["gray", "--flat", "{}", "d1"], ["join", "{}", "d1"], ["thick-join", "out", "{}", "d1"],
+                 ["cone", "inn", "right", "{}"]):
+        assert run_command([a.format(f"@{path}") for a in argv]) == run_command([a.format("d1") for a in argv])
+
+
+def test_cli_checks_bicategories_past_dimension_eleven():
+    """Cell names of the 12-simplex are distinct (its vertex 12 is "12."), so
+    the bound-12 check runs; run in a fresh process, as a user runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "ssw.cli", "check-bicat", "d0", "--bound", "12"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "VERIFIED up to dimension 12\n")
