@@ -41,7 +41,9 @@ def j_truncated(cap: int) -> SSet:
                     op = tuple(t if t <= repeat else t - 1 for t in range(n))
                     fs.append(EZ(core, op))
             faces[w] = tuple(fs)
-    return SSet(cells, faces, dim_cap=cap)
+    J = SSet(cells, faces, dim_cap=cap)
+    J._validate()
+    return J
 
 
 def _entries() -> dict:
@@ -67,7 +69,7 @@ def _entries() -> dict:
         J3, frozenset(J3.level(1)), frozenset(J3.level(2))
     )
     g = gray_scaled(flat_ms(1).scaled(), flat_ms(1).scaled())
-    out["d1_gray_d1"] = MarkedScaled(g.scaled.base, frozenset(), g.scaled.thin)
+    out["d1_gray_d1"] = g.scaled.flat_marked()
     return out
 
 

@@ -117,9 +117,9 @@ def cmd_build(args) -> tuple[int, str]:
 def cmd_gray(args) -> tuple[int, str]:
     xs = [resolve(s) for s in args.objects]
     if args.flat:
-        xs = [MarkedScaled(x.base, frozenset(), x.thin) for x in xs]
+        xs = [x.scaled().flat_marked() for x in xs]
     g = gray_marked_n(xs)
-    out = MarkedScaled(g.scaled.base, frozenset(), g.scaled.thin)
+    out = g.scaled.flat_marked()
     summary = f"triangles: {len(g.scaled.base.level(2))}\nthin: {len(g.scaled.thin)}\n"
     if args.format == "json":
         summary = ""
@@ -129,14 +129,14 @@ def cmd_gray(args) -> tuple[int, str]:
 def cmd_join(args) -> tuple[int, str]:
     X, Y = resolve(args.objects[0]), resolve(args.objects[1])
     j = join_ms(X, Y)
-    out = MarkedScaled(j.scaled.base, frozenset(), j.scaled.thin)
+    out = j.scaled.flat_marked()
     return EXIT_OK, _emit_complex(out, args.format)
 
 
 def cmd_thick_join(args) -> tuple[int, str]:
     X, Y = resolve(args.objects[0]), resolve(args.objects[1])
     tj = thick_join(args.variance, X, Y)
-    out = MarkedScaled(tj.total.base, frozenset(), tj.total.thin)
+    out = tj.total.flat_marked()
     return EXIT_OK, _emit_complex(out, args.format)
 
 
@@ -250,6 +250,7 @@ def cmd_check_certificate(args) -> tuple[int, str]:
             x: ez_from_doc(e, f"attach image of {x!r}") for x, e in _entry(raw, "attach").items()
         }
         attach = SMap(A.base, start.base, images)
+        attach._validate()
         steps.append(CertificateStep(gen, attach))
     v = certificate_check(start, steps, claimed)
     return _verdict_exit(v), _emit_verdict(v, args.format)

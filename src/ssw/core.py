@@ -82,7 +82,7 @@ def _name(verts: Iterable[object]) -> str:
 class SSet:
     """A finite simplicial set: nondegenerate cells with EZ-normal face data."""
 
-    def __init__(self, cells, faces, dim_cap: int = DIM_CAP, validate: bool = True):
+    def __init__(self, cells, faces, dim_cap: int = DIM_CAP):
         self.cells: tuple[tuple[str, ...], ...] = tuple(tuple(level) for level in cells)
         while self.cells and not self.cells[-1]:
             self.cells = self.cells[:-1]
@@ -104,8 +104,6 @@ class SSet:
         self._simplices: dict[int, tuple[EZ, ...]] = {}
         self._by_faces: dict[tuple[int, tuple | None], dict[tuple[EZ, ...], tuple[EZ, ...]]] = {}
         self._plan: SearchPlan | None = None
-        if validate:
-            self._validate()
 
     # -- basic views ------------------------------------------------------
 
@@ -239,6 +237,7 @@ class SSet:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
+        """Check EZ-normal faces and the simplicial identities; building an SSet never does."""
         unknown = self.faces.keys() - self.dim_of.keys()
         if unknown:
             raise SSetError(f"faces given for unknown cell {min(unknown)!r}")
@@ -289,14 +288,12 @@ class SearchPlan(NamedTuple):
 class SMap:
     """A simplicial map, stored as EZ images of nondegenerate cells."""
 
-    def __init__(self, source: SSet, target: SSet, images, validate: bool = True):
+    def __init__(self, source: SSet, target: SSet, images):
         self.source = source
         self.target = target
         # images from a map, a product or a search are EZ with tuple ops already: copy them as they are
         ez = all(type(p) is EZ and type(p.op) is tuple for p in images.values())
         self.images: dict[str, EZ] = dict(images) if ez else {x: _ez(p) for x, p in images.items()}
-        if validate:
-            self._validate()
 
     def __call__(self, pair: EZ) -> EZ:
         """The image img∘op of pair = (core, op); the stored image img itself
@@ -326,12 +323,7 @@ class SMap:
     def then(self, other: "SMap") -> "SMap":
         if self.target is not other.source and self.target != other.source:
             raise SSetError("composition mismatch")
-        return SMap(
-            self.source,
-            other.target,
-            {x: other(p) for x, p in self.images.items()},
-            validate=False,
-        )
+        return SMap(self.source, other.target, {x: other(p) for x, p in self.images.items()})
 
     def is_mono(self) -> bool:
         seen = set()
@@ -343,6 +335,7 @@ class SMap:
         return True
 
     def _validate(self) -> None:
+        """Check EZ-normal images that commute with the faces; building an SMap never does."""
         unknown = self.images.keys() - self.source.dim_of.keys()
         if unknown:
             raise SSetError(f"image given for unknown cell {min(unknown)!r}")
@@ -377,17 +370,17 @@ def first_missed_dim(f: SMap) -> int | None:
 
 
 def identity_map(X: SSet) -> SMap:
-    return SMap(X, X, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()}, validate=False)
+    return SMap(X, X, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()})
 
 
 def constant_map(X: SSet, Y: SSet, vertex: str) -> SMap:
     if vertex not in Y.level(0):
         raise SSetError(f"image core {vertex!r} {'is not a vertex of' if vertex in Y.dim_of else 'missing in'} target")
-    return SMap(X, Y, {x: EZ(vertex, const_op(n, 0)) for x, n in X.dim_of.items()}, validate=False)
+    return SMap(X, Y, {x: EZ(vertex, const_op(n, 0)) for x, n in X.dim_of.items()})
 
 
 def empty_sset() -> SSet:
-    return SSet((), {}, validate=False)
+    return SSet((), {})
 
 
 # -- standard complexes -------------------------------------------------------
@@ -407,7 +400,7 @@ def standard_simplex(n: int) -> SSet:
             cells[k].append(x)
             if k >= 1:
                 faces[x] = tuple(EZ(names[verts[:i] + verts[i + 1:]], idop(k - 1)) for i in range(k + 1))
-    return SSet(cells, faces, dim_cap=max(DIM_CAP, n), validate=False)
+    return SSet(cells, faces, dim_cap=max(DIM_CAP, n))
 
 
 def simplex_cell(verts: Iterable[int]) -> str:
@@ -426,8 +419,8 @@ def subcomplex(X: SSet, keep: Iterable[str]) -> tuple[SSet, SMap]:
                 raise SSetError(f"cell set not face-closed at {x!r}")
     cells = [[x for x in level if x in keep] for level in X.cells]
     faces = {x: X.faces[x] for x in keep if X.dim_of[x] >= 1}
-    sub = SSet(cells, faces, dim_cap=X.dim_cap, validate=False)
-    incl = SMap(sub, X, {x: EZ(x, idop(X.dim_of[x])) for x in keep}, validate=False)
+    sub = SSet(cells, faces, dim_cap=X.dim_cap)
+    incl = SMap(sub, X, {x: EZ(x, idop(X.dim_of[x])) for x in keep})
     return sub, incl
 
 
@@ -466,7 +459,7 @@ def simplex_map(X: SSet, sigma: EZ) -> SMap:
         raise SSetError(f"simplex {sigma} is not in EZ normal form")
     n = sigma.deg
     images = {_name(verts): X.act(sigma, verts) for k in range(n + 1) for verts in injections(k, n)}
-    return SMap(standard_simplex(n), X, images, validate=False)
+    return SMap(standard_simplex(n), X, images)
 
 
 # -- products and pullbacks ---------------------------------------------------
@@ -516,7 +509,7 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
     top = X.dim + Y.dim
     if X.dim < 0 or Y.dim < 0:
         E = empty_sset()
-        return ProductResult(E, SMap(E, X, {}, validate=False), SMap(E, Y, {}, validate=False))
+        return ProductResult(E, SMap(E, X, {}), SMap(E, Y, {}))
     if top > cap:
         # shuffles of top cells are always jointly nondegenerate
         raise CapError(f"product reaches dimension {top} > cap {cap}")
@@ -553,8 +546,8 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
             cores, sigma = (f, idop(n - 1)) if f in index else joint_core(f)
             fs.append(EZ(index[cores], sigma))
         faces[x] = tuple(fs)
-    P = SSet(cells, faces, dim_cap=cap, validate=False)
-    return ProductResult(P, SMap(P, X, img1, validate=False), SMap(P, Y, img2, validate=False))
+    P = SSet(cells, faces, dim_cap=cap)
+    return ProductResult(P, SMap(P, X, img1), SMap(P, Y, img2))
 
 
 class MultiProductResult(NamedTuple):
@@ -591,7 +584,7 @@ def product_map(src: MultiProductResult, tgt: MultiProductResult, maps: tuple[SM
         x: product_cell(tgt, tuple(f(p) for f, p in zip(maps, comps)))
         for comps, x in src.index.items()
     }
-    return SMap(src.sset, tgt.sset, images, validate=False)
+    return SMap(src.sset, tgt.sset, images)
 
 
 def pair_cell(P: SSet, a: EZ, b: EZ) -> EZ:
@@ -670,9 +663,9 @@ def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
         faces[name] = tuple(join_pair(f, top_y) for f in (X.faces[x] if i else (None,))) + tuple(
             join_pair(top_x, f) for f in (Y.faces[y] if j else (None,))
         )
-    J = SSet(cells, faces, dim_cap=cap, validate=False)
-    incl1 = SMap(X, J, {x: EZ(left_name[x], idop(n)) for x, n in X.dim_of.items()}, validate=False)
-    incl2 = SMap(Y, J, {y: EZ(right_name[y], idop(n)) for y, n in Y.dim_of.items()}, validate=False)
+    J = SSet(cells, faces, dim_cap=cap)
+    incl1 = SMap(X, J, {x: EZ(left_name[x], idop(n)) for x, n in X.dim_of.items()})
+    incl2 = SMap(Y, J, {y: EZ(right_name[y], idop(n)) for y, n in Y.dim_of.items()})
     return JoinResult(J, incl1, incl2, mixed_name)
 
 
@@ -683,7 +676,7 @@ def join_map(src, tgt, f: SMap, g: SMap) -> SMap:
     for (x, y), c in src.mixed.items():
         a, b = f.images[x], g.images[y]
         images[c] = EZ(tgt.mixed[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
-    return SMap(src.incl1.target, tgt.incl1.target, images, validate=False)
+    return SMap(src.incl1.target, tgt.incl1.target, images)
 
 
 # -- pushouts and coproducts ---------------------------------------------------
@@ -729,16 +722,16 @@ def pushout_mono(i: SMap, g: SMap) -> PushoutResult:
         if b in in_A or n == 0:
             continue
         faces[rename[b]] = tuple(push_b(f) for f in B.faces[b])
-    P = SSet(cells, faces, dim_cap=max(X.dim_cap, B.dim_cap), validate=False)
-    leg_target = SMap(X, P, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()}, validate=False)
-    leg_big = SMap(B, P, {b: push_b(EZ(b, idop(n))) for b, n in B.dim_of.items()}, validate=False)
+    P = SSet(cells, faces, dim_cap=max(X.dim_cap, B.dim_cap))
+    leg_target = SMap(X, P, {x: EZ(x, idop(n)) for x, n in X.dim_of.items()})
+    leg_big = SMap(B, P, {b: push_b(EZ(b, idop(n))) for b, n in B.dim_of.items()})
     return PushoutResult(P, leg_target, leg_big)
 
 
 def coproduct(X: SSet, Y: SSet) -> JoinResult:
     """X + Y, the pushout along the empty complex; cells of Y are renamed apart."""
     E = empty_sset()
-    P, i1, i2 = pushout_mono(SMap(E, Y, {}, validate=False), SMap(E, X, {}, validate=False))
+    P, i1, i2 = pushout_mono(SMap(E, Y, {}), SMap(E, X, {}))
     return JoinResult(P, i1, i2, {})
 
 
@@ -752,7 +745,7 @@ def opposite(X: SSet) -> SSet:
         if n >= 1:
             fs = X.faces[x]
             faces[x] = tuple(EZ(fs[n - i].core, op_reverse(fs[n - i].op)) for i in range(n + 1))
-    return SSet(X.cells, faces, dim_cap=X.dim_cap, validate=False)
+    return SSet(X.cells, faces, dim_cap=X.dim_cap)
 
 
 def opposite_map(f: SMap) -> SMap:
@@ -760,7 +753,6 @@ def opposite_map(f: SMap) -> SMap:
         opposite(f.source),
         opposite(f.target),
         {x: EZ(p.core, op_reverse(p.op)) for x, p in f.images.items()},
-        validate=False,
     )
 
 
@@ -795,7 +787,7 @@ def enumerate_maps(
     order, faces, due = X.search_plan()
     size = len(order)
     if size == 0:
-        return [SMap(X, Y, {}, validate=False)]
+        return [SMap(X, Y, {})]
     images: list[EZ | None] = [None] * size
     lists: list[list[EZ]] = [[] for _ in range(size)]
     cursor = [0] * size
@@ -836,7 +828,7 @@ def enumerate_maps(
             k += 1
             cursor[k] = 0
             continue
-        found.append(SMap(X, Y, dict(zip(order, images)), validate=False))
+        found.append(SMap(X, Y, dict(zip(order, images))))
         if first_only:
             break
     return found
@@ -918,8 +910,8 @@ def isomorphisms(
     k = 0
     while k >= 0:
         if k == size:
-            cand = SMap(X, Y, dict(images), validate=False)
             try:
+                cand = SMap(X, Y, dict(images))
                 cand._validate()
             except SSetError:
                 pass

@@ -97,9 +97,6 @@ def core_thi(X: Scaled) -> tuple[SSet, SMap]:
                 break
         if ok:
             keep.append(x)
-    closed = [x for x in keep if all(f.core in keep for f in X.base.faces.get(x, ()))]
-    # faces of kept cells are kept: 2-faces of faces are 2-faces of the cell
-    assert closed == keep
     return subcomplex(X.base, keep)
 
 

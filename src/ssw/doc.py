@@ -81,6 +81,7 @@ def doc_to_complex(doc: dict) -> MarkedScaled:
     for x, fs in raw_faces.items():
         faces[x] = tuple(ez_from_doc(entry, f"face entry of {x!r}") for entry in fs)
     base = SSet(cells, faces, dim_cap=_typed(doc.get("dim_cap", 6), int, None, "dim_cap must be an integer"))
+    base._validate()
     marked = _typed(doc.get("marked", []), list, str, f"marked {ids}")
     thin = _typed(doc.get("thin", []), list, str, f"thin {ids}")
     return MarkedScaled(base, frozenset(marked), frozenset(thin))
@@ -102,4 +103,6 @@ def doc_to_map(doc: dict, resolve) -> SMap:
     src = resolve(doc["source"])
     tgt = resolve(doc["target"])
     images = {x: ez_from_doc(entry, f"image of {x!r}") for x, entry in doc["images"].items()}
-    return SMap(src.base, tgt.base, images)
+    f = SMap(src.base, tgt.base, images)
+    f._validate()
+    return f

@@ -477,7 +477,7 @@ def _first_unfilled_horn(
     images = {**bpins, **{b: p(at(a, ys)) for a, b in source.items()}, t: ct}
     if f is not None:
         images[f] = cf
-    return SMap(B, Yb, images, validate=False)
+    return SMap(B, Yb, images)
 
 
 def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, bound: int | None = None) -> Verdict:
@@ -646,7 +646,7 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     pb, pr1, pr2 = pullback(y_to_fy, fe_to_fy, dim_cap=max(cap, sl_y.total.base.dim + sl_fe.total.base.dim))
     # the pullback is a subcomplex of the product, so its cells keep their product names
     images = {c: pair_cell(pb, to_y.images[c], e_to_fe.images[c]) for c in sl_e.total.base.dim_of}
-    cmpmap = SMap(sl_e.total.base, pb, images, validate=False)
+    cmpmap = SMap(sl_e.total.base, pb, images)
     Xside = MarkedScaled(sl_e.total.base, frozenset(sl_e.total.base.level(1)), sl_e.total.thin)
     pb_thin = set()
     for t in pb.level(2):
@@ -1006,10 +1006,9 @@ def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str]:
     missing = [v for v in B.total.base.level(0) if comps[v] not in hit]
     if missing:
         return REFUTED, f"target vertex {missing[0]!r} lies in a component not hit by the restriction"
-    Xm = MarkedScaled(A.total.base, A.total.marked, A.total.thin)
     Ym = decorate(B.total.base, SHARP, SHARP)
     fam = boundary_family(cap, marked_generator=True, scaled_generator=False)
-    v = has_rlp(rmap, Xm, Ym, fam, cap)
+    v = has_rlp(rmap, A.total, Ym, fam, cap)
     if v.status == VERIFIED:
         return VERIFIED, "restriction is a trivial fibration at cap"
     # an RLP failure refutes only for genuine inclusions K into the cone,
@@ -1024,7 +1023,7 @@ def empty_cone(C: Scaled, vertex: str, variance: str) -> tuple[MarkedScaled, SMa
         raise SSetError(f"no vertex {vertex!r}")
     K = MarkedScaled(empty_sset())
     cn = cone(variance, "left", K)
-    return K, SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))}, validate=False)
+    return K, SMap(cn.ms.base, C.base, {cn.star: EZ(vertex, (0,))})
 
 
 def check_limit_cone(

@@ -350,7 +350,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
                         raise SSetError("face of a representable simplex is missing")
                     fs.append(ez)
                 faces[name] = tuple(fs)
-    total_base = SSet(cells, faces, dim_cap=cap, validate=False)
+    total_base = SSet(cells, faces, dim_cap=cap)
     marked = thin = frozenset()
     if shape.has_marking and cap >= 1:
         marked = frozenset(x for x in cells[1] if shape.is_marked(cell_maps[x], S))
@@ -366,7 +366,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
             pc = shape.project_cell(n)
             for name in cells[n]:
                 images[name] = cell_maps[name].images[pc]
-        projection = SMap(total_base, S.base, images, validate=False)
+        projection = SMap(total_base, S.base, images)
     saturated = cap >= 1 and not cells[cap] and not cells[cap - 1]
     return SliceResult(
         MarkedScaled(total_base, marked, thin),
@@ -545,4 +545,4 @@ def reindex_map(src: SliceResult, tgt: SliceResult, g: SMap | None = None, p: SM
         if ez is None:
             raise SSetError("reindexing leaves the computed levels")
         images[c] = ez
-    return SMap(src.total.base, tgt.total.base, images, validate=False)
+    return SMap(src.total.base, tgt.total.base, images)

@@ -185,7 +185,7 @@ def _c5_outer_anodyne(bound: int = 4):
                 good.append(f"slice({name},{x})")
     C = scale(standard_simplex(2), SHARP)
     sl = slice_over_vertex(C, "2", cap=3)
-    corrupted = MarkedScaled(sl.total.base, frozenset(), sl.total.thin)
+    corrupted = sl.scaled.flat_marked()
     v = has_outer_anodyne_rlp(sl.projection, corrupted, C, bound=2)
     if v.status != REFUTED:
         bad.append("corrupted marking was not refuted")
@@ -293,7 +293,7 @@ def _c9_fiber_isomorphism(cap: int = 2):
     g0 = S.shape.object(0).data
     proj_k = g0.projections[1]
     f_images = {c: f(proj_k.images[c]) for c in g0.scaled.base.dim_of}
-    fv = find_vertex(SMap(g0.scaled.base, C.base, f_images, validate=False))
+    fv = find_vertex(SMap(g0.scaled.base, C.base, f_images))
     lhs_slice = thick_slice_over_vertex(S.scaled, fv, "out", cap=cap)
     summaries = []
     for x in sorted(C.base.level(0)):
@@ -301,7 +301,7 @@ def _c9_fiber_isomorphism(cap: int = 2):
             c: EZ(x, tuple(0 for _ in range(g0.scaled.base.dim_of[c] + 1)))
             for c in g0.scaled.base.dim_of
         }
-        xv = find_vertex(SMap(g0.scaled.base, C.base, x_images, validate=False))
+        xv = find_vertex(SMap(g0.scaled.base, C.base, x_images))
         lhs, _ = fiber_ms(lhs_slice.total, lhs_slice.projection, xv)
         # right side: cocartesian-edge-respecting functors into the inner coslice
         under = thick_slice_over_vertex(C, x, "inn", cap=cap + 1, side="under")

@@ -302,11 +302,10 @@ def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | N
             c: YX.incl2(pX.images[c]) if pI.images[c].core == "0" else YX.incl1(pY.images[c])
             for c in ends.dim_of
         },
-        validate=False,
     )
     YX_ms = MarkedScaled(YX.sset, frozenset(), push_cells(YX.incl1, Y.thin) | push_cells(YX.incl2, X.thin))
     total_ms, leg_ends, quotient = pushout_ms(incl, to_ends, mid.scaled.flat_marked(), YX_ms)
-    total = Scaled(total_ms.base, total_ms.thin)
+    total = total_ms.scaled()
     incl_left = YX.incl2.then(leg_ends)
     incl_right = YX.incl1.then(leg_ends)
 
@@ -342,7 +341,7 @@ def thick_join_map(src: ThickJoin, tgt: ThickJoin, f: SMap, g: SMap) -> SMap:
             top = EZ(payload, idop(src.mid.mp.sset.dim_of[payload]))
             comps = tuple(h(pr(top)) for h, pr in zip(maps, src.mid.projections))
             images[c] = tgt.quotient(product_cell(tgt.mid.mp, comps))
-    return SMap(src.total.base, tgt.total.base, images, validate=False)
+    return SMap(src.total.base, tgt.total.base, images)
 
 
 # -- cones ------------------------------------------------------------------------------
@@ -395,10 +394,8 @@ def weighted_cone(
     else:
         tj = thick_join(variance, tilde, point_ms())
         tilde_incl = tj.incl_left
-    cone_ms = MarkedScaled(tj.total.base, frozenset(), tj.total.thin)
-    base_ms = MarkedScaled(base.base, frozenset(), base.thin)
-    P_ms, leg_base, leg_cone = pushout_ms(tilde_incl, p, cone_ms, base_ms)
-    return WeightedCone(Scaled(P_ms.base, P_ms.thin), leg_base, leg_cone, tj)
+    P_ms, leg_base, leg_cone = pushout_ms(tilde_incl, p, tj.total.flat_marked(), base.flat_marked())
+    return WeightedCone(P_ms.scaled(), leg_base, leg_cone, tj)
 
 
 # -- comparison with the ordinary join ------------------------------------------------
@@ -437,6 +434,7 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> C
             b = Y.base.act(rho_y, tuple(range(k, n + 1)))
             images[c] = EZ(jn.mixed[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
     r = SMap(tj.total.base, J, images)
+    r._validate()
     if not is_scaled_map(r, tj.total, jn.scaled):
         raise SSetError("comparison map is not thin-preserving")
     n = first_missed_dim(r)
@@ -655,16 +653,18 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         k_images[cell] = mid(tuple(y if t == 1 else v for y, v, t in zip(yw, uy, tw)), iw, xw)
     h = SMap(PT, total, h_images)
     k = SMap(PT, total, k_images)
+    for f in (s, u, h, k):
+        f._validate()
     prism = {(prT.images[x], prI.images[x]): x for x in PT.dim_of}
 
     def restrict(hom: SMap, eps: str) -> SMap:
         images = {}
         for c, n in total.dim_of.items():
             images[c] = hom.images[prism[(EZ(c, idop(n)), EZ(eps, const_op(n, 0)))]]
-        return SMap(total, total, images, validate=False)
+        return SMap(total, total, images)
 
-    sr = SMap(total, total, {c: s(r(EZ(c, idop(n)))) for c, n in total.dim_of.items()}, validate=False)
-    rs = SMap(J, J, {c: r(s(EZ(c, idop(n)))) for c, n in J.dim_of.items()}, validate=False)
+    sr = SMap(total, total, {c: s(r(EZ(c, idop(n)))) for c, n in total.dim_of.items()})
+    rs = SMap(J, J, {c: r(s(EZ(c, idop(n)))) for c, n in J.dim_of.items()})
     ident_total = identity_map(total)
 
     retraction_ok = rs == identity_map(J)

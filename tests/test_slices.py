@@ -172,8 +172,8 @@ def test_slice_of_empty_base():
     S = Scaled(empty_sset())
     K = interval_sharp()
     with pytest.raises(Exception):
-        # no map K -> empty exists; constructing f fails
-        SMap(K.base, S.base, {})
+        # no map K -> empty exists; validating f fails
+        SMap(K.base, S.base, {})._validate()
 
 
 # ---------------------------------------------------------------- thick slices

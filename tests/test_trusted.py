@@ -2,13 +2,17 @@
 each result is correct by construction from validated inputs.  Here each of
 them runs on the catalog and on hypothesis poset nerves, and ``_validate()``
 must accept every SSet and SMap it returns."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from posets import poset_nerves
 from ssw.catalog import catalog
 from ssw.core import (
-    EZ,
     SMap,
     SSet,
     SSetError,
@@ -28,7 +32,7 @@ from ssw.core import (
     subcomplex,
 )
 from ssw.decor import SHARP, Scaled, decorate
-from ssw.fibration import empty_cone, weak_cartesian_via_slice
+from ssw.fibration import empty_cone
 from ssw.slices import reindex_map, slice_over_vertex
 from ssw.tensor import point_ms, thick_join, thick_join_map
 
@@ -102,27 +106,20 @@ def test_trusted_constructors_on_nerves(X):
         check_decorated_constructors(decorate(X, scaling=SHARP).scaled(), 2)
 
 
-def test_the_comparison_map_of_weak_cartesian_via_slice_is_validated(trusted_validations):
-    """The map into the pullback is built inside the function; the test hook
-    validates it on each call."""
-    C = decorate(standard_simplex(1), SHARP).scaled()
-    sl = slice_over_vertex(C, "1", cap=2)
-    edges = sl.total.base.level(1)
-    before = trusted_validations["weak_cartesian_via_slice"]
-    for e in edges:
-        weak_cartesian_via_slice(sl.projection, sl.scaled, C, EZ(e, (0, 1)), cap=2)
-    assert trusted_validations["weak_cartesian_via_slice"] - before == len(edges)
-
-
-def test_the_hook_validates_what_a_trusted_constructor_builds(trusted_validations):
-    """A broken complex built here is not checked, but its opposite, built by
-    a trusted constructor, is; so is each trusted build of a valid one."""
+def test_the_hook_validates_every_build():
+    """tests/conftest.py validates each SSet as it is built, so a 2-simplex
+    with two faces swapped fails at construction here; a fresh process
+    without the hook builds the same SSet without error."""
     d2 = standard_simplex(2)
     top = d2.faces["012"]
-    broken = SSet(d2.cells, {**d2.faces, "012": (top[1], top[0], top[2])}, validate=False)
-    with pytest.raises(SSetError, match="simplicial identity fails"):
-        opposite(broken)
-    before = trusted_validations["opposite"]
-    opposite(d2)
-    assert trusted_validations["opposite"] == before + 1
-
+    with pytest.raises(SSetError, match="simplicial identity fails at '012'"):
+        SSet(d2.cells, {**d2.faces, "012": (top[1], top[0], top[2])})
+    code = (
+        "from ssw.core import SSet, standard_simplex\n"
+        "d2 = standard_simplex(2)\n"
+        "top = d2.faces['012']\n"
+        "print(SSet(d2.cells, {**d2.faces, '012': (top[1], top[0], top[2])}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "SSet(3, 3, 1)\n"
