@@ -7,10 +7,8 @@ from __future__ import annotations
 
 import os
 
-from .core import EZ, SSet, SSetError, standard_simplex, boundary, horn
+from .core import EZ, SSet, SSetError, standard_simplex, boundary, horn, q_complex, q_marked_cells
 from .decor import FLAT, SHARP, MarkedScaled, decorate
-from .doc import complex_to_doc, doc_to_complex, parse, serialize
-from .fibration import q_complex, q_marked_cells
 from .tensor import flat_ms, gray_scaled
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -77,6 +75,8 @@ def catalog(check_goldens: bool = True) -> dict:
     """The named library; entries are checked against their goldens."""
     entries = _entries()
     if check_goldens:
+        from .doc import complex_to_doc, doc_to_complex, parse, serialize
+
         for name, ms in entries.items():
             path = os.path.join(GOLDEN_DIR, f"{name}.json")
             if not os.path.exists(path):

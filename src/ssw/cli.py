@@ -7,28 +7,18 @@ verdicts always show their bounds and caps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .core import EZ, SSetError
-from .decor import MarkedScaled
-from .doc import complex_to_doc, doc_to_complex, ez_from_doc, parse, serialize
-from .fibration import (
-    INCONCLUSIVE,
-    REFUTED,
-    VERIFIED,
-    Verdict,
-    check_limit_cone,
-    classify_edge,
-    empty_cone,
-    is_infty_bicategory,
-    is_inner_fibration,
-    is_outer_fibration,
-    is_var_cartesian_fibration,
-    is_weak_fibration,
-)
+from .core import EZ, SMap, SSetError
+from .decor import MarkedScaled, Scaled
 from .tensor import cone, gray_marked_n, join_ms, thick_join
+
+# The lifting engine, documents and json are imported inside the commands that
+# use them, so that start-up does not pay for them.
+if TYPE_CHECKING:
+    from .fibration import Verdict
 
 EXIT_OK, EXIT_REFUTED, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
@@ -58,6 +48,8 @@ def default_bound() -> int:
 def resolve(spec: str) -> MarkedScaled:
     """A catalog name or @path to a complex document."""
     if spec.startswith("@"):
+        from .doc import doc_to_complex, parse
+
         with open(spec[1:], "r", encoding="utf-8") as fh:
             return doc_to_complex(parse(fh.read()))
     from .catalog import catalog
@@ -68,11 +60,22 @@ def resolve(spec: str) -> MarkedScaled:
     return entries[spec]
 
 
+def _scaled_with_vertices(spec: str, *vertices: str) -> Scaled:
+    """resolve(spec) as a scaled complex that has the given vertices."""
+    S = resolve(spec).scaled()
+    for v in vertices:
+        if v not in S.base.level(0):
+            raise CliError(f"no vertex {v!r} in {spec!r}")
+    return S
+
+
 def _emit_complex(ms: MarkedScaled, fmt: str, name: str | None = None, header: dict | None = None) -> str:
     """The complex as a document or a table; the header's entries become keys
     of the document or "key: value" lines above the table."""
     header = header or {}
     if fmt == "json":
+        from .doc import complex_to_doc, serialize
+
         return serialize({**complex_to_doc(ms, name), **header})
     lines = [f"{key}: {value}" for key, value in header.items()]
     if name:
@@ -86,6 +89,8 @@ def _emit_complex(ms: MarkedScaled, fmt: str, name: str | None = None, header: d
 
 
 def _verdict_exit(v: Verdict) -> int:
+    from .fibration import INCONCLUSIVE, REFUTED, VERIFIED
+
     return {VERIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE}[v.status]
 
 
@@ -95,6 +100,8 @@ def _verdict_doc(v: Verdict, **extra) -> dict:
 
 def _emit_verdict(v: Verdict, fmt: str, **extra) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(_verdict_doc(v, **extra), sort_keys=True) + "\n"
     return v.render() + "\n"
 
@@ -102,9 +109,7 @@ def _emit_verdict(v: Verdict, fmt: str, **extra) -> str:
 def _slice_for(args) -> tuple:
     from .slices import slice_over_vertex
 
-    S = resolve(args.object).scaled()
-    if args.vertex not in S.base.level(0):
-        raise CliError(f"no vertex {args.vertex!r} in {args.object!r}")
+    S = _scaled_with_vertices(args.object, args.vertex)
     sl = slice_over_vertex(S, args.vertex, cap=args.cap)
     return sl, S
 
@@ -155,7 +160,7 @@ def cmd_slice(args) -> tuple[int, str]:
 def cmd_hom(args) -> tuple[int, str]:
     from .slices import hom_category
 
-    C = resolve(args.object).scaled()
+    C = _scaled_with_vertices(args.object, args.source, args.target)
     hom = hom_category(C, args.source, args.target, cap=args.cap)
     header = {"provenance": hom.provenance, "saturated": hom.saturated}
     return EXIT_OK, _emit_complex(hom.total, args.format, header=header)
@@ -164,12 +169,16 @@ def cmd_hom(args) -> tuple[int, str]:
 def _on_slice(v: Verdict, sl, args) -> Verdict:
     """A refutation on a slice the cap cut before saturation, with the bound
     above the cap, may rest only on the cells the cap left out: INCONCLUSIVE."""
+    from .fibration import INCONCLUSIVE, REFUTED, Verdict
+
     if v.status != REFUTED or sl.saturated or args.bound <= args.cap:
         return v
     return Verdict(INCONCLUSIVE, f"slice not saturated at cap {args.cap} < bound {args.bound}: {v.evidence}")
 
 
 def cmd_classify_edges(args) -> tuple[int, str]:
+    from .fibration import classify_edge
+
     sl, S = _slice_for(args)
     verdicts = {
         e: _on_slice(classify_edge(sl.projection, sl.scaled, S, EZ(e, (0, 1)), args.flavor, args.bound), sl, args)
@@ -177,11 +186,15 @@ def cmd_classify_edges(args) -> tuple[int, str]:
     }
     worst = max((_verdict_exit(v) for v in verdicts.values()), default=EXIT_OK)
     if args.format == "json":
+        import json
+
         return worst, json.dumps({e: _verdict_doc(v) for e, v in verdicts.items()}, sort_keys=True) + "\n"
     return worst, "\n".join(f"{e}: {v.render()}" for e, v in verdicts.items()) + "\n"
 
 
 def cmd_check_fibration(args) -> tuple[int, str]:
+    from .fibration import VERIFIED, is_inner_fibration, is_outer_fibration, is_var_cartesian_fibration, is_weak_fibration
+
     sl, S = _slice_for(args)
     p = sl.projection
     if args.kind == "weak":
@@ -206,13 +219,17 @@ def cmd_check_fibration(args) -> tuple[int, str]:
 
 
 def cmd_check_bicat(args) -> tuple[int, str]:
+    from .fibration import is_infty_bicategory
+
     X = resolve(args.object).scaled()
     v = is_infty_bicategory(X, args.bound)
     return _verdict_exit(v), _emit_verdict(v, args.format)
 
 
 def cmd_check_limit_cone(args) -> tuple[int, str]:
-    C = resolve(args.object).scaled()
+    from .fibration import check_limit_cone, empty_cone
+
+    C = _scaled_with_vertices(args.object, args.vertex)
     K, g = empty_cone(C, args.vertex, args.variance)
     v = check_limit_cone(C, K, g, args.variance, cap=args.cap, bound=args.bound)
     return _verdict_exit(v), _emit_verdict(v, args.format)
@@ -232,8 +249,8 @@ def _entry(doc: dict, key: str, kind: type = dict, default=None):
 
 
 def cmd_check_certificate(args) -> tuple[int, str]:
+    from .doc import doc_to_complex, ez_from_doc, parse
     from .fibration import CertificateStep, certificate_check, rescale_generator
-    from .core import SMap
 
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = parse(fh.read())

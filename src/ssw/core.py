@@ -462,6 +462,27 @@ def simplex_map(X: SSet, sigma: EZ) -> SMap:
     return SMap(standard_simplex(n), X, images)
 
 
+def collapse(X: SSet, cells) -> PushoutResult:
+    """The pushout gluing the subcomplex of X on the given cells (an edge with
+    its ends) to a point."""
+    sub, incl = subcomplex(X, cells)
+    return pushout_mono(incl, constant_map(sub, standard_simplex(0), "0"))
+
+
+@lru_cache(maxsize=None)
+def q_complex() -> SSet:
+    """Q = Delta^0 u_{02} Delta^3 u_{13} Delta^0."""
+    first = collapse(standard_simplex(3), ["0", "2", "02"])
+    return collapse(first.sset, [first.leg_big.images[x].core for x in ("1", "3", "13")]).sset
+
+
+def q_marked_cells(Q: SSet) -> frozenset:
+    """The edges 01 and 03 of the 3-simplex of Q, where they are nondegenerate."""
+    (top,) = Q.level(3)
+    edges = [Q.act(EZ(top, idop(3)), e) for e in ((0, 1), (0, 3))]
+    return frozenset(e.core for e in edges if e.is_nondeg())
+
+
 # -- products and pullbacks ---------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from .core import (
     SSet,
     SSetError,
     check_mode,
+    collapse,
     constant_map,
     boundary_inclusion,
     empty_sset,
@@ -28,7 +29,8 @@ from .core import (
     opposite_map,
     pair_cell,
     pullback,
-    pushout_mono,
+    q_complex,
+    q_marked_cells,
     simplex_cell,
     simplex_map,
     standard_simplex,
@@ -219,18 +221,11 @@ def edge_horn(flavor: str, n: int, anchor: EZ | None = None) -> Generator:
     )
 
 
-def _collapse(X: SSet, cells):
-    """The pushout gluing the subcomplex of X on the given cells (an edge with
-    its ends) to a point."""
-    sub, incl = subcomplex(X, cells)
-    return pushout_mono(incl, constant_map(sub, standard_simplex(0), "0"))
-
-
 def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generator:
     """Lambda^n_e u_(edge) Delta^0 in Delta^n u_(edge) Delta^0, scaled on the
     images of the given triangles.  The edge is {0,1} (the horn at 0) or
     {n-1,n} (the horn at n); edge and triangles are vertex tuples."""
-    res = _collapse(standard_simplex(n), [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
+    res = collapse(standard_simplex(n), [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
     Bq = res.sset
     B = MarkedScaled(Bq, frozenset(), push_cells(res.leg_big, _cells(thin)))
     keep = {res.leg_big.images[c].core for c in horn(n, 0 if 0 in edge else n).dim_of}
@@ -753,20 +748,6 @@ def locally_cocartesian_edges(f: SMap, S: Scaled, bound: int = 4) -> frozenset:
 
 
 # -- outer cartesian anodyne generators ---------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def q_complex() -> SSet:
-    """Q = Delta^0 u_{02} Delta^3 u_{13} Delta^0."""
-    first = _collapse(standard_simplex(3), ["0", "2", "02"])
-    return _collapse(first.sset, [first.leg_big.images[x].core for x in ("1", "3", "13")]).sset
-
-
-def q_marked_cells(Q: SSet) -> frozenset:
-    """The edges 01 and 03 of the 3-simplex of Q, where they are nondegenerate."""
-    (top,) = Q.level(3)
-    edges = [Q.act(EZ(top, idop(3)), e) for e in ((0, 1), (0, 3))]
-    return frozenset(e.core for e in edges if e.is_nondeg())
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from .core import (
     identity_map,
     opposite_map,
     product,
+    q_complex,
     simplex_map,
     standard_simplex,
 )
@@ -42,7 +43,6 @@ from .fibration import (
     is_outer_fibration,
     lax_lift_filtration,
     locally_cocartesian_edges,
-    q_complex,
     weak_cartesian_via_slice,
 )
 from .ops import idop

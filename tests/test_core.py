@@ -29,6 +29,7 @@ from ssw.core import (
     product_cell,
     pullback,
     pushout_mono,
+    q_complex,
     simplex_cell,
     simplex_map,
     standard_simplex,
@@ -36,7 +37,6 @@ from ssw.core import (
     SMap,
     SSet,
 )
-from ssw.fibration import q_complex
 from ssw.ops import degeneracy_op, face_op, idop
 
 from posets import poset_nerves

@@ -548,8 +548,7 @@ def test_hom_marks_the_edges_whose_lower_staircase_is_thin():
     the triangle (0,0)(1,0)(1,1) to a thin triangle; on Q with every scaling."""
     import itertools
 
-    from ssw.core import pair_cell
-    from ssw.fibration import q_complex
+    from ssw.core import pair_cell, q_complex
     from ssw.tensor import simplex_from_word
 
     Q = q_complex()
