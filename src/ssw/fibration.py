@@ -152,6 +152,7 @@ class Generator:
     B: MarkedScaled
     top_pins: dict = field(default_factory=dict)
     filler_pins: dict = field(default_factory=dict)
+    horn: _HornShape | None = None  # recorded by simplex_generator and collapsed_horn_generator
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,25 @@ def _cells(vertex_tuples) -> frozenset:
     return frozenset(simplex_cell(verts) for verts in vertex_tuples)
 
 
-def simplex_generator(name, incl: SMap, marked=(), thin=(), top_pins=None, filler_pins=None) -> Generator:
-    """The inclusion of a subcomplex of the simplex B = incl.target, with B
-    marked and scaled on the edges and triangles given as vertex tuples; the
-    pins are keyed by vertex tuples too."""
+def simplex_generator(name, n: int, i: int | None, marked=(), thin=(), top_pins=None, filler_pins=None) -> Generator:
+    """The horn Lambda^n_i in Delta^n, or the boundary if i is None, with
+    Delta^n marked and scaled on the edges and triangles given as vertex
+    tuples; the pins are keyed by vertex tuples too."""
+    incl, shape = _simplex_horn(n, i)
     B = MarkedScaled(incl.target, _cells(marked), _cells(thin))
 
     def named(pins):
         return {simplex_cell(verts): pin for verts, pin in (pins or {}).items()}
 
-    return inclusion_generator(name, B, incl, named(top_pins), named(filler_pins))
+    return Generator(name, incl, restrict_ms(B, incl), B, named(top_pins), named(filler_pins), shape)
+
+
+@lru_cache(maxsize=None)
+def _simplex_horn(n: int, i: int | None) -> tuple:
+    """The inclusion of Lambda^n_i (of the boundary if i is None) into Delta^n
+    and, for n >= 1, its shape over q = id; built once per (n, i)."""
+    incl = boundary_inclusion(n) if i is None else horn_inclusion(n, i)
+    return incl, (_horn_shape(incl, identity_map(incl.target), i) if n >= 1 else None)
 
 
 def rescale_generator(name, A: MarkedScaled, B: MarkedScaled) -> Generator:
@@ -200,7 +210,7 @@ def _thin_triangle(name: str) -> Generator:
 
 
 def scaled_inner_horn(n: int, i: int) -> Generator:
-    return simplex_generator(f"scaled-inner-horn({n},{i})", horn_inclusion(n, i), thin=[(i - 1, i, i + 1)])
+    return simplex_generator(f"scaled-inner-horn({n},{i})", n, i, thin=[(i - 1, i, i + 1)])
 
 
 def edge_horn(flavor: str, n: int, anchor: EZ | None = None) -> Generator:
@@ -211,26 +221,23 @@ def edge_horn(flavor: str, n: int, anchor: EZ | None = None) -> Generator:
     edge is outside the horn, so the anchor pins the filler."""
     pins = {} if anchor is None else {(n - 1, n): anchor}
     if check_mode("flavor", flavor, "cartesian", "weak", "strong") == "cartesian":
-        return simplex_generator(f"cartesian-horn({n})", horn_inclusion(n, n), thin=[(0, n - 1, n)], top_pins=pins)
+        return simplex_generator(f"cartesian-horn({n})", n, n, thin=[(0, n - 1, n)], top_pins=pins)
     if flavor == "weak":
         thin = [(a, n - 1, n) for a in range(n - 1)]
-        return simplex_generator(f"weak-cartesian-horn({n})", horn_inclusion(n, n), thin=thin, top_pins=pins)
+        return simplex_generator(f"weak-cartesian-horn({n})", n, n, thin=thin, top_pins=pins)
     top_pins, filler_pins = (pins, None) if n >= 3 else (None, pins)
-    return simplex_generator(
-        f"strong-cartesian-horn({n})", horn_inclusion(n, 0), top_pins=top_pins, filler_pins=filler_pins
-    )
+    return simplex_generator(f"strong-cartesian-horn({n})", n, 0, top_pins=top_pins, filler_pins=filler_pins)
 
 
 def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generator:
     """Lambda^n_e u_(edge) Delta^0 in Delta^n u_(edge) Delta^0, scaled on the
     images of the given triangles.  The edge is {0,1} (the horn at 0) or
     {n-1,n} (the horn at n); edge and triangles are vertex tuples."""
+    i = 0 if 0 in edge else n
     res = collapse(standard_simplex(n), [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
-    Bq = res.sset
-    B = MarkedScaled(Bq, frozenset(), push_cells(res.leg_big, _cells(thin)))
-    keep = {res.leg_big.images[c].core for c in horn(n, 0 if 0 in edge else n).dim_of}
-    keep.add(res.leg_target.images["0"].core)
-    return inclusion_generator(name, B, subcomplex(Bq, keep)[1])
+    B = MarkedScaled(res.sset, frozenset(), push_cells(res.leg_big, _cells(thin)))
+    incl = subcomplex(res.sset, {res.leg_big.images[c].core for c in horn(n, i).dim_of})[1]
+    return Generator(name, incl, restrict_ms(B, incl), B, horn=_horn_shape(incl, res.leg_big, i))
 
 
 def _scaled_inner_horns(bound: int) -> tuple:
@@ -249,7 +256,7 @@ def weak_fibration_family(bound: int) -> GeneratorFamily:
 @lru_cache(maxsize=None)
 def inner_horn_family(bound: int) -> GeneratorFamily:
     inner = [(n, i) for n in range(2, bound + 1) for i in range(1, n)]
-    gens = tuple(simplex_generator(f"inner-horn({n},{i})", horn_inclusion(n, i)) for n, i in inner)
+    gens = tuple(simplex_generator(f"inner-horn({n},{i})", n, i) for n, i in inner)
     return GeneratorFamily(f"inner-horns(bound {bound})", gens)
 
 
@@ -267,7 +274,7 @@ def outer_horn_family(bound: int) -> GeneratorFamily:
 def boundary_family(bound: int, marked_generator: bool = False, scaled_generator: bool = True) -> GeneratorFamily:
     """Trivial-fibration generators: flat boundary inclusions, the thin-triangle
     rescaling, and optionally the marked-edge rescaling."""
-    gens = [simplex_generator(f"boundary({n})", boundary_inclusion(n)) for n in range(bound + 1)]
+    gens = [simplex_generator(f"boundary({n})", n, None) for n in range(bound + 1)]
     if scaled_generator:
         gens.append(_thin_triangle("thin-detection"))
     if marked_generator:
@@ -299,74 +306,48 @@ def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
 
 
 class _HornShape(NamedTuple):
-    """A generator whose B is the image of one simplex q: Delta^n -> B, with A
-    the image of the horn Lambda^n_i (of the boundary if i is None)."""
+    """A generator A -> B whose B is the image of a simplex q: Delta^n -> B,
+    n >= 1, with A the image of the horn Lambda^n_i (of the boundary if i is
+    None), and B outside A only q(Delta^n) and q(d_i Delta^n)."""
 
-    top: str  # t = q(Delta^n), the one top cell of B
-    face: int | None  # i, with d_i t the one cell of B outside A besides t
+    q: SMap
+    i: int | None
     facets: tuple[int, ...]  # the j != i; a top is the tuple of its images y_j of the facets d_j
     route: dict[str, tuple[int, Op]]  # cell a of A -> (k, op) with top(a) = y_facets[k] after op
     equal: tuple  # (route, a, sigma) for each other cell of the horn that q sends to a after sigma
 
 
-@lru_cache(maxsize=None)
-def _horn_shape(left: SMap) -> _HornShape | None:
-    """The horn shape of a generator's A -> B, or None if only the backtracker
-    can decide it; worked out once per map.
+def _horn_shape(left: SMap, q: SMap, i: int | None) -> _HornShape:
+    """The routes of the cells of A, for the generator ``left``: A -> B with
+    q and i as its constructor records them.
 
-    B must have one top cell t, of dimension n >= 1, with every cell of B a
-    face of t, and the cells of B outside A must be t alone or t and one
-    nondegenerate face d_i t met once among the faces of t.  Then q =
-    ``simplex_map(B, t)`` pulls A back to Lambda^n_i (or the boundary), and a
-    map A -> X is a tuple (y_j)_{j != i} of (n-1)-simplices of X with
+    A map A -> X is a tuple (y_j)_{j != i} of (n-1)-simplices of X with
     d_j y_k = d_{k-1} y_j for j < k (Goerss-Jardine I.3) that meets the
     equalities q forces: for a collapsed horn, vertices 0 and 1 go to one v
-    and the edge 01 to s_0 v.  The horns, boundaries and collapsed horns of
-    every family have a shape; the rescalings (A = B) have none.
+    and the edge 01 to s_0 v.
     """
-    B = left.target
-    n = B.dim
-    if n < 1 or len(B.level(n)) != 1:
-        return None
-    source = {}
-    for a, img in left.images.items():
-        if not img.is_nondeg():
-            return None
-        source[img.core] = a
-    t = B.level(n)[0]
-    missing = [b for b in B.dim_of if b not in source]
-    i = None
-    if missing != [t]:
-        if len(missing) != 2 or missing[1] != t:
-            return None
-        hits = [j for j, face in enumerate(B.faces[t]) if face.core == missing[0]]
-        if len(hits) != 1 or not B.faces[t][hits[0]].is_nondeg():
-            return None
-        i = hits[0]
+    n = q.source.dim
+    source = {img.core: a for a, img in left.images.items()}
     facets = tuple(j for j in range(n + 1) if j != i)
-    route, equal, images = {}, [], {tuple(range(n + 1)): EZ(t, idop(n))}
-    for verts in (v for k in reversed(range(n)) for v in injections(k, n)):
-        # q on a face is face w of q on that face plus its least missing vertex w
-        w = next(w for w in range(n + 1) if w not in verts)
-        img = images[verts] = B.face(images[verts[:w] + (w,) + verts[w:]], w)
-        if len(verts) == n and i is not None and i not in verts:
-            continue  # d_i, outside the horn
-        # read the cell off the first facet that contains it
-        k = next(k for k, j in enumerate(facets) if j not in verts)
-        r = (k, tuple(v - (v > facets[k]) for v in verts))
-        a = source[img.core]
-        if img.is_nondeg() and a not in route:
-            route[a] = r
-        else:
-            equal.append((r, a, img.op))
-    if len(route) != len(source):
-        return None  # a cell of A off the simplex t
-    return _HornShape(t, i, facets, route, tuple(equal))
+    route, equal = {}, []
+    for k in reversed(range(n)):
+        # Delta^n lists its level-k cells in the order of injections(k, n)
+        for verts, cell in zip(injections(k, n), q.source.level(k)):
+            if k == n - 1 and i is not None and i not in verts:
+                continue  # d_i, outside the horn
+            # read the cell off the first facet that contains it
+            m = next(m for m, j in enumerate(facets) if j not in verts)
+            r = (m, tuple(v - (v > facets[m]) for v in verts))
+            img = q.images[cell]
+            a = source[img.core]
+            if img.is_nondeg() and a not in route:
+                route[a] = r
+            else:
+                equal.append((r, a, img.op))
+    return _HornShape(q, i, facets, route, tuple(equal))
 
 
-def _first_unfilled_horn(
-    gen: Generator, shape: _HornShape, p: SMap, X: MarkedScaled, Y: MarkedScaled
-) -> SMap | None:
+def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -> SMap | None:
     """The bottom of the first square with no filler, decided on facet tuples.
 
     Each facet y_k of a top comes from the ``X.by_faces(n - 1, keep)`` bucket
@@ -381,8 +362,9 @@ def _first_unfilled_horn(
     only its bottom is built as an SMap.
     """
     B, Xb, Yb = gen.B.base, X.base, Y.base
-    t, i, facets, route, equal = shape
-    n = B.dim
+    q, i, facets, route, equal = gen.horn
+    n = q.source.dim
+    t = q.images[q.source.level(n)[0]].core
     f = None if i is None else B.faces[t][i].core
     source = {a: img.core for a, img in gen.left.images.items()}
     bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
@@ -478,22 +460,22 @@ def _first_unfilled_horn(
 def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, bound: int | None = None) -> Verdict:
     """Exhaustively test the right lifting property against a family.
 
-    Generators of horn shape (B one simplex t of dimension n >= 1 over A, up
-    to one missing face d_i t: the horns, boundaries and collapsed horns) are
-    decided on facet tuples by ``_first_unfilled_horn``, with no map search.
-    The others (rescalings such as the Q-marking, where A = B) go through
-    ``problems_for`` and the backtracking ``find_lift``.  Both report the
-    first square without a filler in the order of ``problems_for``, so
-    REFUTED names the same bottom.
+    Generators whose constructor recorded a horn shape (the horns, boundaries
+    and collapsed horns of ``simplex_generator`` and
+    ``collapsed_horn_generator``) are decided on facet tuples by
+    ``_first_unfilled_horn``, with no map search.  The others (``boundary(0)``,
+    the rescalings such as the Q-marking, and hand-built generators) go through
+    ``problems_for`` and the backtracking ``find_lift``.  Both report the first
+    square without a filler in the order of ``problems_for``, so REFUTED names
+    the same bottom.
     """
     for gen in family:
-        shape = _horn_shape(gen.left)
-        if shape is None:
+        if gen.horn is None:
             bottom = next(
                 (prob.bottom for prob in problems_for(gen, p, X, Y) if find_lift(prob) is None), None
             )
         else:
-            bottom = _first_unfilled_horn(gen, shape, p, X, Y)
+            bottom = _first_unfilled_horn(gen, p, X, Y)
         if bottom is not None:
             return Verdict(
                 REFUTED,
@@ -660,7 +642,7 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
 def _classical_cocartesian(q: SMap, e: EZ, bound: int) -> Verdict:
     """Classical quasicategory test: initial-edge left-horn fillers for e."""
     pins = {(0, 1): e}
-    gens = tuple(simplex_generator(f"initial-horn({m})", horn_inclusion(m, 0), top_pins=pins) for m in range(2, bound + 1))
+    gens = tuple(simplex_generator(f"initial-horn({m})", m, 0, top_pins=pins) for m in range(2, bound + 1))
     fam = GeneratorFamily(f"classical-cocartesian(bound {bound})", gens)
     return has_rlp(q, decorate(q.source, SHARP, SHARP), decorate(q.target, SHARP, SHARP), fam, bound)
 
@@ -757,7 +739,7 @@ def outer_anodyne_family(bound: int) -> GeneratorFamily:
     gens = list(_scaled_inner_horns(bound))
     # (2) marked right horns; at n = 1 this is {1} in (Delta^1)^sharp
     for n in range(1, max(bound, 1) + 1):
-        gens.append(simplex_generator(f"marked-horn({n})", horn_inclusion(n, n), marked=[(n - 1, n)]))
+        gens.append(simplex_generator(f"marked-horn({n})", n, n, marked=[(n - 1, n)]))
     # (3) collapsed initial horns, no scaling
     for n in range(2, bound + 1):
         gens.append(collapsed_horn_generator(f"anodyne-outer({n})", n, (0, 1)))
@@ -1016,7 +998,8 @@ def check_limit_cone(
     bound: int = 3,
 ) -> Verdict:
     """The local criterion: for every vertex x, restriction from cone sections
-    to diagram sections of the slice under x must be an equivalence."""
+    to diagram sections of the slice under x must be an equivalence.  VERIFIED
+    holds up to the smaller of the cap and the bound of the ambient check."""
     # imported here so that start-up (import ssw, the catalog, the CLI) does not load slices
     from .slices import check_cap, fun_coc_subcat, reindex_map, thick_slice_over_vertex
 
@@ -1043,7 +1026,7 @@ def check_limit_cone(
             return Verdict(REFUTED, f"at vertex {x!r}: {evidence}")
     if unsaturated:
         return Verdict(INCONCLUSIVE, f"cap {cap} not saturated ({'; '.join(statuses)})")
-    return Verdict(VERIFIED, bound=cap)
+    return Verdict(VERIFIED, bound=min(cap, bound))
 
 
 def refute_coinitial(

@@ -25,8 +25,8 @@ def nerve(size, less):
 
 
 @st.composite
-def poset_nerves(draw):
-    """Nerves of posets on at most 3 elements, numbered along a linear extension."""
+def posets(draw):
+    """(size, less): posets on at most 3 elements, numbered along a linear extension."""
     size = draw(st.integers(min_value=0, max_value=3))
     less = {(a, b) for a, b in itertools.combinations(range(size), 2) if draw(st.booleans())}
     for k in range(size):
@@ -34,4 +34,9 @@ def poset_nerves(draw):
             for b in range(size):
                 if (a, k) in less and (k, b) in less:
                     less.add((a, b))
-    return nerve(size, less)
+    return size, less
+
+
+def poset_nerves():
+    """Nerves of posets on at most 3 elements, numbered along a linear extension."""
+    return posets().map(lambda poset: nerve(*poset))

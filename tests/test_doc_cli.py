@@ -144,6 +144,8 @@ def test_cli_json_output_is_one_json_value(argv):
             (1, "REFUTED: at vertex '1': target vertex 's0.0' lies in a component not hit by the restriction\n"),
         ),
         (["d2_sharp", "9"], (3, "error: no vertex '9' in 'd2_sharp'\n")),
+        # the ambient check ran to bound 1 only (at bound 2 it refutes d2_flat)
+        (["d2_flat", "2", "--bound", "1"], (0, "VERIFIED up to dimension 1\n")),
     ],
 )
 def test_cli_check_limit_cone_on_the_empty_diagram(argv, expected):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,16 @@ from ssw.core import (
     EZ,
     SMap,
     SSetError,
+    boundary,
     boundary_inclusion,
     constant_map,
     enumerate_maps,
+    first_missed_dim,
+    horn,
     horn_inclusion,
     identity_map,
     product,
+    simplex_cell,
     standard_simplex,
 )
 from ssw.decor import FLAT, SHARP, MarkedScaled, Scaled, decorate, scale
@@ -58,6 +64,7 @@ from ssw.fibration import (
     rescale_generator,
     scaled_anodyne_family,
     scaled_inner_horn,
+    simplex_generator,
     weak_cartesian_via_slice,
     weak_fibration_family,
 )
@@ -560,13 +567,61 @@ def test_horn_shaped_generators_skip_the_backtracker(monkeypatch):
     gens = list(all_generators(Xm, 3))
     horns = [g for g in gens if g.A.base != g.B.base and g.B.base.dim >= 1]
     assert len(horns) == len(gens) - 7  # boundary(0) and the six rescalings
-    assert all(fibration._horn_shape(gen.left) is not None for gen in horns)
+    assert all(gen.horn is not None for gen in horns)
     for gen in horns:
         has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen]), 3)
     rescale = rescale_generator("thin-rescale", MarkedScaled(standard_simplex(2)), triangle_thin())
     with pytest.raises(AssertionError, match="backtracker called"):
         has_rlp(p, Xm, Y, GeneratorFamily(rescale.name, [rescale]), 3)
 
+
+def test_recorded_horn_shapes_describe_their_generators():
+    """Every generator of every family at bounds 0-5 and every edge horn at
+    n = 2..5 records a horn shape, except boundary(0) and the rescalings.  The
+    shape is what has_rlp's facet tuples rest on: q: Delta^n -> B is onto B,
+    A is the image of Lambda^n_i (of the boundary if i is None), and the
+    cells of B outside A are q(Delta^n) and q(d_i Delta^n)."""
+    from generator_fingerprints import families
+
+    kinds = set()
+    for label, family in families():
+        for gen in family:
+            kinds.add(gen.horn is None)
+            assert (gen.horn is None) == (gen.A.base == gen.B.base or gen.name == "boundary(0)"), (label, gen.name)
+            if gen.horn is None:
+                continue
+            q, i = gen.horn.q, gen.horn.i
+            n = q.source.dim
+            assert n >= 1 and q.source is standard_simplex(n) and q.target is gen.B.base
+            assert first_missed_dim(q) is None
+            cells_of_a = {img.core for img in gen.left.images.values()}
+            horn_cells = (boundary(n) if i is None else horn(n, i)).dim_of
+            assert gen.left.is_mono() and cells_of_a == {q.images[c].core for c in horn_cells}
+            outside = {q.images[simplex_cell(range(n + 1))].core}
+            if i is not None:
+                outside.add(q.images[simplex_cell(v for v in range(n + 1) if v != i)].core)
+            assert set(gen.B.base.dim_of) - cells_of_a == outside, (label, gen.name)
+    assert kinds == {True, False}
+
+
+def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
+    """The squares of test_has_rlp_matches_the_backtracker_on_decorated_cells_of_a,
+    on generators with a recorded shape, so that has_rlp decides them on facet
+    tuples and not with the backtracker."""
+    import ssw.fibration as fibration
+
+    marked = simplex_generator("marked-horn", 2, 1, marked=[(0, 1)])
+    flat_top = replace(marked, name="flat-top", A=MarkedScaled(marked.A.base))
+    assert marked.B.marked == {"01"} and flat_top.horn is marked.horn is not None
+    d2 = standard_simplex(2)
+    cases = [
+        (flat_top, to_point(Scaled(d2)), decorate(d2), as_base(Scaled(standard_simplex(0))), REFUTED),
+        (marked, boundary_inclusion(2), decorate(boundary(2), SHARP), decorate(d2), VERIFIED),
+    ]
+    expected = [backtracked_rlp(p, X, Y, GeneratorFamily(g.name, [g]), 2) for g, p, X, Y, _ in cases]
+    monkeypatch.setattr(fibration, "problems_for", None)
+    for (gen, p, X, Y, status), verdict in zip(cases, expected):
+        assert has_rlp(p, X, Y, GeneratorFamily(gen.name, [gen]), 2) == verdict and verdict.status == status
 
 # ---------------------------------------------------------------- certificates
 
