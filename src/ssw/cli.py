@@ -48,10 +48,9 @@ def default_bound() -> int:
 def resolve(spec: str) -> MarkedScaled:
     """A catalog name or @path to a complex document."""
     if spec.startswith("@"):
-        from .doc import doc_to_complex, parse
+        from .doc import doc_to_complex, read
 
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return doc_to_complex(parse(fh.read()))
+        return doc_to_complex(read(spec[1:]))
     from .catalog import catalog
 
     entries = catalog(check_goldens=False)
@@ -249,11 +248,10 @@ def _entry(doc: dict, key: str, kind: type = dict, default=None):
 
 
 def cmd_check_certificate(args) -> tuple[int, str]:
-    from .doc import doc_to_complex, ez_from_doc, parse
+    from .doc import doc_to_complex, ez_from_doc, read
     from .fibration import CertificateStep, certificate_check, rescale_generator
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        doc = parse(fh.read())
+    doc = read(args.file)
     start = doc_to_complex(_entry(doc, "start"))
     claimed = doc_to_complex(_entry(doc, "claimed"))
     steps = []

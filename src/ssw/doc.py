@@ -45,6 +45,15 @@ def parse(text: str) -> dict:
     return doc
 
 
+def read(path: str) -> dict:
+    """The document in a UTF-8 file; JSON nested past the recursion limit is an error too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise SSetError(f"cannot read document: {exc}") from exc
+
+
 def ez_from_doc(entry, what: str) -> EZ:
     """A simplex written [core, word] in a document, the word a list of integers."""
     ok = isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)

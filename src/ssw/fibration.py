@@ -1,9 +1,9 @@
 """The lifting engine: generator families, fibration predicates, the
 cartesian-edge taxonomy, anodyne certificates, and the limit-cone checkers.
 
-Verdicts are three-valued.  REFUTED always carries a concrete failing lifting
-problem; VERIFIED carries the dimension bound up to which an inherently
-unbounded condition was checked.
+Verdicts are three-valued.  REFUTED always carries a concrete square with no
+filler, a generator with its top and bottom; VERIFIED carries the dimension
+bound up to which an inherently unbounded condition was checked.
 """
 from __future__ import annotations
 
@@ -85,60 +85,6 @@ def combine(verdicts) -> Verdict:
     return Verdict(VERIFIED, bound=min(bounds) if bounds else None)
 
 
-# -- lifting problems -----------------------------------------------------------------
-
-
-@dataclass
-class LiftingProblem:
-    """A commuting square with a decorated mono on the left."""
-
-    left: SMap  # A -> B, mono
-    right: SMap  # X -> Y
-    top: SMap  # A -> X
-    bottom: SMap  # B -> Y
-    A: MarkedScaled
-    B: MarkedScaled
-    X: MarkedScaled
-    Y: MarkedScaled
-    filler_pins: dict = field(default_factory=dict)
-    label: str = ""
-
-    def validate(self) -> None:
-        if not self.left.is_mono():
-            raise SSetError("left map must be mono")
-        if self.left.then(self.bottom) != self.top.then(self.right):
-            raise SSetError("lifting square does not commute")
-
-
-def find_lift(P: LiftingProblem) -> SMap | None:
-    """Exhaustive search for a decorated filler; deterministic first solution.
-
-    This is the backtracking filler search.  ``has_rlp`` uses it only for the
-    generators that are not a horn or boundary of one simplex (the rescaling
-    generators, such as the Q-marking); the others it decides by index lookups.
-    """
-    pins = dict(P.filler_pins)
-    for a in P.A.base.dim_of:
-        img = P.left.images[a]
-        pins[img.core] = P.top.images[a]
-
-    def image_ok(x, cand):
-        return P.right(cand) == P.bottom.images[x] and _decorated(P.B, P.X, x, cand)
-
-    found = enumerate_maps(P.B.base, P.X.base, partial=pins, image_ok=image_ok, first_only=True)
-    return found[0] if found else None
-
-
-def _decorated(B: MarkedScaled, Z: MarkedScaled, b: str, cand: EZ) -> bool:
-    """Whether cand is marked (thin) in Z wherever the cell b is marked (thin) in B."""
-    n = B.base.dim_of[b]
-    if n == 1 and b in B.marked and not Z.is_marked(cand):
-        return False
-    if n == 2 and b in B.thin and not Z.is_thin(cand):
-        return False
-    return True
-
-
 # -- generators ------------------------------------------------------------------------
 
 
@@ -159,16 +105,10 @@ class Generator:
 class GeneratorFamily:
     name: str
     generators: tuple
+    bound: int  # the dimension bound the family was built to; a VERIFIED of has_rlp states it
 
     def __iter__(self):
         return iter(self.generators)
-
-
-def inclusion_generator(name, B: MarkedScaled, incl: SMap, top_pins=None, filler_pins=None) -> Generator:
-    """The inclusion of a subcomplex of B, with the decorations of B restricted to it."""
-    if incl.target is not B.base and incl.target != B.base:
-        raise SSetError("a generator's inclusion must land in its B")
-    return Generator(name, incl, restrict_ms(B, incl), B, dict(top_pins or {}), dict(filler_pins or {}))
 
 
 def _cells(vertex_tuples) -> frozenset:
@@ -250,14 +190,14 @@ def weak_fibration_family(bound: int) -> GeneratorFamily:
     for n in range(2, bound + 1):
         gens.append(collapsed_horn_generator(f"collapsed-initial({n})", n, (0, 1), [(0, 1, n)]))
         gens.append(collapsed_horn_generator(f"collapsed-final({n})", n, (n - 1, n), [(0, n - 1, n)]))
-    return GeneratorFamily(f"weak-fibration(bound {bound})", tuple(gens))
+    return GeneratorFamily(f"weak-fibration(bound {bound})", tuple(gens), bound)
 
 
 @lru_cache(maxsize=None)
 def inner_horn_family(bound: int) -> GeneratorFamily:
     inner = [(n, i) for n in range(2, bound + 1) for i in range(1, n)]
     gens = tuple(simplex_generator(f"inner-horn({n},{i})", n, i) for n, i in inner)
-    return GeneratorFamily(f"inner-horns(bound {bound})", gens)
+    return GeneratorFamily(f"inner-horns(bound {bound})", gens, bound)
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +207,7 @@ def outer_horn_family(bound: int) -> GeneratorFamily:
     for n in range(2, bound + 1):
         gens.append(collapsed_horn_generator(f"outer-initial({n})", n, (0, 1)))
         gens.append(collapsed_horn_generator(f"outer-final({n})", n, (n - 1, n)))
-    return GeneratorFamily(f"outer-horns(bound {bound})", tuple(gens))
+    return GeneratorFamily(f"outer-horns(bound {bound})", tuple(gens), bound)
 
 
 @lru_cache(maxsize=None)
@@ -280,21 +220,27 @@ def boundary_family(bound: int, marked_generator: bool = False, scaled_generator
     if marked_generator:
         d1 = standard_simplex(1)
         gens.append(rescale_generator("marked-detection", MarkedScaled(d1), MarkedScaled(d1, _cells([(0, 1)]))))
-    return GeneratorFamily(f"boundaries(bound {bound})", tuple(gens))
+    return GeneratorFamily(f"boundaries(bound {bound})", tuple(gens), bound)
 
 
 # -- the RLP engine ---------------------------------------------------------------------
 
 
-def as_base(S: Scaled) -> MarkedScaled:
-    """The base of a fibration, with marking made vacuous."""
-    return S.sharp_marked()
+def _decorated(B: MarkedScaled, Z: MarkedScaled, b: str, cand: EZ) -> bool:
+    """Whether cand is marked (thin) in Z wherever the cell b is marked (thin) in B."""
+    n = B.base.dim_of[b]
+    if n == 1 and b in B.marked and not Z.is_marked(cand):
+        return False
+    if n == 2 and b in B.thin and not Z.is_thin(cand):
+        return False
+    return True
 
 
 def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
-    """All commuting squares for a generator, in deterministic order: each
-    decorated top A -> X that meets the top pins, with each decorated bottom
-    B -> Y that is p of the top on A and p of the filler pins on theirs."""
+    """The (top, bottom) of every commuting square for a generator, in
+    deterministic order: each decorated top A -> X that meets the top pins,
+    with each decorated bottom B -> Y that is p of the top on A and p of the
+    filler pins on theirs."""
     tops = enumerate_maps(gen.A.base, X.base, partial=gen.top_pins, image_ok=lambda a, c: _decorated(gen.A, X, a, c))
     for top in tops:
         bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
@@ -302,7 +248,26 @@ def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
             continue  # the top and a filler pin disagree under p
         bottoms = enumerate_maps(gen.B.base, Y.base, partial=bpins, image_ok=lambda b, c: _decorated(gen.B, Y, b, c))
         for bottom in bottoms:
-            yield LiftingProblem(gen.left, p, top, bottom, gen.A, gen.B, X, Y, dict(gen.filler_pins), gen.name)
+            yield top, bottom
+
+
+def find_lift(gen: Generator, p: SMap, X: MarkedScaled, top: SMap, bottom: SMap) -> SMap | None:
+    """Exhaustive search for a decorated filler B -> X of the square (gen, top,
+    bottom) against p; deterministic first solution.
+
+    This is the backtracking filler search.  ``has_rlp`` uses it only for the
+    generators that are not a horn or boundary of one simplex (the rescaling
+    generators, such as the Q-marking); the others it decides by index lookups.
+    """
+    pins = dict(gen.filler_pins)
+    for a in gen.A.base.dim_of:
+        pins[gen.left.images[a].core] = top.images[a]
+
+    def image_ok(x, cand):
+        return p(cand) == bottom.images[x] and _decorated(gen.B, X, x, cand)
+
+    found = enumerate_maps(gen.B.base, X.base, partial=pins, image_ok=image_ok, first_only=True)
+    return found[0] if found else None
 
 
 class _HornShape(NamedTuple):
@@ -457,7 +422,7 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
     return SMap(B, Yb, images)
 
 
-def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, bound: int | None = None) -> Verdict:
+def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily) -> Verdict:
     """Exhaustively test the right lifting property against a family.
 
     Generators whose constructor recorded a horn shape (the horns, boundaries
@@ -467,12 +432,13 @@ def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, 
     the rescalings such as the Q-marking, and hand-built generators) go through
     ``problems_for`` and the backtracking ``find_lift``.  Both report the first
     square without a filler in the order of ``problems_for``, so REFUTED names
-    the same bottom.
+    the same bottom.  VERIFIED states the family's bound.
     """
     for gen in family:
         if gen.horn is None:
             bottom = next(
-                (prob.bottom for prob in problems_for(gen, p, X, Y) if find_lift(prob) is None), None
+                (bottom for top, bottom in problems_for(gen, p, X, Y) if find_lift(gen, p, X, top, bottom) is None),
+                None,
             )
         else:
             bottom = _first_unfilled_horn(gen, p, X, Y)
@@ -481,7 +447,7 @@ def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily, 
                 REFUTED,
                 f"no filler for {gen.name} with bottom {sorted(bottom.images.items())}",
             )
-    return Verdict(VERIFIED, bound=bound)
+    return Verdict(VERIFIED, bound=family.bound)
 
 
 # -- fibration predicates ------------------------------------------------------------------
@@ -497,7 +463,7 @@ def detects_thin(p: SMap, X: Scaled, Y: Scaled) -> Verdict:
 
 
 def is_weak_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict:
-    return has_rlp(p, X.sharp_marked(), as_base(Y), weak_fibration_family(bound), bound)
+    return has_rlp(p, X.sharp_marked(), Y.sharp_marked(), weak_fibration_family(bound))
 
 
 def _horn_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int, horns) -> Verdict:
@@ -509,7 +475,7 @@ def _horn_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int, horns) -> Verdict
         [
             detect,
             is_weak_fibration(p, X, Y, bound),
-            has_rlp(p, X.sharp_marked(), as_base(Y), horns(bound), bound),
+            has_rlp(p, X.sharp_marked(), Y.sharp_marked(), horns(bound)),
         ]
     )
 
@@ -527,7 +493,7 @@ def is_outer_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict
 
 def _edge_family(flavor: str, e: EZ, bound: int) -> GeneratorFamily:
     gens = tuple(edge_horn(flavor, n, e) for n in range(2, bound + 1))
-    return GeneratorFamily(f"{flavor}-edge(bound {bound})", gens)
+    return GeneratorFamily(f"{flavor}-edge(bound {bound})", gens, bound)
 
 
 # The cocartesian flavors, each with the cartesian flavor of the opposite map.
@@ -543,7 +509,7 @@ def classify_edge(p: SMap, X: Scaled, Y: Scaled, e: EZ, flavor: str, bound: int 
         eop = EZ(e.core, op_reverse(e.op))
         return classify_edge(opposite_map(p), X.op(), Y.op(), eop, _CO_FLAVORS[flavor], bound)
     fam = _edge_family(flavor, e, bound)
-    return has_rlp(p, X.sharp_marked(), as_base(Y), fam, bound)
+    return has_rlp(p, X.sharp_marked(), Y.sharp_marked(), fam)
 
 
 def edge_table(p: SMap, X: Scaled, Y: Scaled, flavor: str, bound: int = 4) -> dict[str, Verdict]:
@@ -633,7 +599,7 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
             pb_thin.add(t)
     Yside = MarkedScaled(pb, frozenset(pb.level(1)), frozenset(pb_thin))
     fam = boundary_family(cap, marked_generator=False, scaled_generator=True)
-    return has_rlp(cmpmap, Xside, Yside, fam, cap)
+    return has_rlp(cmpmap, Xside, Yside, fam)
 
 
 # -- B_S-fibered objects -------------------------------------------------------------------
@@ -643,8 +609,8 @@ def _classical_cocartesian(q: SMap, e: EZ, bound: int) -> Verdict:
     """Classical quasicategory test: initial-edge left-horn fillers for e."""
     pins = {(0, 1): e}
     gens = tuple(simplex_generator(f"initial-horn({m})", m, 0, top_pins=pins) for m in range(2, bound + 1))
-    fam = GeneratorFamily(f"classical-cocartesian(bound {bound})", gens)
-    return has_rlp(q, decorate(q.source, SHARP, SHARP), decorate(q.target, SHARP, SHARP), fam, bound)
+    fam = GeneratorFamily(f"classical-cocartesian(bound {bound})", gens, bound)
+    return has_rlp(q, decorate(q.source, SHARP, SHARP), decorate(q.target, SHARP, SHARP), fam)
 
 
 def _pulled_back(f: SMap, base: SSet, sigma: EZ, bound: int) -> tuple:
@@ -658,7 +624,7 @@ def _pulled_back(f: SMap, base: SSet, sigma: EZ, bound: int) -> tuple:
 def is_P_fibered(f: SMap, X: MarkedScaled, S: Scaled, bound: int = 4) -> Verdict:
     """The three clauses of the fibered condition over a scaled base."""
     sharp_source, sharp_target = decorate(f.source, SHARP, SHARP), decorate(f.target, SHARP, SHARP)
-    inner = has_rlp(f, sharp_source, sharp_target, inner_horn_family(bound), bound)
+    inner = has_rlp(f, sharp_source, sharp_target, inner_horn_family(bound))
     if inner.status == REFUTED:
         return Verdict(REFUTED, f"clause (i): {inner.evidence}")
     verdicts = [inner]
@@ -762,12 +728,12 @@ def outer_anodyne_family(bound: int) -> GeneratorFamily:
             MarkedScaled(d2, _cells([(0, 1), (0, 2), (1, 2)]), _cells([(0, 1, 2)])),
         )
     )
-    return GeneratorFamily(f"outer-cartesian-anodyne(bound {bound})", tuple(gens))
+    return GeneratorFamily(f"outer-cartesian-anodyne(bound {bound})", tuple(gens), bound)
 
 
 def has_outer_anodyne_rlp(p: SMap, X: MarkedScaled, Y: Scaled, bound: int = 4) -> Verdict:
     """Prop-char style test: RLP against all six families over the base."""
-    return has_rlp(p, X, as_base(Y), outer_anodyne_family(bound), bound)
+    return has_rlp(p, X, Y.sharp_marked(), outer_anodyne_family(bound))
 
 
 # -- infinity-bicategories ---------------------------------------------------------------------
@@ -789,14 +755,14 @@ def scaled_anodyne_family(bound: int) -> GeneratorFamily:
     )
     for n in range(3, bound + 1):
         gens.append(collapsed_horn_generator(f"scaled-outer({n})", n, (0, 1), [(0, 1, n)]))
-    return GeneratorFamily(f"scaled-anodyne(bound {bound})", tuple(gens))
+    return GeneratorFamily(f"scaled-anodyne(bound {bound})", tuple(gens), bound)
 
 
 def is_infty_bicategory(X: Scaled, bound: int = 4) -> Verdict:
     pt = standard_simplex(0)
     p = constant_map(X.base, pt, "0")
     Y = Scaled(pt, frozenset())
-    return has_rlp(p, X.sharp_marked(), as_base(Y), scaled_anodyne_family(bound), bound)
+    return has_rlp(p, X.sharp_marked(), Y.sharp_marked(), scaled_anodyne_family(bound))
 
 
 # -- certificates ----------------------------------------------------------------------------
@@ -971,7 +937,7 @@ def _restriction_verdict(A, B, rmap: SMap, cap: int) -> tuple[str, str]:
         return REFUTED, f"target vertex {missing[0]!r} lies in a component not hit by the restriction"
     Ym = decorate(B.total.base, SHARP, SHARP)
     fam = boundary_family(cap, marked_generator=True, scaled_generator=False)
-    v = has_rlp(rmap, A.total, Ym, fam, cap)
+    v = has_rlp(rmap, A.total, Ym, fam)
     if v.status == VERIFIED:
         return VERIFIED, "restriction is a trivial fibration at cap"
     # an RLP failure refutes only for genuine inclusions K into the cone,

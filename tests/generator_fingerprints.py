@@ -39,7 +39,7 @@ def families():
     for flavor in ("cartesian", "weak", "strong"):
         for n in EDGE_DIMENSIONS:
             label = f"{flavor}-edge {n}"
-            yield label, GeneratorFamily(label, (edge_horn(flavor, n, ANCHOR),))
+            yield label, GeneratorFamily(label, (edge_horn(flavor, n, ANCHOR),), n)
 
 
 def complex_content(X):

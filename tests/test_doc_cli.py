@@ -430,6 +430,29 @@ def test_cli_object_path_is_a_directory(tmp_path):
     assert out.startswith("error:")
 
 
+UNREADABLE_DOCUMENTS = [
+    (b"\xff\xfe", "error: cannot read document: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200000, "error: cannot read document: maximum recursion depth exceeded"),
+]
+
+
+@pytest.mark.parametrize("content, message", UNREADABLE_DOCUMENTS, ids=["not-utf8", "too-deep"])
+def test_cli_unreadable_documents_exit_3(tmp_path, content, message):
+    """A file that is not UTF-8, or JSON nested past the recursion limit, is an
+    error line and exit 3 from both commands that read documents, called in
+    process and through the ``ssw`` script in a fresh one."""
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = "import sys\nfrom ssw.cli import main\nsys.exit(main())\n"
+    for argv in (["build", f"@{path}"], ["check-certificate", str(path)]):
+        code, out = run_command(argv)
+        assert code == 3 and out.startswith(message) and out.count("\n") == 1, out
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, "")
+
+
 # ---------------------------------------------------------------- trust boundary
 
 

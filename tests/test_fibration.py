@@ -15,7 +15,6 @@ from ssw.core import (
     enumerate_maps,
     first_missed_dim,
     horn,
-    horn_inclusion,
     identity_map,
     product,
     simplex_cell,
@@ -28,10 +27,8 @@ from ssw.fibration import (
     VERIFIED,
     CertificateStep,
     Generator,
-    LiftingProblem,
     Verdict,
     GeneratorFamily,
-    as_base,
     boundary_family,
     certificate_check,
     check_limit_cone,
@@ -45,7 +42,6 @@ from ssw.fibration import (
     find_lift,
     has_outer_anodyne_rlp,
     has_rlp,
-    inclusion_generator,
     inner_horn_family,
     is_infty_bicategory,
     is_inner_fibration,
@@ -98,18 +94,9 @@ def test_lift_to_point_always_exists():
     X = point_ms()
     gen = scaled_inner_horn(2, 1)
     p = identity_map(X.base)
-    prob = LiftingProblem(
-        gen.left,
-        p,
-        constant_map(gen.A.base, X.base, "0"),
-        constant_map(gen.B.base, X.base, "0"),
-        gen.A,
-        gen.B,
-        X,
-        X,
-    )
-    prob.validate()
-    assert find_lift(prob) is not None
+    top, bottom = constant_map(gen.A.base, X.base, "0"), constant_map(gen.B.base, X.base, "0")
+    assert gen.left.is_mono() and gen.left.then(bottom) == top.then(p)
+    assert find_lift(gen, p, X, top, bottom) is not None
 
 
 def test_inner_horn_filler_unique_in_sharp_triangle():
@@ -125,17 +112,8 @@ def test_inner_horn_filler_unique_in_sharp_triangle():
     # the inclusion horn -> triangle is one of the tops; its filler is unique
     horn_incl = {"0": EZ("0", (0,)), "1": EZ("1", (0,)), "2": EZ("2", (0,)),
                  "01": EZ("01", (0, 1)), "12": EZ("12", (0, 1))}
-    prob = LiftingProblem(
-        gen.left,
-        p,
-        SMap(gen.A.base, C.base, horn_incl),
-        constant_map(gen.B.base, standard_simplex(0), "0"),
-        gen.A,
-        gen.B,
-        C.sharp_marked(),
-        as_base(Scaled(standard_simplex(0))),
-    )
-    filler = find_lift(prob)
+    top, bottom = SMap(gen.A.base, C.base, horn_incl), constant_map(gen.B.base, standard_simplex(0), "0")
+    filler = find_lift(gen, p, C.sharp_marked(), top, bottom)
     assert filler is not None
     assert filler.images["012"] == EZ("012", (0, 1, 2))
 
@@ -147,17 +125,8 @@ def test_no_filler_into_boundary():
     gen = scaled_inner_horn(2, 1)
     horn_incl = {"0": EZ("0", (0,)), "1": EZ("1", (0,)), "2": EZ("2", (0,)),
                  "01": EZ("01", (0, 1)), "12": EZ("12", (0, 1))}
-    prob = LiftingProblem(
-        gen.left,
-        to_point(B2),
-        SMap(gen.A.base, B2.base, horn_incl),
-        constant_map(gen.B.base, standard_simplex(0), "0"),
-        gen.A,
-        gen.B,
-        B2.sharp_marked(),
-        as_base(Scaled(standard_simplex(0))),
-    )
-    assert find_lift(prob) is None
+    top, bottom = SMap(gen.A.base, B2.base, horn_incl), constant_map(gen.B.base, standard_simplex(0), "0")
+    assert find_lift(gen, to_point(B2), B2.sharp_marked(), top, bottom) is None
 
 
 # ---------------------------------------------------------------- RLP verdicts
@@ -165,8 +134,36 @@ def test_no_filler_into_boundary():
 
 def test_identity_has_rlp():
     C = d2_sharp()
-    v = has_rlp(identity_map(C.base), C.sharp_marked(), as_base(C), weak_fibration_family(3), 3)
+    v = has_rlp(identity_map(C.base), C.sharp_marked(), C.sharp_marked(), weak_fibration_family(3))
     assert v.status == VERIFIED
+
+
+def test_a_family_carries_the_bound_it_was_built_to(monkeypatch):
+    """Every family builder states the bound it was asked for, and a VERIFIED
+    of has_rlp states its family's bound, also when the family is empty."""
+    import ssw.fibration as fibration
+
+    e = EZ("01", (0, 1))
+    for bound in range(6):
+        families = [
+            weak_fibration_family(bound),
+            inner_horn_family(bound),
+            outer_horn_family(bound),
+            boundary_family(bound),
+            boundary_family(bound, marked_generator=True, scaled_generator=False),
+            outer_anodyne_family(bound),
+            scaled_anodyne_family(bound),
+        ] + [fibration._edge_family(flavor, e, bound) for flavor in ("cartesian", "weak", "strong")]
+        assert [family.bound for family in families] == [bound] * len(families)
+    checked = counting(monkeypatch, "has_rlp")
+    q = identity_map(standard_simplex(1))
+    for bound in range(6):
+        assert fibration._classical_cocartesian(q, e, bound) == Verdict(VERIFIED, bound=bound)
+        family = checked[-1][3]
+        assert family.name == f"classical-cocartesian(bound {bound})" and family.bound == bound
+    C = d2_sharp().sharp_marked()
+    for family in (weak_fibration_family(3), inner_horn_family(1), GeneratorFamily("empty", (), 7)):
+        assert has_rlp(identity_map(C.base), C, C, family) == Verdict(VERIFIED, bound=family.bound)
 
 
 def test_sharp_triangle_weak_fibration():
@@ -426,16 +423,16 @@ def test_flat_triangle_refutation_evidence():
 # ---------------------------------------------------------------- horn index vs backtracker
 
 
-def backtracked_rlp(p, X, Y, family, bound):
+def backtracked_rlp(p, X, Y, family):
     """has_rlp as a plain loop over problems_for and find_lift."""
     for gen in family:
-        for prob in problems_for(gen, p, X, Y):
-            if find_lift(prob) is None:
+        for top, bottom in problems_for(gen, p, X, Y):
+            if find_lift(gen, p, X, top, bottom) is None:
                 return Verdict(
                     REFUTED,
-                    f"no filler for {gen.name} with bottom {sorted(prob.bottom.images.items())}",
+                    f"no filler for {gen.name} with bottom {sorted(bottom.images.items())}",
                 )
-    return Verdict(VERIFIED, bound=bound)
+    return Verdict(VERIFIED, bound=family.bound)
 
 
 def all_generators(X: MarkedScaled, bound: int):
@@ -461,9 +458,9 @@ def refuted_by_both(p, X, Y, bound=3) -> set:
     status, evidence and bound; return the names of the refuted generators."""
     refuted = set()
     for gen in all_generators(X, bound):
-        family = GeneratorFamily(gen.name, [gen])
-        verdict = has_rlp(p, X, Y, family, bound)
-        assert verdict == backtracked_rlp(p, X, Y, family, bound), gen.name
+        family = GeneratorFamily(gen.name, [gen], bound)
+        verdict = has_rlp(p, X, Y, family)
+        assert verdict == backtracked_rlp(p, X, Y, family), gen.name
         if verdict.status == REFUTED:
             refuted.add(gen.name)
     return refuted
@@ -473,9 +470,9 @@ def differential_inputs():
     for C, vertex in ((d1_sharp(), "1"), (d2_sharp(), "2")):
         sl = slice_over_vertex(C, vertex, cap=3)
         for X in (sl.total, sl.scaled.flat_marked()):
-            yield sl.projection, X, as_base(C)
+            yield sl.projection, X, C.sharp_marked()
     Q, J = q_complex(), j_truncated(3)
-    point = as_base(Scaled(standard_simplex(0)))
+    point = Scaled(standard_simplex(0)).sharp_marked()
     for X in (Scaled(Q, frozenset(Q.level(2))), d2_flat(), Scaled(J, frozenset(J.level(2)))):
         for Xm in (X.sharp_marked(), X.flat_marked()):
             yield to_point(X), Xm, point
@@ -503,10 +500,10 @@ def test_has_rlp_reports_the_first_failing_top_in_search_order():
     0, 3, 4 before 1, 2, 3), so that bottom is the one reported."""
     d4 = standard_simplex(4)
     X = Scaled(d4, frozenset(d4.level(2)) - {"034", "123"}).sharp_marked()
-    p, Y = identity_map(d4), as_base(scale(d4, SHARP))
+    p, Y = identity_map(d4), scale(d4, SHARP).sharp_marked()
     for family in (scaled_anodyne_family(4), weak_fibration_family(4)):
-        v = has_rlp(p, X, Y, family, 4)
-        assert v == backtracked_rlp(p, X, Y, family, 4)
+        v = has_rlp(p, X, Y, family)
+        assert v == backtracked_rlp(p, X, Y, family)
         assert "('012', EZ(core='034', op=(0, 1, 2)))" in v.evidence
     assert refuted_by_both(p, X, Y, 4) >= {"scaled-inner-horn(2,1)", "cartesian-horn(2)"}
 
@@ -522,34 +519,7 @@ def test_has_rlp_matches_the_backtracker_between_nerves(S, T, data):
         return frozenset(data.draw(st.sets(st.sampled_from(cells)))) if cells else frozenset()
 
     X = MarkedScaled(S, some(S.level(1)), some(S.level(2)))
-    refuted_by_both(p, X, as_base(Scaled(T, some(T.level(2)))))
-
-
-def test_inclusion_generator_needs_an_inclusion_into_b():
-    B = MarkedScaled(standard_simplex(3))
-    with pytest.raises(SSetError, match="must land in its B"):
-        inclusion_generator("misplaced", B, horn_inclusion(2, 1))
-    assert inclusion_generator("horn", B, horn_inclusion(3, 1)).A.base is horn_inclusion(3, 1).source
-
-
-def test_has_rlp_matches_the_backtracker_on_decorated_cells_of_a():
-    """A cell of A that B marks constrains both the bottom and the filler."""
-    d2 = standard_simplex(2)
-    B = MarkedScaled(d2, frozenset({"01"}))
-    # A left flat: the filler, not the top, must carry the marking of 01
-    incl = horn_inclusion(2, 1)
-    flat_top = Generator("flat-top", incl, MarkedScaled(incl.source), B)
-    p, X, Y = to_point(Scaled(d2)), decorate(d2), as_base(Scaled(standard_simplex(0)))
-    family = GeneratorFamily(flat_top.name, [flat_top])
-    v = has_rlp(p, X, Y, family, 2)
-    assert v.status == REFUTED and v == backtracked_rlp(p, X, Y, family, 2)
-    # p does not preserve the marking: squares whose bottom is unmarked on 01
-    # do not exist, and only they lack a filler in the boundary
-    marked = inclusion_generator("marked-horn", B, horn_inclusion(2, 1))
-    p = boundary_inclusion(2)
-    X, Y = decorate(p.source, SHARP), decorate(d2)
-    family = GeneratorFamily(marked.name, [marked])
-    assert has_rlp(p, X, Y, family, 2) == backtracked_rlp(p, X, Y, family, 2) == Verdict(VERIFIED, bound=2)
+    refuted_by_both(p, X, Scaled(T, some(T.level(2))).sharp_marked())
 
 
 def test_horn_shaped_generators_skip_the_backtracker(monkeypatch):
@@ -563,16 +533,16 @@ def test_horn_shaped_generators_skip_the_backtracker(monkeypatch):
     monkeypatch.setattr(fibration, "enumerate_maps", backtracker)
     Q = q_complex()
     X = Scaled(Q, frozenset(Q.level(2)))
-    p, Xm, Y = to_point(X), X.sharp_marked(), as_base(Scaled(standard_simplex(0)))
+    p, Xm, Y = to_point(X), X.sharp_marked(), Scaled(standard_simplex(0)).sharp_marked()
     gens = list(all_generators(Xm, 3))
     horns = [g for g in gens if g.A.base != g.B.base and g.B.base.dim >= 1]
     assert len(horns) == len(gens) - 7  # boundary(0) and the six rescalings
     assert all(gen.horn is not None for gen in horns)
     for gen in horns:
-        has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen]), 3)
+        has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen], 3))
     rescale = rescale_generator("thin-rescale", MarkedScaled(standard_simplex(2)), triangle_thin())
     with pytest.raises(AssertionError, match="backtracker called"):
-        has_rlp(p, Xm, Y, GeneratorFamily(rescale.name, [rescale]), 3)
+        has_rlp(p, Xm, Y, GeneratorFamily(rescale.name, [rescale], 3))
 
 
 def test_recorded_horn_shapes_describe_their_generators():
@@ -605,9 +575,12 @@ def test_recorded_horn_shapes_describe_their_generators():
 
 
 def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
-    """The squares of test_has_rlp_matches_the_backtracker_on_decorated_cells_of_a,
-    on generators with a recorded shape, so that has_rlp decides them on facet
-    tuples and not with the backtracker."""
+    """A cell of A that B marks constrains both the bottom and the filler.
+    With A left flat, the filler, not the top, must carry the marking of 01.
+    Where p does not preserve the marking, squares whose bottom is unmarked on
+    01 do not exist, and only they lack a filler in the boundary.  The
+    generators have a recorded shape, so has_rlp decides these squares on
+    facet tuples, and the backtracker must agree."""
     import ssw.fibration as fibration
 
     marked = simplex_generator("marked-horn", 2, 1, marked=[(0, 1)])
@@ -615,13 +588,13 @@ def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
     assert marked.B.marked == {"01"} and flat_top.horn is marked.horn is not None
     d2 = standard_simplex(2)
     cases = [
-        (flat_top, to_point(Scaled(d2)), decorate(d2), as_base(Scaled(standard_simplex(0))), REFUTED),
+        (flat_top, to_point(Scaled(d2)), decorate(d2), Scaled(standard_simplex(0)).sharp_marked(), REFUTED),
         (marked, boundary_inclusion(2), decorate(boundary(2), SHARP), decorate(d2), VERIFIED),
     ]
-    expected = [backtracked_rlp(p, X, Y, GeneratorFamily(g.name, [g]), 2) for g, p, X, Y, _ in cases]
+    expected = [backtracked_rlp(p, X, Y, GeneratorFamily(g.name, [g], 2)) for g, p, X, Y, _ in cases]
     monkeypatch.setattr(fibration, "problems_for", None)
     for (gen, p, X, Y, status), verdict in zip(cases, expected):
-        assert has_rlp(p, X, Y, GeneratorFamily(gen.name, [gen]), 2) == verdict and verdict.status == status
+        assert has_rlp(p, X, Y, GeneratorFamily(gen.name, [gen], 2)) == verdict and verdict.status == status
 
 # ---------------------------------------------------------------- certificates
 
@@ -764,8 +737,8 @@ def test_rlp_closed_under_pushout_and_composite():
     sl = slice_over_vertex(C, "2", cap=3)
     p = sl.projection
     gen = scaled_inner_horn(2, 1)
-    base_family = GeneratorFamily("base", [gen])
-    assert has_rlp(p, sl.total, as_base(C), base_family, 2).status == VERIFIED
+    base_family = GeneratorFamily("base", [gen], 2)
+    assert has_rlp(p, sl.total, C.sharp_marked(), base_family).status == VERIFIED
 
     # pushout of the generator along a horn collapse
     target = standard_simplex(1)
@@ -783,13 +756,13 @@ def test_rlp_closed_under_pushout_and_composite():
     Z = MarkedScaled(target)
     P_ms, leg_target, leg_big = pushout_ms(gen.left, collapse, gen.B, Z)
     pushed = Generator("pushed", leg_target, Z, P_ms)
-    assert has_rlp(p, sl.total, as_base(C), GeneratorFamily("pushed", [pushed]), 2).status == VERIFIED
+    assert has_rlp(p, sl.total, C.sharp_marked(), GeneratorFamily("pushed", [pushed], 2)).status == VERIFIED
 
     # composite: the horn inclusion followed by the pushout inclusion of a
     # second triangle glued along the same horn
     Q_ms, leg_t2, leg_b2 = pushout_ms(gen.left, identity_map(gen.A.base).then(gen.left), gen.B, gen.B)
     composite = Generator("composite", gen.left.then(leg_t2), gen.A, Q_ms)
-    assert has_rlp(p, sl.total, as_base(C), GeneratorFamily("composite", [composite]), 2).status == VERIFIED
+    assert has_rlp(p, sl.total, C.sharp_marked(), GeneratorFamily("composite", [composite], 2)).status == VERIFIED
 
 
 def test_thin_composite_two_out_of_three():
@@ -890,8 +863,8 @@ def test_rlp_closed_under_retract():
     Am = MarkedScaled(A2.sset, frozenset(), frozenset())
     Bm = MarkedScaled(B2.sset, frozenset(), frozenset({"012"}))
     fat = Generator("coproduct", left2, Am, Bm)
-    v_fat = has_rlp(p, sl.total, as_base(C), GeneratorFamily("fat", [fat]), 2)
-    v_thin = has_rlp(p, sl.total, as_base(C), GeneratorFamily("thin", [gen]), 2)
+    v_fat = has_rlp(p, sl.total, C.sharp_marked(), GeneratorFamily("fat", [fat], 2))
+    v_thin = has_rlp(p, sl.total, C.sharp_marked(), GeneratorFamily("thin", [gen], 2))
     assert v_fat.status == v_thin.status == VERIFIED
 
 
