@@ -5,7 +5,7 @@ are treated as marked/thin implicitly by the predicates below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import EZ, SMap, SSet, SSetError, check_mode, isomorphisms, opposite, pushout_mono, subcomplex
 from .ops import idop, injections
@@ -19,17 +19,20 @@ def _check_decoration(base: SSet, cells, dim: int, what: str) -> frozenset:
     return cells
 
 
-@dataclass(frozen=True)
-class MarkedScaled:
+class _MarkedScaledFields(NamedTuple):
+    base: SSet
+    marked: frozenset
+    thin: frozenset
+
+
+class MarkedScaled(_MarkedScaledFields):
     """A marked-scaled simplicial set (X, E_X, T_X)."""
 
-    base: SSet
-    marked: frozenset = frozenset()
-    thin: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "marked", _check_decoration(self.base, self.marked, 1, "marked"))
-        object.__setattr__(self, "thin", _check_decoration(self.base, self.thin, 2, "thin"))
+    def __new__(cls, base: SSet, marked=frozenset(), thin=frozenset()):
+        marked = _check_decoration(base, marked, 1, "marked")
+        return super().__new__(cls, base, marked, _check_decoration(base, thin, 2, "thin"))
 
     def is_marked(self, pair: EZ) -> bool:
         return not pair.is_nondeg() or pair.core in self.marked
@@ -44,15 +47,18 @@ class MarkedScaled:
         return MarkedScaled(opposite(self.base), self.marked, self.thin)
 
 
-@dataclass(frozen=True)
-class Scaled:
+class _ScaledFields(NamedTuple):
+    base: SSet
+    thin: frozenset
+
+
+class Scaled(_ScaledFields):
     """A scaled simplicial set (X, T_X)."""
 
-    base: SSet
-    thin: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "thin", _check_decoration(self.base, self.thin, 2, "thin"))
+    def __new__(cls, base: SSet, thin=frozenset()):
+        return super().__new__(cls, base, _check_decoration(base, thin, 2, "thin"))
 
     def is_thin(self, pair: EZ) -> bool:
         return not pair.is_nondeg() or pair.core in self.thin

@@ -7,8 +7,9 @@ bound up to which an inherently unbounded condition was checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
@@ -56,15 +57,19 @@ from .tensor import (
 VERIFIED, REFUTED, INCONCLUSIVE = "VERIFIED", "REFUTED", "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     status: str
-    evidence: str = ""
-    bound: int | None = None
+    evidence: str
+    bound: int | None
 
-    def __post_init__(self):
-        if self.status == REFUTED and not self.evidence:
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, status: str, evidence: str = "", bound: int | None = None):
+        if status == REFUTED and not evidence:
             raise SSetError("a refutation needs a concrete witness")
+        return super().__new__(cls, status, evidence, bound)
 
     def render(self) -> str:
         if self.status == VERIFIED and self.bound is not None:
@@ -88,27 +93,22 @@ def combine(verdicts) -> Verdict:
 # -- generators ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A decorated mono with optional anchoring data for the top map."""
 
     name: str
     left: SMap
     A: MarkedScaled
     B: MarkedScaled
-    top_pins: dict = field(default_factory=dict)
-    filler_pins: dict = field(default_factory=dict)
+    top_pins: Mapping = MappingProxyType({})  # the empty defaults are read-only, as every instance shares them
+    filler_pins: Mapping = MappingProxyType({})
     horn: _HornShape | None = None  # recorded by simplex_generator and collapsed_horn_generator
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+class GeneratorFamily(NamedTuple):
     name: str
     generators: tuple
     bound: int  # the dimension bound the family was built to; a VERIFIED of has_rlp states it
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 def _cells(vertex_tuples) -> frozenset:
@@ -434,7 +434,7 @@ def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily) 
     square without a filler in the order of ``problems_for``, so REFUTED names
     the same bottom.  VERIFIED states the family's bound.
     """
-    for gen in family:
+    for gen in family.generators:
         if gen.horn is None:
             bottom = next(
                 (bottom for top, bottom in problems_for(gen, p, X, Y) if find_lift(gen, p, X, top, bottom) is None),
@@ -768,8 +768,7 @@ def is_infty_bicategory(X: Scaled, bound: int = 4) -> Verdict:
 # -- certificates ----------------------------------------------------------------------------
 
 
-@dataclass
-class CertificateStep:
+class CertificateStep(NamedTuple):
     generator: Generator
     attach: SMap  # A -> current stage
 
@@ -777,8 +776,7 @@ class CertificateStep:
 def certificate_check(start: MarkedScaled, steps: list, claimed: MarkedScaled) -> Verdict:
     """Replay a sequence of generator pushouts and compare with the claim."""
     cur = start
-    for k, step in enumerate(steps):
-        gen, attach = step.generator, step.attach
+    for k, (gen, attach) in enumerate(steps):
         if attach.source != gen.A.base or attach.target != cur.base:
             return Verdict(REFUTED, f"step {k}: attaching map does not match")
         for e in gen.A.marked:
@@ -796,8 +794,7 @@ def certificate_check(start: MarkedScaled, steps: list, claimed: MarkedScaled) -
 # -- the lax-lift filtration -------------------------------------------------------------------
 
 
-@dataclass
-class FiltrationStep:
+class FiltrationStep(NamedTuple):
     index: int
     horn_vertex: int
     new_cells: tuple

@@ -11,7 +11,6 @@ every shape with the same parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -52,8 +51,7 @@ from .tensor import (
 )
 
 
-@dataclass
-class SliceResult:
+class SliceResult(NamedTuple):
     """A representably-constructed decorated object with its level tables."""
 
     total: MarkedScaled

@@ -5,7 +5,7 @@ The CLI `suite` command and tests/test_acceptance.py share this module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     EZ,
@@ -65,8 +65,7 @@ from .tensor import (
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     ok: bool

@@ -2,7 +2,6 @@
 comparison maps and homotopies between the thick and ordinary joins."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -157,8 +156,7 @@ def gray_variant_scalings(X: MarkedScaled, Y: MarkedScaled) -> VariantScalings:
     )
 
 
-@dataclass(frozen=True)
-class Witness3:
+class Witness3(NamedTuple):
     """A 3-simplex witnessing a scaling difference, with its checked faces."""
 
     rho: EZ
@@ -255,8 +253,7 @@ def join_ms(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> Joi
 # -- thick joins ---------------------------------------------------------------------
 
 
-@dataclass
-class ThickJoin:
+class ThickJoin(NamedTuple):
     """A thick join with its pushout provenance: one pushout of the Gray
     product along both of its ends.
 
@@ -457,8 +454,7 @@ class JoinEqData(NamedTuple):
     Tprime: frozenset
 
 
-@dataclass(frozen=True)
-class JoinEqWitness:
+class JoinEqWitness(NamedTuple):
     sigma: str
     eta: EZ
     face_index: int

@@ -59,7 +59,7 @@ def fingerprint(family) -> str:
             sorted(g.top_pins.items()),
             sorted(g.filler_pins.items()),
         )
-        for g in family
+        for g in family.generators
     ]
     return hashlib.sha256(repr(content).encode()).hexdigest()
 

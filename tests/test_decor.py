@@ -47,11 +47,25 @@ def test_degenerate_implicitly_decorated():
 
 
 def test_decoration_validation():
+    """Both records, built directly and not from a document, reject a marked
+    or thin cell of the wrong dimension, and store their decorations as
+    frozensets whatever iterable they were given."""
     d2 = standard_simplex(2)
-    with pytest.raises(SSetError):
+    with pytest.raises(SSetError, match="marked cell '012' is not a nondegenerate 1-simplex"):
         MarkedScaled(d2, marked=frozenset({"012"}))
-    with pytest.raises(SSetError):
+    with pytest.raises(SSetError, match="thin cell '01' is not a nondegenerate 2-simplex"):
         MarkedScaled(d2, thin=frozenset({"01"}))
+    with pytest.raises(SSetError, match="thin cell '01' is not a nondegenerate 2-simplex"):
+        Scaled(d2, ["01"])
+    with pytest.raises(SSetError, match="thin cell '0' is not a nondegenerate 2-simplex"):
+        Scaled(d2, thin=frozenset({"0"}))
+    with pytest.raises(SSetError, match="thin cell '02' is not a nondegenerate 2-simplex"):
+        MarkedScaled(d2, ["01"], ["02"])
+    with pytest.raises(SSetError, match="marked cell 'x' is not a nondegenerate 1-simplex"):
+        MarkedScaled(d2, marked={"x"})
+    X = MarkedScaled(d2, ["01"], ("012",))
+    assert (X.marked, X.thin) == ({"01"}, {"012"}) and type(X.marked) is type(X.thin) is frozenset
+    assert Scaled(d2, ["012"]) == X.scaled() and X.scaled().flat_marked() == MarkedScaled(d2, (), {"012"})
 
 
 def core_thi_oracle(X: Scaled):

@@ -433,12 +433,17 @@ def test_cli_object_path_is_a_directory(tmp_path):
 UNREADABLE_DOCUMENTS = [
     (b"\xff\xfe", "error: cannot read document: 'utf-8' codec can't decode byte 0xff"),
     (b"[" * 200000, "error: cannot read document: maximum recursion depth exceeded"),
+    (
+        rb'{"schema_version": 1, "cells": {"0": ["\ud800"]}}',
+        "error: document holds a string that is not UTF-8: surrogates not allowed",
+    ),
 ]
 
 
-@pytest.mark.parametrize("content, message", UNREADABLE_DOCUMENTS, ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("content, message", UNREADABLE_DOCUMENTS, ids=["not-utf8", "too-deep", "lone-surrogate"])
 def test_cli_unreadable_documents_exit_3(tmp_path, content, message):
-    """A file that is not UTF-8, or JSON nested past the recursion limit, is an
+    """A file that is not UTF-8, JSON nested past the recursion limit, or an
+    escaped lone surrogate (a string that decodes but is not UTF-8 text) is an
     error line and exit 3 from both commands that read documents, called in
     process and through the ``ssw`` script in a fresh one."""
     path = tmp_path / "f.json"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -164,6 +162,17 @@ def test_a_family_carries_the_bound_it_was_built_to(monkeypatch):
     C = d2_sharp().sharp_marked()
     for family in (weak_fibration_family(3), inner_horn_family(1), GeneratorFamily("empty", (), 7)):
         assert has_rlp(identity_map(C.base), C, C, family) == Verdict(VERIFIED, bound=family.bound)
+
+
+def test_a_refutation_needs_evidence():
+    """A REFUTED verdict is refused without a witness, whatever its bound; the
+    other statuses need none."""
+    for args in ((REFUTED,), (REFUTED, ""), (REFUTED, "", 3)):
+        with pytest.raises(SSetError, match="a refutation needs a concrete witness"):
+            Verdict(*args)
+    assert Verdict(REFUTED, "x").render() == "REFUTED: x"
+    assert Verdict(INCONCLUSIVE).render() == "INCONCLUSIVE"
+    assert Verdict(VERIFIED, bound=3).render() == "VERIFIED up to dimension 3"
 
 
 def test_sharp_triangle_weak_fibration():
@@ -356,7 +365,7 @@ def test_q_complex_counts():
 
 def test_outer_anodyne_family_shapes():
     fam = outer_anodyne_family(3)
-    names = [g.name for g in fam]
+    names = [g.name for g in fam.generators]
     assert "marked-horn(1)" in names
     assert "q-marking" in names
     assert "composite-marking" in names
@@ -425,7 +434,7 @@ def test_flat_triangle_refutation_evidence():
 
 def backtracked_rlp(p, X, Y, family):
     """has_rlp as a plain loop over problems_for and find_lift."""
-    for gen in family:
+    for gen in family.generators:
         for top, bottom in problems_for(gen, p, X, Y):
             if find_lift(gen, p, X, top, bottom) is None:
                 return Verdict(
@@ -446,7 +455,7 @@ def all_generators(X: MarkedScaled, bound: int):
         outer_anodyne_family(bound),
         scaled_anodyne_family(bound),
     ):
-        yield from family
+        yield from family.generators
     for e in X.base.level(1):
         for flavor in ("cartesian", "weak", "strong"):
             for n in range(2, bound + 1):
@@ -555,7 +564,7 @@ def test_recorded_horn_shapes_describe_their_generators():
 
     kinds = set()
     for label, family in families():
-        for gen in family:
+        for gen in family.generators:
             kinds.add(gen.horn is None)
             assert (gen.horn is None) == (gen.A.base == gen.B.base or gen.name == "boundary(0)"), (label, gen.name)
             if gen.horn is None:
@@ -584,7 +593,7 @@ def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
     import ssw.fibration as fibration
 
     marked = simplex_generator("marked-horn", 2, 1, marked=[(0, 1)])
-    flat_top = replace(marked, name="flat-top", A=MarkedScaled(marked.A.base))
+    flat_top = marked._replace(name="flat-top", A=MarkedScaled(marked.A.base))
     assert marked.B.marked == {"01"} and flat_top.horn is marked.horn is not None
     d2 = standard_simplex(2)
     cases = [
