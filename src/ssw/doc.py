@@ -39,10 +39,10 @@ def parse(text: str) -> dict:
     try:
         doc = json.loads(text)
         json.dumps(doc, ensure_ascii=False).encode("utf-8")  # an escaped lone surrogate decodes, but is not UTF-8
-    except json.JSONDecodeError as exc:
-        raise SSetError(f"document is not valid JSON: {exc}") from exc
     except UnicodeEncodeError as exc:
         raise SSetError(f"document holds a string that is not UTF-8: {exc.reason}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer longer than Python converts
+        raise SSetError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SSetError("document must be an object")
     return doc

@@ -437,15 +437,19 @@ UNREADABLE_DOCUMENTS = [
         rb'{"schema_version": 1, "cells": {"0": ["\ud800"]}}',
         "error: document holds a string that is not UTF-8: surrogates not allowed",
     ),
+    (b'{"dim_cap": ' + b"1" * 5000 + b"}", "error: document is not valid JSON: Exceeds the limit (4300 digits)"),
 ]
 
 
-@pytest.mark.parametrize("content, message", UNREADABLE_DOCUMENTS, ids=["not-utf8", "too-deep", "lone-surrogate"])
+@pytest.mark.parametrize(
+    "content, message", UNREADABLE_DOCUMENTS, ids=["not-utf8", "too-deep", "lone-surrogate", "long-integer"]
+)
 def test_cli_unreadable_documents_exit_3(tmp_path, content, message):
-    """A file that is not UTF-8, JSON nested past the recursion limit, or an
-    escaped lone surrogate (a string that decodes but is not UTF-8 text) is an
-    error line and exit 3 from both commands that read documents, called in
-    process and through the ``ssw`` script in a fresh one."""
+    """A file that is not UTF-8, JSON nested past the recursion limit, an
+    escaped lone surrogate (a string that decodes but is not UTF-8 text) or an
+    integer too long for Python to convert is an error line and exit 3 from
+    both commands that read documents, called in process and through the
+    ``ssw`` script in a fresh one."""
     path = tmp_path / "f.json"
     path.write_bytes(content)
     src = Path(__file__).resolve().parents[1] / "src"
