@@ -960,7 +960,3 @@ def isomorphisms(
         if k < size:
             cursor[k] = 0
     return out
-
-
-def is_isomorphic(X: SSet, Y: SSet) -> bool:
-    return bool(isomorphisms(X, Y))

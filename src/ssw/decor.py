@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import EZ, SMap, SSet, SSetError, check_mode, isomorphisms, opposite, pushout_mono, subcomplex
-from .ops import idop, injections
+from .core import EZ, SMap, SSet, SSetError, check_mode, isomorphisms, opposite, pushout_mono
+from .ops import idop
 
 
 def _check_decoration(base: SSet, cells, dim: int, what: str) -> frozenset:
@@ -29,6 +29,7 @@ class MarkedScaled(_MarkedScaledFields):
     """A marked-scaled simplicial set (X, E_X, T_X)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _make and _replace check as __new__ does
 
     def __new__(cls, base: SSet, marked=frozenset(), thin=frozenset()):
         marked = _check_decoration(base, marked, 1, "marked")
@@ -56,6 +57,7 @@ class Scaled(_ScaledFields):
     """A scaled simplicial set (X, T_X)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _make and _replace check as __new__ does
 
     def __new__(cls, base: SSet, thin=frozenset()):
         return super().__new__(cls, base, _check_decoration(base, thin, 2, "thin"))
@@ -86,24 +88,6 @@ def decorate(base: SSet, marking: str = FLAT, scaling: str = FLAT) -> MarkedScal
 def scale(base: SSet, scaling: str = FLAT) -> Scaled:
     """X_flat or X_sharp."""
     return decorate(base, FLAT, scaling).scaled()
-
-
-def core_thi(X: Scaled) -> tuple[SSet, SMap]:
-    """The core: simplices all of whose 2-dimensional faces are thin."""
-    keep = []
-    for x, n in X.base.dim_of.items():
-        if n < 2:
-            keep.append(x)
-            continue
-        top = EZ(x, idop(n))
-        ok = True
-        for alpha in injections(2, n):
-            if not X.is_thin(X.base.act(top, alpha)):
-                ok = False
-                break
-        if ok:
-            keep.append(x)
-    return subcomplex(X.base, keep)
 
 
 # -- decorated maps -----------------------------------------------------------
@@ -176,7 +160,3 @@ def is_decorated_isomorphic(X: MarkedScaled, Y: MarkedScaled) -> bool:
     if len(X.marked) != len(Y.marked) or len(X.thin) != len(Y.thin):
         return False
     return bool(decorated_isomorphisms(X, Y))
-
-
-def scaled_isomorphic(X: Scaled, Y: Scaled) -> bool:
-    return is_decorated_isomorphic(X.flat_marked(), Y.flat_marked())

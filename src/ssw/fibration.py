@@ -65,6 +65,7 @@ class _VerdictFields(NamedTuple):
 
 class Verdict(_VerdictFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _make and _replace check as __new__ does
 
     def __new__(cls, status: str, evidence: str = "", bound: int | None = None):
         if status == REFUTED and not evidence:

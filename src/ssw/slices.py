@@ -3,11 +3,15 @@
 Everything here is computed by the same engine: a construction is presented by
 a family of representing objects F(0), F(1), ... with reindexing maps, and the
 resulting object has n-simplices the scaled maps F(n) -> S extending the given
-pins.  Levels are enumerated exactly up to a cap; the saturation flag records
-whether the last two levels were purely degenerate.  The levels F(n), the
-reindexing maps F(alpha) and the upgrades of a shape do not depend on S, on
-the diagram or on the cap, so they are built once per process and shared by
-every shape with the same parameters.
+pins.  Levels are enumerated exactly up to the cap, or to the shape's proven
+bound on the dimension of cells if lower: dim S for slices over nothing or a
+simplex, for any slice and for thick slices over a point of an S with
+nondegenerate faces; Gray, cartesian, hom and section shapes have none.
+Reindexing reads maps past the computed levels as degeneracies.  The
+saturation flag records whether the last two levels were purely degenerate.
+The levels F(n), the reindexing maps F(alpha) and the upgrades of a shape do
+not depend on S, on the diagram or on the cap, so they are built once per
+process and shared by every shape with the same parameters.
 """
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ class SliceResult(NamedTuple):
     cap: int
     saturated: bool
     cell_maps: dict[str, SMap]
-    levels: list[dict]  # per level: map key -> EZ
+    levels: list[dict]  # per computed level, up to the cap or the shape's bound: map key -> EZ
     shape: object
 
     @property
@@ -174,6 +178,10 @@ class Shape:
     def project_cell(self, n: int) -> str | None:
         return None
 
+    def dim_bound(self, S: Scaled) -> int | None:
+        """A proven bound on the dimension of the cells of the result over S, or None."""
+        return None
+
     def image_ok(self, n: int, x: str, cand: EZ) -> bool:
         """Whether the cell x of F(n) may go to cand; the engine itself checks
         that thin triangles of F(n) go to thin ones."""
@@ -218,6 +226,21 @@ class JoinShape(Shape):
         d_incl, _ = self.ordered(*self.object(n).data.ends)
         return d_incl.images[simplex_cell(range(n + 1))].core
 
+    def dim_bound(self, S: Scaled) -> int | None:
+        """dim S if K is empty or a standard simplex or S has nondegenerate faces.
+
+        Let n > dim S.  A level-n map m is s_j d_j m when m = m.F(delta_j sigma_j),
+        and F(delta_j sigma_j) moves the vertex j of Delta^n to j + 1.  If F(n)
+        is Delta^(n+k+1), m = y.t with t onto [d], d <= dim S; t(j) = t(j + 1)
+        for some j < n, and t is fixed.  Else m has a degenerate edge j(j + 1)
+        on Delta^n; the image y.t of a simplex c of F(n) through j and j + 1
+        has t(p) = t(p + 1) at their positions, as y has nondegenerate faces,
+        so m(c) has equal faces without j and without j + 1: m is fixed."""
+        K = self.K.base
+        if not K.cells or K == standard_simplex(K.dim) or _nondegenerate_faces(S.base):
+            return S.base.dim
+        return None
+
 
 class ThickShape(JoinShape):
     """F(n) = (flat Delta^n) diamond_var K ('over') or K diamond_var (flat Delta^n)."""
@@ -235,6 +258,18 @@ class ThickShape(JoinShape):
 
     def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
         return thick_join_map(src, tgt, *self.ordered(d, k))
+
+    def dim_bound(self, S: Scaled) -> int | None:
+        """dim S if K is a point and S has nondegenerate faces.
+
+        F(n) is a quotient of Delta^n x Delta^1, Delta^n at one end and the point
+        at the other; F(delta_j sigma_j) moves each (j, e) to (j + 1, e), and m
+        sends both edges (j, e)(j + 1, e) to degenerate ones.  Moving the greater
+        of (j, 0), (j, 1) first, ``JoinShape.dim_bound`` applies.  S needs the
+        condition: over 0, Q with every triangle thin has 4-simplices."""
+        if self.K.base.counts() == (1,) and _nondegenerate_faces(S.base):
+            return S.base.dim
+        return None
 
 
 class GrayShape(Shape):
@@ -292,21 +327,45 @@ def check_cap(cap: int) -> None:
         raise SSetError(f"cap must be a non-negative integer, got {cap}")
 
 
+def _nondegenerate_faces(X: SSet) -> bool:
+    """Whether every face of every nondegenerate simplex of X is nondegenerate."""
+    return all(f.is_nondeg() for fs in X.faces.values() for f in fs)
+
+
 def _key_after(ind: SMap, m: SMap) -> tuple:
     """The key of ``ind.then(m)``, without building that map."""
     return tuple(sorted((x, m(p)) for x, p in ind.images.items()))
 
 
+def level_simplex(shape: Shape, levels: list[dict], n: int, key: tuple, target: SSet) -> EZ | None:
+    """The normal form of the level-n map F(n) -> target with this key, or None.
+    Past the computed levels the map m is s_j d_j m if m = m.F(delta_j sigma_j),
+    and degenerate only if that holds for some j (m = s_j y gives y = d_j m)."""
+    if n < len(levels):
+        return levels[n].get(key)
+    m = SMap(shape.object(n).scaled.base, target, dict(key))
+    for j in range(n):
+        sigma = degeneracy_op(n - 1, j)
+        if _key_after(shape.induced(compose(face_op(n, j), sigma), n, n), m) == key:
+            face = _key_after(shape.induced(face_op(n, j), n - 1, n), m)
+            ez = level_simplex(shape, levels, n - 1, face, target)
+            return None if ez is None else EZ(ez.core, compose(ez.op, sigma))
+    return None
+
+
 def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> SliceResult:
-    """Enumerate levels 0..cap of the representable construction for a shape;
-    the shape says which decorations the result carries and filters the maps."""
+    """Enumerate levels 0..cap of the representable construction for a shape,
+    or only up to its proven dimension bound if lower; the shape says which
+    decorations the result carries and filters the maps."""
     check_cap(cap)
+    bound = shape.dim_bound(S)
+    top = cap if bound is None else min(cap, bound)
     levels: list[dict] = []
     all_maps: list[dict] = []
     cells: list[list[str]] = [[] for _ in range(cap + 1)]
     faces: dict[str, tuple] = {}
     cell_maps: dict[str, SMap] = {}
-    for n in range(cap + 1):
+    for n in range(top + 1):
         F, pins, _ = shape.object(n)
 
         def image_ok(x, cand, F=F):
@@ -343,7 +402,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
                 m = cell_maps[name]
                 fs = []
                 for ind in delta_maps:
-                    ez = levels[n - 1].get(_key_after(ind, m))
+                    ez = level_simplex(shape, levels, n - 1, _key_after(ind, m), S.base)
                     if ez is None:
                         raise SSetError("face of a representable simplex is missing")
                     fs.append(ez)
@@ -357,25 +416,12 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
         extra = [EZ(t, idop(2)) for t in shape.upgrade("thin")]
         thin = frozenset(x for x in cells[2] if all(S.is_thin(cell_maps[x](t)) for t in extra))
     projection = None
-    pc_cells = shape.project_cell(0)
-    if pc_cells is not None:
-        images = {}
-        for n in range(cap + 1):
-            pc = shape.project_cell(n)
-            for name in cells[n]:
-                images[name] = cell_maps[name].images[pc]
+    if shape.project_cell(0) is not None:
+        images = {c: cell_maps[c].images[shape.project_cell(n)] for n in range(top + 1) for c in cells[n]}
         projection = SMap(total_base, S.base, images)
     saturated = cap >= 1 and not cells[cap] and not cells[cap - 1]
-    return SliceResult(
-        MarkedScaled(total_base, marked, thin),
-        projection,
-        provenance,
-        cap,
-        saturated,
-        cell_maps,
-        levels,
-        shape,
-    )
+    total = MarkedScaled(total_base, marked, thin)
+    return SliceResult(total, projection, provenance, cap, saturated, cell_maps, levels, shape)
 
 
 # -- public operations -----------------------------------------------------------------
@@ -406,9 +452,7 @@ def thick_slice(S: Scaled, K: MarkedScaled, f: SMap, variance: str, side: str, c
     return build_representable(shape, S, cap, f"thick slice {tag} {variance}, cap {cap}")
 
 
-def thick_slice_over_vertex(
-    S: Scaled, vertex: str, variance: str, cap: int, side: str = "over"
-) -> SliceResult:
+def thick_slice_over_vertex(S: Scaled, vertex: str, variance: str, cap: int, side: str = "over") -> SliceResult:
     return thick_slice(S, flat_ms(0), simplex_map(S.base, EZ(vertex, (0,))), variance, side, cap)
 
 
@@ -454,13 +498,6 @@ class HomShape(CartesianShape):
             elif b.op == (0, 0, 1) and a.op[1] == a.op[2] and X.is_marked(X.base.act(a, (0, 1))):
                 thin.add(c)
         return Level(Scaled(mp.sset, frozenset(thin)), pins, mp)
-
-
-def hom_triangle(C: Scaled, x: str, y: str, cap: int) -> tuple[MarkedScaled, SliceResult]:
-    """Hom^|> = the fiber at x of the slice of C over y."""
-    sl = slice_over_vertex(C, y, cap)
-    fib, _ = fiber_ms(sl.total, sl.projection, x)
-    return fib, sl
 
 
 def fun_space(K: MarkedScaled, X: Scaled, product_kind: str, cap: int) -> SliceResult:
@@ -510,14 +547,7 @@ class CocartesianSectionsShape(CartesianShape):
         return all(self.good(m(top)) for top in self.columns)
 
 
-def fun_coc_subcat(
-    K: MarkedScaled,
-    p: SMap,
-    X_scaled: Scaled,
-    f: SMap,
-    good_edges: frozenset,
-    cap: int,
-) -> SliceResult:
+def fun_coc_subcat(K: MarkedScaled, p: SMap, X_scaled: Scaled, f: SMap, good_edges: frozenset, cap: int) -> SliceResult:
     """The full subcategory of the core of the fiber of Fun(K, X) over f spanned
     by the maps sending marked K-edges into the given (co)cartesian edge set.
 
@@ -531,16 +561,17 @@ def fun_coc_subcat(
 def reindex_map(src: SliceResult, tgt: SliceResult, g: SMap | None = None, p: SMap | None = None) -> SMap:
     """The map src -> tgt sending the n-simplex m to p . m . F(g), where F(g)
     is the map of levels induced by g: K_tgt -> K_src; a missing g or p is
-    the identity.  Keys are read off the images, without building the maps."""
-    induced = None if g is None else [tgt.shape.k_induced(src.shape, g, n) for n in range(src.cap + 1)]
+    the identity.  Keys are read off the images, without building the maps;
+    past tgt's computed levels ``level_simplex`` reads them as degeneracies."""
+    induced = None if g is None else [tgt.shape.k_induced(src.shape, g, n) for n in range(len(src.levels))]
     images = {}
     for c, m in src.cell_maps.items():
         n = src.total.base.dim_of[c]
         pairs = m.images.items() if induced is None else [(x, m(y)) for x, y in induced[n].images.items()]
         if p is not None:
             pairs = [(x, p(y)) for x, y in pairs]
-        ez = tgt.levels[n].get(tuple(sorted(pairs)))
+        ez = level_simplex(tgt.shape, tgt.levels, n, tuple(sorted(pairs)), m.target if p is None else p.target)
         if ez is None:
-            raise SSetError("reindexing leaves the computed levels")
+            raise SSetError("reindexing leaves the result")
         images[c] = ez
     return SMap(src.total.base, tgt.total.base, images)

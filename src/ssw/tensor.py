@@ -43,10 +43,6 @@ def flat_ms(n: int) -> MarkedScaled:
     return decorate(standard_simplex(n), FLAT, FLAT)
 
 
-def sharp_ms(n: int) -> MarkedScaled:
-    return decorate(standard_simplex(n), SHARP, SHARP)
-
-
 def point_ms() -> MarkedScaled:
     return flat_ms(0)
 
@@ -54,11 +50,6 @@ def point_ms() -> MarkedScaled:
 def interval_sharp() -> MarkedScaled:
     """The marked interval (Delta^1)^sharp."""
     return decorate(standard_simplex(1), SHARP, FLAT)
-
-
-def triangle_thin() -> MarkedScaled:
-    """Delta^2 with flat marking and its triangle thin."""
-    return decorate(standard_simplex(2), FLAT, SHARP)
 
 
 def degenerates_along(X: SSet, pair: EZ, i: int) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_isomorphic
 from ssw.core import (
     EZ,
     CapError,
@@ -19,7 +20,6 @@ from ssw.core import (
     horn,
     horn_inclusion,
     identity_map,
-    is_isomorphic,
     isomorphisms,
     join_sset,
     joint_core,

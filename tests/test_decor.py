@@ -1,12 +1,12 @@
 import pytest
 
-from ssw.core import EZ, SSetError, is_isomorphic, standard_simplex, subcomplex, boundary
+from helpers import core_thi, is_isomorphic
+from ssw.core import EZ, SSetError, standard_simplex, subcomplex, boundary
 from ssw.decor import (
     FLAT,
     SHARP,
     MarkedScaled,
     Scaled,
-    core_thi,
     decorate,
     decorated_isomorphisms,
     is_decorated_isomorphic,
@@ -66,6 +66,24 @@ def test_decoration_validation():
     X = MarkedScaled(d2, ["01"], ("012",))
     assert (X.marked, X.thin) == ({"01"}, {"012"}) and type(X.marked) is type(X.thin) is frozenset
     assert Scaled(d2, ["012"]) == X.scaled() and X.scaled().flat_marked() == MarkedScaled(d2, (), {"012"})
+
+
+@pytest.mark.parametrize("record", ["MarkedScaled", "Scaled"])
+def test_replace_and_make_check_as_the_constructor_does(record):
+    """_replace and _make build through __new__: they reject a cell of the
+    wrong dimension and store a given list as a frozenset."""
+    d2 = standard_simplex(2)
+    X = MarkedScaled(d2) if record == "MarkedScaled" else Scaled(d2)
+    with pytest.raises(SSetError, match="thin cell '01' is not a nondegenerate 2-simplex"):
+        X._replace(thin=["01"])
+    with pytest.raises(SSetError, match="thin cell 'x' is not a nondegenerate 2-simplex"):
+        type(X)._make([d2, *([["01"]] if record == "MarkedScaled" else []), ["x"]])
+    Y = X._replace(thin=["012"])
+    assert type(Y) is type(X) and Y.thin == {"012"} and type(Y.thin) is frozenset
+    if record == "MarkedScaled":
+        with pytest.raises(SSetError, match="marked cell 'x' is not a nondegenerate 1-simplex"):
+            X._replace(marked=["x"])
+        assert type(X._replace(marked=["01"]).marked) is frozenset
 
 
 def core_thi_oracle(X: Scaled):

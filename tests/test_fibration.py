@@ -64,8 +64,9 @@ from ssw.fibration import (
 )
 from ssw.ops import idop
 from ssw.slices import slice_over_vertex, thick_slice_over_vertex
-from ssw.tensor import cone, flat_ms, join_ms, interval_sharp, point_ms, triangle_thin
+from ssw.tensor import cone, flat_ms, join_ms, interval_sharp, point_ms
 
+from helpers import triangle_thin
 from posets import poset_nerves
 
 
@@ -171,6 +172,11 @@ def test_a_refutation_needs_evidence():
         with pytest.raises(SSetError, match="a refutation needs a concrete witness"):
             Verdict(*args)
     assert Verdict(REFUTED, "x").render() == "REFUTED: x"
+    with pytest.raises(SSetError, match="a refutation needs a concrete witness"):
+        Verdict(VERIFIED)._replace(status=REFUTED)
+    with pytest.raises(SSetError, match="a refutation needs a concrete witness"):
+        Verdict._make((REFUTED, "", 3))
+    assert Verdict(VERIFIED)._replace(status=REFUTED, evidence="x") == Verdict(REFUTED, "x")
     assert Verdict(INCONCLUSIVE).render() == "INCONCLUSIVE"
     assert Verdict(VERIFIED, bound=3).render() == "VERIFIED up to dimension 3"
 

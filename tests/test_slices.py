@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings
 
+from helpers import is_isomorphic, sharp_ms, triangle_thin
+from posets import poset_nerves
 from ssw.core import (
     EZ,
     SMap,
     SSetError,
+    boundary,
+    collapse,
     empty_sset,
     enumerate_maps,
     identity_map,
-    is_isomorphic,
     simplex_map,
     standard_simplex,
 )
@@ -19,7 +23,6 @@ from ssw.slices import (
     fun_coc_subcat,
     fun_space,
     hom_category,
-    hom_triangle,
     reindex_map,
     slice_construction,
     slice_over_marked_arrow,
@@ -110,7 +113,7 @@ def test_slice_under_vs_over_opposite():
 def test_slice_adjunction_bijection():
     """|Hom(X, S_/f)| = |Hom_{K/}(X*K, S)| for small probes X."""
     from ssw.core import enumerate_maps
-    from ssw.tensor import join_ms, triangle_thin
+    from ssw.tensor import join_ms
 
     S = d2_sharp()
     K = point_ms()
@@ -229,6 +232,156 @@ def test_thick_slice_over_empty():
     assert len(sl.total.marked) == len(S.base.level(1))
 
 
+# ---------------------------------------------------------------- dimension bounds
+
+
+def boundary_quotient(n):
+    """Delta^n with its boundary collapsed to a point, every triangle thin."""
+    d = standard_simplex(n)
+    return scale(collapse(d, [c for c, k in d.dim_of.items() if k < n]).sset, SHARP)
+
+
+def bound_objects():
+    """Each base of the catalog (q_sharp and q_marked share q's, j_trunc3 is
+    its own) and Delta^n/boundary for n = 2, 3, 4, every triangle thin: the
+    maps that meet a level's thin filter under any scaling of a base are among
+    those that meet it under this one."""
+    from ssw.catalog import catalog
+
+    objects = {}
+    for name, X in catalog(check_goldens=False).items():
+        if all(X.base != S.base for S in objects.values()):
+            objects[name] = scale(X.base, SHARP)
+    for n in (2, 3, 4):
+        objects[f"d{n}/boundary"] = boundary_quotient(n)
+    return objects
+
+
+BOUND_OBJECTS = bound_objects()
+
+
+def bounded_shapes(S):
+    """The slices of S over nothing, its last vertex, its last edge and the
+    two ends of that edge, on both sides, and the thick slices over the last
+    vertex in both variances and on both sides: those with a bound.  Over an
+    edge only where dim S <= 3: over an edge of Delta^4/boundary, F(5) is
+    Delta^7, and enumerate_maps tries both images of each of its 56 4-cells
+    before a 5-cell cuts a branch (minutes)."""
+    from ssw.slices import JoinShape, ThickShape
+
+    empty = MarkedScaled(empty_sset())
+    diagrams = [(empty, SMap(empty.base, S.base, {}))]
+    thick = []
+    if S.base.level(0):
+        vertex = simplex_map(S.base, EZ(S.base.level(0)[-1], (0,)))
+        diagrams.append((point_ms(), vertex))
+        thick.append(vertex)
+    if S.base.dim <= 3 and S.base.level(0):
+        edge = simplex_map(S.base, S.base.simplices(1)[-1])
+        ends = MarkedScaled(boundary(1))
+        diagrams += [(interval_sharp(), edge), (ends, SMap(ends.base, S.base, {v: edge.images[v] for v in "01"}))]
+    shapes = []
+    for side in ("over", "under"):
+        shapes += [JoinShape(K, f, side) for K, f in diagrams]
+        shapes += [ThickShape(point_ms(), f, v, side) for f in thick for v in ("inn", "out")]
+    return [shape for shape in shapes if shape.dim_bound(S) is not None]
+
+
+def degenerate_maps_above_the_bound(shape, S):
+    """Every map F(dim S + 1) -> S that meets the level's pins and thin filter,
+    listed by enumerate_maps, after checking that each equals its pullback
+    along F(delta_j sigma_j) for some j, and so is s_j of its face d_j."""
+    from ssw.ops import compose, degeneracy_op, face_op
+
+    n = shape.dim_bound(S) + 1
+    F, pins, _ = shape.object(n)
+    maps = enumerate_maps(F.base, S.base, partial=pins, image_ok=lambda x, c: x not in F.thin or S.is_thin(c))
+    folds = [shape.induced(compose(face_op(n, j), degeneracy_op(n - 1, j)), n, n) for j in range(n)]
+    for m in maps:
+        assert any(all(m(p) == m.images[x] for x, p in fold.images.items()) for fold in folds), m.images
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_OBJECTS))
+def test_every_map_above_the_bound_is_degenerate(name):
+    S = BOUND_OBJECTS[name]
+    shapes = bounded_shapes(S)
+    assert len(shapes) >= 4  # over nothing and the vertex, on both sides, at least
+    assert sum(len(degenerate_maps_above_the_bound(shape, S)) for shape in shapes) > 0
+
+
+@given(poset_nerves())
+@settings(max_examples=10, deadline=None)
+def test_every_map_above_the_bound_is_degenerate_on_poset_nerves(N):
+    """Nerves have nondegenerate faces: every shape above has a bound."""
+    S = scale(N, SHARP)
+    shapes = bounded_shapes(S)
+    assert len(shapes) == (12 if N.level(0) else 2)
+    for shape in shapes:
+        degenerate_maps_above_the_bound(shape, S)
+
+
+def test_thick_slices_of_quotients_keep_their_cells_above_dim_S():
+    """Without nondegenerate faces a thick slice over a point has no bound:
+    over a vertex, Q with every triangle thin has 4-simplices and the sharp
+    Delta^2/boundary 3-simplices."""
+    from ssw.catalog import catalog
+
+    Q = catalog(check_goldens=False)["q_sharp"].scaled()
+    sl = thick_slice_over_vertex(Q, "0", "inn", cap=4)
+    assert (sl.shape.dim_bound(Q), sl.total.base.counts()) == (None, (4, 10, 13, 8, 2))
+    for variance, side in (("inn", "over"), ("out", "under")):
+        sl = thick_slice_over_vertex(boundary_quotient(2), "0", variance, cap=3, side=side)
+        assert sl.total.base.counts() == (1, 3, 5, 2)
+
+
+def test_the_slice_of_the_sharp_4_sphere_reaches_its_bound():
+    """Delta^4/boundary over its vertex has a 4-simplex: at caps 4, 5 and 6
+    the counts are (1, 0, 0, 1, 1), and the levels end at 4."""
+    S = boundary_quotient(4)
+    for cap in (4, 5, 6):
+        sl = slice_over_vertex(S, "0", cap)
+        assert (sl.total.base.counts(), len(sl.levels)) == ((1, 0, 0, 1, 1), 5)
+
+
+def test_a_cap_past_the_bound_costs_no_level(monkeypatch):
+    """ssw slice d2_sharp 2 prints at cap 11 what it prints at cap 4, apart from
+    the provenance line, and builds the levels F(0), F(1), F(2) only."""
+    import ssw.slices
+    from ssw.cli import run_command
+
+    built = []
+    build = ssw.slices.Shape.build
+    monkeypatch.setattr(ssw.slices, "_SHARED", {})  # a fresh level memo, so every level is built here
+    monkeypatch.setattr(ssw.slices.Shape, "build", lambda self, n: built.append(n) or build(self, n))
+    status, out = run_command(["slice", "d2_sharp", "2", "--cap", "11"])
+    assert (status, out.replace("cap 11", "cap 4")) == run_command(["slice", "d2_sharp", "2", "--cap", "4"])
+    assert out.splitlines()[0] == "provenance: slice /f (ordinary join), cap 11"
+    assert built == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["d2_sharp", "d3_sharp"])
+def test_the_bound_changes_nothing_but_the_levels(name, monkeypatch):
+    """Slices and thick slices built with their bound equal those built
+    without it up to dim S + 1, apart from the levels past the bound."""
+    from ssw.catalog import catalog
+    from ssw.slices import JoinShape, ThickShape
+
+    S = catalog(check_goldens=False)[name].scaled()
+    v = S.base.level(0)[-1]
+    cap = S.base.dim + 1
+    builds = [lambda: slice_over_vertex(S, v, cap), lambda: slice_over_vertex(S, v, cap, "under")]
+    builds += [lambda: thick_slice_over_vertex(S, v, "out", cap), lambda: thick_slice_over_vertex(S, v, "inn", cap)]
+    bounded = [build() for build in builds]
+    for shape in (JoinShape, ThickShape):
+        monkeypatch.setattr(shape, "dim_bound", lambda self, S: None)
+    for sl, build in zip(bounded, builds):
+        free = build()
+        assert (len(sl.levels), len(free.levels)) == (S.base.dim + 1, cap + 1)
+        assert sl._replace(levels=None, shape=None) == free._replace(levels=None, shape=None)
+        assert sl.levels == free.levels[: len(sl.levels)]
+
+
 # ---------------------------------------------------------------- hom categories
 
 
@@ -297,19 +450,6 @@ def test_hom_identity_vertex():
             assert len(hom.total.base.level(0)) >= 1
 
 
-def test_hom_triangle_point():
-    C = d1_sharp()
-    fib, _ = hom_triangle(C, "0", "1", cap=2)
-    assert fib.base.counts() == (1,)
-
-
-def test_hom_triangle_matches_direct_enumeration():
-    C = d2_sharp()
-    fib, _ = hom_triangle(C, "0", "2", cap=2)
-    # oracle: vertices of (C_/2)_0 are the edges of C from 0 to 2
-    assert len(fib.base.level(0)) == len(hom_vertices_oracle(C, "0", "2"))
-
-
 def test_hom_empty_when_no_arrows():
     C = d1_sharp()
     hom = hom_category(C, "1", "0", cap=2)
@@ -327,15 +467,6 @@ def test_fiber_of_product_projection():
     X = MarkedScaled(P)
     fib, _ = fiber_ms(X, pr2, "0")
     assert is_isomorphic(fib.base, d2)
-
-
-def test_fiber_of_slice_is_hom_triangle():
-    C = d2_sharp()
-    sl = slice_over_vertex(C, "2", cap=2)
-    fib, _ = fiber_ms(sl.total, sl.projection, "0")
-    direct, _ = hom_triangle(C, "0", "2", cap=2)
-    assert fib.base.counts() == direct.base.counts()
-    assert fib.marked == direct.marked
 
 
 # ---------------------------------------------------------------- functor spaces
@@ -457,7 +588,7 @@ def test_slice_adjunction_with_thin_probe():
     """|Hom(sharp-scaled triangle, S_/f)| counts thin 2-simplices plus the
     degenerate ones."""
     from ssw.core import enumerate_maps
-    from ssw.tensor import join_ms, triangle_thin
+    from ssw.tensor import join_ms
 
     S = d2_sharp()
     f = SMap(standard_simplex(0), S.base, {"0": EZ("2", (0,))})
@@ -572,7 +703,7 @@ def test_gray_functor_space_thin_triangles_follow_the_sharp_triangle(kind):
     """A triangle of Fun^gr(K, X) is thin iff its map is scaled on the Gray
     product of K with Delta^2 marked and scaled sharp."""
     from ssw.decor import is_scaled_map
-    from ssw.tensor import gray_marked_n, sharp_ms
+    from ssw.tensor import gray_marked_n
 
     X = scale(standard_simplex(2))
     seen = set()
@@ -762,11 +893,15 @@ def test_warm_builds_match_fresh_processes():
 # (the only ones here whose good-edge filter and marking drop something) and
 # of criterion 9's right sides, taken before shapes carried their own
 # decorations and filters and before reindex_map took maps instead of closures.
+# "slice d2/2" and "coslice d2 0/" were re-pinned when the engine stopped at
+# the shape's dimension bound: their levels end at 2, below the cap 3.  Their
+# digests equal those of the unbounded builds with ``levels`` cut to
+# min(cap, dim S) + 1 entries; every other content is unchanged.
 PINNED_FINGERPRINTS = {
-    "slice d2/2": "78e9d23ab2e3cc9e246f277cac8e261b8c3a7f7294652288801cbe3af736b3cd",
+    "slice d2/2": "4bab5ac7102471557e7314e7b099d349a58491a6bc735a015eb8b98d9b52eaba",
     "slice d3/3": "541b4b25707836b561128153128582e5b42132a820a00dceacd69f6d0355db54",
     "slice d3/1": "d5a3d0677ffcdc81c3e8a46e42f64fa87b5b98d5eb315ad52780414a716e1e71",
-    "coslice d2 0/": "380219acb5c0b7d066ccc20ef7dbca2a97cea324aac7e1eba289ae1cfb5c3953",
+    "coslice d2 0/": "c187c2ad3490aae89cf75fc529baa70b75b6d5a94fb000defa1ec13b36cb2bad",
     "slice d2/12": "8fab2bf97682ac6cd74abe16208a73ae285c4f21790babe90522f54d05f375ff",
     "slice d3/02": "1046208556e1d7554b400b5852eb230f09eb2577c14ba0eef4743264dd810219",
     "thick inn d2/2": "03bc970010c82c82095ecb1278d214827e5812e9e165282b8b31eb31915ada28",
@@ -814,12 +949,19 @@ def test_constructions_match_their_pinned_fingerprints():
 
 
 def reindex_by_closure(src, tgt, change):
-    """reindex_map defined by a closure: the n-simplex m goes to the cell of
-    tgt with the key of change(n, m), a map built per cell."""
+    """reindex_map defined by a closure: the n-simplex m goes to the simplex
+    (core, op) of tgt whose cell map, pulled back along F(op), has the key of
+    change(n, m), a map built per cell.  It searches tgt's simplices, not its
+    levels, which end at the shape's bound."""
     images = {}
     for c, m in src.cell_maps.items():
         n = src.total.base.dim_of[c]
-        images[c] = tgt.levels[n][change(n, m).key()]
+        key = change(n, m).key()
+        (images[c],) = [
+            ez
+            for ez in tgt.total.base.simplices(n)
+            if tgt.shape.induced(ez.op, n, ez.op[-1]).then(tgt.cell_maps[ez.core]).key() == key
+        ]
     return SMap(src.total.base, tgt.total.base, images)
 
 
@@ -829,6 +971,28 @@ def assert_same_reindexing(src, tgt, g=None, p=None):
     else:
         expected = reindex_by_closure(src, tgt, lambda n, m: m.then(p))
     assert reindex_map(src, tgt, g=g, p=p) == expected
+
+
+def test_reindexing_reads_past_the_levels_and_not_outside_the_result():
+    """The slices of Delta^2 and of a point have levels up to 2 and 0 only:
+    reindexing the slice of Delta^3 along s_1 into the first, and a slice
+    into the second, reads the simplices past them as degeneracies.  The
+    slice of Delta^2 cut at cap 0 has no edge, so reindexing the cap-2 slice
+    into it fails."""
+    from ssw.core import constant_map
+
+    S, pt = d2_sharp(), Scaled(standard_simplex(0))
+    s1 = simplex_map(S.base, EZ("012", (0, 1, 1, 2)))
+    src, tgt = slice_over_vertex(scale(standard_simplex(3), SHARP), "3", 3), slice_over_vertex(S, "2", 3)
+    assert (src.total.base.dim, len(tgt.levels)) == (3, 3)
+    assert_same_reindexing(src, tgt, p=s1)
+    full = slice_over_vertex(S, "2", 2)
+    to_point = reindex_map(full, slice_over_vertex(pt, "0", 2), p=constant_map(S.base, pt.base, "0"))
+    assert {c: ez for c, ez in to_point.images.items()} == {
+        c: EZ("s0.0", (0,) * (n + 1)) for c, n in full.total.base.dim_of.items()
+    }
+    with pytest.raises(SSetError, match="reindexing leaves the result"):
+        reindex_map(full, slice_over_vertex(S, "2", 0), p=identity_map(S.base))
 
 
 def test_reindex_map_agrees_with_closures_on_criterion_7():

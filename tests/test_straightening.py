@@ -17,8 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import is_isomorphic
 from posets import nerve, posets
-from ssw.core import EZ, SMap, identity_map, is_isomorphic
+from ssw.core import EZ, SMap, identity_map
 from ssw.decor import FLAT, SHARP, decorate, scale
 from ssw.fibration import locally_cocartesian_edges
 from ssw.slices import fun_coc_subcat

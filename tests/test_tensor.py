@@ -2,6 +2,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from helpers import is_isomorphic, scaled_isomorphic, sharp_ms
 from ssw.core import (
     EZ,
     SMap,
@@ -10,7 +11,6 @@ from ssw.core import (
     constant_map,
     coproduct,
     first_missed_dim,
-    is_isomorphic,
     standard_simplex,
     subcomplex,
 )
@@ -23,7 +23,6 @@ from ssw.decor import (
     is_decorated_isomorphic,
     pushout_ms,
     scale,
-    scaled_isomorphic,
 )
 from ssw.ops import idop
 from ssw.tensor import (
@@ -43,7 +42,6 @@ from ssw.tensor import (
     join_ms,
     marked_variants_witness,
     point_ms,
-    sharp_ms,
     thick_join,
     weighted_cone,
 )
