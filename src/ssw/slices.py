@@ -64,7 +64,9 @@ class SliceResult(NamedTuple):
     cap: int
     saturated: bool
     cell_maps: dict[str, SMap]
-    levels: list[dict]  # per computed level, up to the cap or the shape's bound: map key -> EZ
+    # per computed level, up to the cap or the shape's dim_bound (joins, thick joins over a point): map key
+    # -> EZ; reindex_map reads maps past the computed levels as degeneracies through level_simplex
+    levels: list[dict]
     shape: object
 
     @property
@@ -328,7 +330,6 @@ def check_cap(cap: int) -> None:
 
 
 def _nondegenerate_faces(X: SSet) -> bool:
-    """Whether every face of every nondegenerate simplex of X is nondegenerate."""
     return all(f.is_nondeg() for fs in X.faces.values() for f in fs)
 
 
@@ -338,9 +339,8 @@ def _key_after(ind: SMap, m: SMap) -> tuple:
 
 
 def level_simplex(shape: Shape, levels: list[dict], n: int, key: tuple, target: SSet) -> EZ | None:
-    """The normal form of the level-n map F(n) -> target with this key, or None.
-    Past the computed levels the map m is s_j d_j m if m = m.F(delta_j sigma_j),
-    and degenerate only if that holds for some j (m = s_j y gives y = d_j m)."""
+    """The normal form of the level-n map m: F(n) -> target with this key, or None; past the levels m is
+    s_j d_j m if m = m.F(delta_j sigma_j), and degenerate only then (m = s_j y gives y = d_j m)."""
     if n < len(levels):
         return levels[n].get(key)
     m = SMap(shape.object(n).scaled.base, target, dict(key))
