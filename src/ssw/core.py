@@ -11,6 +11,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .ops import (
+    IDENTITY,
     Op,
     compose,
     const_op,
@@ -45,7 +46,8 @@ def check_mode(name: str, value: str, *allowed: str) -> str:
 
 
 class EZ(NamedTuple):
-    """A simplex in EZ normal form: a degeneracy word applied to a core cell."""
+    """A simplex in EZ normal form: a degeneracy word applied to a core cell.
+    Hot loops build one as ``_new(EZ, (core, op))``, without a constructor frame."""
 
     core: str
     op: Op
@@ -55,7 +57,10 @@ class EZ(NamedTuple):
         return len(self.op) - 1
 
     def is_nondeg(self) -> bool:
-        return self.op == idop(len(self.op) - 1)
+        return self.op == IDENTITY[len(self.op)]
+
+
+_new = tuple.__new__
 
 
 def ez_str(pair: EZ) -> str:
@@ -145,7 +150,7 @@ class SSet:
         beta = compose(pair.op, alpha)
         sigma, delta = epi_mono(beta)
         sub = self._inj(pair.core, delta)
-        out = EZ(sub.core, compose(sub.op, sigma))
+        out = _new(EZ, (sub.core, compose(sub.op, sigma)))
         self._act_cache[key] = out
         return out
 
@@ -153,7 +158,7 @@ class SSet:
         """Apply a monotone injection delta: [j] -> [dim x] to a core cell."""
         k = self.dim_of[x]
         if len(delta) == k + 1:
-            return EZ(x, idop(k))
+            return _new(EZ, (x, IDENTITY[k + 1]))
         missing = max(v for v in range(k + 1) if v not in delta)
         reduced = tuple(v if v < missing else v - 1 for v in delta)
         return self.act(self.faces[x][missing], reduced)
@@ -163,15 +168,14 @@ class SSet:
         stored faces of its core by ``face_split``; they must be EZ-normal.
         A nondegenerate simplex gets the stored tuple ``faces[core]`` itself."""
         fs = self.faces.get(pair.core, ())
-        if pair.op == idop(len(fs) - 1):
+        if pair.op == IDENTITY[len(fs)]:
             return fs
         out = self._faces_of.get(pair)
         if out is None:
-            out = tuple(
-                EZ(pair.core, op) if j is None else EZ(fs[j].core, compose(fs[j].op, op))
+            out = self._faces_of[pair] = tuple(
+                _new(EZ, (pair.core, op) if j is None else (fs[j].core, compose(fs[j].op, op)))
                 for j, op in face_split(pair.op)
             )
-            self._faces_of[pair] = out
         return out
 
     def face(self, pair: EZ, i: int) -> EZ:
@@ -219,8 +223,18 @@ class SSet:
         """The order in which map search assigns images to the cells of self."""
         plan = self._plan
         if plan is None:
-            order = tuple(x for level in self.cells for x in level)
-            pos = {x: k for k, x in enumerate(order)}
+            pos: dict[str, int] = {}
+
+            def visit(x: str) -> None:  # recursion as deep as the dimension
+                if x not in pos:
+                    for f in self.faces.get(x, ()):
+                        visit(f.core)
+                    pos[x] = len(pos)
+
+            for level in reversed(self.cells):
+                for x in level:
+                    visit(x)
+            order = tuple(pos)
             faces = []
             due: list[list[int]] = [[] for _ in order]
             for k, x in enumerate(order):
@@ -230,7 +244,7 @@ class SSet:
                 faces.append(fs)
                 if fs:
                     due[max(p for p, _ in fs)].append(k)
-            plan = SearchPlan(order, tuple(faces), tuple(tuple(d) for d in due))
+            plan = SearchPlan(order, tuple(faces), tuple(tuple(d) for d in due), tuple(pos[x] for x in self.dim_of))
             self._plan = plan
         return plan
 
@@ -271,15 +285,20 @@ class SSet:
 class SearchPlan(NamedTuple):
     """Cells in search order with their faces, as positions in that order.
 
-    ``order`` lists the nondegenerate cells level by level, in the order of
-    ``cells``.  ``faces[k]`` holds ``(position of the core, op)`` for each face
-    of ``order[k]``, with ``op`` None where the face operator is the identity.
-    ``due[k]`` lists the positions of the cells whose last face is ``order[k]``.
+    ``order`` lists the nondegenerate cells depth first from the top cells,
+    each cell right after the faces it did not meet before.  It is the search
+    order of ``enumerate_maps``, not the order of its output: ``levelwise``
+    holds the positions of the cells level by level, the order in which it
+    ranks maps.  ``faces[k]`` holds ``(position of the core, op)`` for each
+    face of ``order[k]``, with ``op`` None where the face operator is the
+    identity.  ``due[k]`` lists the positions of the cells whose last face is
+    ``order[k]``.
     """
 
     order: tuple[str, ...]
     faces: tuple[tuple[tuple[int, Op | None], ...], ...]
     due: tuple[tuple[int, ...], ...]
+    levelwise: tuple[int, ...]
 
 
 # -- maps -------------------------------------------------------------------
@@ -299,9 +318,9 @@ class SMap:
         """The image img∘op of pair = (core, op); the stored image img itself
         when op is the identity of its degree."""
         img = self.images[pair.core]
-        if pair.op == idop(len(img.op) - 1):
+        if pair.op == IDENTITY[len(img.op)]:
             return img
-        return EZ(img.core, compose(img.op, pair.op))
+        return _new(EZ, (img.core, compose(img.op, pair.op)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -336,24 +355,27 @@ class SMap:
 
     def _validate(self) -> None:
         """Check EZ-normal images that commute with the faces; building an SMap never does."""
-        unknown = self.images.keys() - self.source.dim_of.keys()
+        images, dim_of, target_dim = self.images, self.source.dim_of, self.target.dim_of
+        unknown = images.keys() - dim_of.keys()
         if unknown:
             raise SSetError(f"image given for unknown cell {min(unknown)!r}")
-        for x, n in self.source.dim_of.items():
-            img = self.images.get(x)
+        faces, target_faces = self.source.faces, self.target.faces_of
+        for x, n in dim_of.items():  # level by level, so the faces of x have checked images
+            img = images.get(x)
             if img is None:
                 raise SSetError(f"no image for cell {x!r}")
-            if img.deg != n:
+            if len(img.op) != n + 1:
                 raise SSetError(f"image of {x!r} has wrong degree")
-            if img.core not in self.target.dim_of:
+            k = target_dim.get(img.core)
+            if k is None:
                 raise SSetError(f"image core {img.core!r} missing in target")
-            if not is_epi(img.op) or img.op[-1] != self.target.dim_of[img.core]:
+            if img.op[-1] != k or not is_epi(img.op):
                 raise SSetError(f"image of {x!r} is not in EZ normal form: {img}")
             if n == 0:
                 continue
-            img_faces = self.target.faces_of(img)
-            for i, f in enumerate(self.source.faces[x]):
-                if self(f) != img_faces[i]:
+            for i, (f, h) in enumerate(zip(faces[x], target_faces(img))):
+                g = images[f.core]  # self(f), inline
+                if g.core != h.core or (g.op if f.op == IDENTITY[len(g.op)] else compose(g.op, f.op)) != h.op:
                     raise SSetError(f"map does not commute with d{i} at {x!r}")
 
 
@@ -521,7 +543,7 @@ def joint_split(ops: tuple[Op, ...]) -> tuple[Op, Op]:
 def joint_core(pairs: tuple[EZ, ...]) -> tuple[tuple[EZ, ...], Op]:
     """Split a tuple of same-degree EZ pairs as (jointly nondegenerate cores, epi)."""
     section, sigma = joint_split(tuple(p.op for p in pairs))
-    return tuple(EZ(p.core, compose(p.op, section)) for p in pairs), sigma
+    return tuple(_new(EZ, (p.core, compose(p.op, section))) for p in pairs), sigma
 
 
 def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
@@ -544,13 +566,13 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         # as a filter of all pairs; (x, sigma) has shuffle partners (y, tau) only
         # if dim y >= n - dim x
         for k in range(max(0, n - Y.dim), min(n, X.dim) + 1):
-            for a in (EZ(c, sigma) for c in X.cells[k] for sigma in surjections(n, k)):
+            for a in (_new(EZ, (c, sigma)) for c in X.cells[k] for sigma in surjections(n, k)):
                 name_a = ez_str(a)
                 for l in range(n - k, min(n, Y.dim) + 1):
                     partners = shuffle_partners(a.op, l)
                     for y in Y.cells[l]:
                         for tau in partners:
-                            b = EZ(y, tau)
+                            b = _new(EZ, (y, tau))
                             x = f"({name_a},{names.get(b) or names.setdefault(b, ez_str(b))})"
                             index[(a, b)] = x
                             level.append(x)
@@ -564,8 +586,12 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         fs = []
         for f in zip(X.faces_of(a), Y.faces_of(b)):
             # a face that is a nondegenerate pair is its own joint core
-            cores, sigma = (f, idop(n - 1)) if f in index else joint_core(f)
-            fs.append(EZ(index[cores], sigma))
+            cell = index.get(f)
+            if cell is None:
+                cores, sigma = joint_core(f)
+                fs.append(_new(EZ, (index[cores], sigma)))
+            else:
+                fs.append(_new(EZ, (cell, IDENTITY[n])))
         faces[x] = tuple(fs)
     P = SSet(cells, faces, dim_cap=cap)
     return ProductResult(P, SMap(P, X, img1), SMap(P, Y, img2))
@@ -596,7 +622,7 @@ def multi_product(factors: list[SSet], dim_cap: int | None = None) -> MultiProdu
 def product_cell(mp: MultiProductResult, pairs: tuple[EZ, ...]) -> EZ:
     """Locate the simplex of an iterated product with the given components."""
     cores, sigma = joint_core(tuple(pairs))
-    return EZ(mp.index[cores], sigma)
+    return _new(EZ, (mp.index[cores], sigma))
 
 
 def product_map(src: MultiProductResult, tgt: MultiProductResult, maps: tuple[SMap, ...]) -> SMap:
@@ -790,22 +816,26 @@ def enumerate_maps(
     """All simplicial maps X -> Y extending a partial assignment, in a fixed order.
 
     The maps come in the lexicographic order of their images, with the cells
-    of X taken level by level (``X.search_plan().order``) and the candidates
-    for each cell taken in the order of ``Y.simplices``.  The candidates of a
-    vertex are all vertices of Y, or its pin; those of a cell x of dimension
-    n >= 1 are the n-simplices of Y whose faces are the images of the faces of
-    x, that equal the pin of x if it has one, and that pass ``image_ok(x, c)``.
-    ``image_ok`` must depend on its arguments only.
+    of X taken level by level and the candidates for each cell taken in the
+    order of ``Y.simplices``.  The candidates of a vertex are all vertices of
+    Y, or its pin; those of a cell x of dimension n >= 1 are the n-simplices
+    of Y whose faces are the images of the faces of x, that equal the pin of
+    x if it has one, and that pass ``image_ok(x, c)``.  ``image_ok`` must
+    depend on its arguments only.
 
-    The search is forward-checked: as soon as the last face of a cell gets its
-    image, the cell's candidate list is computed and kept until the search
-    reaches the cell, and an empty list cuts the branch.  A cut branch holds
-    no map, and each list is the one the cell would get on reaching it, so
-    forward checking changes neither the maps nor their order.  With
-    ``first_only`` the search stops at the first map.
+    The search order is not that order: the search assigns the cells in
+    ``X.search_plan().order``, each right after its faces, so that a branch
+    dies at the first cell with no candidate.  It is forward-checked: as soon
+    as the last face of a cell gets its image, the cell's candidate list is
+    computed and kept until the search reaches the cell, and an empty list
+    cuts the branch.  The maps found are sorted on the positions of their
+    images in the candidate lists, cells level by level: where two maps first
+    differ, they agree on the faces, so both positions are in one list.  With
+    ``first_only`` the search stops at the first map it finds, which need not
+    be the first map of the full list.
     """
     partial = partial or {}
-    order, faces, due = X.search_plan()
+    order, faces, due, levelwise = X.search_plan()
     size = len(order)
     if size == 0:
         return [SMap(X, Y, {})]
@@ -825,16 +855,16 @@ def enumerate_maps(
 
     def forward(j: int) -> bool:
         key = tuple(
-            images[p] if op is None else EZ(images[p].core, compose(images[p].op, op))
+            images[p] if op is None else _new(EZ, (images[p].core, compose(images[p].op, op)))
             for p, op in faces[j]
         )
         return fill(j, Y.by_faces(len(key) - 1).get(key, ()))
 
-    for j, x in enumerate(X.level(0)):
+    for j, x in zip(levelwise, X.level(0)):
         pin = partial.get(x)
         if not fill(j, Y.simplices(0) if pin is None else (pin,)):
             return []
-    found: list[SMap] = []
+    found: list[tuple[tuple[int, ...], tuple[EZ, ...]]] = []
     k = 0
     while k >= 0:
         i = cursor[k]
@@ -849,10 +879,11 @@ def enumerate_maps(
             k += 1
             cursor[k] = 0
             continue
-        found.append(SMap(X, Y, dict(zip(order, images))))
+        found.append((tuple(cursor[p] for p in levelwise), tuple(images[p] for p in levelwise)))
         if first_only:
             break
-    return found
+    found.sort()
+    return [SMap(X, Y, dict(zip(X.dim_of, imgs))) for _, imgs in found]
 
 
 def _joint_signatures(X: SSet, Y: SSet, tags_x=None, tags_y=None):

@@ -81,12 +81,10 @@ class Verdict(_VerdictFields):
 def combine(verdicts) -> Verdict:
     """REFUTED dominates, then INCONCLUSIVE, then VERIFIED with minimum bound."""
     verdicts = list(verdicts)
-    for v in verdicts:
-        if v.status == REFUTED:
-            return v
-    for v in verdicts:
-        if v.status == INCONCLUSIVE:
-            return v
+    for status in (REFUTED, INCONCLUSIVE):
+        for v in verdicts:
+            if v.status == status:
+                return v
     bounds = [v.bound for v in verdicts if v.bound is not None]
     return Verdict(VERIFIED, bound=min(bounds) if bounds else None)
 
@@ -324,7 +322,8 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
     tuple's own ``X.by_faces(n, facets)`` bucket.  The filters are those
     ``enumerate_maps`` and ``find_lift`` apply.  Of the tops that fail, the
     first in the order of ``problems_for`` has the least rank key, the
-    positions of its images in ``X.simplices`` over ``A.search_plan().order``;
+    positions of its images in ``X.simplices`` over the cells of A level by
+    level (the order of ``A.dim_of``, in which ``enumerate_maps`` ranks maps);
     only its bottom is built as an SMap.
     """
     B, Xb, Yb = gen.B.base, X.base, Y.base
@@ -402,7 +401,7 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
     def rank(ys):
         if not positions:
             positions.update((s, k) for d in range(n) for k, s in enumerate(Xb.simplices(d)))
-        return tuple(positions[at(a, ys)] for a in gen.A.base.search_plan().order)
+        return tuple(positions[at(a, ys)] for a in gen.A.base.dim_of)
 
     fillers, failed = Xb.by_faces(n, facets), []
     for ys in tops([]):

@@ -9,8 +9,9 @@ face maps.
 are memoized like ``surjections`` and ``injections``: the faces of degenerate
 simplices, actions, validation and product cells go through them, on few
 distinct arguments.  The faces and images of a nondegenerate simplex are read
-off the stored ones without them (``SSet.faces_of``, ``SMap.__call__``).  They
-take operators as tuples, never lists.
+off the stored ones without them (``SSet.faces_of``, ``SMap.__call__``), after
+an identity test against the ``IDENTITY`` table, a subscript where ``idop`` is
+a call.  They take operators as tuples, never lists.
 """
 from __future__ import annotations
 
@@ -23,6 +24,14 @@ Op = tuple  # tuple[int, ...]
 @lru_cache(maxsize=None)
 def idop(m: int) -> Op:
     return tuple(range(m + 1))
+
+
+class _Identities(dict):
+    def __missing__(self, length: int) -> Op:
+        return self.setdefault(length, tuple(range(length)))
+
+
+IDENTITY: dict[int, Op] = _Identities()  # op is an identity iff op == IDENTITY[len(op)]
 
 
 def is_monotone(op: Op) -> bool:

@@ -60,10 +60,6 @@ def degenerates_along(X: SSet, pair: EZ, i: int) -> bool:
     return not X.act(pair, (i, i + 1)).is_nondeg()
 
 
-def degenerates_to_point(pair: EZ, base: SSet) -> bool:
-    return base.dim_of[pair.core] == 0
-
-
 def simplex_from_word(word) -> EZ:
     """The simplex of a standard simplex with the given monotone vertex word."""
     sigma, delta = epi_mono(tuple(word))
@@ -134,7 +130,7 @@ def gray_variant_scalings(X: MarkedScaled, Y: MarkedScaled) -> VariantScalings:
         a, b = pr1(top), pr2(top)
         if t in gr.scaled.thin:
             both_degenerate = not a.is_nondeg() and not b.is_nondeg()
-            to_point = degenerates_to_point(a, X.base) or degenerates_to_point(b, Y.base)
+            to_point = X.base.dim_of[a.core] == 0 or Y.base.dim_of[b.core] == 0
             if both_degenerate or to_point:
                 minus.add(t)
         if X.is_thin(a) and Y.is_thin(b):
@@ -227,18 +223,11 @@ class JoinMS(NamedTuple):
 def join_ms(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> JoinMS:
     """The join of marked-scaled simplicial sets (output is scaled only)."""
     J, i1, i2, mixed = join_sset(X.base, Y.base, dim_cap=dim_cap)
-    thin = set()
-    for t in X.thin:
-        thin.add(i1.images[t].core)
-    for t in Y.thin:
-        thin.add(i2.images[t].core)
-    for e in X.marked:
-        for v in Y.base.level(0):
-            thin.add(mixed[(e, v)])
-    for v in X.base.level(0):
-        for e in Y.marked:
-            thin.add(mixed[(v, e)])
-    return JoinMS(Scaled(J, frozenset(thin)), i1, i2, mixed)
+    # the thin triangles of the ends, and the marked edges of one end joined with a vertex of the other
+    thin = push_cells(i1, X.thin) | push_cells(i2, Y.thin)
+    thin |= {mixed[(e, v)] for e in X.marked for v in Y.base.level(0)}
+    thin |= {mixed[(v, e)] for v in X.base.level(0) for e in Y.marked}
+    return JoinMS(Scaled(J, thin), i1, i2, mixed)
 
 
 # -- thick joins ---------------------------------------------------------------------
@@ -352,12 +341,9 @@ def cone(variance: str, side: str, K: MarkedScaled) -> ConeResult:
         tj = thick_join(variance, K, pt)
         star = tj.incl_right.images["0"].core
         k_incl = tj.incl_left
-    marked = set(push_cells(k_incl, K.marked))
     total = tj.total
-    for e in total.base.level(1):
-        if star in total.base.vertices_of(EZ(e, idop(1))):
-            marked.add(e)
-    return ConeResult(MarkedScaled(total.base, frozenset(marked), total.thin), tj, star)
+    through = {e for e in total.base.level(1) if star in total.base.vertices_of(EZ(e, idop(1)))}
+    return ConeResult(MarkedScaled(total.base, push_cells(k_incl, K.marked) | through, total.thin), tj, star)
 
 
 class WeightedCone(NamedTuple):
@@ -556,29 +542,13 @@ class HomotopyReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all(
-            (
-                self.retraction_ok,
-                self.h_end1_ok,
-                self.k_end1_ok,
-                self.h_end0_ok,
-                self.k_end0_ok,
-                self.h_constant,
-                self.k_constant,
-                self.scaled_ok,
-            )
-        )
+        return all(self[3:])
 
 
 def _word(pair: EZ) -> tuple[int, ...]:
     """The vertex word of a simplex of a standard simplex of dimension at most 9,
     whose cell names spell their vertices digit by digit."""
     return tuple(int(pair.core[v]) for v in pair.op)
-
-
-def _word_components(tj: ThickJoin, pair: EZ):
-    """Vertex words of a middle simplex in each Gray factor."""
-    return tuple(_word(proj(pair)) for proj in (tj.proj_right, tj.proj_int, tj.proj_left))
 
 
 def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
@@ -594,7 +564,8 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     # The vertex words of each cell of G and of each middle cell of the total: a
     # simplex of G is one word triple, nondegenerate where no two neighbouring
     # letters agree in all three words.
-    word_of = {m: _word_components(tj, EZ(m, idop(n))) for m, n in tj.mid.scaled.base.dim_of.items()}
+    projs = (tj.proj_right, tj.proj_int, tj.proj_left)
+    word_of = {m: tuple(_word(pr(EZ(m, idop(n)))) for pr in projs) for m, n in tj.mid.scaled.base.dim_of.items()}
     cell_of = {w: m for m, w in word_of.items()}
     words = {c: word_of[payload] for c, (kind, payload) in tj.comp.items() if kind == "M"}
 
@@ -603,16 +574,12 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         section, sigma = joint_split((yw, iw, xw))
         return tj.quotient(EZ(cell_of[tuple(tuple(w[t] for t in section) for w in (yw, iw, xw))], sigma))
 
-    def s_image(word) -> EZ:
-        yw = tuple(0 if v <= p else v - p - 1 for v in word)
-        iw = tuple(0 if v <= p else 1 for v in word)
-        xw = tuple(v if v <= p else p for v in word)
-        return mid(yw, iw, xw)
-
+    # a cell x*y of J (x or y empty at an end) has the vertices of x in Delta^p, then
+    # those of y in Delta^q; s puts the first over interval vertex 0, the rest over 1
     s_images = {}
-    for c, n in J.dim_of.items():
-        word = [int(v) for v in _join_vertex_word(J, c, p)]
-        s_images[c] = s_image(word)
+    for c in J.dim_of:
+        xw, yw = (tuple(int(v) for v in name) for name in c.split("*"))
+        s_images[c] = mid((0,) * len(xw) + yw, (0,) * len(xw) + (1,) * len(yw), xw + (p,) * len(yw))
     s = SMap(J, total, s_images)
 
     u_images = {}
@@ -628,14 +595,17 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     PT, prT, prI = product(total, standard_simplex(1), dim_cap=total.dim + 1)
     # h and k are u at time 0; at time 1, h is s after r and k the identity
     h_images, k_images = {}, {}
+    over = None  # the product lists the cells over one simplex of the total together
     for cell in PT.dim_of:
         cpair = prT.images[cell]
         if cpair.core not in words:  # a cell of the left or right end
             h_images[cell] = k_images[cell] = cpair
             continue
-        yw, iw, xw = (tuple(w[t] for t in cpair.op) for w in words[cpair.core])
+        if cpair != over:
+            over = cpair
+            yw, iw, xw = (tuple(w[t] for t in cpair.op) for w in words[cpair.core])
+            uy = tuple(0 if i == 0 else y for y, i in zip(yw, iw))
         tw = _word(prI.images[cell])
-        uy = tuple(0 if i == 0 else y for y, i in zip(yw, iw))
         h_images[cell] = mid(uy, iw, tuple(x if t == 0 or i == 0 else p for x, i, t in zip(xw, iw, tw)))
         k_images[cell] = mid(tuple(y if t == 1 else v for y, v, t in zip(yw, uy, tw)), iw, xw)
     h = SMap(PT, total, h_images)
@@ -685,16 +655,3 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     if not report.ok:
         raise SSetError(f"join comparison homotopy verification failed: {report}")
     return report
-
-
-def _join_vertex_word(J: SSet, cell: str, p: int) -> list[int]:
-    """Vertices of a join cell as labels in Delta^{p+q+1}."""
-    out = []
-    for v in J.vertices_of(EZ(cell, idop(J.dim_of[cell]))):
-        if v.endswith("*"):
-            out.append(int(v[:-1]))
-        elif v.startswith("*"):
-            out.append(int(v[1:]) + p + 1)
-        else:
-            raise SSetError(f"unexpected join vertex {v!r}")
-    return out

@@ -11,6 +11,7 @@ from ssw.core import (
     SSetError,
     boundary,
     boundary_inclusion,
+    collapse,
     constant_map,
     coproduct,
     empty_sset,
@@ -451,6 +452,26 @@ def test_product_splits_only_the_faces_that_are_degenerate_pairs(monkeypatch):
         assert all(len(set(zip(a.op, b.op))) < len(a.op) for a, b in calls)
 
 
+def test_smap_rejects_a_cell_without_an_image():
+    d1 = standard_simplex(1)
+    with pytest.raises(SSetError, match="no image for cell '01'"):
+        SMap(d1, d1, {"0": EZ("0", (0,)), "1": EZ("1", (0,))})._validate()
+
+
+def test_smap_rejects_an_image_of_the_wrong_degree():
+    d1 = standard_simplex(1)
+    with pytest.raises(SSetError, match="image of '01' has wrong degree"):
+        SMap(d1, d1, {"0": EZ("0", (0,)), "1": EZ("1", (0,)), "01": EZ("0", (0,))})._validate()
+
+
+def test_smap_rejects_images_that_do_not_commute_with_faces():
+    d1, d2 = standard_simplex(1), standard_simplex(2)
+    vertices = {"0": EZ("0", (0,)), "1": EZ("1", (0,))}
+    for edge, i in ((EZ("02", (0, 1)), 0), (EZ("1", (0, 0)), 1)):
+        with pytest.raises(SSetError, match=f"map does not commute with d{i} at '01'"):
+            SMap(d1, d2, {**vertices, "01": edge})._validate()
+
+
 def test_smap_rejects_images_not_in_ez_normal_form():
     d0, d1 = standard_simplex(0), standard_simplex(1)
     with pytest.raises(SSetError, match="EZ normal form"):
@@ -667,6 +688,61 @@ def test_enumerate_maps_empty_source_and_target():
 @settings(max_examples=30, deadline=None)
 def test_enumerate_maps_between_nerves_matches_brute_force(X, Y):
     assert map_keys(X, Y) == brute_force_maps(X, Y)
+    check_search_plan(X)
+    check_first_only(X, Y)
+
+
+def check_search_plan(X):
+    """The search order holds every cell of X once, after all of its faces,
+    and ``levelwise`` reads it back level by level."""
+    plan = X.search_plan()
+    position = {x: k for k, x in enumerate(plan.order)}
+    assert len(position) == len(plan.order) and position.keys() == X.dim_of.keys()
+    assert all(position[f.core] < position[x] for x, fs in X.faces.items() for f in fs)
+    assert [plan.order[k] for k in plan.levelwise] == list(X.dim_of)
+
+
+def check_first_only(X, Y, **kwargs):
+    """With first_only, one of the maps, or none if there is none."""
+    full, first = map_keys(X, Y, **kwargs), map_keys(X, Y, first_only=True, **kwargs)
+    assert first == [] if not full else len(first) == 1 and first[0] in full
+
+
+def test_search_plans_and_first_maps_on_the_catalog():
+    from ssw.catalog import catalog
+
+    bases = {name: X.base for name, X in catalog(check_goldens=False).items()}
+    for Y in bases.values():
+        check_search_plan(Y)
+        for X in (standard_simplex(2), horn(2, 1), boundary(2)):
+            check_first_only(X, Y)
+    # filtered, where the first map found is not the first map of the list
+    banned = {EZ("0", (0, 0, 0)), EZ("123", (0, 1, 2)), EZ("23", (0, 0, 1)), EZ("23", (0, 1, 1))}
+    filtered = {"image_ok": lambda x, c: c not in banned}
+    check_first_only(standard_simplex(2), bases["q_sharp"], **filtered)
+    full = map_keys(standard_simplex(2), bases["q_sharp"], **filtered)
+    assert map_keys(standard_simplex(2), bases["q_sharp"], first_only=True, **filtered) != full[:1]
+
+
+def counted_maps(X, Y):
+    """The maps X -> Y and the number of candidate checks, counted as calls
+    of image_ok, as the benchmark's tracer counts them."""
+    checks = []
+    maps = enumerate_maps(X, Y, image_ok=lambda x, c: checks.append(c) is None)
+    return len(maps), len(checks)
+
+
+def test_maps_onto_sphere_quotients_cut_dead_branches_at_once():
+    """Delta^(n+3) -> Delta^n/boundary: each cell below dimension n may go to
+    the point or to a degeneracy of the collapsed cell until a cell above it
+    rules one out.  Assigning cells level by level made 610,871 checks for
+    n = 3 (minutes for n = 4); assigning each cell right after its faces cuts
+    a dead branch at the first cell above it."""
+    for n, count, most in ((3, 21, 10_000), (4, 36, 100_000)):
+        d = standard_simplex(n)
+        S = collapse(d, [c for c, k in d.dim_of.items() if k < n]).sset
+        maps, checks = counted_maps(standard_simplex(n + 3), S)
+        assert (maps, checks <= most) == (count, True), checks
 
 
 def test_searches_do_not_recurse_per_cell():

@@ -263,10 +263,7 @@ BOUND_OBJECTS = bound_objects()
 def bounded_shapes(S):
     """The slices of S over nothing, its last vertex, its last edge and the
     two ends of that edge, on both sides, and the thick slices over the last
-    vertex in both variances and on both sides: those with a bound.  Over an
-    edge only where dim S <= 3: over an edge of Delta^4/boundary, F(5) is
-    Delta^7, and enumerate_maps tries both images of each of its 56 4-cells
-    before a 5-cell cuts a branch (minutes)."""
+    vertex in both variances and on both sides: those with a bound."""
     from ssw.slices import JoinShape, ThickShape
 
     empty = MarkedScaled(empty_sset())
@@ -276,7 +273,6 @@ def bounded_shapes(S):
         vertex = simplex_map(S.base, EZ(S.base.level(0)[-1], (0,)))
         diagrams.append((point_ms(), vertex))
         thick.append(vertex)
-    if S.base.dim <= 3 and S.base.level(0):
         edge = simplex_map(S.base, S.base.simplices(1)[-1])
         ends = MarkedScaled(boundary(1))
         diagrams += [(interval_sharp(), edge), (ends, SMap(ends.base, S.base, {v: edge.images[v] for v in "01"}))]
@@ -333,6 +329,9 @@ def test_thick_slices_of_quotients_keep_their_cells_above_dim_S():
     for variance, side in (("inn", "over"), ("out", "under")):
         sl = thick_slice_over_vertex(boundary_quotient(2), "0", variance, cap=3, side=side)
         assert sl.total.base.counts() == (1, 3, 5, 2)
+    # and no 4-simplex: level 4 searches maps from a thick join with 161 cells,
+    # most with two candidates, which ends quickly only if dead branches are cut at once
+    assert thick_slice_over_vertex(boundary_quotient(2), "0", "inn", cap=4).total.base.counts() == (1, 3, 5, 2)
 
 
 def test_the_slice_of_the_sharp_4_sphere_reaches_its_bound():
