@@ -7,11 +7,12 @@ pins.  Levels are enumerated exactly up to the cap, or to the shape's proven
 bound on the dimension of cells if lower: dim S for slices over nothing or a
 simplex, for any slice and for thick slices over a point of an S with
 nondegenerate faces; Gray, cartesian, hom and section shapes have none.
-Reindexing reads maps past the computed levels as degeneracies.  The
-saturation flag records whether the last two levels were purely degenerate.
-The levels F(n), the reindexing maps F(alpha) and the upgrades of a shape do
-not depend on S, on the diagram or on the cap, so they are built once per
-process and shared by every shape with the same parameters.
+One Eilenberg-Zilber rule gives every level map its normal form, inside the
+computed levels and past them: m is degenerate iff m = s_j d_j m for some j.
+The saturation flag records whether the last two levels were purely
+degenerate.  The levels F(n), the reindexing maps F(alpha) and the upgrades
+of a shape do not depend on S, on the diagram or on the cap, so they are
+built once per process and shared by every shape with the same parameters.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class SliceResult(NamedTuple):
     saturated: bool
     cell_maps: dict[str, SMap]
     # per computed level, up to the cap or the shape's dim_bound (joins, thick joins over a point): map key
-    # -> EZ; reindex_map reads maps past the computed levels as degeneracies through level_simplex
+    # -> EZ, as level_simplex reads it; it reads maps past the computed levels by the same rule
     levels: list[dict]
     shape: object
 
@@ -339,14 +340,17 @@ def _key_after(ind: SMap, m: SMap) -> tuple:
 
 
 def level_simplex(shape: Shape, levels: list[dict], n: int, key: tuple, target: SSet) -> EZ | None:
-    """The normal form of the level-n map m: F(n) -> target with this key, or None; past the levels m is
-    s_j d_j m if m = m.F(delta_j sigma_j), and degenerate only then (m = s_j y gives y = d_j m)."""
+    """The normal form of the level-n map m: F(n) -> target with this key, or None.  One rule reads
+    every level map (Eilenberg-Zilber): a computed level is looked up; in the level being built and past
+    the levels m is s_j d_j m if m = m.F(delta_j sigma_j), compared image by image, and degenerate only
+    then (m = s_j y gives y = d_j m).  None: no j fixes m, or the face d_j m is not in the level below."""
     if n < len(levels):
         return levels[n].get(key)
     m = SMap(shape.object(n).scaled.base, target, dict(key))
     for j in range(n):
         sigma = degeneracy_op(n - 1, j)
-        if _key_after(shape.induced(compose(face_op(n, j), sigma), n, n), m) == key:
+        fold = shape.induced(compose(face_op(n, j), sigma), n, n)
+        if all(m(p) == m.images[x] for x, p in fold.images.items()):
             face = _key_after(shape.induced(face_op(n, j), n - 1, n), m)
             ez = level_simplex(shape, levels, n - 1, face, target)
             return None if ez is None else EZ(ez.core, compose(ez.op, sigma))
@@ -356,12 +360,12 @@ def level_simplex(shape: Shape, levels: list[dict], n: int, key: tuple, target: 
 def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> SliceResult:
     """Enumerate levels 0..cap of the representable construction for a shape,
     or only up to its proven dimension bound if lower; the shape says which
-    decorations the result carries and filters the maps."""
+    decorations the result carries and filters the maps.  ``level_simplex``
+    reads each enumerated map, and those it finds nondegenerate are the cells."""
     check_cap(cap)
     bound = shape.dim_bound(S)
     top = cap if bound is None else min(cap, bound)
     levels: list[dict] = []
-    all_maps: list[dict] = []
     cells: list[list[str]] = [[] for _ in range(cap + 1)]
     faces: dict[str, tuple] = {}
     cell_maps: dict[str, SMap] = {}
@@ -373,40 +377,19 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
                 return False
             return shape.image_ok(n, x, cand)
 
-        maps = enumerate_maps(F.base, S.base, partial=pins, image_ok=image_ok)
-        table = {m.key(): m for m in maps}
-        deg_assign: dict = {}
-        if n >= 1:
-            sigma_maps = [shape.induced(degeneracy_op(n - 1, i), n, n - 1) for i in range(n)]
-            for key, m_prev in all_maps[n - 1].items():
-                prev_ez = levels[n - 1][key]
-                for i, ind in enumerate(sigma_maps):
-                    k2 = _key_after(ind, m_prev)
-                    if k2 not in table:
-                        raise SSetError("degenerate map missed by level enumeration")
-                    if k2 not in deg_assign:
-                        deg_assign[k2] = EZ(
-                            prev_ez.core, compose(prev_ez.op, degeneracy_op(n - 1, i))
-                        )
-        fresh = sorted(key for key in table if key not in deg_assign)
-        for idx, key in enumerate(fresh):
+        maps = {m.key(): m for m in enumerate_maps(F.base, S.base, partial=pins, image_ok=image_ok)}
+        level = {key: level_simplex(shape, levels, n, key, S.base) for key in maps}
+        delta_maps = [shape.induced(face_op(n, i), n - 1, n) for i in range(n + 1)] if n else []
+        for idx, key in enumerate(sorted(key for key, ez in level.items() if ez is None)):
             name = f"s{n}.{idx}"
             cells[n].append(name)
-            cell_maps[name] = table[key]
-            deg_assign[key] = EZ(name, idop(n))
-        levels.append({key: deg_assign[key] for key in table})
-        all_maps.append(table)
-        if n >= 1:
-            delta_maps = [shape.induced(face_op(n, i), n - 1, n) for i in range(n + 1)]
-            for name in cells[n]:
-                m = cell_maps[name]
-                fs = []
-                for ind in delta_maps:
-                    ez = level_simplex(shape, levels, n - 1, _key_after(ind, m), S.base)
-                    if ez is None:
-                        raise SSetError("face of a representable simplex is missing")
-                    fs.append(ez)
-                faces[name] = tuple(fs)
+            cell_maps[name] = m = maps[key]
+            level[key] = EZ(name, idop(n))
+            if delta_maps:
+                faces[name] = tuple(level_simplex(shape, levels, n - 1, _key_after(d, m), S.base) for d in delta_maps)
+                if None in faces[name]:
+                    raise SSetError("face of a representable simplex is missing")
+        levels.append(level)
     total_base = SSet(cells, faces, dim_cap=cap)
     marked = thin = frozenset()
     if shape.has_marking and cap >= 1:
@@ -435,8 +418,15 @@ def slice_construction(S: Scaled, K: MarkedScaled, f: SMap, side: str, cap: int)
     return build_representable(shape, S, cap, f"slice {tag} (ordinary join), cap {cap}")
 
 
+def _vertex(S: Scaled, v: str) -> EZ:
+    """The vertex v of S, or an error naming it."""
+    if S.base.dim_of.get(v) != 0:
+        raise SSetError(f"no vertex {v!r}")
+    return EZ(v, (0,))
+
+
 def slice_over_vertex(S: Scaled, vertex: str, cap: int, side: str = "over") -> SliceResult:
-    return slice_construction(S, flat_ms(0), simplex_map(S.base, EZ(vertex, (0,))), side, cap)
+    return slice_construction(S, flat_ms(0), simplex_map(S.base, _vertex(S, vertex)), side, cap)
 
 
 def slice_over_marked_arrow(S: Scaled, arrow: EZ, cap: int) -> SliceResult:
@@ -453,7 +443,7 @@ def thick_slice(S: Scaled, K: MarkedScaled, f: SMap, variance: str, side: str, c
 
 
 def thick_slice_over_vertex(S: Scaled, vertex: str, variance: str, cap: int, side: str = "over") -> SliceResult:
-    return thick_slice(S, flat_ms(0), simplex_map(S.base, EZ(vertex, (0,))), variance, side, cap)
+    return thick_slice(S, flat_ms(0), simplex_map(S.base, _vertex(S, vertex)), variance, side, cap)
 
 
 def fiber_ms(X: MarkedScaled, p: SMap, vertex: str) -> tuple[MarkedScaled, SMap]:
@@ -466,8 +456,7 @@ def hom_category(C: Scaled, x: str, y: str, cap: int) -> SliceResult:
     """The mapping category Hom_C(x, y): maps Delta^n x Delta^1 -> C constant on
     the ends, with the staircase triangles thin."""
     for v in (x, y):
-        if v not in C.base.level(0):
-            raise SSetError(f"no vertex {v!r} in C")
+        _vertex(C, v)
     return build_representable(HomShape(x, y), C, cap, f"hom({x},{y}), cap {cap}")
 
 

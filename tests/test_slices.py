@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import is_isomorphic, sharp_ms, triangle_thin
-from posets import poset_nerves
+from posets import nerve, poset_nerves
 from ssw.core import (
     EZ,
     SMap,
@@ -379,6 +379,107 @@ def test_the_bound_changes_nothing_but_the_levels(name, monkeypatch):
         assert (len(sl.levels), len(free.levels)) == (S.base.dim + 1, cap + 1)
         assert sl._replace(levels=None, shape=None) == free._replace(levels=None, shape=None)
         assert sl.levels == free.levels[: len(sl.levels)]
+
+
+def representable_builds(S, cap):
+    """Results of the level engine on S at this cap: the slices over the last
+    vertex and the last edge on both sides, the thick slices over the last
+    vertex in both variances on both sides and the hom from the first vertex
+    to the last (when S has a vertex), and the Gray and cartesian functor
+    spaces from the flat interval."""
+    builds = [fun_space(flat_ms(1), S, kind, cap) for kind in ("gray_left", "gray_right", "cartesian")]
+    if not S.base.level(0):
+        return builds
+    first, last = S.base.level(0)[0], S.base.level(0)[-1]
+    edge = simplex_map(S.base, S.base.simplices(1)[-1])
+    for side in ("over", "under"):
+        builds.append(slice_over_vertex(S, last, cap, side))
+        builds.append(slice_construction(S, interval_sharp(), edge, side, cap))
+        builds += [thick_slice_over_vertex(S, last, variance, cap, side) for variance in ("inn", "out")]
+    return builds + [hom_category(S, first, last, cap)]
+
+
+def assert_degeneracies_come_from_below(sl, S):
+    """The derivation of the degenerate level maps from the level below, as
+    an oracle for the levels read by level_simplex: for every map m of a
+    level n - 1 below the top computed level, s_i m = m.F(sigma_i) is a key of
+    level n, and its normal form is s_i of the normal form of m."""
+    from ssw.ops import degeneracy_op
+
+    for n in range(1, len(sl.levels)):
+        source = sl.shape.object(n - 1).scaled.base
+        for key, ez in sl.levels[n - 1].items():
+            m = SMap(source, S.base, dict(key))
+            for i in range(n):
+                sigma = degeneracy_op(n - 1, i)
+                deg = sl.shape.induced(sigma, n, n - 1).then(m).key()
+                assert deg in sl.levels[n], (sl.provenance, n, i, key)
+                assert sl.levels[n][deg] == sl.total.base.act(ez, sigma), (sl.provenance, n, i, key)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_OBJECTS))
+def test_degenerate_level_maps_come_from_below(name):
+    S = BOUND_OBJECTS[name]
+    for sl in representable_builds(S, 2):
+        assert_degeneracies_come_from_below(sl, S)
+
+
+@given(poset_nerves())
+@settings(max_examples=10, deadline=None)
+def test_degenerate_level_maps_come_from_below_on_poset_nerves(N):
+    S = scale(N, SHARP)
+    for sl in representable_builds(S, 2):
+        assert_degeneracies_come_from_below(sl, S)
+
+
+def test_degenerate_level_maps_of_sections_come_from_below():
+    """The sections of the product fibration Delta^1 x Delta^2 -> Delta^1, up
+    to level 3: the nerve of the arrows a <= b of [2], ordered pointwise."""
+    from ssw.core import product
+
+    d1 = standard_simplex(1)
+    P, pr1, _ = product(d1, standard_simplex(2))
+    S = scale(P, SHARP)
+    sl = fun_coc_subcat(MarkedScaled(d1), pr1, S, identity_map(d1), frozenset(P.level(1)), 3)
+    arrows = [(a, b) for a in range(3) for b in range(a, 3)]
+    less = {(i, j) for i, x in enumerate(arrows) for j, y in enumerate(arrows) if x != y and x[0] <= y[0] and x[1] <= y[1]}
+    assert sl.total.base.counts() == nerve(len(arrows), less).counts()[:4] == (6, 14, 16, 9)
+    assert_degeneracies_come_from_below(sl, S)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["nondegenerate", "degenerate"])
+@pytest.mark.parametrize("build", [
+    lambda: slice_over_vertex(d2_sharp(), "2", 2),
+    lambda: fun_space(flat_ms(1), d2_sharp(), "cartesian", 2),
+], ids=["slice", "cartesian"])
+def test_a_map_missing_below_the_top_level_leaves_a_face_missing(build, degenerate, monkeypatch):
+    """Levels need no degenerate maps listed ahead of time: a map m dropped
+    from the enumeration of the level below the top, degenerate or not,
+    leaves s_0 m with its face d_0 m missing."""
+    import ssw.slices
+
+    below = build().levels[-2]
+    dropped = next(key for key, ez in below.items() if ez.is_nondeg() != degenerate)
+    listed = ssw.slices.enumerate_maps
+    monkeypatch.setattr(ssw.slices, "enumerate_maps", lambda *a, **k: [m for m in listed(*a, **k) if m.key() != dropped])
+    with pytest.raises(SSetError, match="face of a representable simplex is missing"):
+        build()
+
+
+MISSING_VERTEX_BUILDS = {
+    "slice_over_vertex": lambda S, v: slice_over_vertex(S, v, 2),
+    "thick_slice_over_vertex": lambda S, v: thick_slice_over_vertex(S, v, "inn", 2),
+    "hom_category from": lambda S, v: hom_category(S, v, "0", 2),
+    "hom_category to": lambda S, v: hom_category(S, "0", v, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_VERTEX_BUILDS))
+def test_constructions_over_a_vertex_name_a_missing_vertex(name):
+    """A name that is no cell, and the name of an edge, are no vertex."""
+    for v in ("9", "01"):
+        with pytest.raises(SSetError, match=f"^no vertex '{v}'$"):
+            MISSING_VERTEX_BUILDS[name](d2_sharp(), v)
 
 
 # ---------------------------------------------------------------- hom categories

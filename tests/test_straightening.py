@@ -24,10 +24,11 @@ from ssw.decor import FLAT, SHARP, decorate, scale
 from ssw.fibration import locally_cocartesian_edges
 from ssw.slices import fun_coc_subcat
 
-# Generated diagrams keep to results of height at most 1.  At cap 4 one build
-# takes 0.1-1.2 s in tier-1, and at cap 5 seconds: the level engine enumerates
-# every map, degenerate ones included (ROADMAP item 2).  The chosen diagrams
-# below reach cap 4.
+# Generated diagrams keep to results of height at most 1.  With every build
+# validated, as in tier-1, one build takes 0.2-1.3 s at cap 4 and 3.8-4.6 s at
+# cap 5 (the lax limit of 0 < 1 < 2 with fibres {0 < 1} and identity maps): the
+# level engine enumerates every map, degenerate ones included (ROADMAP item 2).
+# The chosen diagrams below reach cap 4.
 MAX_CAP = 3
 
 
