@@ -105,6 +105,26 @@ def check_scaled_map(f: SMap, K: Scaled | MarkedScaled, S: Scaled | MarkedScaled
         raise SSetError(f"{what} is not a scaled map")
 
 
+def pulled_back_thin(P: SSet, maps, scalings) -> frozenset:
+    """The triangles of P that every map P -> X sends to a thin triangle of the
+    scaling of X paired with it: the scaling pulled back along the maps."""
+    return frozenset(t for t in P.level(2) if all(S.is_thin(f.images[t]) for f, S in zip(maps, scalings)))
+
+
+def witness_face(X: Scaled | MarkedScaled, rho: EZ, triangle: str, faces=(1, 2)) -> int:
+    """The face k among ``faces`` with d_k rho the triangle, when every other face
+    of the 3-simplex rho is thin in X: the one rule by which a prescribed
+    3-simplex makes a triangle thin.  Raises otherwise, naming the face that fails."""
+    dfaces = X.base.faces_of(rho)
+    k = next((k for k in faces if dfaces[k] == EZ(triangle, idop(2))), None)
+    if k is None:
+        raise SSetError(f"no face d_k, k in {faces}, of the witness of {triangle!r} is that triangle")
+    for i, f in enumerate(dfaces):
+        if i != k and not X.is_thin(f):
+            raise SSetError(f"face d_{i} of the witness of {triangle!r} is not thin")
+    return k
+
+
 def push_cells(f: SMap, cells) -> frozenset:
     """Images of nondegenerate cells along a map, each at its own dimension
     (a marking or a scaling); images that degenerate are dropped."""
@@ -128,8 +148,7 @@ def restrict_ms(X: MarkedScaled, incl: SMap) -> MarkedScaled:
     """Decoration induced on a subcomplex along its inclusion."""
     sub = incl.source
     marked = frozenset(e for e in sub.level(1) if incl.images[e].core in X.marked)
-    thin = frozenset(t for t in sub.level(2) if incl.images[t].core in X.thin)
-    return MarkedScaled(sub, marked, thin)
+    return MarkedScaled(sub, marked, pulled_back_thin(sub, (incl,), (X,)))
 
 
 # -- decorated isomorphism ------------------------------------------------------

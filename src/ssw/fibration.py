@@ -43,9 +43,11 @@ from .decor import (
     Scaled,
     check_scaled_map,
     decorate,
+    pulled_back_thin,
     push_cells,
     pushout_ms,
     restrict_ms,
+    witness_face,
 )
 from .ops import Op, idop, injections, op_reverse
 from .tensor import (
@@ -591,13 +593,7 @@ def weak_cartesian_via_slice(p: SMap, X: Scaled, Y: Scaled, e: EZ, cap: int = 3)
     images = {c: pair_cell(pb, to_y.images[c], e_to_fe.images[c]) for c in sl_e.total.base.dim_of}
     cmpmap = SMap(sl_e.total.base, pb, images)
     Xside = MarkedScaled(sl_e.total.base, frozenset(sl_e.total.base.level(1)), sl_e.total.thin)
-    pb_thin = set()
-    for t in pb.level(2):
-        top = EZ(t, idop(2))
-        a, b = pr1(top), pr2(top)
-        if sl_y.scaled.is_thin(a) and sl_fe.scaled.is_thin(b):
-            pb_thin.add(t)
-    Yside = MarkedScaled(pb, frozenset(pb.level(1)), frozenset(pb_thin))
+    Yside = MarkedScaled(pb, frozenset(pb.level(1)), pulled_back_thin(pb, (pr1, pr2), (sl_y.total, sl_fe.total)))
     fam = boundary_family(cap, marked_generator=False, scaled_generator=True)
     return has_rlp(cmpmap, Xside, Yside, fam)
 
@@ -798,13 +794,12 @@ class FiltrationStep(NamedTuple):
     index: int
     horn_vertex: int
     new_cells: tuple
-    pushout_ok: bool
-    scaling_ok: bool
 
 
 def lax_lift_filtration(n: int) -> list:
     """The filtration of (flat Delta^1) Gray (flat Delta^n): each middle step a
-    pushout of a scaled inner horn, the last of a flat outer horn."""
+    pushout of a scaled inner horn, the last of a flat outer horn.  Raises at the
+    first step that is not a pushout of its horn."""
     if n > 4:
         raise SSetError("filtration is size-guarded to n <= 4")
     d1 = Scaled(standard_simplex(1))
@@ -814,7 +809,7 @@ def lax_lift_filtration(n: int) -> list:
     pr1, pr2 = g.projections
     top_dn = "".join(str(i) for i in range(n + 1))
     x0 = {c for c, nd in P.dim_of.items() if pr2(EZ(c, idop(nd))).core != top_dn or pr1(EZ(c, idop(nd))).core == "1"}
-    stages, steps = [x0], []
+    prev, steps = x0, []
     for i in range(n + 1):
         a_word = [0] * (i + 1) + [1] * (n + 1 - i)
         b_word = list(range(i + 1)) + list(range(i, n + 1))
@@ -824,28 +819,27 @@ def lax_lift_filtration(n: int) -> list:
         tau_map = simplex_map(P, tau)
         dnp1 = tau_map.source
         tplus = [t for t in dnp1.level(2) if int(t[0]) == i and int(t[1]) == i + 1 and int(t[2]) > i + 1]
-        prev = stages[-1]
         new = {img.core for img in tau_map.images.values() if img.is_nondeg() and img.core not in prev}
         horn_vertex = i + 1
         opp = "".join(str(v) for v in range(n + 2) if v != horn_vertex)
         # the new cells are tau and its face opposite the horn vertex, and the
         # preimage of the previous stage is exactly the horn
-        pushout_ok = new == {tau_map.images[opp].core, tau.core} and all(
+        if new != {tau_map.images[opp].core, tau.core} or not all(
             (img.core in prev or not img.is_nondeg()) == (c not in (opp, dnp1.level(n + 1)[0]))
             for c, img in tau_map.images.items()
-        )
+        ):
+            raise SSetError(f"filtration step {i} is not a pushout of its horn")
         # scaling: images of T+ are thin, and the new thin cells are exactly
         # those images, none at the last step (a flat horn)
         thin_prev = {t for t in g.scaled.thin if t in prev}
         thin_next = {t for t in g.scaled.thin if t in prev | new}
         images_tplus = {img.core for img in (tau_map(EZ(t, idop(2))) for t in tplus) if img.is_nondeg()}
-        scaling_ok = images_tplus <= g.scaled.thin and thin_next == thin_prev | (images_tplus if i < n else set())
-        steps.append(FiltrationStep(i, horn_vertex, tuple(sorted(new)), pushout_ok, scaling_ok))
-        stages.append(prev | new)
-    if stages[-1] != set(P.dim_of):
+        if not images_tplus <= g.scaled.thin or thin_next != thin_prev | (images_tplus if i < n else set()):
+            raise SSetError(f"filtration step {i} does not scale as its horn")
+        steps.append(FiltrationStep(i, horn_vertex, tuple(sorted(new))))
+        prev = prev | new
+    if prev != set(P.dim_of):
         raise SSetError("filtration does not exhaust the Gray product")
-    if not all(s.pushout_ok and s.scaling_ok for s in steps):
-        raise SSetError(f"filtration verification failed: {steps}")
     return steps
 
 
@@ -878,24 +872,13 @@ def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Ve
         )
     sigma = next(iter(diff))
     rho = pair_cell(P, simplex_from_word([0, 1, 1, 1]), simplex_from_word([0, 0, 1, 2]))
-    scaledT = Scaled(P, frozenset(T))
-    faces = P.faces_of(rho)
-    if faces[1] != EZ(sigma, idop(2)):
-        return Verdict(REFUTED, "the 3-simplex does not recover the missing triangle as d_1")
-    for i in (0, 2, 3):
-        if not scaledT.is_thin(faces[i]):
-            return Verdict(REFUTED, f"face d_{i} of the witness is not in T")
-    if use_opposite:
-        # transport the whole statement through the opposite and recheck
-        Pop = opposite(P)
-        rho_op = EZ(rho.core, op_reverse(rho.op))
-        faces_op = Pop.faces_of(rho_op)
-        scaledTop = Scaled(Pop, frozenset(T))
-        if faces_op[2] != EZ(sigma, idop(2)):
-            return Verdict(REFUTED, "opposite transport does not recover the triangle as d_2")
-        for i in (0, 1, 3):
-            if not scaledTop.is_thin(faces_op[i]):
-                return Verdict(REFUTED, f"opposite face d_{i} not thin")
+    try:
+        witness_face(Scaled(P, T), rho, sigma, (1,))
+        if use_opposite:
+            # transport the whole statement through the opposite and recheck
+            witness_face(Scaled(opposite(P), T), EZ(rho.core, op_reverse(rho.op)), sigma, (2,))
+    except SSetError as err:
+        return Verdict(REFUTED, str(err))
     return Verdict(VERIFIED)
 
 

@@ -42,6 +42,7 @@ from .decor import (
     Scaled,
     check_scaled_map,
     decorate,
+    pulled_back_thin,
     restrict_ms,
 )
 from .ops import compose, const_op, degeneracy_op, face_op, idop
@@ -309,13 +310,7 @@ class CartesianShape(Shape):
 
     def variant(self, X: MarkedScaled) -> Level:
         mp = multi_product([X.base, self.K.base], dim_cap=X.base.dim + self.K.base.dim)
-        pr1, pr2 = mp.projections
-        thin = set()
-        for t in mp.sset.level(2):
-            top = EZ(t, idop(2))
-            if X.is_thin(pr1(top)) and self.K.is_thin(pr2(top)):
-                thin.add(t)
-        return Level(Scaled(mp.sset, frozenset(thin)), {}, mp)
+        return Level(Scaled(mp.sset, pulled_back_thin(mp.sset, mp.projections, (X, self.K))), {}, mp)
 
     def reindex(self, src, tgt, d: SMap, k: SMap) -> SMap:
         return product_map(src, tgt, (d, k))
@@ -339,20 +334,23 @@ def _key_after(ind: SMap, m: SMap) -> tuple:
     return tuple(sorted((x, m(p)) for x, p in ind.images.items()))
 
 
-def level_simplex(shape: Shape, levels: list[dict], n: int, key: tuple, target: SSet) -> EZ | None:
-    """The normal form of the level-n map m: F(n) -> target with this key, or None.  One rule reads
-    every level map (Eilenberg-Zilber): a computed level is looked up; in the level being built and past
-    the levels m is s_j d_j m if m = m.F(delta_j sigma_j), compared image by image, and degenerate only
-    then (m = s_j y gives y = d_j m).  None: no j fixes m, or the face d_j m is not in the level below."""
+def level_simplex(shape: Shape, levels: list[dict], n: int, m: SMap) -> EZ | None:
+    """The normal form of the level-n map m: F(n) -> S, or None.  One rule reads every level
+    map (Eilenberg-Zilber): a computed level is looked up; in the level being built and past
+    the levels m is s_j d_j m if m = m.F(delta_j sigma_j), compared image by image, and
+    degenerate only then (m = s_j y gives y = d_j m).  None: no j fixes m, or the face d_j m is
+    not in the level below, which is looked up by key when computed and built only past it."""
     if n < len(levels):
-        return levels[n].get(key)
-    m = SMap(shape.object(n).scaled.base, target, dict(key))
+        return levels[n].get(m.key())
     for j in range(n):
         sigma = degeneracy_op(n - 1, j)
         fold = shape.induced(compose(face_op(n, j), sigma), n, n)
         if all(m(p) == m.images[x] for x, p in fold.images.items()):
-            face = _key_after(shape.induced(face_op(n, j), n - 1, n), m)
-            ez = level_simplex(shape, levels, n - 1, face, target)
+            d = shape.induced(face_op(n, j), n - 1, n)
+            if n == len(levels):
+                ez = levels[n - 1].get(_key_after(d, m))
+            else:
+                ez = level_simplex(shape, levels, n - 1, d.then(m))
             return None if ez is None else EZ(ez.core, compose(ez.op, sigma))
     return None
 
@@ -378,7 +376,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
             return shape.image_ok(n, x, cand)
 
         maps = {m.key(): m for m in enumerate_maps(F.base, S.base, partial=pins, image_ok=image_ok)}
-        level = {key: level_simplex(shape, levels, n, key, S.base) for key in maps}
+        level = {key: level_simplex(shape, levels, n, m) for key, m in maps.items()}
         delta_maps = [shape.induced(face_op(n, i), n - 1, n) for i in range(n + 1)] if n else []
         for idx, key in enumerate(sorted(key for key, ez in level.items() if ez is None)):
             name = f"s{n}.{idx}"
@@ -386,7 +384,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
             cell_maps[name] = m = maps[key]
             level[key] = EZ(name, idop(n))
             if delta_maps:
-                faces[name] = tuple(level_simplex(shape, levels, n - 1, _key_after(d, m), S.base) for d in delta_maps)
+                faces[name] = tuple(levels[n - 1].get(_key_after(d, m)) for d in delta_maps)
                 if None in faces[name]:
                     raise SSetError("face of a representable simplex is missing")
         levels.append(level)
@@ -550,8 +548,8 @@ def fun_coc_subcat(K: MarkedScaled, p: SMap, X_scaled: Scaled, f: SMap, good_edg
 def reindex_map(src: SliceResult, tgt: SliceResult, g: SMap | None = None, p: SMap | None = None) -> SMap:
     """The map src -> tgt sending the n-simplex m to p . m . F(g), where F(g)
     is the map of levels induced by g: K_tgt -> K_src; a missing g or p is
-    the identity.  Keys are read off the images, without building the maps;
-    past tgt's computed levels ``level_simplex`` reads them as degeneracies."""
+    the identity.  ``level_simplex`` reads each such map: it looks it up in
+    tgt's computed levels, and past them reads it as a degeneracy."""
     induced = None if g is None else [tgt.shape.k_induced(src.shape, g, n) for n in range(len(src.levels))]
     images = {}
     for c, m in src.cell_maps.items():
@@ -559,7 +557,8 @@ def reindex_map(src: SliceResult, tgt: SliceResult, g: SMap | None = None, p: SM
         pairs = m.images.items() if induced is None else [(x, m(y)) for x, y in induced[n].images.items()]
         if p is not None:
             pairs = [(x, p(y)) for x, y in pairs]
-        ez = level_simplex(tgt.shape, tgt.levels, n, tuple(sorted(pairs)), m.target if p is None else p.target)
+        moved = SMap(tgt.shape.object(n).scaled.base, m.target if p is None else p.target, dict(pairs))
+        ez = level_simplex(tgt.shape, tgt.levels, n, moved)
         if ez is None:
             raise SSetError("reindexing leaves the result")
         images[c] = ez

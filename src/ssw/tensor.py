@@ -33,8 +33,10 @@ from .decor import (
     check_scaled_map,
     decorate,
     is_scaled_map,
+    pulled_back_thin,
     push_cells,
     pushout_ms,
+    witness_face,
 )
 from .ops import const_op, degeneracy_op, epi_mono, idop, op_join
 
@@ -143,31 +145,25 @@ def gray_variant_scalings(X: MarkedScaled, Y: MarkedScaled) -> VariantScalings:
     )
 
 
-class Witness3(NamedTuple):
-    """A 3-simplex witnessing a scaling difference, with its checked faces."""
+class Witness(NamedTuple):
+    """A 3-simplex rho that makes a triangle thin: its face ``face`` is the
+    triangle, and ``witness_face`` has found its other faces thin."""
 
+    triangle: str
     rho: EZ
-    si: int
-    sj: int
-    face_index: int
-    faces_thin: tuple[bool, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(b for i, b in enumerate(self.faces_thin) if i != self.face_index)
+    face: int
 
 
 def marked_variants_witness(
     variants: VariantScalings, X: MarkedScaled, Y: MarkedScaled, cell: str, which: str
-) -> Witness3:
-    """The prescribed 3-simplex for a triangle in T_plus - T_gr or T_gr - T_minus."""
+) -> Witness:
+    """The prescribed 3-simplex for a triangle in T_plus - T_gr or T_gr - T_minus,
+    checked against the smaller scaling."""
     check_mode("which", which, "plus", "gr")
-    P = variants.gr.base
     pr1, pr2 = variants.projections
-    top = EZ(cell, idop(2))
-    if not top.is_nondeg() or P.dim_of.get(cell) != 2:
+    if variants.gr.base.dim_of.get(cell) != 2:
         raise SSetError("witness wanted for a non-triangle")
-    a, b = pr1(top), pr2(top)
+    a, b = pr1.images[cell], pr2.images[cell]
     if which == "plus":
         if cell in variants.gr.thin or cell not in variants.plus.thin:
             raise SSetError("triangle is not in T_plus - T_gr")
@@ -195,15 +191,7 @@ def marked_variants_witness(
     rho = product_cell(
         variants.mp, (X.base.act(a, degeneracy_op(2, si)), Y.base.act(b, degeneracy_op(2, sj)))
     )
-    dfaces = P.faces_of(rho)
-    face_index = next((i for i in (1, 2) if dfaces[i] == top), None)
-    if face_index is None:
-        raise SSetError("prescribed 3-simplex does not recover the triangle")
-    faces_thin = tuple(smaller.is_thin(f) for f in dfaces)
-    w = Witness3(rho, si, sj, face_index, faces_thin)
-    if not w.ok:
-        raise SSetError(f"witness verification failed for {cell!r}")
-    return w
+    return Witness(cell, rho, witness_face(smaller, rho, cell))
 
 
 # -- decorated join -----------------------------------------------------------------
@@ -431,13 +419,6 @@ class JoinEqData(NamedTuple):
     Tprime: frozenset
 
 
-class JoinEqWitness(NamedTuple):
-    sigma: str
-    eta: EZ
-    face_index: int
-    strict: bool  # all side faces already in T (not just previously added)
-
-
 @lru_cache(maxsize=1)
 def join_eq_data(p: int, q: int) -> JoinEqData:
     """T and T' on Delta^p outer-join Delta^q, with the comparison map; the last
@@ -456,8 +437,6 @@ def join_eq_data(p: int, q: int) -> JoinEqData:
 def _join_eq_eta(data: JoinEqData, cell: str) -> tuple[EZ, int]:
     """The prescribed 3-simplex for a triangle in T' - T (two cases)."""
     tj = data.cmp.tj
-    G = tj.mid.scaled.base
-    total = tj.total.base
     kind, payload = tj.comp[cell]
     if kind != "M":
         raise SSetError("T' - T triangles live in the middle part")
@@ -482,35 +461,21 @@ def _join_eq_eta(data: JoinEqData, cell: str) -> tuple[EZ, int]:
     return eta, face_index
 
 
-def join_eq_witness(data: JoinEqData, cell: str, already: frozenset = frozenset()) -> JoinEqWitness:
+def join_eq_witness(data: JoinEqData, cell: str, already: frozenset = frozenset()) -> Witness:
     """Check the prescribed witness: one face is the triangle itself and the
     other three lie in T (or were already added)."""
     if cell in data.T or cell not in data.Tprime:
         raise SSetError(f"{cell!r} is not in T' - T")
-    total = data.cmp.tj.total.base
     eta, face_index = _join_eq_eta(data, cell)
-    dfaces = total.faces_of(eta)
-    if dfaces[face_index] != EZ(cell, idop(2)):
-        raise SSetError(f"witness for {cell!r} does not recover it")
-    small = Scaled(total, data.T)
-    strict = True
-    for i, f in enumerate(dfaces):
-        if i == face_index:
-            continue
-        if small.is_thin(f):
-            continue
-        strict = False
-        if not (f.is_nondeg() and f.core in already):
-            raise SSetError(f"witness face {i} of {cell!r} is not thin")
-    return JoinEqWitness(cell, eta, face_index, strict)
+    return Witness(cell, eta, witness_face(Scaled(data.cmp.tj.total.base, data.T | already), eta, cell, (face_index,)))
 
 
-def join_eq_witnesses(p: int, q: int) -> tuple[JoinEqData, list[JoinEqWitness]]:
+def join_eq_witnesses(p: int, q: int) -> tuple[JoinEqData, list[Witness]]:
     """A pushout order adding every T' - T triangle via its witness."""
     data = join_eq_data(p, q)
     remaining = set(data.Tprime - data.T)
     done: set = set()
-    order: list[JoinEqWitness] = []
+    order: list[Witness] = []
     while remaining:
         hit = None
         for cell in sorted(remaining):
@@ -522,8 +487,8 @@ def join_eq_witnesses(p: int, q: int) -> tuple[JoinEqData, list[JoinEqWitness]]:
         if hit is None:
             raise SSetError("no pushout order for the comparison witnesses")
         order.append(hit)
-        done.add(hit.sigma)
-        remaining.remove(hit.sigma)
+        done.add(hit.triangle)
+        remaining.remove(hit.triangle)
     return data, order
 
 
@@ -639,8 +604,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     h_constant = constant_on_vertices(h)
     k_constant = constant_on_vertices(k)
 
-    prod_thin = frozenset(t for t in PT.level(2) if TT.is_thin(prT.images[t]))
-    PT_scaled = Scaled(PT, prod_thin)
+    PT_scaled = Scaled(PT, pulled_back_thin(PT, (prT,), (TT,)))
     scaled_ok = (
         is_scaled_map(h, PT_scaled, TT)
         and is_scaled_map(k, PT_scaled, TT)

@@ -1,7 +1,23 @@
+import re
+
 import pytest
 
-from helpers import core_thi, is_isomorphic
-from ssw.core import EZ, SSetError, standard_simplex, subcomplex, boundary
+from helpers import core_thi, is_isomorphic, sharp_ms
+from ssw.catalog import catalog
+from ssw.core import (
+    EZ,
+    SSetError,
+    boundary,
+    enumerate_maps,
+    first_missed_dim,
+    opposite,
+    pair_cell,
+    product,
+    pullback,
+    simplex_map,
+    standard_simplex,
+    subcomplex,
+)
 from ssw.decor import (
     FLAT,
     SHARP,
@@ -10,7 +26,19 @@ from ssw.decor import (
     decorate,
     decorated_isomorphisms,
     is_decorated_isomorphic,
+    pulled_back_thin,
     scale,
+    witness_face,
+)
+from ssw.ops import idop, op_reverse
+from ssw.tensor import (
+    flat_ms,
+    gray_scaled,
+    gray_variant_scalings,
+    interval_sharp,
+    join_eq_witnesses,
+    marked_variants_witness,
+    simplex_from_word,
 )
 
 
@@ -164,3 +192,98 @@ def test_decorated_iso_needs_base_iso():
     assert not is_decorated_isomorphic(
         MarkedScaled(d1), MarkedScaled(two)
     )
+
+
+# -- the witness rule and the pulled-back scaling ---------------------------------------
+
+
+def prescribed_witnesses():
+    """(scaling, rho, triangle, face) for the prescribed 3-simplices of criteria
+    2, 3 and 8, each with the scaling its other faces must be thin in."""
+    out = []
+    # criterion 2: the variant scalings of Gray products, against the smaller scaling
+    for X, Y in [(sharp_ms(2), flat_ms(1)), (decorate(standard_simplex(2), SHARP, SHARP), interval_sharp())]:
+        v = gray_variant_scalings(X, Y)
+        for which, smaller, larger in (("plus", v.gr, v.plus), ("gr", v.minus, v.gr)):
+            for t in sorted(larger.thin - smaller.thin):
+                w = marked_variants_witness(v, X, Y, t, which)
+                out.append((smaller, w.rho, t, w.face))
+    # criterion 3: the join comparison, against T and the triangles added before
+    data, order = join_eq_witnesses(2, 2)
+    for k, w in enumerate(order):
+        done = frozenset(x.triangle for x in order[:k])
+        out.append((Scaled(data.cmp.tj.total.base, data.T | done), w.rho, w.triangle, w.face))
+    # criterion 8: the cocartesian witness in Delta^1 x Delta^2, against the Gray
+    # scaling and the triangles over a vertex of Delta^1, and through the opposite
+    g = gray_scaled(Scaled(standard_simplex(1)), Scaled(standard_simplex(2)), dim_cap=3)
+    P, pr1 = g.scaled.base, g.projections[0]
+    T = g.scaled.thin | {t for t in P.level(2) if pr1.images[t].core in ("0", "1")}
+    rho = pair_cell(P, simplex_from_word([0, 1, 1, 1]), simplex_from_word([0, 0, 1, 2]))
+    sigma = pair_cell(P, simplex_from_word([0, 1, 1]), simplex_from_word([0, 1, 2])).core
+    out.append((Scaled(P, T), rho, sigma, 1))
+    out.append((Scaled(opposite(P), T), EZ(rho.core, op_reverse(rho.op)), sigma, 2))
+    return out
+
+
+def test_witness_face_accepts_each_prescribed_witness():
+    witnesses = prescribed_witnesses()
+    assert {face for *_, face in witnesses} == {1, 2}
+    for X, rho, triangle, face in witnesses:
+        assert witness_face(X, rho, triangle, (face,)) == face
+
+
+def test_witness_face_rejects_a_rho_whose_listed_faces_miss_the_triangle():
+    for X, rho, triangle, face in prescribed_witnesses():
+        with pytest.raises(SSetError, match="is that triangle"):
+            witness_face(X, rho, triangle, tuple(k for k in range(4) if k != face))
+
+
+def test_witness_face_rejects_a_rho_with_another_face_removed_from_the_scaling():
+    removed = 0
+    for X, rho, triangle, face in prescribed_witnesses():
+        faces = X.base.faces_of(rho)
+        for i, f in enumerate(faces):
+            if i != face and f.is_nondeg():
+                first = min(j for j, other in enumerate(faces) if j != face and other == f)
+                with pytest.raises(SSetError, match=re.escape(f"face d_{first} of the witness of {triangle!r} is not thin")):
+                    witness_face(Scaled(X.base, X.thin - {f.core}), rho, triangle, (face,))
+                removed += 1
+    assert removed >= len(prescribed_witnesses())
+
+
+def brute_thin(P, maps, scalings) -> list:
+    """For each map f: the triangles t of P such that the composite
+    Delta^2 -> P -> X of t and f sends 012 to a degenerate or thin triangle."""
+    out = [set() for _ in maps]
+    for t in P.level(2):
+        simplex = simplex_map(P, EZ(t, idop(2)))
+        for thin, f, S in zip(out, maps, scalings):
+            img = simplex.then(f).images["012"]
+            if len(set(img.op)) < 3 or img.core in S.thin:
+                thin.add(t)
+    return out
+
+
+def test_pulled_back_thin_matches_a_brute_force_reading():
+    """On products and on pullbacks over Delta^1 of catalog objects, along both
+    projections and along the first alone."""
+    cat = catalog(check_goldens=False)
+    cases = []
+    names = ["d2_sharp", "horn21", "d1_gray_d1", "q_sharp", "j_trunc3"]
+    for k, a in enumerate(names):
+        for b in names[k:]:
+            cases.append((product(cat[a].base, cat[b].base), (cat[a], cat[b])))
+    d1 = standard_simplex(1)
+    names = ["d2_sharp", "d3_sharp", "d1_gray_d1"]
+    onto = {a: [f for f in enumerate_maps(cat[a].base, d1) if first_missed_dim(f) is None][:2] for a in names}
+    for k, a in enumerate(names):
+        for b in names[k:]:
+            cases += [(pullback(f, g), (cat[a], cat[b])) for f in onto[a] for g in onto[b]]
+    assert len(cases) == 39  # 15 products and 24 pullbacks
+    thin_somewhere = 0
+    for (P, pr1, pr2), scalings in cases:
+        first, second = brute_thin(P, (pr1, pr2), scalings)
+        assert pulled_back_thin(P, (pr1, pr2), scalings) == first & second
+        assert pulled_back_thin(P, (pr1,), scalings[:1]) == first
+        thin_somewhere += bool(first & second)
+    assert thin_somewhere > 0

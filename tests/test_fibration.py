@@ -14,6 +14,7 @@ from ssw.core import (
     first_missed_dim,
     horn,
     identity_map,
+    pair_cell,
     product,
     simplex_cell,
     standard_simplex,
@@ -64,7 +65,7 @@ from ssw.fibration import (
 )
 from ssw.ops import idop
 from ssw.slices import slice_over_vertex, thick_slice_over_vertex
-from ssw.tensor import cone, flat_ms, join_ms, interval_sharp, point_ms
+from ssw.tensor import cone, flat_ms, join_ms, interval_sharp, point_ms, simplex_from_word
 
 from helpers import triangle_thin
 from posets import poset_nerves
@@ -670,11 +671,33 @@ def test_certificate_wrong_attach_refuted():
 # ---------------------------------------------------------------- lax-lift filtration
 
 
+def drop_thin_triangle(monkeypatch, words):
+    """Make every Gray product that ssw.fibration builds lose the thin triangle
+    with these two vertex words."""
+    import ssw.fibration as fibration
+
+    gray = fibration.gray_scaled
+
+    def dropped(X, Y, dim_cap=None):
+        g = gray(X, Y, dim_cap=dim_cap)
+        t = pair_cell(g.scaled.base, *map(simplex_from_word, words)).core
+        assert t in g.scaled.thin
+        return g._replace(scaled=Scaled(g.scaled.base, g.scaled.thin - {t}))
+
+    monkeypatch.setattr(fibration, "gray_scaled", dropped)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_lax_lift_filtration(n):
+def test_lax_lift_filtration(n, monkeypatch):
     steps = lax_lift_filtration(n)
-    assert len(steps) == n + 1
-    assert all(s.pushout_ok and s.scaling_ok for s in steps)
+    assert [(s.index, s.horn_vertex, len(s.new_cells)) for s in steps] == [(i, i + 1, 2) for i in range(n + 1)]
+    if n == 0:
+        return  # Delta^1 x Delta^0 has no triangle to drop
+    # negative control: without the thin triangle (0,0)(1,0)(1,1), which the
+    # first inner horn makes thin, step 0 must fail
+    drop_thin_triangle(monkeypatch, ([0, 1, 1], [0, 0, 1]))
+    with pytest.raises(SSetError, match="filtration step 0 does not scale as its horn"):
+        lax_lift_filtration(n)
 
 
 # ---------------------------------------------------------------- cocartesian witness
@@ -684,6 +707,15 @@ def test_cocar_witness():
     assert cocar_witness_check().status == VERIFIED
     assert cocar_witness_check(use_opposite=True).status == VERIFIED
     assert cocar_witness_check(perturb=True).status == REFUTED
+
+
+def test_cocar_witness_refutes_a_face_off_the_scaling(monkeypatch):
+    """Drop the witness's face d_2, the triangle (0,0)(1,0)(1,2), from both Gray
+    products: the difference set is still the one triangle, and the face check
+    refutes."""
+    drop_thin_triangle(monkeypatch, ([0, 1, 1], [0, 0, 2]))
+    v = cocar_witness_check()
+    assert v.status == REFUTED and v.evidence.startswith("face d_2 of the witness of")
 
 
 # ---------------------------------------------------------------- limit cones

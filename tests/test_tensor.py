@@ -273,6 +273,14 @@ def test_flat_inputs_minus_equals_gr():
     assert v.minus.thin == v.gr.thin
 
 
+def assert_makes_thin(w, smaller: Scaled) -> None:
+    """Read off faces_of: d_face rho is the triangle, and every other face of
+    rho is degenerate or a thin triangle of the smaller scaling."""
+    faces = smaller.base.faces_of(w.rho)
+    assert faces[w.face] == EZ(w.triangle, idop(2))
+    assert all(not f.is_nondeg() or f.core in smaller.thin for i, f in enumerate(faces) if i != w.face)
+
+
 def test_sharp_marked_plus_strictly_contains_gr():
     # on Delta^1 factors every 2-simplex component is degenerate, so the three
     # scalings coincide; strictness needs a nondegenerate thin component
@@ -283,7 +291,7 @@ def test_sharp_marked_plus_strictly_contains_gr():
     assert v2.plus.thin > v2.gr.thin
     witness = sorted(v2.plus.thin - v2.gr.thin)[0]
     w = marked_variants_witness(v2, sharp_ms(2), flat_ms(1), witness, "plus")
-    assert w.ok
+    assert_makes_thin(w, v2.gr)
 
 
 def test_marked_variants_witnesses_exhaustive():
@@ -297,12 +305,10 @@ def test_marked_variants_witnesses_exhaustive():
     for X, Y in cases:
         v = gray_variant_scalings(X, Y)
         for t in v.plus.thin - v.gr.thin:
-            w = marked_variants_witness(v, X, Y, t, "plus")
-            assert w.ok
+            assert_makes_thin(marked_variants_witness(v, X, Y, t, "plus"), v.gr)
             seen_plus += 1
         for t in v.gr.thin - v.minus.thin:
-            w = marked_variants_witness(v, X, Y, t, "gr")
-            assert w.ok
+            assert_makes_thin(marked_variants_witness(v, X, Y, t, "gr"), v.minus)
             seen_gr += 1
     assert seen_plus > 0 and seen_gr > 0
 
@@ -313,6 +319,23 @@ def test_marked_variants_witness_rejects_wrong_input():
     inside = next(iter(v.gr.thin))
     with pytest.raises(SSetError):
         marked_variants_witness(v, X, X, inside, "plus")
+
+
+@pytest.mark.parametrize("which", ["plus", "gr"])
+def test_marked_variants_witness_checks_the_smaller_scaling(which):
+    """A witness whose other face is thin only in the larger scaling is rejected:
+    the face is dropped from T_gr (plus witnesses) or T_minus (gr witnesses)."""
+    X, Y = sharp_ms(2), flat_ms(1)
+    v = gray_variant_scalings(X, Y)
+    field = "gr" if which == "plus" else "minus"
+    smaller = getattr(v, field)
+    larger = v.plus if which == "plus" else v.gr
+    t = sorted(larger.thin - smaller.thin)[0]
+    w = marked_variants_witness(v, X, Y, t, which)
+    other = next(f for i, f in enumerate(smaller.base.faces_of(w.rho)) if i != w.face and f.is_nondeg())
+    thinner = v._replace(**{field: Scaled(smaller.base, smaller.thin - {other.core})})
+    with pytest.raises(SSetError, match="of the witness of .* is not thin"):
+        marked_variants_witness(thinner, X, Y, t, which)
 
 
 # ------------------------------------------------------------------ decorated join
@@ -659,8 +682,8 @@ def test_compare_r_rejects_a_comparison_that_misses_a_cell(monkeypatch):
 def test_join_eq_witnesses_exhaustive():
     for p, q in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         data, order = join_eq_witnesses(p, q)
-        assert {w.sigma for w in order} == set(data.Tprime - data.T)
-        assert all(w.face_index in (1, 2) for w in order)
+        assert {w.triangle for w in order} == set(data.Tprime - data.T)
+        assert all(w.face in (1, 2) for w in order)
 
 
 def test_join_eq_witness_rejects_T_members():
@@ -668,6 +691,18 @@ def test_join_eq_witness_rejects_T_members():
     t = next(iter(data.T))
     with pytest.raises(SSetError):
         join_eq_witness(data, t)
+
+
+def test_join_eq_witness_checks_T_and_the_triangles_added_before():
+    """A witness whose other face is dropped from T is rejected, and accepted
+    again once that face counts as added before it."""
+    data, order = join_eq_witnesses(2, 2)
+    w = order[0]
+    f = next(f for i, f in enumerate(data.cmp.tj.total.base.faces_of(w.rho)) if i != w.face and f.is_nondeg())
+    thinner = data._replace(T=data.T - {f.core})
+    with pytest.raises(SSetError, match="of the witness of .* is not thin"):
+        join_eq_witness(thinner, w.triangle)
+    assert join_eq_witness(thinner, w.triangle, frozenset({f.core})) == w
 
 
 def test_join_eq_homotopies():
