@@ -8,6 +8,7 @@ immutable after construction and every operation is pure.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from .ops import (
@@ -66,7 +67,7 @@ _new = tuple.__new__
 def ez_str(pair: EZ) -> str:
     if pair.is_nondeg():
         return pair.core
-    return pair.core + "~" + "".join(str(v) for v in pair.op)
+    return pair.core + "~" + "".join(map(str, pair.op))
 
 
 def _ez(p) -> EZ:
@@ -535,9 +536,9 @@ def joint_split(ops: tuple[Op, ...]) -> tuple[Op, Op]:
     ``section`` keeps 0 and each t where some operator changes value, and the
     epi ``sigma`` collapses the rest: each op is compose(compose(op, section), sigma).
     """
-    m = len(ops[0]) - 1
-    section = (0,) + tuple(t for t in range(1, m + 1) if any(op[t] != op[t - 1] for op in ops))
-    return section, tuple(sum(1 for s in section if s <= t) - 1 for t in range(m + 1))
+    cols = tuple(zip(*ops))  # the values of the operators at each t
+    moves = [cols[t] != cols[t - 1] for t in range(1, len(cols))]
+    return (0,) + tuple(t for t, moved in enumerate(moves, 1) if moved), tuple(accumulate(moves, initial=0))
 
 
 def joint_core(pairs: tuple[EZ, ...]) -> tuple[tuple[EZ, ...], Op]:
@@ -557,42 +558,44 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         # shuffles of top cells are always jointly nondegenerate
         raise CapError(f"product reaches dimension {top} > cap {cap}")
     cells: list[list[str]] = []
-    index: dict[tuple[EZ, EZ], str] = {}
-    img1, img2 = {}, {}  # the images of pr1 and pr2
-    names: dict[EZ, str] = {}  # ez_str of each b, formatted once
+    # each pair's simplex of the product: every nondegenerate pair, then each
+    # degenerate face pair the first time it is met, split by joint_core once
+    cell_of: dict[tuple[EZ, EZ], EZ] = {}
+    img1, img2, faces = {}, {}, {}  # the images of pr1 and pr2, the faces
+
+    def split(f: tuple[EZ, EZ]) -> EZ:
+        cores, sigma = joint_core(f)
+        cell = cell_of[f] = _new(EZ, (cell_of[cores].core, sigma))
+        return cell
+
     for n in range(top + 1):
         level = []
+        ident = IDENTITY[n + 1]
+        # by y and tau, each n-simplex (y, tau) of Y that can have a partner: (b, name, faces)
+        ys: dict[str, dict[Op, tuple[EZ, str, tuple[EZ, ...]]]] = {}
+        for l in range(max(0, n - X.dim), min(n, Y.dim) + 1):
+            for y in Y.cells[l]:
+                ys[y] = {b.op: (b, ez_str(b), Y.faces_of(b)) for b in (_new(EZ, (y, tau)) for tau in surjections(n, l))}
         # a-major in the order of X.simplices(n), then b in that of Y.simplices(n),
         # as a filter of all pairs; (x, sigma) has shuffle partners (y, tau) only
-        # if dim y >= n - dim x
+        # if dim y >= n - dim x.  The faces of a level-n cell lie in lower levels.
         for k in range(max(0, n - Y.dim), min(n, X.dim) + 1):
             for a in (_new(EZ, (c, sigma)) for c in X.cells[k] for sigma in surjections(n, k)):
                 name_a = ez_str(a)
+                faces_a = X.faces_of(a)
                 for l in range(n - k, min(n, Y.dim) + 1):
                     partners = shuffle_partners(a.op, l)
                     for y in Y.cells[l]:
+                        by_tau = ys[y]
                         for tau in partners:
-                            b = _new(EZ, (y, tau))
-                            x = f"({name_a},{names.get(b) or names.setdefault(b, ez_str(b))})"
-                            index[(a, b)] = x
+                            b, name_b, faces_b = by_tau[tau]
+                            x = f"({name_a},{name_b})"
+                            cell_of[(a, b)] = _new(EZ, (x, ident))
                             level.append(x)
                             img1[x], img2[x] = a, b
+                            if n:
+                                faces[x] = tuple([cell_of.get(f) or split(f) for f in zip(faces_a, faces_b)])
         cells.append(level)
-    faces = {}
-    for (a, b), x in index.items():
-        n = a.deg
-        if n == 0:
-            continue
-        fs = []
-        for f in zip(X.faces_of(a), Y.faces_of(b)):
-            # a face that is a nondegenerate pair is its own joint core
-            cell = index.get(f)
-            if cell is None:
-                cores, sigma = joint_core(f)
-                fs.append(_new(EZ, (index[cores], sigma)))
-            else:
-                fs.append(_new(EZ, (cell, IDENTITY[n])))
-        faces[x] = tuple(fs)
     P = SSet(cells, faces, dim_cap=cap)
     return ProductResult(P, SMap(P, X, img1), SMap(P, Y, img2))
 

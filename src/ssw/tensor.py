@@ -19,6 +19,7 @@ from .core import (
     join_sset,
     joint_split,
     multi_product,
+    pair_cell,
     product,
     product_cell,
     simplex_cell,
@@ -38,7 +39,7 @@ from .decor import (
     pushout_ms,
     witness_face,
 )
-from .ops import const_op, degeneracy_op, epi_mono, idop, op_join
+from .ops import degeneracy_op, epi_mono, idop, op_join
 
 
 def flat_ms(n: int) -> MarkedScaled:
@@ -461,35 +462,20 @@ def _join_eq_eta(data: JoinEqData, cell: str) -> tuple[EZ, int]:
     return eta, face_index
 
 
-def join_eq_witness(data: JoinEqData, cell: str, already: frozenset = frozenset()) -> Witness:
+def join_eq_witness(data: JoinEqData, cell: str) -> Witness:
     """Check the prescribed witness: one face is the triangle itself and the
-    other three lie in T (or were already added)."""
+    other three lie in T."""
     if cell in data.T or cell not in data.Tprime:
         raise SSetError(f"{cell!r} is not in T' - T")
     eta, face_index = _join_eq_eta(data, cell)
-    return Witness(cell, eta, witness_face(Scaled(data.cmp.tj.total.base, data.T | already), eta, cell, (face_index,)))
+    return Witness(cell, eta, witness_face(Scaled(data.cmp.tj.total.base, data.T), eta, cell, (face_index,)))
 
 
 def join_eq_witnesses(p: int, q: int) -> tuple[JoinEqData, list[Witness]]:
-    """A pushout order adding every T' - T triangle via its witness."""
+    """Every T' - T triangle with its witness, in sorted order; each witness has
+    its other faces in T, so any order is a pushout order."""
     data = join_eq_data(p, q)
-    remaining = set(data.Tprime - data.T)
-    done: set = set()
-    order: list[Witness] = []
-    while remaining:
-        hit = None
-        for cell in sorted(remaining):
-            try:
-                hit = join_eq_witness(data, cell, frozenset(done))
-                break
-            except SSetError:
-                continue
-        if hit is None:
-            raise SSetError("no pushout order for the comparison witnesses")
-        order.append(hit)
-        done.add(hit.triangle)
-        remaining.remove(hit.triangle)
-    return data, order
+    return data, [join_eq_witness(data, cell) for cell in sorted(data.Tprime - data.T)]
 
 
 class HomotopyReport(NamedTuple):
@@ -526,64 +512,75 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     total = tj.total.base
     J = jn.scaled.base
     TT = Scaled(total, data.Tprime)
-    # The vertex words of each cell of G and of each middle cell of the total: a
-    # simplex of G is one word triple, nondegenerate where no two neighbouring
-    # letters agree in all three words.
-    projs = (tj.proj_right, tj.proj_int, tj.proj_left)
-    word_of = {m: tuple(_word(pr(EZ(m, idop(n)))) for pr in projs) for m, n in tj.mid.scaled.base.dim_of.items()}
-    cell_of = {w: m for m, w in word_of.items()}
-    words = {c: word_of[payload] for c, (kind, payload) in tj.comp.items() if kind == "M"}
+    # A simplex of G = Delta^q x Delta^1 x Delta^p (the join is outer) is its
+    # sequence of vertices (y, i, x), each coded as the int (2y + i)(p + 1) + x;
+    # it is nondegenerate where no two neighbouring codes agree.
+    def code(y: int, i: int, x: int) -> int:
+        return (2 * y + i) * (p + 1) + x
 
-    @lru_cache(maxsize=None)
-    def mid(yw: tuple, iw: tuple, xw: tuple) -> EZ:
-        section, sigma = joint_split((yw, iw, xw))
-        return tj.quotient(EZ(cell_of[tuple(tuple(w[t] for t in section) for w in (yw, iw, xw))], sigma))
+    vertices = {m: tuple(zip(*map(_word, comps))) for comps, m in tj.mid.mp.index.items()}
+    cell_of = {tuple(code(*v) for v in vs): m for m, vs in vertices.items()}
+    image_of: dict[tuple[int, ...], EZ] = {}
+
+    def image(codes: tuple[int, ...]) -> EZ:
+        """The simplex of the total that G's simplex with these vertex codes goes to."""
+        out = image_of.get(codes)
+        if out is None:
+            section, sigma = joint_split((codes,))
+            out = image_of[codes] = tj.quotient(EZ(cell_of[tuple(codes[t] for t in section)], sigma))
+        return out
 
     # a cell x*y of J (x or y empty at an end) has the vertices of x in Delta^p, then
     # those of y in Delta^q; s puts the first over interval vertex 0, the rest over 1
     s_images = {}
     for c in J.dim_of:
-        xw, yw = (tuple(int(v) for v in name) for name in c.split("*"))
-        s_images[c] = mid((0,) * len(xw) + yw, (0,) * len(xw) + (1,) * len(yw), xw + (p,) * len(yw))
+        xs, ys = c.split("*")
+        s_images[c] = image(tuple(code(0, 0, int(x)) for x in xs) + tuple(code(int(y), 1, p) for y in ys))
     s = SMap(J, total, s_images)
 
-    u_images = {}
+    # Over a middle cell of the total, its vertex (y, i, x) at time t of the prism
+    # goes under h to (u(y), i, p if t = i = 1 else x), and under k to (y if t = 1
+    # else u(y), i, x), where u(y) = y if i = 1 else 0; u is either at t = 0.  hv
+    # and kv list these codes, vertex v at time t in place 2v + t.
+    prism_codes, u_images = {}, {}
     for c, n in total.dim_of.items():
-        if c not in words:  # a cell of the left or right end
+        kind, payload = tj.comp[c]
+        if kind != "M":  # a cell of the left or right end
             u_images[c] = EZ(c, idop(n))
-        else:
-            yw, iw, xw = words[c]
-            yw2 = tuple(0 if e == 0 else v for v, e in zip(yw, iw))
-            u_images[c] = mid(yw2, iw, xw)
+            continue
+        hv, kv = [], []
+        for y, i, x in vertices[payload]:
+            uy = y if i else 0
+            hv += (code(uy, i, x), code(uy, i, p if i else x))
+            kv += (code(uy, i, x), code(y, i, x))
+        prism_codes[c] = hv, kv
+        u_images[c] = image(tuple(hv[::2]))
     u = SMap(total, total, u_images)
 
     PT, prT, prI = product(total, standard_simplex(1), dim_cap=total.dim + 1)
     # h and k are u at time 0; at time 1, h is s after r and k the identity
     h_images, k_images = {}, {}
-    over = None  # the product lists the cells over one simplex of the total together
-    for cell in PT.dim_of:
-        cpair = prT.images[cell]
-        if cpair.core not in words:  # a cell of the left or right end
+    at_end = {}  # (cell c of the total, vertex e of Delta^1) -> the cell c x e of PT
+    for cell, cpair in prT.images.items():
+        tpair = prI.images[cell]
+        if tpair.core != "01":
+            at_end[(cpair.core, tpair.core)] = cell
+        codes = prism_codes.get(cpair.core)
+        if codes is None:  # a cell of the left or right end
             h_images[cell] = k_images[cell] = cpair
             continue
-        if cpair != over:
-            over = cpair
-            yw, iw, xw = (tuple(w[t] for t in cpair.op) for w in words[cpair.core])
-            uy = tuple(0 if i == 0 else y for y, i in zip(yw, iw))
-        tw = _word(prI.images[cell])
-        h_images[cell] = mid(uy, iw, tuple(x if t == 0 or i == 0 else p for x, i, t in zip(xw, iw, tw)))
-        k_images[cell] = mid(tuple(y if t == 1 else v for y, v, t in zip(yw, uy, tw)), iw, xw)
+        # the word of a simplex of Delta^1: its op, or all ones over the vertex 1
+        path = [2 * v + t for v, t in zip(cpair.op, tpair.op)] if tpair.core != "1" else [2 * v + 1 for v in cpair.op]
+        hv, kv = codes
+        h_images[cell] = image(tuple([hv[j] for j in path]))
+        k_images[cell] = image(tuple([kv[j] for j in path]))
     h = SMap(PT, total, h_images)
     k = SMap(PT, total, k_images)
     for f in (s, u, h, k):
         f._validate()
-    prism = {(prT.images[x], prI.images[x]): x for x in PT.dim_of}
 
     def restrict(hom: SMap, eps: str) -> SMap:
-        images = {}
-        for c, n in total.dim_of.items():
-            images[c] = hom.images[prism[(EZ(c, idop(n)), EZ(eps, const_op(n, 0)))]]
-        return SMap(total, total, images)
+        return SMap(total, total, {c: hom.images[at_end[(c, eps)]] for c in total.dim_of})
 
     sr = SMap(total, total, {c: s(r(EZ(c, idop(n)))) for c, n in total.dim_of.items()})
     rs = SMap(J, J, {c: r(s(EZ(c, idop(n)))) for c, n in J.dim_of.items()})
@@ -596,10 +593,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     k_end0_ok = restrict(k, "0") == u
 
     def constant_on_vertices(hom: SMap) -> bool:
-        for v in total.level(0):
-            if hom.images[prism[(EZ(v, (0, 0)), EZ("01", (0, 1)))]].is_nondeg():
-                return False
-        return True
+        return not any(hom(pair_cell(PT, EZ(v, (0, 0)), EZ("01", (0, 1)))).is_nondeg() for v in total.level(0))
 
     h_constant = constant_on_vertices(h)
     k_constant = constant_on_vertices(k)

@@ -162,7 +162,7 @@ def test_validation_check_sees_a_validating_build(tmp_path):
 # A ratchet on the lines of src/ssw/*.py, lowered as code is deleted (the
 # ROADMAP baseline is 4,904); lines added for speed are paid back by deleting
 # others.
-MAX_SOURCE_LINES = 4518
+MAX_SOURCE_LINES = 4515
 
 
 def annotation_names(tree):

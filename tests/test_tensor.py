@@ -11,6 +11,7 @@ from ssw.core import (
     constant_map,
     coproduct,
     first_missed_dim,
+    product,
     standard_simplex,
     subcomplex,
 )
@@ -695,20 +696,50 @@ def test_join_eq_witness_rejects_T_members():
 
 def test_join_eq_witness_checks_T_and_the_triangles_added_before():
     """A witness whose other face is dropped from T is rejected, and accepted
-    again once that face counts as added before it."""
+    again once that face is back in T."""
     data, order = join_eq_witnesses(2, 2)
     w = order[0]
     f = next(f for i, f in enumerate(data.cmp.tj.total.base.faces_of(w.rho)) if i != w.face and f.is_nondeg())
     thinner = data._replace(T=data.T - {f.core})
     with pytest.raises(SSetError, match="of the witness of .* is not thin"):
         join_eq_witness(thinner, w.triangle)
-    assert join_eq_witness(thinner, w.triangle, frozenset({f.core})) == w
+    assert join_eq_witness(thinner._replace(T=thinner.T | {f.core}), w.triangle) == w
 
 
 def test_join_eq_homotopies():
     for p, q in [(0, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
         report = join_eq_homotopies(p, q)
         assert report.ok
+
+
+@pytest.mark.parametrize("which", [0, 1])  # h, then k
+def test_join_eq_homotopies_rejects_a_corrupted_image_of_h_or_k(monkeypatch, which):
+    """h and k are the maps it builds from the prism (total x Delta^1); moving
+    one vertex image of either must fail the face check of its proof step."""
+    import ssw.tensor
+
+    prisms, maps = [], []
+
+    def recording_product(X, Y, dim_cap=None):
+        out = product(X, Y, dim_cap=dim_cap)
+        prisms.append(out.sset)
+        return out
+
+    class Corrupting(SMap):
+        def __init__(self, source, target, images):
+            if prisms and source is prisms[0]:
+                maps.append(images)
+                if len(maps) == which + 1:
+                    images = dict(images)
+                    v = source.level(0)[0]
+                    images[v] = EZ(next(w for w in target.level(0) if w != images[v].core), (0,))
+            super().__init__(source, target, images)
+
+    monkeypatch.setattr(ssw.tensor, "product", recording_product)
+    monkeypatch.setattr(ssw.tensor, "SMap", Corrupting)
+    with pytest.raises(SSetError, match="map does not commute"):
+        join_eq_homotopies(1, 2)
+    assert len(prisms) == 1 and len(maps) > which  # the corrupted map was built
 
 
 def test_gray_commutes_with_pushout_surrogate():
