@@ -254,12 +254,8 @@ def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
 
 def find_lift(gen: Generator, p: SMap, X: MarkedScaled, top: SMap, bottom: SMap) -> SMap | None:
     """Exhaustive search for a decorated filler B -> X of the square (gen, top,
-    bottom) against p; deterministic first solution.
-
-    This is the backtracking filler search.  ``has_rlp`` uses it only for the
-    generators that are not a horn or boundary of one simplex (the rescaling
-    generators, such as the Q-marking); the others it decides by index lookups.
-    """
+    bottom) against p; deterministic first solution.  ``has_rlp`` calls it only
+    for the generators it cannot decide without search (see there)."""
     pins = dict(gen.filler_pins)
     for a in gen.A.base.dim_of:
         pins[gen.left.images[a].core] = top.images[a]
@@ -269,6 +265,21 @@ def find_lift(gen: Generator, p: SMap, X: MarkedScaled, top: SMap, bottom: SMap)
 
     found = enumerate_maps(gen.B.base, X.base, partial=pins, image_ok=image_ok, first_only=True)
     return found[0] if found else None
+
+
+def _first_in_search_order(Xb: SSet, failed: list):
+    """The payload of the failing top first in the order of ``problems_for``, of
+    entries (images of the cells of A in the order of ``A.dim_of``, payload):
+    ``enumerate_maps`` ranks maps on the positions of those images in
+    ``Xb.simplices``.  None if ``failed`` is empty."""
+    positions: dict[EZ, int] = {}
+
+    def position(c):
+        if c not in positions:
+            positions.update((s, k) for k, s in enumerate(Xb.simplices(c.deg)))
+        return positions[c]
+
+    return min(failed, key=lambda top: [position(c) for c in top[0]])[1] if failed else None
 
 
 class _HornShape(NamedTuple):
@@ -322,11 +333,8 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
     is chosen.  A square adds the bottom's images of d_i t and t, from
     ``Y.by_faces`` buckets keyed on p of the facets; its fillers are in the
     tuple's own ``X.by_faces(n, facets)`` bucket.  The filters are those
-    ``enumerate_maps`` and ``find_lift`` apply.  Of the tops that fail, the
-    first in the order of ``problems_for`` has the least rank key, the
-    positions of its images in ``X.simplices`` over the cells of A level by
-    level (the order of ``A.dim_of``, in which ``enumerate_maps`` ranks maps);
-    only its bottom is built as an SMap.
+    ``enumerate_maps`` and ``find_lift`` apply.  Only the bottom of the first
+    failing top (``_first_in_search_order``) is built as an SMap.
     """
     B, Xb, Yb = gen.B.base, X.base, Y.base
     q, i, facets, route, equal = gen.horn
@@ -398,13 +406,6 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
                     return cf, ct
         return None
 
-    positions: dict[EZ, int] = {}
-
-    def rank(ys):
-        if not positions:
-            positions.update((s, k) for d in range(n) for k, s in enumerate(Xb.simplices(d)))
-        return tuple(positions[at(a, ys)] for a in gen.A.base.dim_of)
-
     fillers, failed = Xb.by_faces(n, facets), []
     for ys in tops([]):
         if not all(ok_bottom(b, p(at(a, ys))) for a, b in held):
@@ -414,41 +415,75 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
             filled = {p(sigma) for sigma in fillers.get(ys, ()) if ok_filler(sigma)}
         bottom = unfilled(ys, filled)
         if bottom is not None:
-            failed.append((rank(ys), ys, bottom))
-    if not failed:
+            failed.append(([at(a, ys) for a in gen.A.base.dim_of], (ys, bottom)))
+    first = _first_in_search_order(Xb, failed)
+    if first is None:
         return None
-    _, ys, (cf, ct) = min(failed)  # the rank keys of distinct tops differ
+    ys, (cf, ct) = first
     images = {**bpins, **{b: p(at(a, ys)) for a, b in source.items()}, t: ct}
     if f is not None:
         images[f] = cf
     return SMap(B, Yb, images)
 
 
+def _first_unfilled_rescaling(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -> SMap | None:
+    """The bottom of the first square with no filler for a generator whose left
+    map is the identity, where a top t is its own only filler: t has a square
+    when p t agrees with p of the filler pins and meets B's decorations in Y,
+    and a lift when t meets them in X.  The tops of Delta^n are
+    ``X.simplices(n)``, the cell on a vertex tuple going to t acted on by it;
+    ``enumerate_maps`` lists the others."""
+    A, Xb = gen.A.base, X.base
+    held = sorted(gen.B.marked | gen.B.thin)
+
+    def unfilled(t) -> bool:  # t maps each cell of A that a pin or decoration reads to its image
+        if any(p(pin) != p(t[b]) for b, pin in gen.filler_pins.items()):
+            return False  # the top and a filler pin disagree under p: no square
+        return all(_decorated(gen.B, Y, b, p(t[b])) for b in held) and not all(_decorated(gen.B, X, b, t[b]) for b in held)
+
+    if A.dim < 0 or A != standard_simplex(A.dim):
+        tops = enumerate_maps(A, Xb, partial=gen.top_pins, image_ok=lambda a, c: _decorated(gen.A, X, a, c))
+        t = next((top.images for top in tops if unfilled(top.images)), None)
+    else:
+        # Delta^n lists its level-k cells in the order of injections(k, n), level by level as A.dim_of
+        verts = {c: v for k in range(A.dim + 1) for v, c in zip(injections(k, A.dim), A.level(k))}
+        checked = gen.top_pins.keys() | gen.A.marked | gen.A.thin
+        read = checked | gen.filler_pins.keys() | set(held)  # a top's other images are needed only if it fails
+        failed = []
+        for s in Xb.simplices(A.dim):
+            t = {a: Xb.act(s, verts[a]) for a in read}
+            if all(gen.top_pins.get(a, t[a]) == t[a] and _decorated(gen.A, X, a, t[a]) for a in checked) and unfilled(t):
+                failed.append(([Xb.act(s, v) for v in verts.values()], s))
+        s = _first_in_search_order(Xb, failed)
+        t = None if s is None else {a: Xb.act(s, v) for a, v in verts.items()}
+    return None if t is None else SMap(gen.B.base, Y.base, {a: p(c) for a, c in t.items()})
+
+
 def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily) -> Verdict:
     """Exhaustively test the right lifting property against a family.
 
-    Generators whose constructor recorded a horn shape (the horns, boundaries
-    and collapsed horns of ``simplex_generator`` and
-    ``collapsed_horn_generator``) are decided on facet tuples by
-    ``_first_unfilled_horn``, with no map search.  The others (``boundary(0)``,
-    the rescalings such as the Q-marking, and hand-built generators) go through
-    ``problems_for`` and the backtracking ``find_lift``.  Both report the first
-    square without a filler in the order of ``problems_for``, so REFUTED names
-    the same bottom.  VERIFIED states the family's bound.
+    Each generator of ssw's constructors is decided without the backtracker:
+    a recorded horn shape by ``_first_unfilled_horn``, a rescaling (left map
+    the identity) by ``_first_unfilled_rescaling``, and ``boundary(0)`` by the
+    first vertex of Y that p misses.  Other generators go through
+    ``problems_for`` and ``find_lift``.  Every path reports the first square
+    without a filler in the order of ``problems_for``, so REFUTED names the
+    same bottom.  VERIFIED states the family's bound.
     """
     for gen in family.generators:
-        if gen.horn is None:
-            bottom = next(
-                (bottom for top, bottom in problems_for(gen, p, X, Y) if find_lift(gen, p, X, top, bottom) is None),
-                None,
-            )
-        else:
+        if gen.horn is not None:
             bottom = _first_unfilled_horn(gen, p, X, Y)
+        elif gen.left.source == gen.left.target and all(img.core == a and img.is_nondeg() for a, img in gen.left.images.items()):
+            bottom = _first_unfilled_rescaling(gen, p, X, Y)
+        elif not gen.A.base.dim_of and gen.B.base.counts() == (1,) and not gen.filler_pins:
+            hit = {p(x) for x in X.base.simplices(0)}
+            y = next((y for y in Y.base.simplices(0) if y not in hit), None)
+            bottom = None if y is None else SMap(gen.B.base, Y.base, {gen.B.base.level(0)[0]: y})
+        else:
+            squares = problems_for(gen, p, X, Y)
+            bottom = next((bottom for top, bottom in squares if find_lift(gen, p, X, top, bottom) is None), None)
         if bottom is not None:
-            return Verdict(
-                REFUTED,
-                f"no filler for {gen.name} with bottom {sorted(bottom.images.items())}",
-            )
+            return Verdict(REFUTED, f"no filler for {gen.name} with bottom {sorted(bottom.images.items())}")
     return Verdict(VERIFIED, bound=family.bound)
 
 
@@ -473,13 +508,7 @@ def _horn_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int, horns) -> Verdict
     detect = detects_thin(p, X, Y)
     if detect.status == REFUTED:
         return detect
-    return combine(
-        [
-            detect,
-            is_weak_fibration(p, X, Y, bound),
-            has_rlp(p, X.sharp_marked(), Y.sharp_marked(), horns(bound)),
-        ]
-    )
+    return combine([detect, is_weak_fibration(p, X, Y, bound), has_rlp(p, X.sharp_marked(), Y.sharp_marked(), horns(bound))])
 
 
 def is_inner_fibration(p: SMap, X: Scaled, Y: Scaled, bound: int = 4) -> Verdict:
@@ -515,15 +544,10 @@ def classify_edge(p: SMap, X: Scaled, Y: Scaled, e: EZ, flavor: str, bound: int 
 
 
 def edge_table(p: SMap, X: Scaled, Y: Scaled, flavor: str, bound: int = 4) -> dict[str, Verdict]:
-    return {
-        e: classify_edge(p, X, Y, EZ(e, (0, 1)), flavor, bound)
-        for e in X.base.level(1)
-    }
+    return {e: classify_edge(p, X, Y, EZ(e, (0, 1)), flavor, bound) for e in X.base.level(1)}
 
 
-def is_var_cartesian_fibration(
-    p: SMap, X: Scaled, Y: Scaled, variance: str, co: bool = False, bound: int = 4
-):
+def is_var_cartesian_fibration(p: SMap, X: Scaled, Y: Scaled, variance: str, co: bool = False, bound: int = 4):
     """The full fibration predicate plus the table of (co)cartesian edges."""
     if co:
         return is_var_cartesian_fibration(opposite_map(p), X.op(), Y.op(), variance, False, bound)
@@ -540,13 +564,8 @@ def is_var_cartesian_fibration(
         for ebar in Y.base.simplices(1):
             if Y.base.act(ebar, (1,)).core != px:
                 continue
-            candidates = [
-                pair
-                for pair in X.base.simplices(1)
-                if X.base.act(pair, (1,)).core == x and p(pair) == ebar
-            ]
-            good = None
-            failures = []
+            candidates = [pair for pair in X.base.simplices(1) if X.base.act(pair, (1,)).core == x and p(pair) == ebar]
+            good, failures = None, []
             for cand in candidates:
                 if cand.is_nondeg():
                     v = table[cand.core]
@@ -557,13 +576,8 @@ def is_var_cartesian_fibration(
                     break
                 failures.append((cand, v))
             if good is None:
-                lift_verdicts.append(
-                    Verdict(
-                        REFUTED,
-                        f"no cartesian lift of {ebar} at vertex {x!r}; "
-                        f"candidates all refuted: {[c for c, _ in failures]}",
-                    )
-                )
+                refuted = f"candidates all refuted: {[c for c, _ in failures]}"
+                lift_verdicts.append(Verdict(REFUTED, f"no cartesian lift of {ebar} at vertex {x!r}; {refuted}"))
     cart = frozenset(e for e, v in table.items() if v.status == VERIFIED)
     return combine([fib] + lift_verdicts + [Verdict(VERIFIED, bound=bound)]), cart
 
@@ -710,20 +724,11 @@ def outer_anodyne_family(bound: int) -> GeneratorFamily:
     # (5) the Q-marking extension
     Q = q_complex()
     qthin = frozenset(Q.level(2))
-    gens.append(
-        rescale_generator(
-            "q-marking", MarkedScaled(Q, frozenset(), qthin), MarkedScaled(Q, q_marked_cells(Q), qthin)
-        )
-    )
+    gens.append(rescale_generator("q-marking", MarkedScaled(Q, frozenset(), qthin), MarkedScaled(Q, q_marked_cells(Q), qthin)))
     # (6) composite marking on a thin triangle
-    d2 = standard_simplex(2)
-    gens.append(
-        rescale_generator(
-            "composite-marking",
-            MarkedScaled(d2, _cells([(0, 1), (1, 2)]), _cells([(0, 1, 2)])),
-            MarkedScaled(d2, _cells([(0, 1), (0, 2), (1, 2)]), _cells([(0, 1, 2)])),
-        )
-    )
+    d2, t012 = standard_simplex(2), _cells([(0, 1, 2)])
+    before, after = MarkedScaled(d2, _cells([(0, 1), (1, 2)]), t012), MarkedScaled(d2, _cells([(0, 1), (0, 2), (1, 2)]), t012)
+    gens.append(rescale_generator("composite-marking", before, after))
     return GeneratorFamily(f"outer-cartesian-anodyne(bound {bound})", tuple(gens), bound)
 
 
@@ -742,13 +747,8 @@ def scaled_anodyne_family(bound: int) -> GeneratorFamily:
     gens = list(_scaled_inner_horns(bound))
     d4 = standard_simplex(4)
     T = _cells([(0, 2, 4), (1, 2, 3), (0, 1, 3), (1, 3, 4), (0, 1, 2)])
-    gens.append(
-        rescale_generator(
-            "saturation-4",
-            MarkedScaled(d4, frozenset(), T),
-            MarkedScaled(d4, frozenset(), T | _cells([(0, 3, 4), (0, 1, 4)])),
-        )
-    )
+    saturated = T | _cells([(0, 3, 4), (0, 1, 4)])
+    gens.append(rescale_generator("saturation-4", MarkedScaled(d4, frozenset(), T), MarkedScaled(d4, frozenset(), saturated)))
     for n in range(3, bound + 1):
         gens.append(collapsed_horn_generator(f"scaled-outer({n})", n, (0, 1), [(0, 1, n)]))
     return GeneratorFamily(f"scaled-anodyne(bound {bound})", tuple(gens), bound)
