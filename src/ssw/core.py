@@ -206,15 +206,15 @@ class SSet:
         ``simplices(n)``.
 
         Kept for the life of self.  ``enumerate_maps`` reads the full index;
-        ``fibration.has_rlp`` lists the tops of a horn one facet at a time from
-        the faces already fixed, and finds its fillers with face i left out.
+        ``fibration.has_rlp`` lists the tops of a shaped generator one slot at a
+        time from the faces already fixed, and finds its fillers with face i left out.
         """
         keep = None if keep is None or len(keep) == n + 1 else tuple(keep)
         idx = self._by_faces.get((n, keep))
         if idx is None:
             acc: dict[tuple[EZ, ...], list[EZ]] = {}
             for pair in self.simplices(n):
-                fs = self.faces_of(pair)
+                fs = self.faces_of(pair) if keep != () else ()  # one bucket needs no faces
                 acc.setdefault(fs if keep is None else tuple(fs[j] for j in keep), []).append(pair)
             idx = {k: tuple(v) for k, v in acc.items()}
             self._by_faces[(n, keep)] = idx

@@ -23,6 +23,7 @@ from .core import (
     boundary_inclusion,
     empty_sset,
     enumerate_maps,
+    first_missed_dim,
     horn,
     horn_inclusion,
     identity_map,
@@ -103,7 +104,7 @@ class Generator(NamedTuple):
     B: MarkedScaled
     top_pins: Mapping = MappingProxyType({})  # the empty defaults are read-only, as every instance shares them
     filler_pins: Mapping = MappingProxyType({})
-    horn: _HornShape | None = None  # recorded by simplex_generator and collapsed_horn_generator
+    shape: _SimplexShape | None = None  # recorded by every family constructor, and by rescale_generator where it applies
 
 
 class GeneratorFamily(NamedTuple):
@@ -133,15 +134,22 @@ def simplex_generator(name, n: int, i: int | None, marked=(), thin=(), top_pins=
 @lru_cache(maxsize=None)
 def _simplex_horn(n: int, i: int | None) -> tuple:
     """The inclusion of Lambda^n_i (of the boundary if i is None) into Delta^n
-    and, for n >= 1, its shape over q = id; built once per (n, i)."""
+    and its shape over q = id; built once per (n, i)."""
     incl = boundary_inclusion(n) if i is None else horn_inclusion(n, i)
-    return incl, (_horn_shape(incl, identity_map(incl.target), i) if n >= 1 else None)
+    return incl, _simplex_shape(incl, identity_map(incl.target))
 
 
 def rescale_generator(name, A: MarkedScaled, B: MarkedScaled) -> Generator:
+    """The identity of the common base of A and B; it records a shape if the
+    base is the image of its one top simplex, as Delta^n and Q are."""
     if A.base != B.base:
         raise SSetError("rescaling generators keep the underlying complex")
-    return Generator(name, identity_map(A.base), A, B)
+    base = A.base
+    left, tops = identity_map(base), base.level(base.dim)
+    # q: Delta^n -> base on the one top simplex; Delta^n itself is its own image under the identity
+    q = None if len(tops) != 1 else left if base == standard_simplex(base.dim) else simplex_map(base, EZ(tops[0], idop(base.dim)))
+    shape = _simplex_shape(left, q) if q is not None and first_missed_dim(q) is None else None
+    return Generator(name, left, A, B, shape=shape)
 
 
 def _thin_triangle(name: str) -> Generator:
@@ -178,7 +186,7 @@ def collapsed_horn_generator(name: str, n: int, edge: tuple, thin=()) -> Generat
     res = collapse(standard_simplex(n), [simplex_cell([v]) for v in edge] + [simplex_cell(edge)])
     B = MarkedScaled(res.sset, frozenset(), push_cells(res.leg_big, _cells(thin)))
     incl = subcomplex(res.sset, {res.leg_big.images[c].core for c in horn(n, i).dim_of})[1]
-    return Generator(name, incl, restrict_ms(B, incl), B, horn=_horn_shape(incl, res.leg_big, i))
+    return Generator(name, incl, restrict_ms(B, incl), B, shape=_simplex_shape(incl, res.leg_big))
 
 
 def _scaled_inner_horns(bound: int) -> tuple:
@@ -255,7 +263,7 @@ def problems_for(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled):
 def find_lift(gen: Generator, p: SMap, X: MarkedScaled, top: SMap, bottom: SMap) -> SMap | None:
     """Exhaustive search for a decorated filler B -> X of the square (gen, top,
     bottom) against p; deterministic first solution.  ``has_rlp`` calls it only
-    for the generators it cannot decide without search (see there)."""
+    for hand-built generators that record no shape."""
     pins = dict(gen.filler_pins)
     for a in gen.A.base.dim_of:
         pins[gen.left.images[a].core] = top.images[a]
@@ -282,62 +290,72 @@ def _first_in_search_order(Xb: SSet, failed: list):
     return min(failed, key=lambda top: [position(c) for c in top[0]])[1] if failed else None
 
 
-class _HornShape(NamedTuple):
+class _SimplexShape(NamedTuple):
     """A generator A -> B whose B is the image of a simplex q: Delta^n -> B,
-    n >= 1, with A the image of the horn Lambda^n_i (of the boundary if i is
-    None), and B outside A only q(Delta^n) and q(d_i Delta^n)."""
+    with B outside A at most q(Delta^n) and q(d_i Delta^n): a horn leaves out
+    both, a boundary the top only, and a rescaling neither."""
 
     q: SMap
-    i: int | None
-    facets: tuple[int, ...]  # the j != i; a top is the tuple of its images y_j of the facets d_j
-    route: dict[str, tuple[int, Op]]  # cell a of A -> (k, op) with top(a) = y_facets[k] after op
-    equal: tuple  # (route, a, sigma) for each other cell of the horn that q sends to a after sigma
+    i: int | None  # q(d_i Delta^n) is outside A; None if no facet is
+    top_in_a: bool  # q(Delta^n) is in A: a top A -> X is one n-simplex of X, its one slot
+    facets: tuple[int, ...]  # else the j of the facets d_j in A; a top is the tuple of its slots y_j, their images
+    route: dict[str, tuple[int, Op]]  # cell a of A -> (k, op) with top(a) = slot k after op
+    equal: tuple  # (route, a, sigma) for each other cell of Delta^n that q sends to a after sigma
 
 
-def _horn_shape(left: SMap, q: SMap, i: int | None) -> _HornShape:
-    """The routes of the cells of A, for the generator ``left``: A -> B with
-    q and i as its constructor records them.
+def _simplex_shape(left: SMap, q: SMap) -> _SimplexShape:
+    """The shape of the generator ``left``: A -> B over q: Delta^n -> B onto B.
 
-    A map A -> X is a tuple (y_j)_{j != i} of (n-1)-simplices of X with
-    d_j y_k = d_{k-1} y_j for j < k (Goerss-Jardine I.3) that meets the
-    equalities q forces: for a collapsed horn, vertices 0 and 1 go to one v
-    and the edge 01 to s_0 v.
+    Where the top is outside A, a map A -> X is a tuple (y_j) of
+    (n-1)-simplices with d_j y_k = d_{k-1} y_j for j < k (Goerss-Jardine
+    I.3); where it is in A, an n-simplex.  Either meets the equalities q
+    forces: for a collapsed horn, vertices 0 and 1 go to one v and the edge
+    01 to s_0 v.
     """
     n = q.source.dim
     source = {img.core: a for a, img in left.images.items()}
-    facets = tuple(j for j in range(n + 1) if j != i)
+    top = q.source.level(n)[0]
+    top_in_a = q.images[top].core in source
+    # the facet outside A is q(d_i); the faces of a vertex are none
+    inside = [] if top_in_a else [q.images[c.core].core in source for c in q.source.faces.get(top, ())]
+    i = inside.index(False) if False in inside else None
+    facets = tuple(j for j, kept in enumerate(inside) if kept)
     route, equal = {}, []
-    for k in reversed(range(n)):
+    for k in reversed(range(n + 1)):
         # Delta^n lists its level-k cells in the order of injections(k, n)
         for verts, cell in zip(injections(k, n), q.source.level(k)):
-            if k == n - 1 and i is not None and i not in verts:
-                continue  # d_i, outside the horn
-            # read the cell off the first facet that contains it
-            m = next(m for m, j in enumerate(facets) if j not in verts)
-            r = (m, tuple(v - (v > facets[m]) for v in verts))
             img = q.images[cell]
+            if img.core not in source:
+                continue  # outside A
+            # read the cell off the top if it is in A, else off the first facet that contains it
+            m = 0 if top_in_a else next(m for m, j in enumerate(facets) if j not in verts)
+            r = (m, verts if top_in_a else tuple(v - (v > facets[m]) for v in verts))
             a = source[img.core]
             if img.is_nondeg() and a not in route:
                 route[a] = r
             else:
                 equal.append((r, a, img.op))
-    return _HornShape(q, i, facets, route, tuple(equal))
+    return _SimplexShape(q, i, top_in_a, facets, route, tuple(equal))
 
 
-def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -> SMap | None:
-    """The bottom of the first square with no filler, decided on facet tuples.
+def _first_unfilled(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -> SMap | None:
+    """The bottom of the first square with no filler, decided on the slots of
+    the tops of the generator's shape.
 
     Each facet y_k of a top comes from the ``X.by_faces(n - 1, keep)`` bucket
-    of its faces d_j y_k = d_{k-1} y_j fixed so far; pins, decorations and
-    equalities on cells of A are read through their routes once their facet
-    is chosen.  A square adds the bottom's images of d_i t and t, from
-    ``Y.by_faces`` buckets keyed on p of the facets; its fillers are in the
-    tuple's own ``X.by_faces(n, facets)`` bucket.  The filters are those
+    of its faces d_j y_k = d_{k-1} y_j fixed so far; a top in A is any
+    n-simplex of X.  Pins, decorations and equalities on cells of A are read
+    through their routes once their slot is chosen.  If the top t is outside
+    A, a square adds the bottom's images of d_i t and t, from ``Y.by_faces``
+    buckets keyed on p of the facets; its fillers are in the tuple's own
+    ``X.by_faces(n, facets)`` bucket.  If t is in A, it is its own only
+    filler: it has a square when p of it meets B's pins and decorations in Y,
+    and a filler when it meets B's decorations in X.  The filters are those
     ``enumerate_maps`` and ``find_lift`` apply.  Only the bottom of the first
     failing top (``_first_in_search_order``) is built as an SMap.
     """
     B, Xb, Yb = gen.B.base, X.base, Y.base
-    q, i, facets, route, equal = gen.horn
+    q, i, top_in_a, facets, route, equal = gen.shape
     n = q.source.dim
     t = q.images[q.source.level(n)[0]].core
     f = None if i is None else B.faces[t][i].core
@@ -352,24 +370,26 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
         k, op = route[a]
         return Xb.act(ys[k], op)
 
-    # the cells of A with a top pin or decoration, and the equalities, by their last facet
-    cells, equalities = [[] for _ in facets], [[] for _ in facets]
+    # the number of a top's slots and their dimension
+    nslots, d = (1, n) if top_in_a else (len(facets), n - 1)
+    # the cells of A with a top pin or decoration, and the equalities, by their last slot
+    cells, equalities = [[] for _ in range(nslots)], [[] for _ in range(nslots)]
     for a in sorted(set(gen.top_pins) | gen.A.marked | gen.A.thin):
         cells[route[a][0]].append(a)
     for r, a, sigma in equal:
         equalities[max(r[0], route[a][0])].append((r, a, sigma))
-    # a vertex has no faces, so for n = 1 no facet constrains another
-    index = [Xb.by_faces(n - 1, facets[:k] if n > 1 else ()) for k in range(len(facets))]
+    # a vertex has no faces, so slots of dimension 0 do not constrain one another
+    index = [Xb.by_faces(d, facets[:k] if d > 0 else ()) for k in range(nslots)]
 
     def ok_top(a, c):
         return gen.top_pins.get(a, c) == c and _decorated(gen.A, X, a, c)
 
     def tops(ys):
         k = len(ys)
-        if k == len(facets):
+        if k == nslots:
             yield tuple(ys)
             return
-        key = tuple(Xb.face(y, facets[k] - 1) for y in ys) if n > 1 else ()
+        key = tuple(Xb.face(y, facets[k] - 1) for y in ys) if d > 0 else ()
         for y in index[k].get(key, ()):
             ys.append(y)
             if all(ok_top(a, at(a, ys)) for a in cells[k]) and all(
@@ -388,8 +408,12 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
     def ok_bottom(b, cand):
         return bpins.get(b, cand) == cand and _decorated(gen.B, Y, b, cand)
 
-    def unfilled(ys, filled):
-        """The first (p(d_i t), p(t)) of the squares on a top with no filler."""
+    def unfilled(ys, lifts):
+        """The bottom outside A of the first square on the top ys with no filler,
+        None if each has one; ``lifts`` is whether ys meets B's decorations."""
+        if top_in_a:
+            return None if lifts else {}
+        filled = {p(sigma) for sigma in fillers.get(ys, ()) if ok_filler(sigma)} if lifts else set()
         pys = [p(y) for y in ys]
         if f is None:
             fcands = [None]
@@ -403,82 +427,37 @@ def _first_unfilled_horn(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScal
             tkey = tuple(pys) if f is None else (*pys[:i], cf, *pys[i:])
             for ct in Yb.by_faces(n).get(tkey, ()):
                 if ok_bottom(t, ct) and ct not in filled:
-                    return cf, ct
+                    return {t: ct} if f is None else {f: cf, t: ct}
         return None
 
     fillers, failed = Xb.by_faces(n, facets), []
     for ys in tops([]):
-        if not all(ok_bottom(b, p(at(a, ys))) for a, b in held):
-            continue
-        filled = set()
-        if all(_decorated(gen.B, X, b, at(a, ys)) for a, b in held):
-            filled = {p(sigma) for sigma in fillers.get(ys, ()) if ok_filler(sigma)}
-        bottom = unfilled(ys, filled)
+        seen = [(b, at(a, ys)) for a, b in held]
+        if not all(ok_bottom(b, p(c)) for b, c in seen):
+            continue  # no square
+        bottom = unfilled(ys, all(_decorated(gen.B, X, b, c) for b, c in seen))
         if bottom is not None:
             failed.append(([at(a, ys) for a in gen.A.base.dim_of], (ys, bottom)))
     first = _first_in_search_order(Xb, failed)
     if first is None:
         return None
-    ys, (cf, ct) = first
-    images = {**bpins, **{b: p(at(a, ys)) for a, b in source.items()}, t: ct}
-    if f is not None:
-        images[f] = cf
-    return SMap(B, Yb, images)
-
-
-def _first_unfilled_rescaling(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -> SMap | None:
-    """The bottom of the first square with no filler for a generator whose left
-    map is the identity, where a top t is its own only filler: t has a square
-    when p t agrees with p of the filler pins and meets B's decorations in Y,
-    and a lift when t meets them in X.  The tops of Delta^n are
-    ``X.simplices(n)``, the cell on a vertex tuple going to t acted on by it;
-    ``enumerate_maps`` lists the others."""
-    A, Xb = gen.A.base, X.base
-    held = sorted(gen.B.marked | gen.B.thin)
-
-    def unfilled(t) -> bool:  # t maps each cell of A that a pin or decoration reads to its image
-        if any(p(pin) != p(t[b]) for b, pin in gen.filler_pins.items()):
-            return False  # the top and a filler pin disagree under p: no square
-        return all(_decorated(gen.B, Y, b, p(t[b])) for b in held) and not all(_decorated(gen.B, X, b, t[b]) for b in held)
-
-    if A.dim < 0 or A != standard_simplex(A.dim):
-        tops = enumerate_maps(A, Xb, partial=gen.top_pins, image_ok=lambda a, c: _decorated(gen.A, X, a, c))
-        t = next((top.images for top in tops if unfilled(top.images)), None)
-    else:
-        # Delta^n lists its level-k cells in the order of injections(k, n), level by level as A.dim_of
-        verts = {c: v for k in range(A.dim + 1) for v, c in zip(injections(k, A.dim), A.level(k))}
-        checked = gen.top_pins.keys() | gen.A.marked | gen.A.thin
-        read = checked | gen.filler_pins.keys() | set(held)  # a top's other images are needed only if it fails
-        failed = []
-        for s in Xb.simplices(A.dim):
-            t = {a: Xb.act(s, verts[a]) for a in read}
-            if all(gen.top_pins.get(a, t[a]) == t[a] and _decorated(gen.A, X, a, t[a]) for a in checked) and unfilled(t):
-                failed.append(([Xb.act(s, v) for v in verts.values()], s))
-        s = _first_in_search_order(Xb, failed)
-        t = None if s is None else {a: Xb.act(s, v) for a, v in verts.items()}
-    return None if t is None else SMap(gen.B.base, Y.base, {a: p(c) for a, c in t.items()})
+    ys, bottom = first
+    return SMap(B, Yb, {**bpins, **{b: p(at(a, ys)) for a, b in source.items()}, **bottom})
 
 
 def has_rlp(p: SMap, X: MarkedScaled, Y: MarkedScaled, family: GeneratorFamily) -> Verdict:
     """Exhaustively test the right lifting property against a family.
 
-    Each generator of ssw's constructors is decided without the backtracker:
-    a recorded horn shape by ``_first_unfilled_horn``, a rescaling (left map
-    the identity) by ``_first_unfilled_rescaling``, and ``boundary(0)`` by the
-    first vertex of Y that p misses.  Other generators go through
-    ``problems_for`` and ``find_lift``.  Every path reports the first square
-    without a filler in the order of ``problems_for``, so REFUTED names the
-    same bottom.  VERIFIED states the family's bound.
+    A generator with a recorded shape, as every generator of ssw's family
+    constructors has, is decided by ``_first_unfilled`` without map search;
+    a hand-built one without a shape goes through ``problems_for`` and
+    ``find_lift``.  Both report the first square without a filler in the
+    order of ``problems_for``, so REFUTED names the same bottom.  VERIFIED
+    states the family's bound.
     """
     for gen in family.generators:
-        if gen.horn is not None:
-            bottom = _first_unfilled_horn(gen, p, X, Y)
-        elif gen.left.source == gen.left.target and all(img.core == a and img.is_nondeg() for a, img in gen.left.images.items()):
-            bottom = _first_unfilled_rescaling(gen, p, X, Y)
-        elif not gen.A.base.dim_of and gen.B.base.counts() == (1,) and not gen.filler_pins:
-            hit = {p(x) for x in X.base.simplices(0)}
-            y = next((y for y in Y.base.simplices(0) if y not in hit), None)
-            bottom = None if y is None else SMap(gen.B.base, Y.base, {gen.B.base.level(0)[0]: y})
+        if gen.shape is not None:
+            bottom = _first_unfilled(gen, p, X, Y)
         else:
             squares = problems_for(gen, p, X, Y)
             bottom = next((bottom for top, bottom in squares if find_lift(gen, p, X, top, bottom) is None), None)

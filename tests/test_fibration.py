@@ -540,8 +540,8 @@ def test_has_rlp_matches_the_backtracker_between_nerves(S, T, data):
     refuted_by_both(p, X, Scaled(T, some(T.level(2))).sharp_marked())
 
 
-# boundary(0) and the rescalings: the generators of the family constructors that record no horn shape
-UNSHAPED = {"boundary(0)", "composite-marking", "marked-detection", "q-marking", "saturation-4", "thin-detection", "thin-rescale"}
+# boundary(0) and the rescalings: the generators of the family constructors whose tops have no facets
+FACETLESS = {"boundary(0)", "composite-marking", "marked-detection", "q-marking", "saturation-4", "thin-detection", "thin-rescale"}
 
 
 def rescaling_inputs():
@@ -572,39 +572,70 @@ def unfilled_bottoms(gen, p, X, Y) -> set:
 
 
 def test_has_rlp_matches_the_backtracker_on_every_rescaling():
-    """has_rlp decides boundary(0) and the rescalings without the backtracker,
-    and reports the first failing top; each of them fails on some input at
-    two tops or more with distinct bottoms, so the first is picked among
-    several, and has_rlp agrees with the backtracker in status and evidence."""
+    """has_rlp decides boundary(0) and the rescalings on their shapes and
+    reports the first failing top; each of them fails on some input at two
+    tops or more with distinct bottoms, so the first is picked among several,
+    and has_rlp agrees with the backtracker in status and evidence."""
     refuted, twice = set(), set()
     for p, X, Y in rescaling_inputs():
-        refuted |= refuted_by_both(p, X, Y, keep=lambda gen: gen.horn is None)
-        twice |= {g.name for g in all_generators(X, 3) if g.horn is None and len(unfilled_bottoms(g, p, X, Y)) >= 2}
-    assert refuted == twice == UNSHAPED
+        refuted |= refuted_by_both(p, X, Y, keep=lambda gen: gen.name in FACETLESS)
+        twice |= {g.name for g in all_generators(X, 3) if g.name in FACETLESS and len(unfilled_bottoms(g, p, X, Y)) >= 2}
+    assert refuted == twice == FACETLESS
 
 
 def test_pinned_rescaling_matches_the_backtracker():
-    """A hand-built rescaling of Delta^2 with a top pin on the vertex 0 and a
-    filler pin on the edge 12: the top pin cuts the tops, and a top whose
-    edge 12 is not the pin under p has no square."""
-    d2, d4 = standard_simplex(2), standard_simplex(4)
+    """The rescaling of Delta^2 to the thin triangle with a top pin on the
+    vertex 0 and a filler pin on the edge 12: the top pin cuts the tops, and
+    a top whose edge 12 is not the pin under p has no square.  The generator
+    keeps its shape, so the pins are read on the shaped path; the same pins
+    on the identity of the boundary of Delta^2, which is no simplex's image,
+    go through the backtracker."""
+    d4 = standard_simplex(4)
     p, X, Y = next(rescaling_inputs())
-    statuses = set()
+    thin = rescale_generator("pinned", MarkedScaled(standard_simplex(2)), triangle_thin())
+    edges = MarkedScaled(boundary(2), frozenset({"01", "12"}))
+    control = Generator("control", identity_map(boundary(2)), MarkedScaled(boundary(2)), edges)
+    assert thin.shape is not None and rescale_generator("control", control.A, control.B).shape is None
+    statuses = {thin.name: set(), control.name: set()}
     for v in ("0", "1"):
         for e in d4.simplices(1):
-            gen = Generator("pinned", identity_map(d2), MarkedScaled(d2), triangle_thin(), {"0": EZ(v, (0,))}, {"12": e})
-            family = GeneratorFamily(gen.name, [gen], 3)
-            for q, Z in ((p, Y), (to_point(X), decorate(standard_simplex(0), SHARP, SHARP))):
-                verdict = has_rlp(q, X, Z, family)
-                assert verdict == backtracked_rlp(q, X, Z, family)
-                statuses.add(verdict.status)
+            for gen in (thin, control):
+                gen = gen._replace(top_pins={"0": EZ(v, (0,))}, filler_pins={"12": e})
+                family = GeneratorFamily(gen.name, [gen], 3)
+                for q, Z in ((p, Y), (to_point(X), decorate(standard_simplex(0), SHARP, SHARP))):
+                    verdict = has_rlp(q, X, Z, family)
+                    assert verdict == backtracked_rlp(q, X, Z, family)
+                    statuses[gen.name].add(verdict.status)
+    assert statuses == {thin.name: {REFUTED, VERIFIED}, control.name: {REFUTED, VERIFIED}}
+
+
+def test_rescalings_off_a_single_simplex_record_no_shape():
+    """A rescaling whose base is not the image of its one top simplex (Delta^1
+    with a loose vertex, the boundary of Delta^2, the empty complex) records
+    no shape, and has_rlp decides it through the backtracker, in agreement
+    with it."""
+    from ssw.core import coproduct, empty_sset
+
+    loose = coproduct(standard_simplex(1), standard_simplex(0)).sset
+    bases = [loose, boundary(2), empty_sset()]
+    gens = [rescale_generator("loose", MarkedScaled(loose), MarkedScaled(loose, frozenset(loose.level(1))))]
+    gens += [rescale_generator(f"flat({base.counts()})", MarkedScaled(base), MarkedScaled(base)) for base in bases[1:]]
+    assert [gen.shape for gen in gens] == [None] * 3
+    p, X, Y = next(rescaling_inputs())
+    statuses = set()
+    for gen in gens:
+        family = GeneratorFamily(gen.name, [gen], 3)
+        for q, Z in ((p, Y), (p, X)):
+            verdict = has_rlp(q, X, Z, family)
+            assert verdict == backtracked_rlp(q, X, Z, family)
+            statuses.add(verdict.status)
     assert statuses == {REFUTED, VERIFIED}
 
 
 def pushed_horn() -> Generator:
     """The scaled 2-horn pushed out along the map onto Delta^1 that collapses
-    its edge 01 to the vertex 0: a hand-built generator that records no horn
-    shape and whose left map is not an identity."""
+    its edge 01 to the vertex 0: a hand-built generator that records no
+    shape."""
     from ssw.decor import pushout_ms
 
     gen = scaled_inner_horn(2, 1)
@@ -616,10 +647,9 @@ def pushed_horn() -> Generator:
 
 
 def test_constructed_generators_skip_the_backtracker(monkeypatch):
-    """No generator of the family constructors reaches problems_for or
-    find_lift, and none but the Q-marking, whose tops come from map search,
-    reaches enumerate_maps.  A hand-built generator that is neither a recorded
-    horn nor a rescaling still goes through the backtracker."""
+    """No generator of the family constructors, the Q-marking included,
+    reaches problems_for, find_lift or enumerate_maps.  A hand-built
+    generator that records no shape still goes through the backtracker."""
     import ssw.fibration as fibration
 
     def backtracker(*args, **kwargs):
@@ -629,16 +659,11 @@ def test_constructed_generators_skip_the_backtracker(monkeypatch):
     X = Scaled(Q, frozenset(Q.level(2)))
     p, Xm, Y = to_point(X), X.sharp_marked(), Scaled(standard_simplex(0)).sharp_marked()
     gens = list(all_generators(Xm, 3))
-    assert {g.name for g in gens if g.horn is None} == UNSHAPED
-    monkeypatch.setattr(fibration, "problems_for", backtracker)
-    monkeypatch.setattr(fibration, "find_lift", backtracker)
-    searched = [g for g in gens if g.name == "q-marking"]
-    for gen in searched:
-        has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen], 3))
-    monkeypatch.setattr(fibration, "enumerate_maps", backtracker)
+    assert "q-marking" in {g.name for g in gens} and all(g.shape is not None for g in gens)
+    for name in ("problems_for", "find_lift", "enumerate_maps"):
+        monkeypatch.setattr(fibration, name, backtracker)
     for gen in gens:
-        if gen not in searched:
-            has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen], 3))
+        has_rlp(p, Xm, Y, GeneratorFamily(gen.name, [gen], 3))
     pushed = pushed_horn()
     with pytest.raises(AssertionError, match="backtracker called"):
         has_rlp(p, Xm, Y, GeneratorFamily(pushed.name, [pushed], 3))
@@ -646,31 +671,38 @@ def test_constructed_generators_skip_the_backtracker(monkeypatch):
 
 def test_recorded_horn_shapes_describe_their_generators():
     """Every generator of every family at bounds 0-5 and every edge horn at
-    n = 2..5 records a horn shape, except boundary(0) and the rescalings.  The
-    shape is what has_rlp's facet tuples rest on: q: Delta^n -> B is onto B,
-    A is the image of Lambda^n_i (of the boundary if i is None), and the
-    cells of B outside A are q(Delta^n) and q(d_i Delta^n)."""
+    n = 2..5 records a shape.  The shape is what has_rlp's tops rest on:
+    q: Delta^n -> B is onto B, and A is the image of the horn Lambda^n_i, of
+    the boundary if i is None, of Delta^n itself for a rescaling.  So the
+    cells of B outside A are q(Delta^n) and q(d_i Delta^n) for a horn,
+    q(Delta^n) for a boundary (A is empty for n = 0), and none for a
+    rescaling, where A = B.  Only boundary(0) and the rescalings have tops
+    without facets."""
     from generator_fingerprints import families
 
     kinds = set()
     for label, family in families():
         for gen in family.generators:
-            kinds.add(gen.horn is None)
-            assert (gen.horn is None) == (gen.A.base == gen.B.base or gen.name == "boundary(0)"), (label, gen.name)
-            if gen.horn is None:
-                continue
-            q, i = gen.horn.q, gen.horn.i
-            n = q.source.dim
-            assert n >= 1 and q.source is standard_simplex(n) and q.target is gen.B.base
+            shape = gen.shape
+            q, i, n = shape.q, shape.i, shape.q.source.dim
+            assert q.source is standard_simplex(n) and q.target is gen.B.base
             assert first_missed_dim(q) is None
+            assert (shape.facets == ()) == (gen.name in FACETLESS), (label, gen.name)
             cells_of_a = {img.core for img in gen.left.images.values()}
-            horn_cells = (boundary(n) if i is None else horn(n, i)).dim_of
-            assert gen.left.is_mono() and cells_of_a == {q.images[c].core for c in horn_cells}
-            outside = {q.images[simplex_cell(range(n + 1))].core}
+            if shape.top_in_a:
+                assert i is None and gen.A.base is gen.B.base
+                kept = standard_simplex(n).dim_of
+            else:
+                kept = (boundary(n) if i is None else horn(n, i)).dim_of
+            assert gen.left.is_mono() and cells_of_a == {q.images[c].core for c in kept}
+            outside = set()
+            if not shape.top_in_a:
+                outside.add(q.images[simplex_cell(range(n + 1))].core)
             if i is not None:
                 outside.add(q.images[simplex_cell(v for v in range(n + 1) if v != i)].core)
             assert set(gen.B.base.dim_of) - cells_of_a == outside, (label, gen.name)
-    assert kinds == {True, False}
+            kinds.add((len(outside), n if gen.name == "boundary(0)" else None))
+    assert kinds == {(2, None), (1, None), (1, 0), (0, None)}
 
 
 def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
@@ -684,7 +716,7 @@ def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
 
     marked = simplex_generator("marked-horn", 2, 1, marked=[(0, 1)])
     flat_top = marked._replace(name="flat-top", A=MarkedScaled(marked.A.base))
-    assert marked.B.marked == {"01"} and flat_top.horn is marked.horn is not None
+    assert marked.B.marked == {"01"} and flat_top.shape is marked.shape is not None
     d2 = standard_simplex(2)
     cases = [
         (flat_top, to_point(Scaled(d2)), decorate(d2), Scaled(standard_simplex(0)).sharp_marked(), REFUTED),
