@@ -146,8 +146,7 @@ def rescale_generator(name, A: MarkedScaled, B: MarkedScaled) -> Generator:
         raise SSetError("rescaling generators keep the underlying complex")
     base = A.base
     left, tops = identity_map(base), base.level(base.dim)
-    # q: Delta^n -> base on the one top simplex; Delta^n itself is its own image under the identity
-    q = None if len(tops) != 1 else left if base == standard_simplex(base.dim) else simplex_map(base, EZ(tops[0], idop(base.dim)))
+    q = None if len(tops) != 1 else simplex_map(base, EZ(tops[0], idop(base.dim)))
     shape = _simplex_shape(left, q) if q is not None and first_missed_dim(q) is None else None
     return Generator(name, left, A, B, shape=shape)
 
