@@ -89,9 +89,9 @@ class SSet:
     """A finite simplicial set: nondegenerate cells with EZ-normal face data."""
 
     def __init__(self, cells, faces, dim_cap: int = DIM_CAP):
-        self.cells: tuple[tuple[str, ...], ...] = tuple(tuple(level) for level in cells)
-        while self.cells and not self.cells[-1]:
-            self.cells = self.cells[:-1]
+        cells = [tuple(level) for level in cells]
+        top = max((n for n, level in enumerate(cells) if level), default=-1)  # trailing empty levels go, in one pass
+        self.cells: tuple[tuple[str, ...], ...] = tuple(cells[: top + 1])
         self.faces: dict[str, tuple[EZ, ...]] = {
             x: fs if type(fs) is tuple and all(type(p) is EZ and type(p.op) is tuple for p in fs) else tuple(map(_ez, fs))
             for x, fs in faces.items()

@@ -278,7 +278,7 @@ def _first_in_search_order(Xb: SSet, failed: list):
     """The payload of the failing top first in the order of ``problems_for``, of
     entries (images of the cells of A in the order of ``A.dim_of``, payload):
     ``enumerate_maps`` ranks maps on the positions of those images in
-    ``Xb.simplices``.  None if ``failed`` is empty."""
+    ``Xb.simplices``."""
     positions: dict[EZ, int] = {}
 
     def position(c):
@@ -286,7 +286,7 @@ def _first_in_search_order(Xb: SSet, failed: list):
             positions.update((s, k) for k, s in enumerate(Xb.simplices(c.deg)))
         return positions[c]
 
-    return min(failed, key=lambda top: [position(c) for c in top[0]])[1] if failed else None
+    return min(failed, key=lambda top: [position(c) for c in top[0]])[1]
 
 
 class _SimplexShape(NamedTuple):
@@ -339,19 +339,20 @@ def _simplex_shape(left: SMap, q: SMap) -> _SimplexShape:
 
 def _first_unfilled(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -> SMap | None:
     """The bottom of the first square with no filler, decided on the slots of
-    the tops of the generator's shape.
+    the tops of the generator's shape, one slot at a time.
 
-    Each facet y_k of a top comes from the ``X.by_faces(n - 1, keep)`` bucket
-    of its faces d_j y_k = d_{k-1} y_j fixed so far; a top in A is any
-    n-simplex of X.  Pins, decorations and equalities on cells of A are read
-    through their routes once their slot is chosen.  If the top t is outside
-    A, a square adds the bottom's images of d_i t and t, from ``Y.by_faces``
-    buckets keyed on p of the facets; its fillers are in the tuple's own
-    ``X.by_faces(n, facets)`` bucket.  If t is in A, it is its own only
-    filler: it has a square when p of it meets B's pins and decorations in Y,
-    and a filler when it meets B's decorations in X.  The filters are those
-    ``enumerate_maps`` and ``find_lift`` apply.  Only the bottom of the first
-    failing top (``_first_in_search_order``) is built as an SMap.
+    A facet y_k of a top comes from the ``X.by_faces(n - 1, keep)`` bucket of
+    its faces d_j y_k = d_{k-1} y_j, read off the slots chosen before; a top
+    in A is one n-simplex of X.  Decided once per (slot, simplex): the pins
+    and decorations of A on the cells read off the slot, whether p of them
+    meets B's pins and decorations in Y (else no top through it has a
+    square) and whether they meet B's decorations in X, and p of the slot.
+    Equalities across slots are checked per top.  Outside A, the top t has
+    its fillers in its ``X.by_faces(n, facets)`` bucket, and the bottom's
+    images of d_i t and t come from ``Y.by_faces`` buckets keyed on p of the
+    facets, once per tuple of p-images; in A, t is its own only filler.  The
+    filters are those ``enumerate_maps`` and ``find_lift`` apply; only the
+    bottom of the first failing top (``_first_in_search_order``) is an SMap.
     """
     B, Xb, Yb = gen.B.base, X.base, Y.base
     q, i, top_in_a, facets, route, equal = gen.shape
@@ -362,8 +363,6 @@ def _first_unfilled(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -
     bpins = {b: p(pin) for b, pin in gen.filler_pins.items()}
     # find_lift lets the top override a filler pin on a cell of A
     xpin_t, xpin_f = gen.filler_pins.get(t), gen.filler_pins.get(f)
-    # the cells of A that a filler pin or a decoration of B constrains
-    held = [(a, b) for a, b in source.items() if b in bpins or b in gen.B.marked or b in gen.B.thin]
 
     def at(a, ys):
         k, op = route[a]
@@ -371,76 +370,73 @@ def _first_unfilled(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -
 
     # the number of a top's slots and their dimension
     nslots, d = (1, n) if top_in_a else (len(facets), n - 1)
-    # the cells of A with a top pin or decoration, and the equalities, by their last slot
-    cells, equalities = [[] for _ in range(nslots)], [[] for _ in range(nslots)]
-    for a in sorted(set(gen.top_pins) | gen.A.marked | gen.A.thin):
-        cells[route[a][0]].append(a)
+    # per slot: the cells a of A read off it that A or B (on a) pins or decorates, the equalities ending there
+    checks, equalities = [[] for _ in range(nslots)], [[] for _ in range(nslots)]
+    held_a, held_b = set(gen.top_pins) | gen.A.marked | gen.A.thin, set(bpins) | gen.B.marked | gen.B.thin
+    for a, b in source.items():
+        if a in held_a or b in held_b:
+            checks[route[a][0]].append((a, b, route[a][1]))
     for r, a, sigma in equal:
         equalities[max(r[0], route[a][0])].append((r, a, sigma))
-    # a vertex has no faces, so slots of dimension 0 do not constrain one another
-    index = [Xb.by_faces(d, facets[:k] if d > 0 else ()) for k in range(nslots)]
-
-    def ok_top(a, c):
-        return gen.top_pins.get(a, c) == c and _decorated(gen.A, X, a, c)
-
-    def tops(ys):
-        k = len(ys)
-        if k == nslots:
-            yield tuple(ys)
-            return
-        key = tuple(Xb.face(y, facets[k] - 1) for y in ys) if d > 0 else ()
-        for y in index[k].get(key, ()):
-            ys.append(y)
-            if all(ok_top(a, at(a, ys)) for a in cells[k]) and all(
-                Xb.act(ys[r[0]], r[1]) == Xb.act(at(a, ys), sigma) for r, a, sigma in equalities[k]
-            ):
-                yield from tops(ys)
-            ys.pop()
-
-    def ok_filler(sigma):
-        # p(d_i sigma) is d_i p(sigma), the bottom on d_i t, once p(sigma) is right
-        face = None if f is None else Xb.face(sigma, i)
-        return xpin_t in (None, sigma) and _decorated(gen.B, X, t, sigma) and (
-            f is None or (xpin_f in (None, face) and _decorated(gen.B, X, f, face))
-        )
 
     def ok_bottom(b, cand):
         return bpins.get(b, cand) == cand and _decorated(gen.B, Y, b, cand)
 
-    def unfilled(ys, lifts):
-        """The bottom outside A of the first square on the top ys with no filler,
-        None if each has one; ``lifts`` is whether ys meets B's decorations."""
-        if top_in_a:
-            return None if lifts else {}
-        filled = {p(sigma) for sigma in fillers.get(ys, ()) if ok_filler(sigma)} if lifts else set()
-        pys = [p(y) for y in ys]
-        if f is None:
-            fcands = [None]
-        elif n == 1:
-            fcands = [c for c in Yb.simplices(0) if ok_bottom(f, c)]
-        else:
-            # face k of d_i t is face i - 1 of d_k t (k < i) or face i of d_(k+1) t
-            fkey = tuple(Yb.face(py, i - 1 if k < i else i) for k, py in enumerate(pys))
-            fcands = [c for c in Yb.by_faces(n - 1).get(fkey, ()) if ok_bottom(f, c)]
-        for cf in fcands:
-            tkey = tuple(pys) if f is None else (*pys[:i], cf, *pys[i:])
-            for ct in Yb.by_faces(n).get(tkey, ()):
-                if ok_bottom(t, ct) and ct not in filled:
-                    return {t: ct} if f is None else {f: cf, t: ct}
-        return None
+    @lru_cache(maxsize=None)
+    def slot(k, y):
+        """For y in slot k: (its faces if a later slot reads them, p(y), whether
+        the cells read off y meet B's decorations in X), or False if one misses
+        a pin or decoration of A, or p of one misses B's in Y."""
+        lifts = True
+        for a, b, op in checks[k]:
+            c = Xb.act(y, op)
+            if gen.top_pins.get(a, c) != c or not _decorated(gen.A, X, a, c) or not ok_bottom(b, p(c)):
+                return False
+            lifts = lifts and _decorated(gen.B, X, b, c)
+        return Xb.faces_of(y) if k + 1 < nslots else (), p(y), lifts
 
-    fillers, failed = Xb.by_faces(n, facets), []
-    for ys in tops([]):
-        seen = [(b, at(a, ys)) for a, b in held]
-        if not all(ok_bottom(b, p(c)) for b, c in seen):
-            continue  # no square
-        bottom = unfilled(ys, all(_decorated(gen.B, X, b, c) for b, c in seen))
+    # the tops with the faces, p-images and lifts of their slots, in search order
+    tops = [((), (), (), True)]
+    for k in range(nslots):
+        # a vertex has no faces, so slots of dimension 0 do not constrain one another
+        index, grown, eqs = Xb.by_faces(d, facets[:k] if d > 0 else ()), [], equalities[k]
+        for ys, faces, pys, lifts in tops:
+            key = tuple(fs[facets[k] - 1] for fs in faces) if d > 0 else ()
+            for y in index.get(key, ()):
+                fact, top = slot(k, y), (*ys, y)
+                if fact and (not eqs or all(Xb.act(top[r[0]], r[1]) == Xb.act(at(a, top), s) for r, a, s in eqs)):
+                    grown.append((top, (*faces, fact[0]), (*pys, fact[1]), lifts and fact[2]))
+        tops = grown
+
+    def ok_filler(sigma):
+        # p(d_i sigma) is d_i p(sigma), the bottom on d_i t, once p(sigma) is right
+        face = None if f is None else Xb.faces_of(sigma)[i]
+        return xpin_t in (None, sigma) and _decorated(gen.B, X, t, sigma) and (
+            f is None or (xpin_f in (None, face) and _decorated(gen.B, X, f, face))
+        )
+
+    fillers, ytops = Xb.by_faces(n, facets), None if top_in_a else Yb.by_faces(n)
+    yfaces, bottoms, failed = None if f is None else Yb.by_faces(n - 1), {}, []
+    for ys, _, pys, lifts in tops:
+        if top_in_a:
+            bottom = None if lifts else {}
+        else:
+            filled = {p(sigma) for sigma in fillers.get(ys, ()) if ok_filler(sigma)} if lifts else ()
+            if pys not in bottoms:
+                # the bottoms (on d_i t, on t) whose facets are pys, in search order
+                fcands = [None]
+                if f is not None:
+                    # face k of d_i t is face i - 1 of d_k t (k < i) or face i of d_(k+1) t
+                    fkey = tuple(Yb.face(py, i - 1 if k < i else i) for k, py in enumerate(pys)) if n > 1 else ()
+                    fcands = [c for c in yfaces.get(fkey, ()) if ok_bottom(f, c)]
+                tkeys = [(cf, pys if f is None else (*pys[:i], cf, *pys[i:])) for cf in fcands]
+                bottoms[pys] = [(cf, ct) for cf, tkey in tkeys for ct in ytops.get(tkey, ()) if ok_bottom(t, ct)]
+            bottom = next(({t: ct} if f is None else {f: cf, t: ct} for cf, ct in bottoms[pys] if ct not in filled), None)
         if bottom is not None:
             failed.append(([at(a, ys) for a in gen.A.base.dim_of], (ys, bottom)))
-    first = _first_in_search_order(Xb, failed)
-    if first is None:
+    if not failed:
         return None
-    ys, bottom = first
+    ys, bottom = _first_in_search_order(Xb, failed)
     return SMap(B, Yb, {**bpins, **{b: p(at(a, ys)) for a, b in source.items()}, **bottom})
 
 

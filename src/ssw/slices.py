@@ -364,7 +364,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
     bound = shape.dim_bound(S)
     top = cap if bound is None else min(cap, bound)
     levels: list[dict] = []
-    cells: list[list[str]] = [[] for _ in range(cap + 1)]
+    cells: list[list[str]] = [[] for _ in range(top + 1)]  # the levels computed, at most cap + 1
     faces: dict[str, tuple] = {}
     cell_maps: dict[str, SMap] = {}
     for n in range(top + 1):
@@ -390,9 +390,9 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
         levels.append(level)
     total_base = SSet(cells, faces, dim_cap=cap)
     marked = thin = frozenset()
-    if shape.has_marking and cap >= 1:
+    if shape.has_marking and top >= 1:
         marked = frozenset(x for x in cells[1] if shape.is_marked(cell_maps[x], S))
-    if shape.has_scaling and cap >= 2:
+    if shape.has_scaling and top >= 2:
         # a triangle is thin when its map sends the 'thin' upgrade to thin triangles
         extra = [EZ(t, idop(2)) for t in shape.upgrade("thin")]
         thin = frozenset(x for x in cells[2] if all(S.is_thin(cell_maps[x](t)) for t in extra))
@@ -400,7 +400,7 @@ def build_representable(shape: Shape, S: Scaled, cap: int, provenance: str) -> S
     if shape.project_cell(0) is not None:
         images = {c: cell_maps[c].images[shape.project_cell(n)] for n in range(top + 1) for c in cells[n]}
         projection = SMap(total_base, S.base, images)
-    saturated = cap >= 1 and not cells[cap] and not cells[cap - 1]
+    saturated = cap >= 1 and not any(cells[cap - 1 :])  # levels cap - 1 and cap, empty if not computed
     total = MarkedScaled(total_base, marked, thin)
     return SliceResult(total, projection, provenance, cap, saturated, cell_maps, levels, shape)
 

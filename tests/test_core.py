@@ -135,6 +135,13 @@ def test_sset_keeps_face_tuples_that_are_already_ez():
     assert Z == X and all(type(f.op) is tuple for fs in Z.faces.values() for f in fs)
 
 
+def test_sset_drops_many_trailing_empty_levels_in_one_pass():
+    """Trailing empty levels are dropped at once, not one tuple slice at a
+    time, which took time quadratic in their number; inner empty levels stay."""
+    X = SSet([["a"], [], ["b"]] + [[]] * 10**6, {"b": (EZ("a", (0, 0)),) * 3})
+    assert X.cells == (("a",), (), ("b",)) and X.dim == 2 and SSet([[]] * 10**6, {}).cells == ()
+
+
 # ---------------------------------------------------------------- validation
 
 

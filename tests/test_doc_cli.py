@@ -310,6 +310,32 @@ def test_cli_rejects_negative_cap(argv):
     assert out.startswith("error:") and f"cap must be a non-negative integer, got {argv[-1]}" in out
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["check-bicat", "d0", "--bound", str(10**6)], None),
+        (["check-bicat", "d0"], str(10**6)),
+        (["hom", "d2_sharp", "0", "2", "--cap", str(10**6)], None),
+        (["slice", "d2_sharp", "2", "--cap", str(10**6)], None),
+        (["check-limit-cone", "d2_sharp", "2", "--cap", "2", "--bound", str(10**6)], None),
+    ],
+)
+def test_cli_rejects_a_bound_or_cap_past_the_maximum(argv, env, monkeypatch):
+    """A --bound, SSW_DEFAULT_BOUND or --cap past MAX_BOUND exits 3 with an
+    error line before any object is resolved or built."""
+    import ssw.cli
+
+    def resolve(spec):
+        raise AssertionError("resolved")
+
+    monkeypatch.setattr(ssw.cli, "resolve", resolve)
+    if env is not None:
+        monkeypatch.setenv("SSW_DEFAULT_BOUND", env)
+    source = "SSW_DEFAULT_BOUND" if env is not None else argv[-2]
+    assert ssw.cli.MAX_BOUND >= 12  # tier-1 runs check-bicat --bound 12 and slice --cap 11
+    assert run_command(argv) == (3, f"error: {source} must be at most {ssw.cli.MAX_BOUND}, got {10**6}\n")
+
+
 def test_cli_certificate_missing_keys(tmp_path):
     from ssw.doc import complex_to_doc
 

@@ -34,6 +34,7 @@ from ssw.fibration import (
     check_limit_cone,
     classify_edge,
     cocar_witness_check,
+    collapsed_horn_generator,
     combine,
     detects_thin,
     edge_horn,
@@ -726,6 +727,49 @@ def test_recorded_horns_read_the_decorations_of_b_on_cells_of_a(monkeypatch):
     monkeypatch.setattr(fibration, "problems_for", None)
     for (gen, p, X, Y, status), verdict in zip(cases, expected):
         assert has_rlp(p, X, Y, GeneratorFamily(gen.name, [gen], 2)) == verdict and verdict.status == status
+
+
+def test_each_slot_decides_its_own_pins_and_decorations():
+    """The horn Lambda^3_3 with a top pin on one facet and a thin triangle of
+    A on another, over the boundary of Delta^3 with several scalings: every
+    triangle of X is a candidate for both slots, and what a triangle decides
+    in one slot (the pin) is not what it decides in the other (thinness).
+    has_rlp agrees with the backtracker in status and evidence, and both
+    statuses occur."""
+    d = boundary(3)
+    point = Scaled(standard_simplex(0)).sharp_marked()
+    statuses = []
+    for thin in ([], ["023"], ["123"], ["023", "123"], d.level(2)):
+        X = MarkedScaled(d, frozenset(), frozenset(thin))
+        for pin in d.simplices(2):
+            for decorated, pinned in (((0, 2, 3), (1, 2, 3)), ((1, 2, 3), (0, 2, 3))):
+                gen = simplex_generator("two-slot", 3, 3, thin=[decorated], top_pins={pinned: pin})
+                family = GeneratorFamily(gen.name, [gen], 3)
+                verdict = has_rlp(to_point(X), X, point, family)
+                assert verdict == backtracked_rlp(to_point(X), X, point, family)
+                statuses.append(verdict.status)
+    assert set(statuses) == {REFUTED, VERIFIED}
+
+
+def test_collapsed_horn_equalities_span_two_slots():
+    """collapsed-initial(n) sends the vertices 0 and 1 of Delta^n to one
+    vertex and the edge 01 to its degeneracy: the edge is read off the slot
+    d_2, the vertex off the slot d_1.  has_rlp checks that equality on each
+    top and agrees with the backtracker, in status and evidence, on simplices,
+    a boundary, a truncated nerve and the collapsed Delta^3 itself, where a
+    horn is left unfilled."""
+    point = Scaled(standard_simplex(0)).sharp_marked()
+    statuses = []
+    for n in (2, 3):
+        gen = collapsed_horn_generator("collapsed", n, (0, 1))
+        assert any(r[0] != gen.shape.route[a][0] for r, a, _ in gen.shape.equal)  # two slots
+        for base in (standard_simplex(3), boundary(3), j_truncated(3), collapsed_horn_generator("c", 3, (0, 1)).B.base):
+            X = Scaled(base, frozenset()).sharp_marked()
+            family = GeneratorFamily(gen.name, [gen], 3)
+            verdict = has_rlp(to_point(X), X, point, family)
+            assert verdict == backtracked_rlp(to_point(X), X, point, family)
+            statuses.append(verdict.status)
+    assert set(statuses) == {REFUTED, VERIFIED}
 
 # ---------------------------------------------------------------- certificates
 

@@ -359,6 +359,15 @@ def test_a_cap_past_the_bound_costs_no_level(monkeypatch):
     assert built == [0, 1, 2]
 
 
+def test_a_huge_cap_past_the_bound_holds_no_level_past_it():
+    """A cap far past the proven bound allocates and trims no level past it:
+    at cap 10**6 the slice of d2_sharp over 2 has the cells of the cap-3
+    slice, and is saturated."""
+    huge, small = slice_over_vertex(d2_sharp(), "2", cap=10**6), slice_over_vertex(d2_sharp(), "2", cap=3)
+    assert huge.total == small.total and huge.total.base.counts() == (3, 3, 1)
+    assert (huge.saturated, small.saturated) == (True, False)
+
+
 @pytest.mark.parametrize("name", ["d2_sharp", "d3_sharp"])
 def test_the_bound_changes_nothing_but_the_levels(name, monkeypatch):
     """Slices and thick slices built with their bound equal those built
