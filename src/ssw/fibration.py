@@ -373,7 +373,7 @@ def _first_unfilled(gen: Generator, p: SMap, X: MarkedScaled, Y: MarkedScaled) -
     # per slot: the cells a of A read off it that A or B (on a) pins or decorates, the equalities ending there
     checks, equalities = [[] for _ in range(nslots)], [[] for _ in range(nslots)]
     held_a, held_b = set(gen.top_pins) | gen.A.marked | gen.A.thin, set(bpins) | gen.B.marked | gen.B.thin
-    for a, b in source.items():
+    for a, b in sorted(source.items()):  # in a fixed order, so that the work done repeats
         if a in held_a or b in held_b:
             checks[route[a][0]].append((a, b, route[a][1]))
     for r, a, sigma in equal:

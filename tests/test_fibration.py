@@ -751,6 +751,30 @@ def test_each_slot_decides_its_own_pins_and_decorations():
     assert set(statuses) == {REFUTED, VERIFIED}
 
 
+def test_the_checks_of_a_slot_run_in_a_fixed_order(monkeypatch):
+    """A slot stops at its first failing check, so the checks run in an order
+    fixed by the cells, not by the order of the left map's images, which can
+    follow hash order: the work of a decision then repeats in every process.
+    With the images listed backwards, the decorations are checked as often."""
+    import ssw.fibration as fibration
+
+    calls = []
+    decorated = fibration._decorated
+    monkeypatch.setattr(fibration, "_decorated", lambda *args: calls.append(args) or decorated(*args))
+    d4 = standard_simplex(4)
+    X = Scaled(d4, frozenset(d4.level(2)) - {"034", "123", "024"}).sharp_marked()
+    p, Y = identity_map(d4), decorate(d4, SHARP, SHARP)
+    saturation = next(gen for gen in scaled_anodyne_family(4).generators if gen.name == "saturation-4")
+    for gen in (saturation, edge_horn("weak", 3, EZ("01", (0, 1)))):
+        counts = []
+        for images in (gen.left.images, dict(reversed(gen.left.images.items()))):
+            calls.clear()
+            left = SMap(gen.left.source, gen.left.target, images)
+            verdict = has_rlp(p, X, Y, GeneratorFamily(gen.name, [gen._replace(left=left)], 4))
+            counts.append((len(calls), verdict))
+        assert counts[0] == counts[1], gen.name
+
+
 def test_collapsed_horn_equalities_span_two_slots():
     """collapsed-initial(n) sends the vertices 0 and 1 of Delta^n to one
     vertex and the edge 01 to its degeneracy: the edge is read off the slot
