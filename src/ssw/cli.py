@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     from .fibration import Verdict
 
 EXIT_OK, EXIT_REFUTED, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
-# The largest --bound, SSW_DEFAULT_BOUND and --cap; `hom d2_sharp 0 2 --cap 12` takes about 20 s and 620 MB.
+# The largest --bound, SSW_DEFAULT_BOUND and --cap; `hom d2_sharp 0 2 --cap 12` took 20 s and 620 MB on a 2-core VM.
 MAX_BOUND = 12
 
 
