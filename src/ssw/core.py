@@ -7,7 +7,6 @@ immutable after construction and every operation is pure.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
@@ -21,6 +20,7 @@ from .ops import (
     idop,
     injections,
     is_epi,
+    memo,
     op_join,
     op_reverse,
     surjections,
@@ -409,10 +409,9 @@ def empty_sset() -> SSet:
 # -- standard complexes -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def standard_simplex(n: int) -> SSet:
-    """The n-simplex; nondegenerate cells are vertex subsets of {0..n}.
-    Built once per n, then shared: SSets are immutable."""
+    """The n-simplex; nondegenerate cells are vertex subsets of {0..n}."""
     if n < 0:
         raise SSetError("n must be >= 0")
     cells = [[] for _ in range(n + 1)]
@@ -447,7 +446,7 @@ def subcomplex(X: SSet, keep: Iterable[str]) -> tuple[SSet, SMap]:
     return sub, incl
 
 
-@lru_cache(maxsize=None)
+@memo
 def boundary_inclusion(n: int) -> SMap:
     """The inclusion of the boundary of Delta^n; built once, shared."""
     full = standard_simplex(n)
@@ -458,7 +457,7 @@ def boundary(n: int) -> SSet:
     return boundary_inclusion(n).source
 
 
-@lru_cache(maxsize=None)
+@memo
 def horn_inclusion(n: int, i: int) -> SMap:
     """The inclusion of the horn Lambda^n_i into Delta^n; built once, shared."""
     if not (0 <= i <= n) or n < 1:
@@ -492,7 +491,7 @@ def collapse(X: SSet, cells) -> PushoutResult:
     return pushout_mono(incl, constant_map(sub, standard_simplex(0), "0"))
 
 
-@lru_cache(maxsize=None)
+@memo
 def q_complex() -> SSet:
     """Q = Delta^0 u_{02} Delta^3 u_{13} Delta^0."""
     first = collapse(standard_simplex(3), ["0", "2", "02"])
@@ -515,7 +514,7 @@ class ProductResult(NamedTuple):
     pr2: SMap
 
 
-@lru_cache(maxsize=None)
+@memo
 def shuffle_partners(sigma: Op, l: int) -> tuple[Op, ...]:
     """The tau in ``surjections(n, l)`` jointly injective with sigma: [n] ->> [k],
     in that order; (x, sigma), (y, tau) is then a nondegenerate product cell.
@@ -529,7 +528,7 @@ def shuffle_partners(sigma: Op, l: int) -> tuple[Op, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@memo
 def joint_split(ops: tuple[Op, ...]) -> tuple[Op, Op]:
     """Split same-length operators at their joint degeneracies, as (section, sigma).
 
@@ -606,6 +605,18 @@ class MultiProductResult(NamedTuple):
     index: dict[tuple[EZ, ...], str]  # jointly nondegenerate components -> cell
 
 
+def content_key(*args, dim_cap: int | None = None) -> tuple:
+    """A construction's memo key: its arguments, each SSet or decorated SSet, in
+    a list too, paired with its dim_cap (SSet equality ignores it), and the cap."""
+
+    def one(a):
+        base = getattr(a, "base", a)
+        return tuple(map(one, a)) if type(a) is list else (a, base.dim_cap) if isinstance(base, SSet) else a
+
+    return (*map(one, args), DIM_CAP if dim_cap is None else dim_cap)
+
+
+@memo(key=content_key)
 def multi_product(factors: list[SSet], dim_cap: int | None = None) -> MultiProductResult:
     if not factors:
         raise SSetError("need at least one factor")

@@ -50,7 +50,7 @@ from .decor import (
     restrict_ms,
     witness_face,
 )
-from .ops import Op, idop, injections, op_reverse
+from .ops import Op, idop, injections, memo, op_reverse
 from .tensor import (
     cone,
     gray_scaled,
@@ -131,7 +131,7 @@ def simplex_generator(name, n: int, i: int | None, marked=(), thin=(), top_pins=
     return Generator(name, incl, restrict_ms(B, incl), B, named(top_pins), named(filler_pins), shape)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _simplex_horn(n: int, i: int | None) -> tuple:
     """The inclusion of Lambda^n_i (of the boundary if i is None) into Delta^n
     and its shape over q = id; built once per (n, i)."""
@@ -192,7 +192,7 @@ def _scaled_inner_horns(bound: int) -> tuple:
     return tuple(scaled_inner_horn(n, i) for n in range(2, bound + 1) for i in range(1, n))
 
 
-@lru_cache(maxsize=None)
+@memo
 def weak_fibration_family(bound: int) -> GeneratorFamily:
     gens = list(_scaled_inner_horns(bound))
     for n in range(2, bound + 1):
@@ -201,14 +201,14 @@ def weak_fibration_family(bound: int) -> GeneratorFamily:
     return GeneratorFamily(f"weak-fibration(bound {bound})", tuple(gens), bound)
 
 
-@lru_cache(maxsize=None)
+@memo
 def inner_horn_family(bound: int) -> GeneratorFamily:
     inner = [(n, i) for n in range(2, bound + 1) for i in range(1, n)]
     gens = tuple(simplex_generator(f"inner-horn({n},{i})", n, i) for n, i in inner)
     return GeneratorFamily(f"inner-horns(bound {bound})", gens, bound)
 
 
-@lru_cache(maxsize=None)
+@memo
 def outer_horn_family(bound: int) -> GeneratorFamily:
     """The collapsed outer horns of the underlying-simplicial outer condition."""
     gens = []
@@ -218,7 +218,7 @@ def outer_horn_family(bound: int) -> GeneratorFamily:
     return GeneratorFamily(f"outer-horns(bound {bound})", tuple(gens), bound)
 
 
-@lru_cache(maxsize=None)
+@memo
 def boundary_family(bound: int, marked_generator: bool = False, scaled_generator: bool = True) -> GeneratorFamily:
     """Trivial-fibration generators: flat boundary inclusions, the thin-triangle
     rescaling, and optionally the marked-edge rescaling."""
@@ -682,7 +682,7 @@ def locally_cocartesian_edges(f: SMap, S: Scaled, bound: int = 4) -> frozenset:
 # -- outer cartesian anodyne generators ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def outer_anodyne_family(bound: int) -> GeneratorFamily:
     """The six generating families of outer cartesian anodyne maps."""
     # (1) scaled inner horns
@@ -714,7 +714,7 @@ def has_outer_anodyne_rlp(p: SMap, X: MarkedScaled, Y: Scaled, bound: int = 4) -
 # -- infinity-bicategories ---------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def scaled_anodyne_family(bound: int) -> GeneratorFamily:
     """The generating scaled anodyne maps: inner horns, the Delta^4 scaling
     saturation (exact), and the collapsed initial horns with their scaling."""

@@ -1,27 +1,55 @@
-"""Monotone-map calculus on finite ordinals.
+"""Monotone-map calculus on finite ordinals, and the one registry of memos.
 
 An operator [m] -> [k] is stored as a value tuple of length m+1: ``op[t]`` is
 the image of ``t``.  Surjective monotone operators are the degeneracy words of
 the Eilenberg-Zilber decomposition; injective monotone operators are iterated
-face maps.
-
-``idop``, ``compose``, ``epi_mono``, ``face_op``, ``face_split`` and ``is_epi``
-are memoized like ``surjections`` and ``injections``: the faces of degenerate
-simplices, actions, validation and product cells go through them, on few
-distinct arguments.  The faces and images of a nondegenerate simplex are read
-off the stored ones without them (``SSet.faces_of``, ``SMap.__call__``), after
-an identity test against the ``IDENTITY`` table, a subscript where ``idop`` is
-a call.  They take operators as tuples, never lists.
+face maps.  The functions here are memoized and take operators as tuples,
+never lists.  The faces and images of a nondegenerate simplex are read off the
+stored ones without them (``SSet.faces_of``, ``SMap.__call__``), after an
+identity test against the ``IDENTITY`` table, a subscript where ``idop`` is a
+call.  Every memo that lives as long as the process is made by ``memo`` or
+put in ``_MEMOS``; ``memo_sizes()`` gives their sizes, ``clear_memos()`` empties them.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 Op = tuple  # tuple[int, ...]
+_MEMOS: dict = {}  # the registry: name -> a memo table or an lru_cache
 
 
-@lru_cache(maxsize=None)
+def memo(fn=None, *, key=None):
+    """fn memoized on its arguments, or on ``key(*args, **kwargs)`` where equal
+    arguments may differ in content; registered as module.name."""
+    if fn is None:
+        return lambda fn: memo(fn, key=key)
+    name = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}"
+    if key is None:
+        _MEMOS[name] = cached = lru_cache(maxsize=None)(fn)
+        return cached
+    _MEMOS[name] = table = {}
+
+    @wraps(fn)
+    def keyed(*args, **kwargs):
+        out = table.get(k := key(*args, **kwargs))
+        return table.setdefault(k, fn(*args, **kwargs)) if out is None else out
+
+    return keyed
+
+
+def memo_sizes() -> dict[str, int]:
+    """The number of entries of each registered memo, by name."""
+    return {name: len(m) if isinstance(m, dict) else m.cache_info().currsize for name, m in sorted(_MEMOS.items())}
+
+
+def clear_memos() -> None:
+    """Empty every registered memo, so that the next call builds afresh."""
+    for m in _MEMOS.values():
+        m.clear() if isinstance(m, dict) else m.cache_clear()
+
+
+@memo
 def idop(m: int) -> Op:
     return tuple(range(m + 1))
 
@@ -31,14 +59,14 @@ class _Identities(dict):
         return self.setdefault(length, tuple(range(length)))
 
 
-IDENTITY: dict[int, Op] = _Identities()  # op is an identity iff op == IDENTITY[len(op)]
+IDENTITY: dict[int, Op] = _MEMOS.setdefault("ops.IDENTITY", _Identities())  # op is an identity iff op == IDENTITY[len(op)]
 
 
 def is_monotone(op: Op) -> bool:
     return all(op[t] <= op[t + 1] for t in range(len(op) - 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def is_epi(op: Op) -> bool:
     """Surjective monotone onto [op[-1]]."""
     if not op or op[0] != 0 or not is_monotone(op):
@@ -46,13 +74,13 @@ def is_epi(op: Op) -> bool:
     return all(op[t + 1] - op[t] <= 1 for t in range(len(op) - 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def compose(f: Op, g: Op) -> Op:
     """f after g."""
     return tuple(f[v] for v in g)
 
 
-@lru_cache(maxsize=None)
+@memo
 def epi_mono(beta: Op) -> tuple[Op, Op]:
     """Factor a monotone beta as delta∘sigma with sigma epi, delta mono."""
     values = sorted(set(beta))
@@ -61,13 +89,13 @@ def epi_mono(beta: Op) -> tuple[Op, Op]:
     return sigma, tuple(values)
 
 
-@lru_cache(maxsize=None)
+@memo
 def face_op(n: int, i: int) -> Op:
     """delta_i: [n-1] -> [n], skipping i."""
     return tuple(t for t in range(n + 1) if t != i)
 
 
-@lru_cache(maxsize=None)
+@memo
 def face_split(sigma: Op) -> tuple[tuple[int | None, Op], ...]:
     """The faces of a degeneracy word sigma: [n] ->> [k] (n >= 1), one per i <= n.
 
@@ -97,7 +125,7 @@ def const_op(m: int, v: int) -> Op:
     return (v,) * (m + 1)
 
 
-@lru_cache(maxsize=None)
+@memo
 def surjections(n: int, k: int) -> tuple[Op, ...]:
     """All monotone surjections [n] ->> [k], in lexicographic order."""
     if k > n or k < 0:
@@ -113,7 +141,7 @@ def surjections(n: int, k: int) -> tuple[Op, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@memo
 def injections(n: int, k: int) -> tuple[Op, ...]:
     """All monotone injections [n] -> [k], in lexicographic order."""
     if n > k:

@@ -16,8 +16,8 @@ built once per process and shared by every shape with the same parameters.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     EZ,
@@ -45,7 +45,7 @@ from .decor import (
     pulled_back_thin,
     restrict_ms,
 )
-from .ops import compose, const_op, degeneracy_op, face_op, idop
+from .ops import compose, const_op, degeneracy_op, face_op, idop, memo
 from .tensor import (
     flat_ms,
     gray_marked_n,
@@ -88,16 +88,16 @@ class Level(NamedTuple):
     data: object
 
 
-@lru_cache(maxsize=None)
+@memo
 def delta_map(alpha: tuple[int, ...], n: int) -> SMap:
     """The map Delta^m -> Delta^n of a monotone alpha: [m] -> [n]; built once, shared."""
     return simplex_map(standard_simplex(n), simplex_from_word(alpha))
 
 
-# Levels, reindexing maps and upgrades of every shape built in this process, one
-# table per (class, K, first, params): K is compared by content, so two equal K
-# share one table.
-_SHARED: dict[tuple, dict] = {}
+def _shared(shape: "Shape", *args) -> tuple:
+    """The memo key of a level, reindexing map or upgrade, shared by the shapes
+    of one class, K (compared by content), first and params."""
+    return (type(shape), shape.K, shape.first, shape.params(), *args)
 
 
 class Shape:
@@ -109,8 +109,7 @@ class Shape:
     levels made from d on the Delta side and k on the K side; it may
     override ``build(n)``.  ``first`` says whether Delta is the first of
     the two factors; ``params()`` gives the other parameters the levels
-    depend on.  Levels, reindexing maps and upgrades are built once per
-    process and shared by every shape of the same class, K, first and params.
+    depend on, which with the class, K and ``first`` key their memos.
 
     ``has_marking`` and ``has_scaling`` say whether the result carries a
     marking and a scaling; ``image_ok`` filters the images of the level maps
@@ -127,34 +126,20 @@ class Shape:
     def params(self) -> tuple:
         return ()
 
-    @cached_property
-    def _table(self) -> dict:
-        """This shape's table in the process-wide memo."""
-        return _SHARED.setdefault((type(self), self.K, self.first, self.params()), {})
-
-    def _memo(self, key: tuple, make: Callable, *args):
-        """The shared value under key, made by make(*args) the first time."""
-        value = self._table.get(key)
-        if value is None:
-            value = self._table[key] = make(*args)
-        return value
-
     def ordered(self, d, k) -> tuple:
         """(d, k) in factor order; applied to (first, second) it gives (Delta, K)."""
         return (d, k) if self.first else (k, d)
 
+    @memo(key=_shared)
     def object(self, n: int) -> Level:
-        return self._memo(("level", n), self.build, n)
+        return self.build(n)
 
     def build(self, n: int) -> Level:
         return self.variant(flat_ms(n))
 
-    def induced(self, alpha, m: int, n: int) -> SMap:
+    @memo(key=_shared)
+    def induced(self, alpha: tuple, m: int, n: int) -> SMap:
         """F(alpha): F(m) -> F(n) for monotone alpha: [m] -> [n]."""
-        alpha = tuple(alpha)
-        return self._memo(("induced", alpha, m, n), self._induced, alpha, m, n)
-
-    def _induced(self, alpha: tuple, m: int, n: int) -> SMap:
         d = delta_map(alpha, n)
         return self.reindex(self.object(m).data, self.object(n).data, d, identity_map(self.K.base))
 
@@ -163,13 +148,11 @@ class Shape:
         d = identity_map(standard_simplex(n))
         return self.reindex(self.object(n).data, other.object(n).data, d, g)
 
+    @memo(key=_shared)
     def upgrade(self, which: str) -> frozenset:
         """The triangles of F(1) ('marked') or F(2) ('thin') that turn thin when
         Delta^1 is marked or Delta^2 thin; a simplex of the result is marked or
         thin when its map sends all of them to thin triangles."""
-        return self._memo(("upgrade", which), self._upgrade, which)
-
-    def _upgrade(self, which: str) -> frozenset:
         if check_mode("which", which, "marked", "thin") == "marked":
             n, probe = 1, interval_sharp()
         else:

@@ -2,7 +2,6 @@
 comparison maps and homotopies between the thick and ordinary joins."""
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -13,6 +12,7 @@ from .core import (
     SSet,
     SSetError,
     check_mode,
+    content_key,
     coproduct,
     first_missed_dim,
     identity_map,
@@ -39,7 +39,7 @@ from .decor import (
     pushout_ms,
     witness_face,
 )
-from .ops import degeneracy_op, epi_mono, idop, op_join
+from .ops import degeneracy_op, epi_mono, idop, memo, op_join
 
 
 def flat_ms(n: int) -> MarkedScaled:
@@ -247,6 +247,7 @@ class ThickJoin(NamedTuple):
         return self.incl_left, self.incl_right
 
 
+@memo(key=content_key)
 def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> ThickJoin:
     """The inner or outer thick join: one pushout of the Gray product
     X x Delta^1 x Y (Y x Delta^1 x X for ``out``) along both of its ends into
@@ -321,15 +322,10 @@ class ConeResult(NamedTuple):
 
 def cone(variance: str, side: str, K: MarkedScaled) -> ConeResult:
     """The cone on K: a thick join with a point, edges through the point marked."""
-    pt = point_ms()
-    if check_mode("side", side, "left", "right") == "left":
-        tj = thick_join(variance, pt, K)
-        star = tj.incl_left.images["0"].core
-        k_incl = tj.incl_right
-    else:
-        tj = thick_join(variance, K, pt)
-        star = tj.incl_right.images["0"].core
-        k_incl = tj.incl_left
+    left = check_mode("side", side, "left", "right") == "left"
+    tj = thick_join(variance, point_ms(), K) if left else thick_join(variance, K, point_ms())
+    pt_incl, k_incl = (tj.incl_left, tj.incl_right) if left else (tj.incl_right, tj.incl_left)
+    star = pt_incl.images["0"].core
     total = tj.total
     through = {e for e in total.base.level(1) if star in total.base.vertices_of(EZ(e, idop(1)))}
     return ConeResult(MarkedScaled(total.base, push_cells(k_incl, K.marked) | through, total.thin), tj, star)
@@ -342,21 +338,11 @@ class WeightedCone(NamedTuple):
     tj: ThickJoin
 
 
-def weighted_cone(
-    variance: str,
-    p: SMap,
-    tilde: MarkedScaled,
-    base: Scaled,
-    side: str = "left",
-) -> WeightedCone:
+def weighted_cone(variance: str, p: SMap, tilde: MarkedScaled, base: Scaled, side: str = "left") -> WeightedCone:
     """The p-weighted cone: glue the cone on the marked total space along p."""
     check_scaled_map(p, tilde, base, "weight projection")
-    if check_mode("side", side, "left", "right") == "left":
-        tj = thick_join(variance, point_ms(), tilde)
-        tilde_incl = tj.incl_right
-    else:
-        tj = thick_join(variance, tilde, point_ms())
-        tilde_incl = tj.incl_left
+    tj = cone(variance, side, tilde).tj
+    tilde_incl = tj.incl_right if side == "left" else tj.incl_left
     P_ms, leg_base, leg_cone = pushout_ms(tilde_incl, p, tj.total.flat_marked(), base.flat_marked())
     return WeightedCone(P_ms.scaled(), leg_base, leg_cone, tj)
 
@@ -370,6 +356,7 @@ class CompareR(NamedTuple):
     r: SMap
 
 
+@memo(key=content_key)
 def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> CompareR:
     """The canonical map from the outer thick join to the ordinary join.
 
@@ -413,17 +400,14 @@ def compare_r(X: MarkedScaled, Y: MarkedScaled, dim_cap: int | None = None) -> C
 
 
 class JoinEqData(NamedTuple):
-    p: int
-    q: int
     cmp: CompareR
     T: frozenset
     Tprime: frozenset
 
 
-@lru_cache(maxsize=1)
 def join_eq_data(p: int, q: int) -> JoinEqData:
-    """T and T' on Delta^p outer-join Delta^q, with the comparison map; the last
-    pair is kept, so its witnesses and its homotopies share one comparison."""
+    """T and T' on Delta^p outer-join Delta^q, with the comparison map, which a
+    pair's witnesses and homotopies share through the memo of ``compare_r``."""
     cap = max(DIM_CAP, p + q + 2)
     cmp = compare_r(flat_ms(p), flat_ms(q), dim_cap=cap)
     total = cmp.tj.total
@@ -432,7 +416,7 @@ def join_eq_data(p: int, q: int) -> JoinEqData:
     )
     if not total.thin <= tprime:
         raise SSetError("thick-join scaling is not contained in T'")
-    return JoinEqData(p, q, cmp, total.thin, tprime)
+    return JoinEqData(cmp, total.thin, tprime)
 
 
 def _join_eq_eta(data: JoinEqData, cell: str) -> tuple[EZ, int]:
@@ -582,33 +566,25 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     def restrict(hom: SMap, eps: str) -> SMap:
         return SMap(total, total, {c: hom.images[at_end[(c, eps)]] for c in total.dim_of})
 
-    sr = SMap(total, total, {c: s(r(EZ(c, idop(n)))) for c, n in total.dim_of.items()})
-    rs = SMap(J, J, {c: r(s(EZ(c, idop(n)))) for c, n in J.dim_of.items()})
-    ident_total = identity_map(total)
-
-    retraction_ok = rs == identity_map(J)
-    h_end1_ok = restrict(h, "1") == sr
-    k_end1_ok = restrict(k, "1") == ident_total
-    h_end0_ok = restrict(h, "0") == u
-    k_end0_ok = restrict(k, "0") == u
-
     def constant_on_vertices(hom: SMap) -> bool:
         return not any(hom(pair_cell(PT, EZ(v, (0, 0)), EZ("01", (0, 1)))).is_nondeg() for v in total.level(0))
 
-    h_constant = constant_on_vertices(h)
-    k_constant = constant_on_vertices(k)
-
     PT_scaled = Scaled(PT, pulled_back_thin(PT, (prT,), (TT,)))
-    scaled_ok = (
-        is_scaled_map(h, PT_scaled, TT)
-        and is_scaled_map(k, PT_scaled, TT)
-        and is_scaled_map(u, TT, TT)
-        and is_scaled_map(s, Scaled(J, frozenset()), TT)
-    )
-
     report = HomotopyReport(
-        data, s, u, retraction_ok, h_end1_ok, k_end1_ok, h_end0_ok, k_end0_ok,
-        h_constant, k_constant, scaled_ok,
+        data, s, u,
+        retraction_ok=s.then(r) == identity_map(J),
+        h_end1_ok=restrict(h, "1") == r.then(s),
+        k_end1_ok=restrict(k, "1") == identity_map(total),
+        h_end0_ok=restrict(h, "0") == u,
+        k_end0_ok=restrict(k, "0") == u,
+        h_constant=constant_on_vertices(h),
+        k_constant=constant_on_vertices(k),
+        scaled_ok=(
+            is_scaled_map(h, PT_scaled, TT)
+            and is_scaled_map(k, PT_scaled, TT)
+            and is_scaled_map(u, TT, TT)
+            and is_scaled_map(s, Scaled(J, frozenset()), TT)
+        ),
     )
     if not report.ok:
         raise SSetError(f"join comparison homotopy verification failed: {report}")

@@ -518,6 +518,21 @@ def test_cli_valid_object_flows_through_the_trusted_constructors(tmp_path):
         assert run_command([a.format(f"@{path}") for a in argv]) == run_command([a.format("d1") for a in argv])
 
 
+def test_thick_join_document_is_the_same_warm_and_fresh():
+    """ssw thick-join out d2 d2 --format json prints the same bytes from a
+    built thick join, from an empty registry and in a fresh process."""
+    from ssw.ops import clear_memos
+
+    argv = ["thick-join", "out", "d2", "d2", "--format", "json"]
+    run_command(argv)
+    warm = run_command(argv)
+    clear_memos()
+    assert run_command(argv) == warm and warm[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "ssw.cli", *argv], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == warm
+
+
 def test_cli_checks_bicategories_past_dimension_eleven():
     """Cell names of the 12-simplex are distinct (its vertex 12 is "12."), so
     the bound-12 check runs; run in a fresh process, as a user runs it."""

@@ -162,7 +162,7 @@ def test_validation_check_sees_a_validating_build(tmp_path):
 # A ratchet on the lines of src/ssw/*.py, lowered as code is deleted (the
 # ROADMAP baseline is 4,904); lines added for speed are paid back by deleting
 # others.
-MAX_SOURCE_LINES = 4493
+MAX_SOURCE_LINES = 4491
 
 
 def annotation_names(tree):
@@ -287,6 +287,88 @@ def test_dead_name_check_sees_dead_names(tmp_path):
         "class C:\n    def m(self):\n        return self.m()\n"
     )
     assert dead_names([path], [path], []) == ["m.py:unused", "m.py:C", "m.py:C.m"]
+
+
+# Every memo that lives as long as the process is made by ``ssw.ops.memo`` (or
+# is put in its registry, ``_MEMOS``), so that ``memo_sizes()`` sees it and
+# ``clear_memos()`` empties it.
+def unregistered_memos(path):
+    """path:line: what, for each memo outside the registry: an ``lru_cache`` or
+    ``cache`` named outside a function body (in a function body it lives for one
+    call), and a module or class attribute set to an empty dict (``{}``,
+    ``dict()``, a ``defaultdict`` or an instance of a dict subclass of the
+    module).  The registry ``_MEMOS`` of ops.py is the one exception."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    dict_classes = {
+        n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and any(ast.unparse(b) == "dict" for b in n.bases)
+    }
+
+    def in_function_body(node):
+        while node in parents:
+            parent = parents[node]
+            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)) and node in parent.body:
+                return True
+            if isinstance(parent, ast.Lambda) and node is parent.body:
+                return True
+            node = parent
+        return False
+
+    def empty_dict(value):
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if not isinstance(value, ast.Call):
+            return False
+        func = ast.unparse(value.func).rsplit(".", 1)[-1]
+        return func == "defaultdict" or (func in {"dict", *dict_classes} and not value.args and not value.keywords)
+
+    hits = []
+    for node in ast.walk(tree):
+        if in_function_body(node):
+            continue
+        if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache") or (
+            isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+        ):
+            hits.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and empty_dict(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = ", ".join(ast.unparse(t) for t in targets)
+            if (path.name, names) != ("ops.py", "_MEMOS"):
+                hits.append((node.lineno, names))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(hits)]
+
+
+def test_every_process_memo_is_in_the_registry():
+    import importlib
+
+    from ssw.ops import _MEMOS
+
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in unregistered_memos(path)] == []
+    # and every lru_cache that a module or a class of ssw holds is a registered one
+    modules = [importlib.import_module(f"ssw.{path.stem}") for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    registered = {id(m) for m in _MEMOS.values()}
+    for module in modules:
+        owners = [module] + [c for c in vars(module).values() if isinstance(c, type) and c.__module__ == module.__name__]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_info"):
+                    assert id(value) in registered, f"{module.__name__}.{name}"
+
+
+def test_memo_check_sees_unregistered_memos(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from collections import defaultdict\nfrom functools import cache, lru_cache\n\n"
+        "SEEN = {}\nTABLE: dict = dict()\nGROUPS = defaultdict(list)\nKINDS = {'a': 1}\n\n\n"
+        "class _Table(dict):\n    pass\n\n\nCACHE = _Table()\nKEPT = memo(lambda x: {})\n\n\n"
+        "@lru_cache(maxsize=None)\ndef f(x):\n    return x\n\n\n"
+        "class C:\n    seen = {}\n\n    @cache\n    def m(self):\n        return {}\n\n\n"
+        "def per_call(xs):\n    seen = {}\n    return lru_cache(maxsize=None)(lambda x: seen.setdefault(x, x))\n"
+    )
+    assert unregistered_memos(path) == [
+        "m.py:4: SEEN", "m.py:5: TABLE", "m.py:6: GROUPS", "m.py:14: CACHE",
+        "m.py:18: lru_cache", "m.py:24: seen", "m.py:26: cache",
+    ]
 
 
 # The ssw modules a fresh process loads for each entry point.  The catalog

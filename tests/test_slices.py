@@ -16,7 +16,7 @@ from ssw.core import (
     standard_simplex,
 )
 from ssw.decor import FLAT, SHARP, MarkedScaled, Scaled, decorate, scale
-from ssw.ops import idop
+from ssw.ops import clear_memos, idop
 from ssw.slices import (
     SliceResult,
     fiber_ms,
@@ -351,7 +351,7 @@ def test_a_cap_past_the_bound_costs_no_level(monkeypatch):
 
     built = []
     build = ssw.slices.Shape.build
-    monkeypatch.setattr(ssw.slices, "_SHARED", {})  # a fresh level memo, so every level is built here
+    clear_memos()  # no level memo, so every level is built here
     monkeypatch.setattr(ssw.slices.Shape, "build", lambda self, n: built.append(n) or build(self, n))
     status, out = run_command(["slice", "d2_sharp", "2", "--cap", "11"])
     assert (status, out.replace("cap 11", "cap 4")) == run_command(["slice", "d2_sharp", "2", "--cap", "4"])
@@ -936,11 +936,14 @@ def level_content(shape, n):
 )
 def test_each_key_parameter_gives_its_own_levels(a, b):
     """Shapes that differ in one parameter (side, variance, delta scaling,
-    Gray side, x or y) keep separate levels, and the levels differ."""
+    Gray side, x or y) keep separate levels, and the levels differ.  Their
+    constructions may be one object where their content is one (the product
+    of the cartesian and hom shapes), so the levels are told apart by their
+    scaled objects."""
     shapes = memo_shapes(marked_interval())
     one, other = shapes[a], shapes[b]
     for n in range(3):
-        assert one.object(n).data is not other.object(n).data, n
+        assert one.object(n).scaled is not other.object(n).scaled, n
     assert any(level_content(one, n) != level_content(other, n) for n in range(3))
 
 

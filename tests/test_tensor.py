@@ -4,13 +4,16 @@ import pytest
 
 from helpers import is_isomorphic, scaled_isomorphic, sharp_ms
 from ssw.core import (
+    DIM_CAP,
     EZ,
     SMap,
+    SSet,
     SSetError,
     boundary_inclusion,
     constant_map,
     coproduct,
     first_missed_dim,
+    multi_product,
     product,
     standard_simplex,
     subcomplex,
@@ -25,7 +28,7 @@ from ssw.decor import (
     pushout_ms,
     scale,
 )
-from ssw.ops import idop
+from ssw.ops import clear_memos, idop, memo_sizes
 from ssw.tensor import (
     compare_r,
     cone,
@@ -661,7 +664,7 @@ def test_first_missed_dim_matches_the_all_simplices_check():
         assert first_missed_dim(f) == all_simplices_missed_dim(f)
 
 
-def test_compare_r_rejects_a_comparison_that_misses_a_cell(monkeypatch):
+def test_compare_r_rejects_a_comparison_that_misses_a_cell(monkeypatch, fresh_memos):
     """A join padded with an isolated vertex, which r cannot reach."""
     import ssw.tensor
 
@@ -713,7 +716,7 @@ def test_join_eq_homotopies():
 
 
 @pytest.mark.parametrize("which", [0, 1])  # h, then k
-def test_join_eq_homotopies_rejects_a_corrupted_image_of_h_or_k(monkeypatch, which):
+def test_join_eq_homotopies_rejects_a_corrupted_image_of_h_or_k(monkeypatch, fresh_memos, which):
     """h and k are the maps it builds from the prism (total x Delta^1); moving
     one vertex image of either must fail the face check of its proof step."""
     import ssw.tensor
@@ -747,7 +750,7 @@ def test_gray_commutes_with_pushout_surrogate():
     sends a pushout along a mono to the pushout of the Gray products."""
     from ssw.core import SMap, pair_cell, pushout_mono, subcomplex
     from ssw.decor import pushout_ms
-    from ssw.ops import idop
+    from ssw.ops import clear_memos, idop, memo_sizes
 
     d1 = standard_simplex(1)
     W = flat_ms(1)
@@ -836,11 +839,11 @@ def test_weighted_cone_interval_fold():
 
 def test_criterion_3_builds_each_comparison_once(monkeypatch):
     """One thick join per (p, q): the witnesses, the comparison map and the
-    homotopies of a pair share one ``join_eq_data``."""
+    homotopies of a pair share one ``compare_r``."""
     import ssw.tensor
     from ssw.suite import run_suite
 
-    ssw.tensor.join_eq_data.cache_clear()
+    clear_memos()
     built = []
     original = ssw.tensor.thick_join
 
@@ -853,3 +856,94 @@ def test_criterion_3_builds_each_comparison_once(monkeypatch):
     assert result.ok
     assert result.detail == "comparison, witnesses and homotopies verified on 9 pairs"
     assert built == ["out"] * 9
+
+
+# ------------------------------------------------------------------ the memo registry
+
+
+def copy_of(X: SSet, dim_cap: int | None = None) -> SSet:
+    """A distinct SSet with the content of X, and its dim_cap unless another is given."""
+    return SSet(X.cells, X.faces, dim_cap=X.dim_cap if dim_cap is None else dim_cap)
+
+
+def flat_copy(n: int, dim_cap: int | None = None) -> MarkedScaled:
+    return MarkedScaled(copy_of(standard_simplex(n), dim_cap))
+
+
+def test_equal_content_built_twice_is_one_object():
+    """Products, thick joins and comparisons are kept by content: distinct but
+    equal inputs get the object built first, and a cap of None is DIM_CAP."""
+    d1, d2 = standard_simplex(1), standard_simplex(2)
+    mp = multi_product([d1, d2])
+    assert multi_product([copy_of(d1), copy_of(d2)], dim_cap=DIM_CAP) is mp
+    tj = thick_join("out", flat_ms(2), flat_ms(1))
+    assert thick_join("out", flat_copy(2), flat_copy(1), dim_cap=DIM_CAP) is tj
+    assert tj.mid.mp is multi_product([d1, d1, d2])  # the middle Y x Delta^1 x X of the outer join
+    cmp = compare_r(flat_copy(1), flat_copy(2), dim_cap=DIM_CAP)
+    assert compare_r(flat_ms(1), flat_ms(2)) is cmp and cmp.tj is thick_join("out", flat_ms(1), flat_ms(2))
+
+
+# Each keyed construction on an X in place of flat Delta^2, with the dim_cap its result shows.
+KEYED_BUILDS = {
+    "thick_join": (lambda X: thick_join("out", X, flat_ms(1)), lambda r: r.total.base.dim_cap),
+    "compare_r": (lambda X: compare_r(X, flat_ms(1)), lambda r: r.tj.total.base.dim_cap),
+    "multi_product": (lambda X: multi_product([X.base, standard_simplex(1)]), lambda r: r.projections[0].target.dim_cap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_BUILDS))
+def test_a_different_dim_cap_builds_its_own_result(name):
+    """SSet equality ignores dim_cap, but the result shows it, so an input that
+    differs from flat Delta^2 only in its dim_cap gets a result of its own,
+    equal to a build from an empty registry."""
+    build, cap_of = KEYED_BUILDS[name]
+    X = flat_copy(2, dim_cap=9)
+    assert X == flat_ms(2)
+    plain, result = build(flat_ms(2)), build(X)
+    assert result is not plain and (cap_of(plain), cap_of(result)) == (DIM_CAP, 9)
+    clear_memos()
+    fresh = build(X)
+    assert fresh == result and cap_of(fresh) == 9
+
+
+@pytest.mark.parametrize("name", ["thick_join", "compare_r"])
+@pytest.mark.parametrize("marking,scaling", [(SHARP, FLAT), (FLAT, SHARP)], ids=["marking", "thin set"])
+def test_a_different_decoration_builds_its_own_result(name, marking, scaling):
+    build, _ = KEYED_BUILDS[name]
+    X = decorate(standard_simplex(2), marking, scaling)
+    plain, result = build(flat_ms(2)), build(X)
+    assert result is not plain
+    clear_memos()
+    assert build(X) == result and build(flat_ms(2)) == plain
+
+
+def test_variance_and_cap_key_their_own_thick_joins():
+    out = thick_join("out", flat_ms(1), flat_ms(1))
+    assert thick_join("inn", flat_ms(1), flat_ms(1)) is not out
+    wider = thick_join("out", flat_ms(1), flat_ms(1), dim_cap=DIM_CAP + 1)
+    assert wider is not out and wider.total.base.dim_cap == DIM_CAP + 1 != out.total.base.dim_cap
+
+
+def test_clear_memos_empties_the_registry_and_a_fresh_build_equals_the_warm_one():
+    warm = compare_r(flat_ms(2), flat_ms(1))
+    sizes = memo_sizes()
+    assert sizes["tensor.compare_r"] > 0 and sizes["tensor.thick_join"] > 0 and sizes["core.multi_product"] > 0
+    assert {"ops.compose", "ops.IDENTITY", "slices.Shape.object", "fibration.scaled_anodyne_family"} <= sizes.keys()
+    clear_memos()
+    assert set(memo_sizes().values()) == {0}
+    fresh = compare_r(flat_ms(2), flat_ms(1))
+    assert fresh is not warm and fresh == warm
+
+
+def test_homotopies_after_the_comparison_build_no_thick_join(monkeypatch):
+    """join_eq_homotopies(2, 2) reuses the comparison that compare_r built
+    with the default cap, the cap it asks for."""
+    import ssw.tensor
+
+    clear_memos()
+    compare_r(flat_ms(2), flat_ms(2))
+    built = []
+    original = ssw.tensor.thick_join
+    monkeypatch.setattr(ssw.tensor, "thick_join", lambda *args, **kwargs: built.append(args) or original(*args, **kwargs))
+    assert join_eq_homotopies(2, 2).ok
+    assert built == []
