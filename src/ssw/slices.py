@@ -96,8 +96,8 @@ def delta_map(alpha: tuple[int, ...], n: int) -> SMap:
 
 def _shared(shape: "Shape", *args) -> tuple:
     """The memo key of a level, reindexing map or upgrade, shared by the shapes
-    of one class, K (compared by content), first and params."""
-    return (type(shape), shape.K, shape.first, shape.params(), *args)
+    of one class, K (by content and dim_cap), first and params."""
+    return (type(shape), shape.K, shape.K.base.dim_cap, shape.first, shape.params(), *args)
 
 
 class Shape:

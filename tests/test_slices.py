@@ -6,6 +6,7 @@ from posets import nerve, poset_nerves
 from ssw.core import (
     EZ,
     SMap,
+    SSet,
     SSetError,
     boundary,
     collapse,
@@ -945,6 +946,20 @@ def test_each_key_parameter_gives_its_own_levels(a, b):
     for n in range(3):
         assert one.object(n).scaled is not other.object(n).scaled, n
     assert any(level_content(one, n) != level_content(other, n) for n in range(3))
+
+
+def test_a_K_with_another_dim_cap_keeps_its_own_levels():
+    """SSet equality ignores dim_cap, but a thick join shows its factors' caps:
+    the levels over a point with dim_cap 9 are not handed to a shape over the
+    point with dim_cap 6, whose levels read as if built from an empty registry."""
+    d0 = standard_simplex(0)
+    S = d2_sharp()
+    f = simplex_map(S.base, EZ("2", (0,)))
+    wide = thick_slice(S, MarkedScaled(SSet(d0.cells, d0.faces, dim_cap=9)), f, "out", "over", 2)
+    plain = thick_slice(S, MarkedScaled(d0), f, "out", "over", 2)
+    assert [sl.shape.object(1).scaled.base.dim_cap for sl in (wide, plain)] == [9, 6]
+    clear_memos()
+    assert thick_slice(S, MarkedScaled(d0), f, "out", "over", 2).shape.object(1) == plain.shape.object(1)
 
 
 def test_diagrams_on_one_K_keep_their_own_pins():
