@@ -3,8 +3,8 @@
 An operator [m] -> [k] is stored as a value tuple of length m+1: ``op[t]`` is
 the image of ``t``.  Surjective monotone operators are the degeneracy words of
 the Eilenberg-Zilber decomposition; injective monotone operators are iterated
-face maps.  The functions here are memoized and take operators as tuples,
-never lists.  The faces and images of a nondegenerate simplex are read off the
+face maps.  The functions marked ``@memo`` take operators as tuples, never
+lists.  The faces and images of a nondegenerate simplex are read off the
 stored ones without them (``SSet.faces_of``, ``SMap.__call__``), after an
 identity test against the ``IDENTITY`` table, a subscript where ``idop`` is a
 call.  Every memo that lives as long as the process is made by ``memo`` or
