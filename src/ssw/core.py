@@ -70,11 +70,6 @@ def ez_str(pair: EZ) -> str:
     return pair.core + "~" + "".join(map(str, pair.op))
 
 
-def _ez(p) -> EZ:
-    """p as an EZ with a tuple op, p itself when it already is one."""
-    return p if type(p) is EZ and type(p.op) is tuple else EZ(p[0], tuple(p[1]))
-
-
 def _name(verts: Iterable[object]) -> str:
     """Vertices run together ("012") or joined by dots ("9.10"); a lone vertex
     whose digits increase ends in a dot ("12.", since "12" is the edge 1 < 2)."""
@@ -86,16 +81,14 @@ def _name(verts: Iterable[object]) -> str:
 
 
 class SSet:
-    """A finite simplicial set: nondegenerate cells with EZ-normal face data."""
+    """A finite simplicial set: nondegenerate cells with EZ-normal face data,
+    stored as given (tuples of EZ pairs with tuple operators)."""
 
     def __init__(self, cells, faces, dim_cap: int = DIM_CAP):
         cells = [tuple(level) for level in cells]
         top = max((n for n, level in enumerate(cells) if level), default=-1)  # trailing empty levels go, in one pass
         self.cells: tuple[tuple[str, ...], ...] = tuple(cells[: top + 1])
-        self.faces: dict[str, tuple[EZ, ...]] = {
-            x: fs if type(fs) is tuple and all(type(p) is EZ and type(p.op) is tuple for p in fs) else tuple(map(_ez, fs))
-            for x, fs in faces.items()
-        }
+        self.faces: dict[str, tuple[EZ, ...]] = dict(faces)
         self.dim_cap = dim_cap
         self.dim_of: dict[str, int] = {}
         for n, level in enumerate(self.cells):
@@ -143,7 +136,6 @@ class SSet:
 
     def act(self, pair: EZ, alpha: Op) -> EZ:
         """Apply a monotone operator alpha: [l] -> [deg(pair)] to a simplex."""
-        alpha = tuple(alpha)
         key = (pair, alpha)
         hit = self._act_cache.get(key)
         if hit is not None:
@@ -311,9 +303,7 @@ class SMap:
     def __init__(self, source: SSet, target: SSet, images):
         self.source = source
         self.target = target
-        # images from a map, a product or a search are EZ with tuple ops already: copy them as they are
-        ez = all(type(p) is EZ and type(p.op) is tuple for p in images.values())
-        self.images: dict[str, EZ] = dict(images) if ez else {x: _ez(p) for x, p in images.items()}
+        self.images: dict[str, EZ] = dict(images)
 
     def __call__(self, pair: EZ) -> EZ:
         """The image img∘op of pair = (core, op); the stored image img itself
@@ -976,15 +966,9 @@ def isomorphisms(
     k = 0
     while k >= 0:
         if k == size:
-            try:
-                cand = SMap(X, Y, dict(images))
-                cand._validate()
-            except SSetError:
-                pass
-            else:
-                out.append(cand)
-                if first_only:
-                    break
+            out.append(SMap(X, Y, dict(images)))
+            if first_only:
+                break
             k -= 1
             continue
         x = order[k]

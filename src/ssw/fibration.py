@@ -761,59 +761,40 @@ def certificate_check(start: MarkedScaled, steps: list, claimed: MarkedScaled) -
     return Verdict(VERIFIED)
 
 
-# -- the lax-lift filtration -------------------------------------------------------------------
+# -- horn filtrations ---------------------------------------------------------------------------
 
 
-class FiltrationStep(NamedTuple):
-    index: int
-    horn_vertex: int
-    new_cells: tuple
+def horn_filtration(B: Scaled, stage, rule) -> list:
+    """A filtration of the sub-complex ``stage`` (cell names) of B by pushouts of
+    horns, found greedily: the (cell, horn index) of each step, which adds the
+    cell sigma and its face d_i sigma.
 
-
-def lax_lift_filtration(n: int) -> list:
-    """The filtration of (flat Delta^1) Gray (flat Delta^n): each middle step a
-    pushout of a scaled inner horn, the last of a flat outer horn.  Raises at the
-    first step that is not a pushout of its horn."""
-    if n > 4:
-        raise SSetError("filtration is size-guarded to n <= 4")
-    d1 = Scaled(standard_simplex(1))
-    dn = Scaled(standard_simplex(n))
-    g = gray_scaled(d1, dn, dim_cap=n + 1)
-    P = g.scaled.base
-    pr1, pr2 = g.projections
-    top_dn = "".join(str(i) for i in range(n + 1))
-    x0 = {c for c, nd in P.dim_of.items() if pr2(EZ(c, idop(nd))).core != top_dn or pr1(EZ(c, idop(nd))).core == "1"}
-    prev, steps = x0, []
-    for i in range(n + 1):
-        a_word = [0] * (i + 1) + [1] * (n + 1 - i)
-        b_word = list(range(i + 1)) + list(range(i, n + 1))
-        tau = pair_cell(P, simplex_from_word(a_word), simplex_from_word(b_word))
-        if not tau.is_nondeg() or tau.deg != n + 1:
-            raise SSetError("filtration simplex is degenerate")
-        tau_map = simplex_map(P, tau)
-        dnp1 = tau_map.source
-        tplus = [t for t in dnp1.level(2) if int(t[0]) == i and int(t[1]) == i + 1 and int(t[2]) > i + 1]
-        new = {img.core for img in tau_map.images.values() if img.is_nondeg() and img.core not in prev}
-        horn_vertex = i + 1
-        opp = "".join(str(v) for v in range(n + 2) if v != horn_vertex)
-        # the new cells are tau and its face opposite the horn vertex, and the
-        # preimage of the previous stage is exactly the horn
-        if new != {tau_map.images[opp].core, tau.core} or not all(
-            (img.core in prev or not img.is_nondeg()) == (c not in (opp, dnp1.level(n + 1)[0]))
-            for c, img in tau_map.images.items()
-        ):
-            raise SSetError(f"filtration step {i} is not a pushout of its horn")
-        # scaling: images of T+ are thin, and the new thin cells are exactly
-        # those images, none at the last step (a flat horn)
-        thin_prev = {t for t in g.scaled.thin if t in prev}
-        thin_next = {t for t in g.scaled.thin if t in prev | new}
-        images_tplus = {img.core for img in (tau_map(EZ(t, idop(2))) for t in tplus) if img.is_nondeg()}
-        if not images_tplus <= g.scaled.thin or thin_next != thin_prev | (images_tplus if i < n else set()):
-            raise SSetError(f"filtration step {i} does not scale as its horn")
-        steps.append(FiltrationStep(i, horn_vertex, tuple(sorted(new))))
-        prev = prev | new
-    if prev != set(P.dim_of):
-        raise SSetError("filtration does not exhaust the Gray product")
+    Each step takes the first cell in (dimension, name) order with exactly one
+    face d_i outside the stage, that face nondegenerate with its faces in the
+    stage, for which ``rule(dim sigma, i)`` gives the thin vertex triples of a
+    generator (None: no generator) whose images are thin in B.  The thin
+    triangles of B in the grown stage must be the old ones plus those images.
+    Raises at the step where no cell qualifies or that check fails."""
+    X = B.base
+    stage, steps = set(stage), []
+    while len(stage) < len(X.dim_of):
+        for sigma in sorted(X.dim_of.keys() - stage, key=lambda c: (X.dim_of[c], c)):
+            top = EZ(sigma, idop(X.dim_of[sigma]))
+            out = [i for i, f in enumerate(X.faces_of(top)) if f.core not in stage]
+            triples = rule(top.deg, out[0]) if len(out) == 1 else None
+            if triples is None:
+                continue
+            face = X.faces_of(top)[out[0]]
+            images = {img.core for img in (X.act(top, t) for t in triples) if img.is_nondeg()}
+            if face.is_nondeg() and all(f.core in stage for f in X.faces_of(face)) and images <= B.thin:
+                break
+        else:
+            raise SSetError(f"filtration step {len(steps)}: no cell is a pushout of a horn")
+        grown = stage | {sigma, face.core}
+        if B.thin & grown != (B.thin & stage) | images:
+            raise SSetError(f"filtration step {len(steps)} does not scale as its horn")
+        stage = grown
+        steps.append((sigma, out[0]))
     return steps
 
 
@@ -835,9 +816,10 @@ def cocar_witness_check(perturb: bool = False, use_opposite: bool = False) -> Ve
         topc = EZ(c, idop(nd))
         if pr1(topc).core in ("0", "1") and nd == 2:
             T.add(c)
-    if perturb:
-        T = set(sorted(T)[1:])
-    diff = gs.scaled.thin - frozenset(T)
+    # the negative control drops the witness's face d_2, (0,0)(1,0)(1,2), from both scalings
+    dropped = {pair_cell(P, simplex_from_word([0, 1, 1]), simplex_from_word([0, 0, 2])).core} if perturb else set()
+    T -= dropped
+    diff = gs.scaled.thin - dropped - T
     sigma_expect = pair_cell(P, simplex_from_word([0, 1, 1]), simplex_from_word([0, 1, 2]))
     if len(diff) != 1 or EZ(next(iter(diff)), idop(2)) != sigma_expect:
         return Verdict(

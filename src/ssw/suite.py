@@ -37,11 +37,11 @@ from .fibration import (
     cocar_witness_check,
     empty_cone,
     has_outer_anodyne_rlp,
+    horn_filtration,
     is_P_fibered,
     is_var_cartesian_fibration,
     is_weak_fibration,
     is_outer_fibration,
-    lax_lift_filtration,
     locally_cocartesian_edges,
     weak_cartesian_via_slice,
 )
@@ -247,9 +247,29 @@ def _c7_edge_taxonomy(bound: int = 4):
     return True, f"taxonomy coherent on {checked} edges over {len(cases)} fibrations"
 
 
+def lax_lift(n: int) -> tuple[Scaled, set]:
+    """(flat Delta^1) Gray (flat Delta^n) and its sub-complex
+    (Delta^1 Gray boundary Delta^n) u ({1} Gray Delta^n)."""
+    g = gray_scaled(Scaled(standard_simplex(1)), Scaled(standard_simplex(n)), dim_cap=n + 1)
+    pr1, pr2 = g.projections
+    tops = [EZ(c, idop(d)) for c, d in g.scaled.base.dim_of.items()]
+    return g.scaled, {t.core for t in tops if pr2.target.dim_of[pr2(t).core] < n or pr1(t).core == "1"}
+
+
+def lax_lift_rule(m: int, i: int):
+    """The generators of the lax-lift filtration: an inner horn at vertex i makes
+    {i-1, i, k} thin for each k > i, and the closing outer horn makes nothing thin."""
+    if 0 < i < m:
+        return [(i - 1, i, k) for k in range(i + 1, m + 1)]
+    return () if i == m else None
+
+
 def _c8_filtration_and_witness():
     for n in range(4):
-        lax_lift_filtration(n)  # raises at a step that is not a pushout of its horn
+        B, x0 = lax_lift(n)
+        steps = horn_filtration(B, x0, lax_lift_rule)  # raises at a step with no horn to push out
+        if [(B.base.dim_of[s], i) for s, i in steps] != [(n + 1, h) for h in range(1, n + 2)]:
+            return False, f"n = {n}: the filtration is not inner horns 1..{n}, then the outer horn {n + 1}"
     if cocar_witness_check().status != VERIFIED:
         return False, "cocartesian witness fails"
     if cocar_witness_check(use_opposite=True).status != VERIFIED:

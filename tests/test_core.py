@@ -102,24 +102,6 @@ def test_simplices_enumeration_matches_hom_sets():
             assert len(maps) == len(Y.simplices(n))
 
 
-def test_act_accepts_a_list_operator():
-    X = standard_simplex(2)
-    pair = EZ("012", idop(2))
-    assert X.act(pair, [0, 1]) == X.act(pair, (0, 1)) == EZ("01", (0, 1))
-    assert X.act(EZ("01", (0, 1, 1)), [1, 2]) == EZ("1", (0, 0))
-
-
-def test_smap_normalizes_list_images():
-    d1, d2 = standard_simplex(1), standard_simplex(2)
-    tuples = {"0": EZ("0", (0,)), "1": EZ("2", (0,)), "01": EZ("02", (0, 1))}
-    lists = {"0": ("0", [0]), "1": EZ("2", [0]), "01": ["02", [0, 1]]}
-    f, g = SMap(d1, d2, tuples), SMap(d1, d2, lists)
-    assert f == g and hash(f) == hash(g) and f.key() == g.key()
-    assert all(type(img) is EZ and type(img.op) is tuple for img in g.images.values())
-    # an EZ image with a tuple op is kept as it is
-    assert all(f.images[x] is tuples[x] for x in tuples)
-
-
 def test_smap_rejects_images_of_unknown_cells():
     d0, d1 = standard_simplex(0), standard_simplex(1)
     with pytest.raises(SSetError, match="image given for unknown cell 'junk'"):
@@ -131,8 +113,6 @@ def test_sset_keeps_face_tuples_that_are_already_ez():
     X = standard_simplex(2)
     Y = SSet(X.cells, X.faces)
     assert all(Y.faces[x] is X.faces[x] for x in X.faces)
-    Z = SSet(X.cells, {x: [list(f) for f in fs] for x, fs in X.faces.items()})
-    assert Z == X and all(type(f.op) is tuple for fs in Z.faces.values() for f in fs)
 
 
 def test_sset_drops_many_trailing_empty_levels_in_one_pass():

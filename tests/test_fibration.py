@@ -43,6 +43,7 @@ from ssw.fibration import (
     find_lift,
     has_outer_anodyne_rlp,
     has_rlp,
+    horn_filtration,
     inner_horn_family,
     is_infty_bicategory,
     is_inner_fibration,
@@ -50,7 +51,6 @@ from ssw.fibration import (
     is_P_fibered,
     is_var_cartesian_fibration,
     is_weak_fibration,
-    lax_lift_filtration,
     locally_cocartesian_edges,
     outer_anodyne_family,
     outer_horn_family,
@@ -67,6 +67,7 @@ from ssw.fibration import (
 )
 from ssw.ops import idop
 from ssw.slices import slice_over_vertex, thick_slice_over_vertex
+from ssw.suite import lax_lift, lax_lift_rule
 from ssw.tensor import cone, flat_ms, join_ms, interval_sharp, point_ms, simplex_from_word
 
 from helpers import triangle_thin
@@ -851,53 +852,65 @@ def test_certificate_wrong_attach_refuted():
     assert v.status == REFUTED
 
 
-# ---------------------------------------------------------------- lax-lift filtration
+# ---------------------------------------------------------------- horn filtrations
 
 
-def drop_thin_triangle(monkeypatch, words):
-    """Make every Gray product that ssw.fibration builds lose the thin triangle
-    with these two vertex words."""
-    import ssw.fibration as fibration
-
-    gray = fibration.gray_scaled
-
-    def dropped(X, Y, dim_cap=None):
-        g = gray(X, Y, dim_cap=dim_cap)
-        t = pair_cell(g.scaled.base, *map(simplex_from_word, words)).core
-        assert t in g.scaled.thin
-        return g._replace(scaled=Scaled(g.scaled.base, g.scaled.thin - {t}))
-
-    monkeypatch.setattr(fibration, "gray_scaled", dropped)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_lax_lift_filtration(n):
+    """Inner horns at vertices 1..n, each in dimension n + 1, then the outer horn
+    n + 1; the steps exhaust the Gray product and its scaling."""
+    B, x0 = lax_lift(n)
+    steps = horn_filtration(B, x0, lax_lift_rule)
+    assert [(B.base.dim_of[sigma], i) for sigma, i in steps] == [(n + 1, h) for h in range(1, n + 2)]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_lax_lift_filtration(n, monkeypatch):
-    steps = lax_lift_filtration(n)
-    assert [(s.index, s.horn_vertex, len(s.new_cells)) for s in steps] == [(i, i + 1, 2) for i in range(n + 1)]
-    if n == 0:
-        return  # Delta^1 x Delta^0 has no triangle to drop
-    # negative control: without the thin triangle (0,0)(1,0)(1,1), which the
-    # first inner horn makes thin, step 0 must fail
-    drop_thin_triangle(monkeypatch, ([0, 1, 1], [0, 0, 1]))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lax_lift_filtration_needs_its_thin_triangle(n):
+    """Without the thin triangle (0,0)(1,0)(1,1), which the first inner horn makes
+    thin, no cell qualifies at step 0."""
+    B, x0 = lax_lift(n)
+    t = pair_cell(B.base, simplex_from_word([0, 1, 1]), simplex_from_word([0, 0, 1])).core
+    with pytest.raises(SSetError, match="filtration step 0: no cell is a pushout of a horn"):
+        horn_filtration(Scaled(B.base, B.thin - {t}), x0, lax_lift_rule)
+
+
+def inner_horns_only(m, i):
+    return () if 0 < i < m else None
+
+
+@pytest.mark.parametrize("k, i, m, steps", [(2, 1, 1, 4), (2, 1, 2, 9), (3, 1, 1, 6)])
+def test_joyal_pushout_products_are_inner_anodyne(k, i, m, steps):
+    """(horn(k, i) -> Delta^k) pushout-product (boundary Delta^m -> Delta^m) is a
+    composite of pushouts of inner horns (HTT Cor. 2.3.2.4)."""
+    P, pr1, pr2 = product(standard_simplex(k), standard_simplex(m))
+    tops = [EZ(c, idop(d)) for c, d in P.dim_of.items()]
+    outside = {pr1.target.level(k)[0], pr1.target.faces[pr1.target.level(k)[0]][i].core}
+    stage = {t.core for t in tops if pr1(t).core not in outside or pr2(t).core != pr2.target.level(m)[0]}
+    assert len(horn_filtration(Scaled(P), stage, inner_horns_only)) == steps
+
+
+def test_boundary_of_the_interval_has_no_horn_filtration():
+    with pytest.raises(SSetError, match="filtration step 0: no cell is a pushout of a horn"):
+        horn_filtration(Scaled(standard_simplex(1)), {"0", "1"}, inner_horns_only)
+
+
+def test_horn_filtration_refuses_a_step_that_scales_more_than_its_horn():
+    """The flat inner horn of the sharp triangle adds a thin triangle that no
+    generator image accounts for."""
     with pytest.raises(SSetError, match="filtration step 0 does not scale as its horn"):
-        lax_lift_filtration(n)
+        horn_filtration(d2_sharp(), {"0", "1", "2", "01", "12"}, inner_horns_only)
 
 
 # ---------------------------------------------------------------- cocartesian witness
 
 
 def test_cocar_witness():
+    """The negative control drops the witness's face d_2, the triangle
+    (0,0)(1,0)(1,2), from both Gray scalings: the difference set is still the
+    one triangle, and the face check refutes."""
     assert cocar_witness_check().status == VERIFIED
     assert cocar_witness_check(use_opposite=True).status == VERIFIED
-    assert cocar_witness_check(perturb=True).status == REFUTED
-
-
-def test_cocar_witness_refutes_a_face_off_the_scaling(monkeypatch):
-    """Drop the witness's face d_2, the triangle (0,0)(1,0)(1,2), from both Gray
-    products: the difference set is still the one triangle, and the face check
-    refutes."""
-    drop_thin_triangle(monkeypatch, ([0, 1, 1], [0, 0, 2]))
-    v = cocar_witness_check()
+    v = cocar_witness_check(perturb=True)
     assert v.status == REFUTED and v.evidence.startswith("face d_2 of the witness of")
 
 
