@@ -914,6 +914,31 @@ def test_cocar_witness():
     assert v.status == REFUTED and v.evidence.startswith("face d_2 of the witness of")
 
 
+def drop_thin_triangle(monkeypatch, words):
+    """Make every Gray product that ssw.fibration builds lose the thin triangle
+    with these two vertex words."""
+    import ssw.fibration as fibration
+
+    gray = fibration.gray_scaled
+
+    def dropped(X, Y, dim_cap=None):
+        g = gray(X, Y, dim_cap=dim_cap)
+        t = pair_cell(g.scaled.base, *map(simplex_from_word, words)).core
+        assert t in g.scaled.thin
+        return g._replace(scaled=Scaled(g.scaled.base, g.scaled.thin - {t}))
+
+    monkeypatch.setattr(fibration, "gray_scaled", dropped)
+
+
+def test_cocar_witness_refutes_a_face_off_the_scaling(monkeypatch):
+    """Drop the witness's face d_2, the triangle (0,0)(1,0)(1,2), from both Gray
+    products: the difference set is still the one triangle, and the face check
+    refutes."""
+    drop_thin_triangle(monkeypatch, ([0, 1, 1], [0, 0, 2]))
+    v = cocar_witness_check()
+    assert v.status == REFUTED and v.evidence.startswith("face d_2 of the witness of")
+
+
 # ---------------------------------------------------------------- limit cones
 
 
