@@ -156,19 +156,28 @@ class SSet:
         reduced = tuple(v if v < missing else v - 1 for v in delta)
         return self.act(self.faces[x][missing], reduced)
 
-    def faces_of(self, pair: EZ) -> tuple[EZ, ...]:
+    def faces_once(self, pair: EZ) -> tuple[EZ, ...]:
         """The faces d_0..d_n of an n-simplex (none for a vertex), read off the
         stored faces of its core by ``face_split``; they must be EZ-normal.
-        A nondegenerate simplex gets the stored tuple ``faces[core]`` itself."""
+        A nondegenerate simplex gets the stored tuple ``faces[core]`` itself.
+        Nothing is kept: ``product`` reads each simplex of its factors once."""
+        fs = self.faces.get(pair.core, ())
+        if pair.op == IDENTITY[len(fs)]:
+            return fs
+        return tuple(
+            _new(EZ, (pair.core, op) if j is None else (fs[j].core, compose(fs[j].op, op)))
+            for j, op in face_split(pair.op)
+        )
+
+    def faces_of(self, pair: EZ) -> tuple[EZ, ...]:
+        """``faces_once``, kept for the life of self for the readers that come
+        back to a simplex: lifting, map search and ``SMap._validate``."""
         fs = self.faces.get(pair.core, ())
         if pair.op == IDENTITY[len(fs)]:
             return fs
         out = self._faces_of.get(pair)
         if out is None:
-            out = self._faces_of[pair] = tuple(
-                _new(EZ, (pair.core, op) if j is None else (fs[j].core, compose(fs[j].op, op)))
-                for j, op in face_split(pair.op)
-            )
+            out = self._faces_of[pair] = self.faces_once(pair)
         return out
 
     def face(self, pair: EZ, i: int) -> EZ:
@@ -564,14 +573,14 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
         ys: dict[str, dict[Op, tuple[EZ, str, tuple[EZ, ...]]]] = {}
         for l in range(max(0, n - X.dim), min(n, Y.dim) + 1):
             for y in Y.cells[l]:
-                ys[y] = {b.op: (b, ez_str(b), Y.faces_of(b)) for b in (_new(EZ, (y, tau)) for tau in surjections(n, l))}
+                ys[y] = {b.op: (b, ez_str(b), Y.faces_once(b)) for b in (_new(EZ, (y, tau)) for tau in surjections(n, l))}
         # a-major in the order of X.simplices(n), then b in that of Y.simplices(n),
         # as a filter of all pairs; (x, sigma) has shuffle partners (y, tau) only
         # if dim y >= n - dim x.  The faces of a level-n cell lie in lower levels.
         for k in range(max(0, n - Y.dim), min(n, X.dim) + 1):
             for a in (_new(EZ, (c, sigma)) for c in X.cells[k] for sigma in surjections(n, k)):
                 name_a = ez_str(a)
-                faces_a = X.faces_of(a)
+                faces_a = X.faces_once(a)
                 for l in range(n - k, min(n, Y.dim) + 1):
                     partners = shuffle_partners(a.op, l)
                     for y in Y.cells[l]:
@@ -700,13 +709,8 @@ def join_sset(X: SSet, Y: SSet, dim_cap: int | None = None) -> JoinResult:
             return EZ(left_name[a.core], a.op)
         return EZ(mixed_name[(a.core, b.core)], op_join(a.op, b.op, a.op[-1] + 1))
 
-    faces = {}
-    for x in X.dim_of:
-        if X.dim_of[x] >= 1:
-            faces[left_name[x]] = tuple(join_pair(f, None) for f in X.faces[x])
-    for y in Y.dim_of:
-        if Y.dim_of[y] >= 1:
-            faces[right_name[y]] = tuple(join_pair(None, f) for f in Y.faces[y])
+    faces = {left_name[x]: tuple(join_pair(f, None) for f in X.faces[x]) for x, n in X.dim_of.items() if n}
+    faces.update({right_name[y]: tuple(join_pair(None, f) for f in Y.faces[y]) for y, n in Y.dim_of.items() if n})
     for (x, y), name in mixed_name.items():
         # faces 0..i drop a vertex of x (all of x if it is a vertex), the rest one of y
         i, j = X.dim_of[x], Y.dim_of[y]
@@ -756,11 +760,8 @@ def pushout_mono(i: SMap, g: SMap) -> PushoutResult:
             name += "'"
         used.add(name)
         rename[b] = name
-    n_levels = max(len(X.cells), len(B.cells))
-    cells: list[list[str]] = [[] for _ in range(n_levels)]
-    for n in range(n_levels):
-        cells[n].extend(X.level(n))
-        cells[n].extend(rename[b] for b in B.level(n) if b not in in_A)
+    levels = range(max(len(X.cells), len(B.cells)))
+    cells = [[*X.level(n), *(rename[b] for b in B.level(n) if b not in in_A)] for n in levels]
 
     def push_b(pair: EZ) -> EZ:
         if pair.core in in_A:
@@ -800,11 +801,7 @@ def opposite(X: SSet) -> SSet:
 
 
 def opposite_map(f: SMap) -> SMap:
-    return SMap(
-        opposite(f.source),
-        opposite(f.target),
-        {x: EZ(p.core, op_reverse(p.op)) for x, p in f.images.items()},
-    )
+    return SMap(opposite(f.source), opposite(f.target), {x: EZ(p.core, op_reverse(p.op)) for x, p in f.images.items()})
 
 
 # -- map enumeration ---------------------------------------------------------------
@@ -896,10 +893,8 @@ def _joint_signatures(X: SSet, Y: SSet, tags_x=None, tags_y=None):
     Tags let callers fold decorations into the invariant so that candidate
     buckets respect them.
     """
-    tags_x = tags_x or {}
-    tags_y = tags_y or {}
     sig = {}
-    for Z, tags, side in ((X, tags_x, 0), (Y, tags_y, 1)):
+    for Z, tags, side in ((X, tags_x or {}, 0), (Y, tags_y or {}, 1)):
         for x, n in Z.dim_of.items():
             sig[(side, x)] = (n, tags.get(x, 0))
     codes = {v: i for i, v in enumerate(sorted(set(sig.values())))}

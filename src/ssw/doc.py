@@ -112,9 +112,11 @@ def map_to_doc(f: SMap, source_name: str | None = None, target_name: str | None 
 def doc_to_map(doc: dict, resolve) -> SMap:
     """Load a map document; resolve turns a name or inline document into a
     MarkedScaled complex."""
-    src = resolve(doc["source"])
-    tgt = resolve(doc["target"])
-    images = {x: ez_from_doc(entry, f"image of {x!r}") for x, entry in doc["images"].items()}
+    if not isinstance(doc, dict) or not {"source", "target", "images"} <= doc.keys():
+        raise SSetError("a map document must be an object with source, target and images")
+    raw = _typed(doc["images"], dict, None, "images must map cells to simplices")
+    src, tgt = resolve(doc["source"]), resolve(doc["target"])
+    images = {x: ez_from_doc(entry, f"image of {x!r}") for x, entry in raw.items()}
     f = SMap(src.base, tgt.base, images)
     f._validate()
     return f

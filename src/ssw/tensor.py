@@ -2,6 +2,7 @@
 comparison maps and homotopies between the thick and ordinary joins."""
 from __future__ import annotations
 
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .core import (
@@ -17,7 +18,6 @@ from .core import (
     first_missed_dim,
     identity_map,
     join_sset,
-    joint_split,
     multi_product,
     pair_cell,
     product,
@@ -105,13 +105,8 @@ def gray_marked_n(factors: list[MarkedScaled], dim_cap: int | None = None) -> Gr
         raise SSetError("Gray product needs at least two factors")
     mp = multi_product([f.base for f in factors], dim_cap=dim_cap)
     P, projs = mp.sset, mp.projections
-    thin = set()
-    for t in P.level(2):
-        top = EZ(t, idop(2))
-        comps = tuple(pr(top) for pr in projs)
-        if gray_thin_predicate(factors, comps):
-            thin.add(t)
-    return GrayResult(Scaled(P, frozenset(thin)), projs, mp)
+    thin = frozenset(t for t in P.level(2) if gray_thin_predicate(factors, tuple(pr(EZ(t, idop(2))) for pr in projs)))
+    return GrayResult(Scaled(P, thin), projs, mp)
 
 
 class VariantScalings(NamedTuple):
@@ -141,9 +136,7 @@ def gray_variant_scalings(X: MarkedScaled, Y: MarkedScaled) -> VariantScalings:
                 plus.add(t)
     if not (minus <= gr.scaled.thin <= plus):
         raise SSetError("variant scalings are not nested")
-    return VariantScalings(
-        Scaled(P, frozenset(minus)), gr.scaled, Scaled(P, frozenset(plus)), gr.projections, gr.mp
-    )
+    return VariantScalings(Scaled(P, frozenset(minus)), gr.scaled, Scaled(P, frozenset(plus)), gr.projections, gr.mp)
 
 
 class Witness(NamedTuple):
@@ -276,18 +269,13 @@ def thick_join(variance: str, X: MarkedScaled, Y: MarkedScaled, dim_cap: int | N
     incl_left = YX.incl2.then(leg_ends)
     incl_right = YX.incl1.then(leg_ends)
 
-    comp: dict = {}
-    for x in X.base.dim_of:
-        comp[incl_left.images[x].core] = ("L", x)
-    for y in Y.base.dim_of:
-        comp[incl_right.images[y].core] = ("R", y)
+    comp: dict = {incl_left.images[x].core: ("L", x) for x in X.base.dim_of}
+    comp.update({incl_right.images[y].core: ("R", y) for y in Y.base.dim_of})
     for m in G.dim_of:
         img = quotient.images[m]
         if img.is_nondeg() and img.core not in comp:
             comp[img.core] = ("M", m)
-    return ThickJoin(
-        variance, total, incl_left, incl_right, quotient, mid, comp, pX, pI, pY
-    )
+    return ThickJoin(variance, total, incl_left, incl_right, quotient, mid, comp, pX, pI, pY)
 
 
 def thick_join_map(src: ThickJoin, tgt: ThickJoin, f: SMap, g: SMap) -> SMap:
@@ -509,9 +497,10 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
     def image(codes: tuple[int, ...]) -> EZ:
         """The simplex of the total that G's simplex with these vertex codes goes to."""
         out = image_of.get(codes)
-        if out is None:
-            section, sigma = joint_split((codes,))
-            out = image_of[codes] = tj.quotient(EZ(cell_of[tuple(codes[t] for t in section)], sigma))
+        if out is None:  # its distinct codes, and the epi that collapses codes onto them
+            moves = [a != b for a, b in zip(codes, codes[1:])]
+            cores = tuple(compress(codes, [True, *moves]))
+            out = image_of[codes] = tj.quotient(EZ(cell_of[cores], tuple(accumulate(moves, initial=0))))
         return out
 
     # a cell x*y of J (x or y empty at an end) has the vertices of x in Delta^p, then
@@ -560,6 +549,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         k_images[cell] = image(tuple([kv[j] for j in path]))
     h = SMap(PT, total, h_images)
     k = SMap(PT, total, k_images)
+    del image_of, h_images, k_images  # h and k hold copies; the validations need none
     for f in (s, u, h, k):
         f._validate()
 

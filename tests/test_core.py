@@ -321,6 +321,20 @@ def test_faces_of_matches_act_on_nerves(X):
     check_faces_of(X)
 
 
+def test_faces_once_equals_faces_of_and_keeps_nothing():
+    """The uncached face rule that product reads gives the faces of faces_of on
+    every simplex of degree <= 4, and adds nothing to the face cache."""
+    from ssw.catalog import catalog
+
+    for X in [ms.base for _, ms in sorted(catalog().items())] + [q_complex()]:
+        for n in range(5):
+            for s in X.simplices(n):
+                kept = len(X._faces_of)
+                once = X.faces_once(s)
+                assert len(X._faces_of) == kept
+                assert once == X.faces_of(s), s
+
+
 def test_smap_call_matches_composition_on_the_catalog_and_a_thick_join():
     from ssw.catalog import catalog
     from ssw.tensor import flat_ms, thick_join

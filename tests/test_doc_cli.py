@@ -66,6 +66,22 @@ def test_map_document_round_trip():
     assert f2.images == f.images
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"target": "d1", "images": {}},
+        {"source": "d1", "images": {}},
+        {"source": "d1", "target": "d1"},
+        {"source": "d1", "target": "d1", "images": [["0", [0]]]},
+        ["source", "target", "images"],
+    ],
+    ids=["no source", "no target", "no images", "images a list", "not an object"],
+)
+def test_map_document_of_the_wrong_shape_is_an_sset_error(doc):
+    with pytest.raises(SSetError, match="map document|images must"):
+        doc_to_map(doc, lambda name: MarkedScaled(standard_simplex(1)))
+
+
 def test_j_truncated_counts():
     J = j_truncated(3)
     assert J.counts() == (2, 2, 2, 2)

@@ -935,6 +935,18 @@ def test_clear_memos_empties_the_registry_and_a_fresh_build_equals_the_warm_one(
     assert fresh is not warm and fresh == warm
 
 
+def test_homotopies_file_no_vertex_code_sequence_in_a_process_memo():
+    """join_eq_homotopies finds the normal form of each vertex-code sequence in
+    the call: once a product of the total with Delta^1 has split its face
+    pairs, one comparison adds no entry to the joint_split memo."""
+    clear_memos()
+    total = join_eq_data(1, 2).cmp.tj.total.base
+    product(total, standard_simplex(1))
+    before = memo_sizes()["core.joint_split"]
+    assert join_eq_homotopies(1, 2).ok
+    assert memo_sizes()["core.joint_split"] == before
+
+
 def test_homotopies_after_the_comparison_build_no_thick_join(monkeypatch):
     """join_eq_homotopies(2, 2) reuses the comparison that compare_r built
     with the default cap, the cap it asks for."""
