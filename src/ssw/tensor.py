@@ -529,6 +529,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         prism_codes[c] = hv, kv
         u_images[c] = image(tuple(hv[::2]))
     u = SMap(total, total, u_images)
+    del vertices, s_images, u_images
 
     PT, prT, prI = product(total, standard_simplex(1), dim_cap=total.dim + 1)
     # h and k are u at time 0; at time 1, h is s after r and k the identity
@@ -549,7 +550,7 @@ def join_eq_homotopies(p: int, q: int) -> HomotopyReport:
         k_images[cell] = image(tuple([kv[j] for j in path]))
     h = SMap(PT, total, h_images)
     k = SMap(PT, total, k_images)
-    del image_of, h_images, k_images  # h and k hold copies; the validations need none
+    del image_of, cell_of, prism_codes, h_images, k_images  # h and k hold copies; the validations need none
     for f in (s, u, h, k):
         f._validate()
 
