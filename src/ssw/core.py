@@ -594,7 +594,6 @@ def product(X: SSet, Y: SSet, dim_cap: int | None = None) -> ProductResult:
                             if n:
                                 faces[x] = tuple([cell_of.get(f) or split(f) for f in zip(faces_a, faces_b)])
         cells.append(level)
-    del cell_of, ys  # the pair index is read while the levels are built, and no later
     P = SSet(cells, faces, dim_cap=cap)
     return ProductResult(P, SMap(P, X, img1), SMap(P, Y, img2))
 

@@ -161,7 +161,7 @@ def test_validation_check_sees_a_validating_build(tmp_path):
 # A ratchet on the lines of src/ssw/*.py, lowered as code is deleted (the
 # ROADMAP baseline is 4,904); lines added for speed are paid back by deleting
 # others.
-MAX_SOURCE_LINES = 4466
+MAX_SOURCE_LINES = 4465
 
 
 def annotation_names(tree):
